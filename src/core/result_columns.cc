@@ -1,125 +1,16 @@
 #include "core/result_columns.h"
 
-#include <bit>
-#include <cstring>
-#include <limits>
-
 #include "core/dense_kernel.h"
 #include "util/atomic_io.h"
 #include "util/bench_report.h"
+#include "util/codec.h"
 
 namespace pathsel::core {
 
 namespace {
 
-// ---- little-endian encoding helpers -------------------------------------
-//
-// Bytes are assembled explicitly (shifts, not memcpy of whole words), so the
-// format is identical on every host the toolchain targets.
-
-void append_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void append_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xffu));
-  }
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xffu));
-  }
-}
-
-void append_i32(std::string& out, std::int32_t v) {
-  append_u32(out, static_cast<std::uint32_t>(v));
-}
-
-void append_f64(std::string& out, double v) {
-  append_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-// Bounds-checked forward reader over the serialized image.  Every take_*
-// either succeeds or records a truncation diagnostic; nothing reads past
-// the end, and nothing allocates before its length has been validated
-// against the bytes actually present.
-class Cursor {
- public:
-  explicit Cursor(std::string_view bytes) : bytes_{bytes} {}
-
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return bytes_.size() - pos_;
-  }
-  [[nodiscard]] bool failed() const noexcept { return failed_; }
-  [[nodiscard]] const std::string& error() const noexcept { return error_; }
-
-  [[nodiscard]] std::uint8_t take_u8(const char* what) {
-    if (!need(1, what)) return 0;
-    return static_cast<std::uint8_t>(bytes_[pos_++]);
-  }
-
-  [[nodiscard]] std::uint32_t take_u32(const char* what) {
-    if (!need(4, what)) return 0;
-    std::uint32_t v = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-      v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes_[pos_++]))
-           << shift;
-    }
-    return v;
-  }
-
-  [[nodiscard]] std::uint64_t take_u64(const char* what) {
-    if (!need(8, what)) return 0;
-    std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 8) {
-      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(bytes_[pos_++]))
-           << shift;
-    }
-    return v;
-  }
-
-  [[nodiscard]] std::int32_t take_i32(const char* what) {
-    return static_cast<std::int32_t>(take_u32(what));
-  }
-
-  [[nodiscard]] double take_f64(const char* what) {
-    return std::bit_cast<double>(take_u64(what));
-  }
-
-  /// True when `count` elements of `elem_size` bytes are still present —
-  /// the pre-allocation guard for column lengths.
-  [[nodiscard]] bool fits(std::uint64_t count, std::size_t elem_size) const
-      noexcept {
-    return count <= remaining() / elem_size;
-  }
-
-  void fail(std::string message) {
-    if (!failed_) {
-      failed_ = true;
-      error_ = std::move(message);
-    }
-  }
-
- private:
-  bool need(std::size_t n, const char* what) {
-    if (failed_) return false;
-    if (remaining() < n) {
-      fail(std::string{"truncated file: expected "} + what);
-      return false;
-    }
-    return true;
-  }
-
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-  bool failed_ = false;
-  std::string error_;
-};
-
 template <typename T, typename TakeFn>
-void take_column(Cursor& c, std::vector<T>& out, std::size_t n,
+void take_column(codec::Cursor& c, std::vector<T>& out, std::size_t n,
                  const char* what, TakeFn&& take) {
   out.clear();
   out.reserve(n);
@@ -267,36 +158,35 @@ std::vector<PairResult> to_pairs(const ResultColumns& columns) {
 }
 
 std::string serialize_result_columns(std::span<const ResultColumns> sets) {
-  std::string out;
-  append_u32(out, kResultColumnsMagic);
-  append_u32(out, kResultColumnsVersion);
-  append_u32(out, static_cast<std::uint32_t>(sets.size()));
+  codec::Writer w;
+  w.put_u32(kResultColumnsMagic);
+  w.put_u32(kResultColumnsVersion);
+  w.put_u32(static_cast<std::uint32_t>(sets.size()));
   for (const ResultColumns& c : sets) {
     const std::size_t n = c.size();
-    append_u32(out, static_cast<std::uint32_t>(c.metric));
-    append_u64(out, static_cast<std::uint64_t>(n));
-    append_u64(out, static_cast<std::uint64_t>(c.via.size()));
-    for (std::size_t i = 0; i < n; ++i) append_i32(out, c.src[i]);
-    for (std::size_t i = 0; i < n; ++i) append_i32(out, c.dst[i]);
-    for (std::size_t i = 0; i < n; ++i) append_i32(out, c.relay[i]);
-    for (std::size_t i = 0; i < n; ++i) append_i32(out, c.hop_count[i]);
+    w.put_u32(static_cast<std::uint32_t>(c.metric));
+    w.put_u64(static_cast<std::uint64_t>(n));
+    w.put_u64(static_cast<std::uint64_t>(c.via.size()));
+    for (std::size_t i = 0; i < n; ++i) w.put_i32(c.src[i]);
+    for (std::size_t i = 0; i < n; ++i) w.put_i32(c.dst[i]);
+    for (std::size_t i = 0; i < n; ++i) w.put_i32(c.relay[i]);
+    for (std::size_t i = 0; i < n; ++i) w.put_i32(c.hop_count[i]);
     for (std::size_t i = 0; i < n; ++i) {
-      append_u8(out, static_cast<std::uint8_t>(c.significance[i]));
+      w.put_u8(static_cast<std::uint8_t>(c.significance[i]));
     }
-    for (std::size_t i = 0; i < n; ++i) append_f64(out, c.default_value[i]);
-    for (std::size_t i = 0; i < n; ++i) append_f64(out, c.alternate_value[i]);
-    for (std::size_t i = 0; i < n; ++i) append_f64(out, c.default_mean[i]);
-    for (std::size_t i = 0; i < n; ++i) append_f64(out, c.default_var[i]);
-    for (std::size_t i = 0; i < n; ++i) append_f64(out, c.default_dof_denom[i]);
-    for (std::size_t i = 0; i < n; ++i) append_f64(out, c.alternate_mean[i]);
-    for (std::size_t i = 0; i < n; ++i) append_f64(out, c.alternate_var[i]);
+    for (std::size_t i = 0; i < n; ++i) w.put_f64(c.default_value[i]);
+    for (std::size_t i = 0; i < n; ++i) w.put_f64(c.alternate_value[i]);
+    for (std::size_t i = 0; i < n; ++i) w.put_f64(c.default_mean[i]);
+    for (std::size_t i = 0; i < n; ++i) w.put_f64(c.default_var[i]);
+    for (std::size_t i = 0; i < n; ++i) w.put_f64(c.default_dof_denom[i]);
+    for (std::size_t i = 0; i < n; ++i) w.put_f64(c.alternate_mean[i]);
+    for (std::size_t i = 0; i < n; ++i) w.put_f64(c.alternate_var[i]);
     for (std::size_t i = 0; i < n; ++i) {
-      append_f64(out, c.alternate_dof_denom[i]);
+      w.put_f64(c.alternate_dof_denom[i]);
     }
-    for (std::size_t i = 0; i < c.via.size(); ++i) append_i32(out, c.via[i]);
+    for (std::size_t i = 0; i < c.via.size(); ++i) w.put_i32(c.via[i]);
   }
-  append_u32(out, crc32(out));
-  return out;
+  return std::move(w).seal();
 }
 
 Result<std::vector<ResultColumns>> parse_result_columns(
@@ -306,7 +196,7 @@ Result<std::vector<ResultColumns>> parse_result_columns(
     return parse_error("truncated file: " + std::to_string(bytes.size()) +
                        " bytes is smaller than an empty results file");
   }
-  Cursor header{bytes};
+  codec::Cursor header{bytes};
   const std::uint32_t magic = header.take_u32("magic");
   if (magic != kResultColumnsMagic) {
     return parse_error("bad magic: not a pathsel results file");
@@ -322,19 +212,12 @@ Result<std::vector<ResultColumns>> parse_result_columns(
   // The CRC is verified before any structural field is trusted, so a bit
   // flip anywhere — counts included — is reported as corruption, not as
   // whatever structure the flipped bytes happen to spell.
-  const std::string_view payload = bytes.substr(0, bytes.size() - 4);
-  const std::string_view crc_bytes = bytes.substr(bytes.size() - 4);
-  std::uint32_t stored = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored |= static_cast<std::uint32_t>(
-                  static_cast<std::uint8_t>(crc_bytes[static_cast<std::size_t>(i)]))
-              << (8 * i);
-  }
-  if (crc32(payload) != stored) {
+  const std::optional<std::string_view> payload = codec::unseal(bytes);
+  if (!payload) {
     return parse_error("CRC-32 mismatch: file is corrupted or torn");
   }
 
-  Cursor c{payload};
+  codec::Cursor c{*payload};
   (void)c.take_u32("magic");
   (void)c.take_u32("schema version");
   const std::uint32_t set_count = c.take_u32("column-set count");
@@ -360,19 +243,18 @@ Result<std::vector<ResultColumns>> parse_result_columns(
     }
     const auto n = static_cast<std::size_t>(n64);
     const auto m = static_cast<std::size_t>(m64);
-    take_column(c, cols.src, n, "src column",
-                [](Cursor& cur, const char* w) { return cur.take_i32(w); });
-    take_column(c, cols.dst, n, "dst column",
-                [](Cursor& cur, const char* w) { return cur.take_i32(w); });
-    take_column(c, cols.relay, n, "relay column",
-                [](Cursor& cur, const char* w) { return cur.take_i32(w); });
-    take_column(c, cols.hop_count, n, "hop_count column",
-                [](Cursor& cur, const char* w) { return cur.take_i32(w); });
+    const auto take_i32s = [](codec::Cursor& cur, const char* w) {
+      return cur.take_i32(w);
+    };
+    take_column(c, cols.src, n, "src column", take_i32s);
+    take_column(c, cols.dst, n, "dst column", take_i32s);
+    take_column(c, cols.relay, n, "relay column", take_i32s);
+    take_column(c, cols.hop_count, n, "hop_count column", take_i32s);
     take_column(c, cols.significance, n, "significance column",
-                [](Cursor& cur, const char* w) {
+                [](codec::Cursor& cur, const char* w) {
                   return static_cast<std::int8_t>(cur.take_u8(w));
                 });
-    const auto take_f64s = [](Cursor& cur, const char* w) {
+    const auto take_f64s = [](codec::Cursor& cur, const char* w) {
       return cur.take_f64(w);
     };
     take_column(c, cols.default_value, n, "default_value column", take_f64s);
@@ -386,8 +268,7 @@ Result<std::vector<ResultColumns>> parse_result_columns(
     take_column(c, cols.alternate_var, n, "alternate_var column", take_f64s);
     take_column(c, cols.alternate_dof_denom, n, "alternate_dof_denom column",
                 take_f64s);
-    take_column(c, cols.via, m, "via column",
-                [](Cursor& cur, const char* w) { return cur.take_i32(w); });
+    take_column(c, cols.via, m, "via column", take_i32s);
     if (c.failed()) break;
 
     // Structural invariants the CRC cannot express: hop counts must tile

@@ -37,6 +37,9 @@
 //       via                               i32[m]
 //   u32 CRC-32 (util/atomic_io crc32, IEEE) of every preceding byte
 //
+// Fields are encoded with util/codec.h, and the trailing CRC is its CRC-tail
+// envelope (Writer::seal / unseal).
+//
 // Writers are crash-safe (write_file_atomic: tmp + fsync + rename); readers
 // validate structure before allocating (an absurd count in a corrupted file
 // must not allocate), verify the CRC, and report every malformed input as a

@@ -1,9 +1,6 @@
 #include "matrix/cell.h"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <sstream>
 
@@ -17,6 +14,7 @@
 #include "meas/campaign.h"
 #include "meas/checkpoint.h"
 #include "meas/serialize.h"
+#include "util/codec.h"
 #include "util/metrics.h"
 
 namespace pathsel::matrix {
@@ -78,27 +76,6 @@ bool key_value(std::string_view line, std::string_view key,
     return false;
   }
   value = line.substr(key.size() + 1);
-  return true;
-}
-
-bool parse_u64_field(std::string_view s, std::uint64_t& out, int base = 10) {
-  const std::string z{s};
-  if (z.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(z.c_str(), &end, base);
-  if (errno == ERANGE || end == z.c_str() || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-bool parse_double_field(std::string_view s, double& out) {
-  const std::string z{s};
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(z.c_str(), &end);
-  if (errno == ERANGE || end == z.c_str() || *end != '\0') return false;
-  out = v;
   return true;
 }
 
@@ -362,7 +339,7 @@ Result<CellSummary> parse_cell_summary(std::string_view text) {
   std::uint64_t stored_crc = 0;
   const std::string_view crc_value =
       text.substr(crc_pos + 4, text.size() - crc_pos - 5);
-  if (!parse_u64_field(crc_value, stored_crc, 16)) {
+  if (!codec::parse_u64(crc_value, stored_crc, 16)) {
     return parse_fail("malformed crc line");
   }
   const std::string_view payload = text.substr(0, crc_pos);
@@ -392,31 +369,30 @@ Result<CellSummary> parse_cell_summary(std::string_view text) {
   }
   CellSummary s;
   std::uint64_t u = 0;
-  double d = 0.0;
-  if (!need("grid_fp") || !parse_u64_field(value, s.grid_fp, 16)) {
+  if (!need("grid_fp") || !codec::parse_u64(value, s.grid_fp, 16)) {
     return parse_fail("bad grid_fp");
   }
-  if (!need("cell_fp") || !parse_u64_field(value, s.cell_fp, 16)) {
+  if (!need("cell_fp") || !codec::parse_u64(value, s.cell_fp, 16)) {
     return parse_fail("bad cell_fp");
   }
-  if (!need("index") || !parse_u64_field(value, u)) {
+  if (!need("index") || !codec::parse_u64(value, u)) {
     return parse_fail("bad index");
   }
   s.index = static_cast<std::size_t>(u);
   if (!need("dataset")) return parse_fail("bad dataset");
   s.dataset = std::string{value};
-  if (!need("fault") || !parse_double_field(value, s.fault)) {
+  if (!need("fault") || !codec::parse_double(value, s.fault)) {
     return parse_fail("bad fault");
   }
   if (!need("metric")) return parse_fail("bad metric");
   s.metric = std::string{value};
   if (!need("policy")) return parse_fail("bad policy");
   s.policy = std::string{value};
-  if (!need("min_samples") || !parse_u64_field(value, u) || u > 1'000'000) {
+  if (!need("min_samples") || !codec::parse_u64(value, u) || u > 1'000'000) {
     return parse_fail("bad min_samples");
   }
   s.min_samples = static_cast<int>(u);
-  if (!need("seed") || !parse_u64_field(value, s.seed)) {
+  if (!need("seed") || !codec::parse_u64(value, s.seed)) {
     return parse_fail("bad seed");
   }
   if (!need("ok") || (value != "0" && value != "1")) {
@@ -428,12 +404,12 @@ Result<CellSummary> parse_cell_summary(std::string_view text) {
     s.error = std::string{value};
   } else {
     auto u64_field = [&](std::string_view key, std::size_t& out) -> bool {
-      if (!need(key) || !parse_u64_field(value, u)) return false;
+      if (!need(key) || !codec::parse_u64(value, u)) return false;
       out = static_cast<std::size_t>(u);
       return true;
     };
     auto dbl_field = [&](std::string_view key, double& out) -> bool {
-      return need(key) && parse_double_field(value, out);
+      return need(key) && codec::parse_double(value, out);
     };
     if (!u64_field("hosts", s.hosts)) return parse_fail("bad hosts");
     if (!u64_field("measurements", s.measurements)) {
@@ -460,7 +436,6 @@ Result<CellSummary> parse_cell_summary(std::string_view text) {
     if (!dbl_field("found_full", s.found_full)) {
       return parse_fail("bad found_full");
     }
-    (void)d;
   }
   while (reader.peek(line)) {
     if (!key_value(line, "artifact", value)) break;
@@ -477,9 +452,9 @@ Result<CellSummary> parse_cell_summary(std::string_view text) {
     CellSummary::Artifact a;
     a.rel_path = std::string{rest.substr(0, size_sep)};
     std::uint64_t crc_v = 0;
-    if (!parse_u64_field(rest.substr(size_sep + 1, crc_sep - size_sep - 1),
-                         a.size) ||
-        !parse_u64_field(rest.substr(crc_sep + 1), crc_v, 16) ||
+    if (!codec::parse_u64(rest.substr(size_sep + 1, crc_sep - size_sep - 1),
+                          a.size) ||
+        !codec::parse_u64(rest.substr(crc_sep + 1), crc_v, 16) ||
         crc_v > 0xFFFFFFFFULL) {
       return parse_fail("bad artifact");
     }

@@ -1,14 +1,12 @@
 #include "matrix/grid.h"
 
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "meas/catalog.h"
 #include "meas/checkpoint.h"
 #include "util/atomic_io.h"
+#include "util/codec.h"
 
 namespace pathsel::matrix {
 
@@ -40,35 +38,10 @@ bool valid_name(std::string_view s) {
   return true;
 }
 
-bool parse_double(std::string_view s, double& out) {
-  const std::string z{s};
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(z.c_str(), &end);
-  if (errno == ERANGE || end == z.c_str() || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  const std::string z{s};
-  if (z.empty() || z.front() == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(z.c_str(), &end, 10);
-  if (errno == ERANGE || end == z.c_str() || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-bool parse_i32(std::string_view s, long lo, long hi, int& out) {
-  const std::string z{s};
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(z.c_str(), &end, 10);
-  if (errno == ERANGE || end == z.c_str() || *end != '\0' || v < lo || v > hi) {
-    return false;
-  }
+bool parse_i32(std::string_view s, std::int64_t lo, std::int64_t hi,
+               int& out) {
+  std::int64_t v = 0;
+  if (!codec::parse_i64(s, v) || v < lo || v > hi) return false;
   out = static_cast<int>(v);
   return true;
 }
@@ -224,7 +197,7 @@ Result<GridConfig> parse_grid(std::string_view text) {
         if (saw_scale) return bad(line_no, "duplicate key: scale");
         saw_scale = true;
         double s = 0.0;
-        if (!parse_double(value, s) || !(s > 0.0) || !(s <= 1.0)) {
+        if (!codec::parse_double(value, s) || !(s > 0.0) || !(s <= 1.0)) {
           return bad(line_no, "scale must be in (0, 1]: " + std::string{value});
         }
         grid.scale = s;
@@ -257,7 +230,7 @@ Result<GridConfig> parse_grid(std::string_view text) {
       grid.faults.clear();
       for (const std::string& item : items.value()) {
         double f = 0.0;
-        if (!parse_double(item, f) || !(f >= 0.0) || !(f <= 1.0)) {
+        if (!codec::parse_double(item, f) || !(f >= 0.0) || !(f <= 1.0)) {
           return bad(line_no, "fault intensity must be in [0, 1]: " + item);
         }
         grid.faults.push_back(f);
@@ -295,7 +268,7 @@ Result<GridConfig> parse_grid(std::string_view text) {
       grid.seeds.clear();
       for (const std::string& item : items.value()) {
         std::uint64_t s = 0;
-        if (!parse_u64(item, s)) {
+        if (!codec::parse_u64(item, s)) {
           return bad(line_no, "seed must be an unsigned integer: " + item);
         }
         grid.seeds.push_back(s);

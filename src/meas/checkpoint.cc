@@ -1,21 +1,19 @@
 #include "meas/checkpoint.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <sstream>
 
 #include "meas/serialize.h"
 #include "util/atomic_io.h"
+#include "util/codec.h"
 #include "util/rng.h"
 
 namespace pathsel::meas {
 
 namespace {
 
-constexpr char kCheckpointHeader[] = "pathsel-checkpoint v1";
 constexpr char kManifestHeader[] = "pathsel-manifest v1";
 
 // Hard caps against adversarial counts in a corrupt file.
@@ -27,26 +25,6 @@ std::uint64_t mix(std::uint64_t& h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   std::uint64_t s = h;
   return h = splitmix64(s);
-}
-
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  if (text.empty() || text[0] == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno == ERANGE || end == text.c_str() || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-bool parse_i64(const std::string& text, std::int64_t& out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (errno == ERANGE || end == text.c_str() || *end != '\0') return false;
-  out = v;
-  return true;
 }
 
 Status corrupt(const std::string& what) {
@@ -71,8 +49,9 @@ Result<std::string_view> strip_and_check_crc(std::string_view text) {
   std::string key;
   std::string value;
   std::uint64_t recorded = 0;
-  if (!(ls >> key >> value) || key != "crc" || !parse_u64(value, recorded) ||
-      recorded > 0xFFFFFFFFULL || (ls >> key)) {
+  if (!(ls >> key >> value) || key != "crc" ||
+      !codec::parse_u64(value, recorded) || recorded > 0xFFFFFFFFULL ||
+      (ls >> key)) {
     return corrupt("malformed crc line");
   }
   if (crc32(payload) != static_cast<std::uint32_t>(recorded)) {
@@ -128,8 +107,9 @@ Result<std::vector<ManifestEntry>> parse_manifest(std::string_view text) {
     std::string size_text;
     std::uint64_t crc = 0;
     if (!(ls >> key >> e.dataset >> e.file >> crc_text >> size_text) ||
-        key != "entry" || !parse_u64(crc_text, crc) || crc > 0xFFFFFFFFULL ||
-        !parse_u64(size_text, e.size) || (ls >> key)) {
+        key != "entry" || !codec::parse_u64(crc_text, crc) ||
+        crc > 0xFFFFFFFFULL || !codec::parse_u64(size_text, e.size) ||
+        (ls >> key)) {
       return corrupt("malformed manifest entry: " + line);
     }
     e.crc = static_cast<std::uint32_t>(crc);
@@ -274,7 +254,7 @@ Result<CampaignCheckpoint> parse_checkpoint(std::string_view text,
     return Status::error(ErrorCode::kInvalidArgument,
                          "checkpoint kind does not match this campaign");
   }
-  if (!expect_field("fingerprint", value) || !parse_u64(value, u)) {
+  if (!expect_field("fingerprint", value) || !codec::parse_u64(value, u)) {
     return corrupt("missing fingerprint");
   }
   if (u != expected_fingerprint) {
@@ -283,20 +263,21 @@ Result<CampaignCheckpoint> parse_checkpoint(std::string_view text,
         "checkpoint fingerprint does not match this campaign (different "
         "config, seed, faults, or host list)");
   }
-  if (!expect_field("now_ms", value) || !parse_i64(value, i) || i < 0) {
+  if (!expect_field("now_ms", value) || !codec::parse_i64(value, i) || i < 0) {
     return corrupt("invalid now_ms");
   }
   cp.now = SimTime::at(Duration::millis(i));
-  if (!expect_field("next_seq", value) || !parse_u64(value, cp.next_seq)) {
+  if (!expect_field("next_seq", value) ||
+      !codec::parse_u64(value, cp.next_seq)) {
     return corrupt("invalid next_seq");
   }
-  if (!expect_field("episodes", value) || !parse_i64(value, i) || i < 0 ||
-      i > std::numeric_limits<std::int32_t>::max()) {
+  if (!expect_field("episodes", value) || !codec::parse_i64(value, i) ||
+      i < 0 || i > std::numeric_limits<std::int32_t>::max()) {
     return corrupt("invalid episodes");
   }
   cp.episode_count = static_cast<std::int32_t>(i);
   if (!expect_field("injector_epoch", value) ||
-      !parse_u64(value, cp.injector_epoch)) {
+      !codec::parse_u64(value, cp.injector_epoch)) {
     return corrupt("invalid injector_epoch");
   }
 
@@ -310,13 +291,13 @@ Result<CampaignCheckpoint> parse_checkpoint(std::string_view text,
       return corrupt("malformed rng line");
     }
     for (std::size_t k = 0; k < 4; ++k) {
-      if (!parse_u64(words[k], cp.rng_state[k])) {
+      if (!codec::parse_u64(words[k], cp.rng_state[k])) {
         return corrupt("malformed rng state");
       }
     }
   }
 
-  if (!expect_field("server_rngs", value) || !parse_u64(value, u) ||
+  if (!expect_field("server_rngs", value) || !codec::parse_u64(value, u) ||
       u > kMaxServerRngs) {
     return corrupt("invalid server_rngs count");
   }
@@ -332,14 +313,14 @@ Result<CampaignCheckpoint> parse_checkpoint(std::string_view text,
     }
     std::array<std::uint64_t, 4> state{};
     for (std::size_t k = 0; k < 4; ++k) {
-      if (!parse_u64(words[k], state[k])) {
+      if (!codec::parse_u64(words[k], state[k])) {
         return corrupt("malformed server rng state");
       }
     }
     cp.server_rng_states.push_back(state);
   }
 
-  if (!expect_field("pending", value) || !parse_u64(value, u) ||
+  if (!expect_field("pending", value) || !codec::parse_u64(value, u) ||
       u > kMaxPending) {
     return corrupt("invalid pending count");
   }
@@ -380,7 +361,7 @@ Result<CampaignCheckpoint> parse_checkpoint(std::string_view text,
     cp.pending.push_back(ev);
   }
 
-  if (!expect_field("measurements", value) || !parse_u64(value, u) ||
+  if (!expect_field("measurements", value) || !codec::parse_u64(value, u) ||
       u > kMaxMeasurements) {
     return corrupt("invalid measurements count");
   }

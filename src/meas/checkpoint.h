@@ -30,6 +30,9 @@
 
 namespace pathsel::meas {
 
+/// First line of a checkpoint file: the format name and version.
+inline constexpr char kCheckpointHeader[] = "pathsel-checkpoint v1";
+
 /// Identity of a campaign for checkpoint binding: dataset name, collector
 /// configuration (seed, discipline, kind, durations, retry, availability,
 /// fault plan config), and the exact host list.

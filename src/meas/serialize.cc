@@ -1,13 +1,13 @@
 #include "meas/serialize.h"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <unordered_set>
+
+#include "util/codec.h"
 
 namespace pathsel::meas {
 
@@ -23,25 +23,12 @@ bool fail(std::string* error, const std::string& reason) {
   return false;
 }
 
-// Strict whole-string integer parse; rejects "12x", "", overflow, and (for
-// parse_i64's callers that require it) nothing else — range checks are the
-// caller's job.
-bool parse_i64(const std::string& text, std::int64_t& out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (errno == ERANGE || end == text.c_str() || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
 bool finite_nonneg(double x) { return std::isfinite(x) && x >= 0.0; }
 
 }  // namespace
 
 void write_dataset(std::ostream& os, const Dataset& dataset) {
-  os << "pathsel-dataset v1\n";
+  os << kDatasetHeader << '\n';
   os << "name " << dataset.name << '\n';
   os << "kind "
      << (dataset.kind == MeasurementKind::kTraceroute ? "traceroute" : "tcp")
@@ -92,7 +79,7 @@ std::optional<Dataset> read_dataset(std::istream& is, std::string* error) {
     return static_cast<bool>(std::getline(is, line));
   };
 
-  if (!next_line() || line != "pathsel-dataset v1") {
+  if (!next_line() || line != kDatasetHeader) {
     fail(error, "missing or unsupported header");
     return std::nullopt;
   }
@@ -124,7 +111,7 @@ std::optional<Dataset> read_dataset(std::istream& is, std::string* error) {
   }
   std::int64_t parsed = 0;
   if (!expect_field("duration_ms", value)) return std::nullopt;
-  if (!parse_i64(value, parsed) || parsed < 0) {
+  if (!codec::parse_i64(value, parsed) || parsed < 0) {
     fail(error, "invalid duration_ms: " + value);
     return std::nullopt;
   }
@@ -136,7 +123,7 @@ std::optional<Dataset> read_dataset(std::istream& is, std::string* error) {
   }
   ds.first_sample_loss_only = value == "1";
   if (!expect_field("episodes", value)) return std::nullopt;
-  if (!parse_i64(value, parsed) || parsed < 0 ||
+  if (!codec::parse_i64(value, parsed) || parsed < 0 ||
       parsed > std::numeric_limits<std::int32_t>::max()) {
     fail(error, "invalid episodes: " + value);
     return std::nullopt;
@@ -299,7 +286,7 @@ bool parse_measurement(const std::string& line, MeasurementKind kind,
   while (ls >> token) {
     std::int64_t v = 0;
     std::string arg;
-    if (!(ls >> arg) || !parse_i64(arg, v)) {
+    if (!(ls >> arg) || !codec::parse_i64(arg, v)) {
       return fail(error, "malformed trailing token: " + line);
     }
     if (token == "f" && !saw_failure) {

@@ -37,6 +37,9 @@
 
 namespace pathsel::meas {
 
+/// First line of a dataset file: the format name and version.
+inline constexpr char kDatasetHeader[] = "pathsel-dataset v1";
+
 /// Writes the dataset; the stream's failbit reflects I/O errors.
 void write_dataset(std::ostream& os, const Dataset& dataset);
 

@@ -4,104 +4,27 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
 
 #include "util/atomic_io.h"
+#include "util/codec.h"
 
 namespace pathsel::serve {
 
 namespace {
 
-// Little-endian encoding, byte by byte — same conventions as the PSRC
-// serializer (core/result_columns.cc), so the format is host-independent.
-
-void append_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xffu));
-  }
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xffu));
-  }
-}
-
-void append_i32(std::string& out, std::int32_t v) {
-  append_u32(out, static_cast<std::uint32_t>(v));
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  append_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void append_f64(std::string& out, double v) {
-  append_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-// Minimal bounds-checked reader; the journal scanner treats any shortfall as
-// a torn tail rather than an error, so this only reports "enough bytes?".
-class Cursor {
- public:
-  explicit Cursor(std::string_view bytes) : bytes_{bytes} {}
-
-  [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return bytes_.size() - pos_;
-  }
-  [[nodiscard]] bool has(std::size_t n) const noexcept {
-    return remaining() >= n;
-  }
-
-  std::uint32_t take_u32() {
-    std::uint32_t v = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(bytes_[pos_++]))
-           << shift;
-    }
-    return v;
-  }
-
-  std::uint64_t take_u64() {
-    std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 8) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(bytes_[pos_++]))
-           << shift;
-    }
-    return v;
-  }
-
-  std::int32_t take_i32() { return static_cast<std::int32_t>(take_u32()); }
-  std::int64_t take_i64() { return static_cast<std::int64_t>(take_u64()); }
-  double take_f64() { return std::bit_cast<double>(take_u64()); }
-  void skip(std::size_t n) noexcept { pos_ += n; }
-
-  [[nodiscard]] std::string_view view(std::size_t from, std::size_t n) const {
-    return bytes_.substr(from, n);
-  }
-
- private:
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
-
 std::string encode_record_payload(const JournalRecord& r) {
-  std::string payload;
-  payload.reserve(kRecordPayloadBytes);
-  append_u64(payload, r.seq);
-  append_i32(payload, r.update.a.value());
-  append_i32(payload, r.update.b.value());
-  append_f64(payload, r.update.rtt_ms);
-  payload.push_back(r.update.lost ? '\x01' : '\x00');
-  return payload;
+  codec::Writer w{kRecordPayloadBytes};
+  w.put_u64(r.seq);
+  w.put_i32(r.update.a.value());
+  w.put_i32(r.update.b.value());
+  w.put_f64(r.update.rtt_ms);
+  w.put_u8(r.update.lost ? 1 : 0);
+  return std::move(w).take();
 }
 
 Status io_error(const std::string& what, const std::string& path) {
@@ -109,21 +32,21 @@ Status io_error(const std::string& what, const std::string& path) {
                        what + " " + path + ": " + std::strerror(errno));
 }
 
-void append_summary_raw(std::string& out, const stats::Summary::Raw& raw) {
-  append_i64(out, raw.n);
-  append_f64(out, raw.mean);
-  append_f64(out, raw.m2);
-  append_f64(out, raw.min);
-  append_f64(out, raw.max);
+void put_summary_raw(codec::Writer& w, const stats::Summary::Raw& raw) {
+  w.put_i64(raw.n);
+  w.put_f64(raw.mean);
+  w.put_f64(raw.m2);
+  w.put_f64(raw.min);
+  w.put_f64(raw.max);
 }
 
-stats::Summary::Raw take_summary_raw(Cursor& c) {
+stats::Summary::Raw take_summary_raw(codec::Cursor& c) {
   stats::Summary::Raw raw;
-  raw.n = c.take_i64();
-  raw.mean = c.take_f64();
-  raw.m2 = c.take_f64();
-  raw.min = c.take_f64();
-  raw.max = c.take_f64();
+  raw.n = c.take_i64("summary n");
+  raw.mean = c.take_f64("summary mean");
+  raw.m2 = c.take_f64("summary m2");
+  raw.min = c.take_f64("summary min");
+  raw.max = c.take_f64("summary max");
   return raw;
 }
 
@@ -159,10 +82,8 @@ Result<EdgeUpdate> parse_update(std::string_view spec) {
 
   auto parse_host = [&](const std::string& tok, const char* which,
                         std::int32_t& out) -> Status {
-    errno = 0;
-    char* end = nullptr;
-    const long v = std::strtol(tok.c_str(), &end, 10);
-    if (errno == ERANGE || end == tok.c_str() || *end != '\0' || v < 0 ||
+    std::int64_t v = 0;
+    if (!codec::parse_i64(tok, v) || v < 0 ||
         v > std::numeric_limits<std::int32_t>::max()) {
       return bad(std::string{which} + " host id '" + tok +
                  "' is not a non-negative integer");
@@ -176,11 +97,9 @@ Result<EdgeUpdate> parse_update(std::string_view spec) {
   if (Status s = parse_host(tokens[2], "second", b); !s.is_ok()) return s;
   if (a == b) return bad("a path needs two distinct hosts");
 
-  errno = 0;
-  char* end = nullptr;
-  const double rtt = std::strtod(tokens[3].c_str(), &end);
-  if (errno == ERANGE || end == tokens[3].c_str() || *end != '\0' ||
-      !std::isfinite(rtt) || rtt < 0.0) {
+  double rtt = 0.0;
+  if (!codec::parse_double(tokens[3], rtt) || !std::isfinite(rtt) ||
+      rtt < 0.0) {
     return bad("rtt '" + tokens[3] + "' is not a finite non-negative number");
   }
   if (tokens[4] != "0" && tokens[4] != "1") {
@@ -198,40 +117,39 @@ Result<EdgeUpdate> parse_update(std::string_view spec) {
 std::string serialize_journal_header(std::uint64_t fingerprint,
                                      std::uint64_t generation,
                                      std::uint64_t start_seq) {
-  std::string out;
-  out.reserve(kJournalHeaderBytes);
-  append_u32(out, kJournalMagic);
-  append_u32(out, kJournalVersion);
-  append_u64(out, fingerprint);
-  append_u64(out, generation);
-  append_u64(out, start_seq);
-  append_u32(out, crc32(out));
-  return out;
+  codec::Writer w{kJournalHeaderBytes};
+  w.put_u32(kJournalMagic);
+  w.put_u32(kJournalVersion);
+  w.put_u64(fingerprint);
+  w.put_u64(generation);
+  w.put_u64(start_seq);
+  return std::move(w).seal();
 }
 
 std::string serialize_journal_record(const JournalRecord& r) {
   const std::string payload = encode_record_payload(r);
-  std::string out;
-  out.reserve(8 + payload.size());
-  append_u32(out, static_cast<std::uint32_t>(payload.size()));
-  append_u32(out, crc32(payload));
-  out += payload;
-  return out;
+  codec::Writer w{8 + payload.size()};
+  w.put_u32(static_cast<std::uint32_t>(payload.size()));
+  w.put_u32(crc32(payload));
+  w.put_bytes(payload);
+  return std::move(w).take();
 }
 
 JournalScan scan_journal(std::string_view bytes, std::uint64_t fingerprint) {
   JournalScan scan;
-  Cursor c{bytes};
-  if (!c.has(kJournalHeaderBytes)) {
+  codec::Cursor c{bytes};
+  const std::string_view header =
+      c.take_bytes(kJournalHeaderBytes, "journal header");
+  if (c.failed()) {
     scan.reject_reason = "file shorter than the journal header";
     return scan;
   }
-  const std::uint32_t magic = c.take_u32();
-  const std::uint32_t version = c.take_u32();
-  const std::uint64_t fp = c.take_u64();
-  scan.generation = c.take_u64();
-  scan.start_seq = c.take_u64();
-  const std::uint32_t header_crc = c.take_u32();
+  codec::Cursor h{header};
+  const std::uint32_t magic = h.take_u32("magic");
+  const std::uint32_t version = h.take_u32("version");
+  const std::uint64_t fp = h.take_u64("fingerprint");
+  scan.generation = h.take_u64("generation");
+  scan.start_seq = h.take_u64("start_seq");
   if (magic != kJournalMagic) {
     scan.reject_reason = "bad magic (not a PSJL journal)";
     return scan;
@@ -242,7 +160,7 @@ JournalScan scan_journal(std::string_view bytes, std::uint64_t fingerprint) {
         " is newer than this binary's " + std::to_string(kJournalVersion);
     return scan;
   }
-  if (crc32(c.view(0, kJournalHeaderBytes - 4)) != header_crc) {
+  if (!codec::unseal(header)) {
     scan.reject_reason = "journal header CRC mismatch";
     return scan;
   }
@@ -256,39 +174,37 @@ JournalScan scan_journal(std::string_view bytes, std::uint64_t fingerprint) {
 
   std::uint64_t prev_seq = 0;
   while (c.remaining() > 0) {
-    if (!c.has(8)) {
+    if (c.remaining() < 8) {
       scan.truncated = true;
       scan.truncation_reason = "torn record frame (partial length/CRC)";
       break;
     }
-    const std::size_t frame_start = c.pos();
-    const std::uint32_t len = c.take_u32();
-    const std::uint32_t rec_crc = c.take_u32();
+    const std::uint32_t len = c.take_u32("record length");
+    const std::uint32_t rec_crc = c.take_u32("record CRC");
     if (len != kRecordPayloadBytes) {
       scan.truncated = true;
       scan.truncation_reason =
           "record length " + std::to_string(len) + " is not the v1 payload size";
       break;
     }
-    if (!c.has(len)) {
+    const std::string_view payload = c.take_bytes(len, "record payload");
+    if (c.failed()) {
       scan.truncated = true;
       scan.truncation_reason = "torn record payload (file ends mid-record)";
       break;
     }
-    const std::string_view payload = c.view(c.pos(), len);
     if (crc32(payload) != rec_crc) {
       scan.truncated = true;
       scan.truncation_reason = "record CRC mismatch";
       break;
     }
-    c.skip(len);
-    Cursor p{payload};
+    codec::Cursor p{payload};
     JournalRecord r;
-    r.seq = p.take_u64();
-    r.update.a = topo::HostId{p.take_i32()};
-    r.update.b = topo::HostId{p.take_i32()};
-    r.update.rtt_ms = p.take_f64();
-    r.update.lost = payload[kRecordPayloadBytes - 1] != '\x00';
+    r.seq = p.take_u64("seq");
+    r.update.a = topo::HostId{p.take_i32("host a")};
+    r.update.b = topo::HostId{p.take_i32("host b")};
+    r.update.rtt_ms = p.take_f64("rtt");
+    r.update.lost = p.take_u8("lost flag") != 0;
     if (prev_seq != 0 && r.seq != prev_seq + 1) {
       scan.truncated = true;
       scan.truncation_reason =
@@ -298,7 +214,7 @@ JournalScan scan_journal(std::string_view bytes, std::uint64_t fingerprint) {
     }
     prev_seq = r.seq;
     scan.records.push_back(r);
-    scan.valid_bytes = frame_start + 8 + len;
+    scan.valid_bytes = c.pos();
   }
   return scan;
 }
@@ -393,22 +309,21 @@ Status restore_serve_state(const ServeStateImage& image,
 
 std::string serialize_serve_state(const ServeStateImage& image,
                                   std::uint64_t fingerprint) {
-  std::string out;
-  out.reserve(32 + image.edges.size() * kEdgeStateBytes + 4);
-  append_u32(out, kServeStateMagic);
-  append_u32(out, kServeStateVersion);
-  append_u64(out, fingerprint);
-  append_u64(out, image.seq);
-  append_u64(out, image.edges.size());
+  codec::Writer w{32 + image.edges.size() * kEdgeStateBytes +
+                  codec::kSealBytes};
+  w.put_u32(kServeStateMagic);
+  w.put_u32(kServeStateVersion);
+  w.put_u64(fingerprint);
+  w.put_u64(image.seq);
+  w.put_u64(image.edges.size());
   for (const ServeStateImage::EdgeState& s : image.edges) {
-    append_i32(out, s.a);
-    append_i32(out, s.b);
-    append_i64(out, s.invocations);
-    append_summary_raw(out, s.rtt);
-    append_summary_raw(out, s.loss);
+    w.put_i32(s.a);
+    w.put_i32(s.b);
+    w.put_i64(s.invocations);
+    put_summary_raw(w, s.rtt);
+    put_summary_raw(w, s.loss);
   }
-  append_u32(out, crc32(out));
-  return out;
+  return std::move(w).seal();
 }
 
 Result<ServeStateImage> parse_serve_state(std::string_view bytes,
@@ -417,38 +332,38 @@ Result<ServeStateImage> parse_serve_state(std::string_view bytes,
     return Status::error(ErrorCode::kParseError,
                          "serve state snapshot: " + why);
   };
-  Cursor c{bytes};
-  if (!c.has(32 + 4)) return parse_error("file shorter than the header");
-  Cursor tail{bytes.substr(bytes.size() - 4)};
-  if (crc32(bytes.substr(0, bytes.size() - 4)) != tail.take_u32()) {
-    return parse_error("CRC mismatch (torn or corrupted file)");
+  if (bytes.size() < 32 + codec::kSealBytes) {
+    return parse_error("file shorter than the header");
   }
-  const std::uint32_t magic = c.take_u32();
-  const std::uint32_t version = c.take_u32();
+  const std::optional<std::string_view> payload = codec::unseal(bytes);
+  if (!payload) return parse_error("CRC mismatch (torn or corrupted file)");
+  codec::Cursor c{*payload};
+  const std::uint32_t magic = c.take_u32("magic");
+  const std::uint32_t version = c.take_u32("version");
   if (magic != kServeStateMagic) return parse_error("bad magic (not PSSV)");
   if (version != kServeStateVersion) {
     return parse_error("version " + std::to_string(version) +
                        " is newer than this binary's " +
                        std::to_string(kServeStateVersion));
   }
-  const std::uint64_t fp = c.take_u64();
+  const std::uint64_t fp = c.take_u64("fingerprint");
   if (fp != fingerprint) {
     return parse_error(
         "fingerprint mismatch (snapshot from a different dataset/options)");
   }
   ServeStateImage image;
-  image.seq = c.take_u64();
-  const std::uint64_t count = c.take_u64();
-  const std::size_t body = bytes.size() - c.pos() - 4;
+  image.seq = c.take_u64("seq");
+  const std::uint64_t count = c.take_u64("edge count");
+  const std::size_t body = c.remaining();
   if (count > body / kEdgeStateBytes || count * kEdgeStateBytes != body) {
     return parse_error("edge count does not match the file size");
   }
   image.edges.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     ServeStateImage::EdgeState s;
-    s.a = c.take_i32();
-    s.b = c.take_i32();
-    s.invocations = c.take_i64();
+    s.a = c.take_i32("edge a");
+    s.b = c.take_i32("edge b");
+    s.invocations = c.take_i64("edge invocations");
     s.rtt = take_summary_raw(c);
     s.loss = take_summary_raw(c);
     image.edges.push_back(s);

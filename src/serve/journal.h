@@ -17,7 +17,7 @@
 //     u64 fingerprint           (binds the journal to base dataset + options)
 //     u64 generation            (monotonic; bumped at each compaction)
 //     u64 start_seq             (first sequence number this file may hold)
-//     u32 CRC-32 of the 32 header bytes above
+//     u32 CRC-32 of the 32 header bytes above (util/codec.h envelope)
 //   records, back to back:
 //     u32 payload length        (fixed kRecordPayloadBytes for v1)
 //     u32 CRC-32 of the payload
@@ -48,7 +48,7 @@
 //     i32 a, i32 b, i64 invocations,
 //     rtt  summary: i64 n, u64 mean, u64 m2, u64 min, u64 max (f64 bits)
 //     loss summary: same five fields
-//   u32 CRC-32 of every preceding byte
+//   u32 CRC-32 of every preceding byte (util/codec.h envelope)
 //
 // Written with write_file_atomic (tmp + fsync + rename + dir fsync); either
 // the old complete snapshot or the new one exists, never a mix.

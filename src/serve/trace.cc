@@ -2,15 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "util/codec.h"
 
 namespace pathsel::serve {
 
@@ -155,24 +155,6 @@ void drain_queries(ServeEngine& engine, std::vector<PendingQuery>& batch,
   return false;
 }
 
-[[nodiscard]] bool parse_i64(const std::string& token, std::int64_t& out) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(token.c_str(), &end, 10);
-  if (errno == ERANGE || end == token.c_str() || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-[[nodiscard]] bool parse_f64(const std::string& token, double& out) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  if (errno == ERANGE || end == token.c_str() || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
 std::vector<std::string> tokenize(const std::string& line) {
   std::vector<std::string> tokens;
   std::istringstream is{line};
@@ -206,7 +188,7 @@ Result<TraceStats> run_trace(ServeEngine& engine, std::istream& in,
 
     if (tokens[0] == "tick") {
       std::int64_t ms = 0;
-      if (tokens.size() != 2 || !parse_i64(tokens[1], ms) || ms < 0) {
+      if (tokens.size() != 2 || !codec::parse_i64(tokens[1], ms) || ms < 0) {
         malformed("tick wants one non-negative millisecond count");
         continue;
       }
@@ -247,7 +229,8 @@ Result<TraceStats> run_trace(ServeEngine& engine, std::istream& in,
         std::int64_t a = 0;
         std::int64_t b = 0;
         if (tokens.size() != 5 || !parse_metric(tokens[2], q.metric) ||
-            !parse_i64(tokens[3], a) || !parse_i64(tokens[4], b)) {
+            !codec::parse_i64(tokens[3], a) ||
+            !codec::parse_i64(tokens[4], b)) {
           malformed("want 'query best rtt|loss A B'");
           continue;
         }
@@ -260,13 +243,16 @@ Result<TraceStats> run_trace(ServeEngine& engine, std::istream& in,
         std::int64_t a = 0;
         std::int64_t b = 0;
         if ((tokens.size() != 6 && tokens.size() != 7) ||
-            !parse_metric(tokens[2], q.metric) || !parse_i64(tokens[3], k) ||
-            !parse_i64(tokens[4], a) || !parse_i64(tokens[5], b)) {
+            !parse_metric(tokens[2], q.metric) ||
+            !codec::parse_i64(tokens[3], k) ||
+            !codec::parse_i64(tokens[4], a) ||
+            !codec::parse_i64(tokens[5], b)) {
           malformed("want 'query disjoint rtt|loss K A B [BUDGET_MS]'");
           continue;
         }
         if (tokens.size() == 7 &&
-            (!parse_f64(tokens[6], q.deadline_ms) || q.deadline_ms < 0.0)) {
+            (!codec::parse_double(tokens[6], q.deadline_ms) ||
+             q.deadline_ms < 0.0)) {
           malformed("query budget must be a non-negative millisecond value");
           continue;
         }

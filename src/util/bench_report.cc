@@ -206,7 +206,8 @@ void BenchReport::add_note(std::string_view text) {
 
 void BenchReport::write(std::ostream& os, const MetricsSnapshot& metrics) const {
   std::string out;
-  out += "{\n  \"schema_version\": 1,\n  \"bench\": ";
+  out += "{\n  \"schema_version\": " + std::to_string(kBenchSchemaVersion) +
+         ",\n  \"bench\": ";
   json_append_escaped(out, bench_name_);
   out += ",\n  \"scale\": ";
   json_append_double(out, scale_);

@@ -39,6 +39,9 @@
 
 namespace pathsel {
 
+/// The "schema_version" every bench JSON report carries.
+inline constexpr int kBenchSchemaVersion = 1;
+
 /// Appends the JSON string literal (quotes and escapes included) for `s`.
 void json_append_escaped(std::string& out, std::string_view s);
 

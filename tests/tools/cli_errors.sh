@@ -57,6 +57,9 @@ expect 4 "malformed header" -- analyze --in "$TMP/badheader"
 
 expect 2 "unknown dataset name" -- generate --dataset NOPE --out "$TMP/x"
 expect 2 "non-numeric seed" -- generate --dataset UW3 --seed banana --out "$TMP/x"
+expect 2 "negative seed" -- generate --dataset UW3 --seed -1 --out "$TMP/x"
+expect 2 "negative fault seed" -- generate --dataset UW3 --fault-seed -1 \
+  --out "$TMP/x"
 expect 2 "scale out of range" -- generate --dataset UW3 --scale 0 --out "$TMP/x"
 expect 2 "fault intensity out of range" -- \
   generate --dataset UW3 --faults 1.5 --out "$TMP/x"

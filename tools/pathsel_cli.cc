@@ -91,7 +91,6 @@
 // (deadline, signal, or watchdog — campaigns leave a valid checkpoint).
 #include <algorithm>
 #include <array>
-#include <cerrno>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -117,6 +116,7 @@
 #include "matrix/grid.h"
 #include "meas/campaign.h"
 #include "meas/catalog.h"
+#include "meas/checkpoint.h"
 #include "meas/serialize.h"
 #include "serve/engine.h"
 #include "serve/journal.h"
@@ -124,6 +124,7 @@
 #include "util/atomic_io.h"
 #include "util/bench_report.h"
 #include "util/cancel.h"
+#include "util/codec.h"
 #include "util/metrics.h"
 #include "util/table.h"
 #include "util/watchdog.h"
@@ -244,18 +245,18 @@ bool parse_flags(int argc, char** argv, int from,
 
 // Strict numeric flag accessors: the whole value must parse and fall inside
 // the given range; `out` keeps its default when the flag is absent.
+bool invalid_flag(const char* key, const std::string& value) {
+  std::fprintf(stderr, "invalid value for --%s: %s\n", key, value.c_str());
+  return false;
+}
+
 bool flag_i64(const FlagMap& flags, const char* key, std::int64_t lo,
               std::int64_t hi, std::int64_t& out) {
   const auto it = flags.find(key);
   if (it == flags.end()) return true;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno == ERANGE || end == it->second.c_str() || *end != '\0' || v < lo ||
-      v > hi) {
-    std::fprintf(stderr, "invalid value for --%s: %s\n", key,
-                 it->second.c_str());
-    return false;
+  std::int64_t v = 0;
+  if (!codec::parse_i64(it->second, v) || v < lo || v > hi) {
+    return invalid_flag(key, it->second);
   }
   out = v;
   return true;
@@ -264,15 +265,7 @@ bool flag_i64(const FlagMap& flags, const char* key, std::int64_t lo,
 bool flag_u64(const FlagMap& flags, const char* key, std::uint64_t& out) {
   const auto it = flags.find(key);
   if (it == flags.end()) return true;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-  if (errno == ERANGE || end == it->second.c_str() || *end != '\0') {
-    std::fprintf(stderr, "invalid value for --%s: %s\n", key,
-                 it->second.c_str());
-    return false;
-  }
-  out = v;
+  if (!codec::parse_u64(it->second, out)) return invalid_flag(key, it->second);
   return true;
 }
 
@@ -280,14 +273,9 @@ bool flag_double(const FlagMap& flags, const char* key, double lo, double hi,
                  double& out) {
   const auto it = flags.find(key);
   if (it == flags.end()) return true;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (errno == ERANGE || end == it->second.c_str() || *end != '\0' ||
-      !(v >= lo) || !(v <= hi)) {
-    std::fprintf(stderr, "invalid value for --%s: %s\n", key,
-                 it->second.c_str());
-    return false;
+  double v = 0.0;
+  if (!codec::parse_double(it->second, v) || !(v >= lo) || !(v <= hi)) {
+    return invalid_flag(key, it->second);
   }
   out = v;
   return true;
@@ -1129,15 +1117,15 @@ int cmd_serve(const FlagMap& flags) {
 int print_version() {
   std::printf("pathsel_cli %s\n", PATHSEL_VERSION);
   std::printf("formats:\n");
-  std::printf("  dataset      pathsel-dataset v1\n");
-  std::printf("  checkpoint   pathsel-checkpoint v1\n");
+  std::printf("  dataset      %s\n", meas::kDatasetHeader);
+  std::printf("  checkpoint   %s\n", meas::kCheckpointHeader);
   std::printf("  results      PSRC v%u\n", core::kResultColumnsVersion);
   std::printf("  grid         pathsel-grid v%u\n", matrix::kGridFormatVersion);
   std::printf("  matrix-cell  pathsel-matrix-cell v%u\n",
               matrix::kCellSummaryVersion);
   std::printf("  journal      PSJL v%u\n", serve::kJournalVersion);
   std::printf("  serve-state  PSSV v%u\n", serve::kServeStateVersion);
-  std::printf("  bench-json   schema_version 1\n");
+  std::printf("  bench-json   schema_version %d\n", kBenchSchemaVersion);
   return kExitOk;
 }
 
