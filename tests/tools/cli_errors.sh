@@ -81,6 +81,19 @@ expect 0 "generate with faults" -- \
 expect 0 "analyze faulted with coverage" -- \
   analyze --in "$TMP/faulted.ds" --metric rtt --min-samples 2 --coverage
 
+# Flag-syntax edges: only --metrics takes an inline value, bool flags take
+# none, and every token must be a flag.
+expect 2 "positional argument" -- info extra
+expect 2 "inline value on a value flag" -- info --in="$TMP/uw3.ds"
+expect 2 "bool flag given a value" -- \
+  analyze --in "$TMP/uw3.ds" --min-samples 2 --one-hop=1
+expect 0 "generate with bare --metrics" -- \
+  generate --dataset UW3 --scale 0.01 --out "$TMP/m.ds" --metrics
+expect 0 "generate with --metrics=json" -- \
+  generate --dataset UW3 --scale 0.01 --out "$TMP/m.ds" --metrics=json
+expect 0 "info with bare --metrics" -- info --in "$TMP/uw3.ds" --metrics
+expect 0 "info with --metrics=json" -- info --in "$TMP/uw3.ds" --metrics=json
+
 # Campaign / checkpoint / deadline flag contract.  An already-expired
 # deadline is an interruption (exit 5), not a usage error: the flags were
 # valid, the clock simply ran out before any work could happen.
