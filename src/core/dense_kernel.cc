@@ -64,10 +64,10 @@ void min_plus_row_scalar(const double* w, std::size_t n, std::size_t i,
   for (std::size_t k = k_begin; k < k_end; ++k) {
     const double w_ik = w[i * n + k];
     if (w_ik == kInf) continue;  // also skips k == i
-    const double* w_k = w + k * n;
+    const double* w_k = w + k * n + j_begin;
     // k ascends across and within blocks and the improvement is strict, so
     // ties resolve to the smallest relay index.
-    for (std::size_t j = j_begin; j < j_end; ++j) {
+    for (std::size_t j = 0; j < j_end - j_begin; ++j) {
       const double cand = w_ik + w_k[j];
       if (cand < best_row[j]) {
         best_row[j] = cand;
@@ -151,7 +151,7 @@ Result<MinPlusSquare> min_plus_square(const WeightMatrix& w, int threads,
             const std::size_t k_end = std::min(n, kk + kKBlock);
             for (std::size_t i = row_begin; i < row_end; ++i) {
               row_kernel(w.w.data(), n, i, kk, k_end, jj, j_end,
-                         &out.best[i * n], &out.via[i * n]);
+                         &out.best[i * n + jj], &out.via[i * n + jj]);
             }
           }
         }
@@ -167,6 +167,28 @@ Result<MinPlusSquare> min_plus_square(const WeightMatrix& w, int threads,
                 mode == SimdMode::kAvx2 ? 1.0 : 0.0);
   }
   return out;
+}
+
+std::int32_t min_plus_relay(const WeightMatrix& w, std::size_t i,
+                            std::size_t j) {
+  double best = kInf;
+  std::int32_t via = kNoRelay;
+  detail::min_plus_row_scalar(w.w.data(), w.n, i, 0, w.n, j, j + 1, &best,
+                              &via);
+  return via;
+}
+
+PairResult one_hop_result(const PathTable& table, const PathEdge& direct,
+                          std::int32_t relay, Metric metric) {
+  const topo::HostId host = table.hosts()[static_cast<std::size_t>(relay)];
+  const PathEdge* first = table.find(direct.a, host);
+  const PathEdge* second = table.find(host, direct.b);
+  PATHSEL_EXPECT(first != nullptr && second != nullptr,
+                 "arg-min relay lost its edges");
+  const PathEdge* path_edges[] = {first, second};
+  PairResult r;
+  finish_pair_result(direct, path_edges, {host}, metric, r);
+  return r;
 }
 
 bool dense_kernel_applicable(std::size_t hosts, std::size_t edges,
@@ -220,15 +242,7 @@ Result<std::vector<PairResult>> analyze_alternate_paths_dense(
     const std::size_t j = table.host_index(direct.b);
     const std::int32_t k = mp.via[i * n + j];
     if (k == kNoRelay) continue;  // no relay host: removal disconnects
-    const topo::HostId relay = table.hosts()[static_cast<std::size_t>(k)];
-    const PathEdge* first = table.find(direct.a, relay);
-    const PathEdge* second = table.find(relay, direct.b);
-    PATHSEL_EXPECT(first != nullptr && second != nullptr,
-                   "arg-min relay lost its edges");
-    const PathEdge* path_edges[] = {first, second};
-    PairResult r;
-    finish_pair_result(direct, path_edges, {relay}, options.metric, r);
-    results.push_back(std::move(r));
+    results.push_back(one_hop_result(table, direct, k, options.metric));
   }
   return results;
 }

@@ -71,6 +71,18 @@ struct MinPlusSquare {
     const WeightMatrix& w, int threads = 0,
     const CancelToken* cancel = nullptr, SimdMode simd = SimdMode::kAuto);
 
+/// The arg-min relay of one min-plus cell: via[i*n+j] of min_plus_square,
+/// computed alone by the same scalar loop over the single column j, for
+/// callers that refresh one pair at a time (serve::ServeEngine).
+[[nodiscard]] std::int32_t min_plus_relay(const WeightMatrix& w,
+                                          std::size_t i, std::size_t j);
+
+/// The one-hop PairResult for `direct` relayed through host index `relay`
+/// (a via[] value, never kNoRelay): the emit step every one-hop sweep shares.
+[[nodiscard]] PairResult one_hop_result(const PathTable& table,
+                                        const PathEdge& direct,
+                                        std::int32_t relay, Metric metric);
+
 // ---- SIMD dispatch ---------------------------------------------------------
 
 /// Whether this binary carries the AVX2 inner loop AND the CPU executes

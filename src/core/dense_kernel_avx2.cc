@@ -42,11 +42,12 @@ void min_plus_row_avx2(const double* w, std::size_t n, std::size_t i,
   for (std::size_t k = k_begin; k < k_end; ++k) {
     const double w_ik = w[i * n + k];
     if (w_ik == kInf) continue;  // also skips k == i
-    const double* w_k = w + k * n;
+    const double* w_k = w + k * n + j_begin;
     const __m256d vw_ik = _mm256_set1_pd(w_ik);
     const __m128i vk = _mm_set1_epi32(static_cast<std::int32_t>(k));
-    std::size_t j = j_begin;
-    for (; j + 4 <= j_end; j += 4) {
+    const std::size_t width = j_end - j_begin;
+    std::size_t j = 0;
+    for (; j + 4 <= width; j += 4) {
       const __m256d cand = _mm256_add_pd(vw_ik, _mm256_loadu_pd(w_k + j));
       const __m256d best = _mm256_loadu_pd(best_row + j);
       const __m256d lt = _mm256_cmp_pd(cand, best, _CMP_LT_OQ);
@@ -61,8 +62,8 @@ void min_plus_row_avx2(const double* w, std::size_t n, std::size_t i,
       _mm_storeu_si128(reinterpret_cast<__m128i*>(via_row + j),
                        _mm_blendv_epi8(old_via, vk, m32));
     }
-    // Ragged tail (j_end - j_begin not a multiple of 4): scalar, same k.
-    for (; j < j_end; ++j) {
+    // Ragged tail (width not a multiple of 4): scalar, same k.
+    for (; j < width; ++j) {
       const double cand = w_ik + w_k[j];
       if (cand < best_row[j]) {
         best_row[j] = cand;

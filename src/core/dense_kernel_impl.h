@@ -9,9 +9,11 @@
 //     if w[i][k] == +inf: continue
 //     for j in [j_begin, j_end):
 //       cand = w[i][k] + w[k][j]
-//       if cand < best_row[j]: best_row[j] = cand; via_row[j] = k
+//       if cand < best[j]: best[j] = cand; via[j] = k
 //
-// with IEEE double addition and a strict `<`, so for any tiling that feeds
+// where best_row and via_row point at best[j_begin] and via[j_begin] (so one
+// cell can be computed into two scalars), with IEEE double addition and a
+// strict `<`, so for any tiling that feeds
 // every k block in ascending order the two are bit-identical: the same
 // additions happen in the same order per (i, j) cell, and ties keep the
 // smallest relay index in both.  The differential suite

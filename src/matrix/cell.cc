@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <sstream>
 
 #include "core/confidence.h"
 #include "core/coverage.h"
@@ -77,19 +76,6 @@ bool key_value(std::string_view line, std::string_view key,
   }
   value = line.substr(key.size() + 1);
   return true;
-}
-
-// Reads a dataset file the campaign wrote.
-Result<meas::Dataset> load_dataset(const std::string& path) {
-  const Result<std::string> text = read_file(path);
-  if (!text.is_ok()) return text.status();
-  std::istringstream is{text.value()};
-  std::string error;
-  std::optional<meas::Dataset> ds = meas::read_dataset(is, &error);
-  if (!ds.has_value()) {
-    return Status::error(ErrorCode::kParseError, path + ": " + error);
-  }
-  return std::move(*ds);
 }
 
 // Identity of a cell's collection: everything that shapes the dataset bytes
@@ -478,7 +464,7 @@ Result<CellOutcome> run_cell(const CellContext& ctx, const CellSpec& cell) {
   }
   if (busy) return CellOutcome::kDatasetBusy;
 
-  Result<meas::Dataset> ds = load_dataset(ds_path);
+  Result<meas::Dataset> ds = meas::load_dataset(ds_path);
   if (!ds.is_ok()) return ds.status();
 
   CellSummary summary;

@@ -1,7 +1,6 @@
 #include "meas/campaign.h"
 
 #include <filesystem>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -20,24 +19,6 @@ std::string output_path(const std::string& dir, const std::string& name) {
 bool file_exists(const std::string& path) {
   std::error_code ec;
   return std::filesystem::exists(path, ec);
-}
-
-Status write_dataset_atomic(const std::string& path, const Dataset& ds) {
-  std::ostringstream os;
-  write_dataset(os, ds);
-  return write_file_atomic(path, os.str());
-}
-
-Result<Dataset> load_dataset(const std::string& path) {
-  const Result<std::string> text = read_file(path);
-  if (!text.is_ok()) return text.status();
-  std::istringstream is{text.value()};
-  std::string error;
-  std::optional<Dataset> ds = read_dataset(is, &error);
-  if (!ds.has_value()) {
-    return Status::error(ErrorCode::kParseError, path + ": " + error);
-  }
-  return std::move(*ds);
 }
 
 }  // namespace
@@ -125,7 +106,7 @@ CampaignReport run_campaign(const CampaignOptions& options) {
         }
         derived = Catalog::subset(parent.value(), name, spec.hosts);
       }
-      const Status wrote = write_dataset_atomic(out_path, derived);
+      const Status wrote = save_dataset(out_path, derived);
       if (!wrote.is_ok()) {
         report.status = wrote;
         return report;
@@ -183,7 +164,7 @@ CampaignReport run_campaign(const CampaignOptions& options) {
       }
       return report;
     }
-    const Status wrote = write_dataset_atomic(out_path, collected.value());
+    const Status wrote = save_dataset(out_path, collected.value());
     if (!wrote.is_ok()) {
       report.status = wrote;
       return report;

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "util/atomic_io.h"
 #include "util/codec.h"
 
 namespace pathsel::meas {
@@ -310,6 +311,24 @@ bool parse_measurement(const std::string& line, MeasurementKind kind,
   }
   out = std::move(m);
   return true;
+}
+
+Result<Dataset> load_dataset(const std::string& path) {
+  const Result<std::string> text = read_file(path);
+  if (!text.is_ok()) return text.status();
+  std::istringstream is{text.value()};
+  std::string error;
+  std::optional<Dataset> ds = read_dataset(is, &error);
+  if (!ds.has_value()) {
+    return Status::error(ErrorCode::kParseError, path + ": " + error);
+  }
+  return std::move(*ds);
+}
+
+Status save_dataset(const std::string& path, const Dataset& dataset) {
+  std::ostringstream os;
+  write_dataset(os, dataset);
+  return write_file_atomic(path, os.str());
 }
 
 }  // namespace pathsel::meas

@@ -34,6 +34,7 @@
 #include <unordered_set>
 
 #include "meas/dataset.h"
+#include "util/status.h"
 
 namespace pathsel::meas {
 
@@ -54,6 +55,15 @@ void write_dataset(std::ostream& os, const Dataset& dataset);
 /// unaffected.
 [[nodiscard]] std::optional<Dataset> read_dataset(std::istream& is,
                                                   std::string* error = nullptr);
+
+/// Reads and parses a dataset file: kIoError when it cannot be read,
+/// kParseError (message prefixed with the path) when read_dataset rejects it.
+[[nodiscard]] Result<Dataset> load_dataset(const std::string& path);
+
+/// Writes the dataset to `path` atomically (util/atomic_io.h): on failure,
+/// a full disk or a file-size limit included, the destination is untouched.
+[[nodiscard]] Status save_dataset(const std::string& path,
+                                  const Dataset& dataset);
 
 /// Writes one measurement row (the full "m ..." line, newline included)
 /// exactly as write_dataset does.  Checkpoints embed pending measurements

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <csignal>
-#include <limits>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -19,8 +18,6 @@
 namespace pathsel::serve {
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 [[nodiscard]] bool file_exists(const std::string& path) noexcept {
   return ::access(path.c_str(), F_OK) == 0;
@@ -360,41 +357,19 @@ void ServeEngine::recompute_rows(const std::vector<std::size_t>& rows) {
 void ServeEngine::recompute_row(core::Metric metric,
                                 const core::WeightMatrix& w,
                                 core::ResultColumns& cols, std::size_t i) {
-  // Replays the scalar dense kernel's exact candidate sequence for this one
-  // (i, j) cell — ascending k, skip +inf left operand, strict < — so the
-  // refreshed row is bit-identical to a full min-plus resweep.
+  // The kernel's own scalar loop over the single column ib, so the refreshed
+  // row is bit-identical to a full min-plus resweep.
   const auto [ia, ib] = row_hosts_[i];
-  const std::size_t n = w.n;
-  const double* W = w.w.data();
-  const double* wi = W + static_cast<std::size_t>(ia) * n;
-  double best = kInf;
-  std::int32_t via_k = core::kNoRelay;
-  for (std::size_t k = 0; k < n; ++k) {
-    const double w_ik = wi[k];
-    if (w_ik == kInf) continue;
-    const double cand = w_ik + W[k * n + ib];
-    if (cand < best) {
-      best = cand;
-      via_k = static_cast<std::int32_t>(k);
-    }
-  }
+  const std::int32_t via_k = core::min_plus_relay(w, ia, ib);
   // The edge set is fixed and every surviving edge keeps a finite weight, so
   // a pair that had an alternate at build time always has one.
   PATHSEL_EXPECT(via_k != core::kNoRelay,
                  "served row lost its alternate; the row set is time-invariant");
-
-  const topo::HostId a{cols.src[i]};
-  const topo::HostId b{cols.dst[i]};
-  const topo::HostId relay = table_.hosts()[static_cast<std::size_t>(via_k)];
-  const core::PathEdge* direct = table_.find(a, b);
-  const core::PathEdge* first = table_.find(a, relay);
-  const core::PathEdge* second = table_.find(relay, b);
-  PATHSEL_EXPECT(direct != nullptr && first != nullptr && second != nullptr,
-                 "arg-min relay lost its edges");
-  const core::PathEdge* path_edges[] = {first, second};
-  core::PairResult r;
-  core::finish_pair_result(*direct, path_edges, {relay}, metric, r);
-  core::overwrite_row(cols, i, r);
+  const core::PathEdge* direct =
+      table_.find(topo::HostId{cols.src[i]}, topo::HostId{cols.dst[i]});
+  PATHSEL_EXPECT(direct != nullptr, "served row lost its direct edge");
+  core::overwrite_row(cols, i,
+                      core::one_hop_result(table_, *direct, via_k, metric));
   cols.significance[i] = static_cast<std::int8_t>(
       core::classify_pair(cols, i, options_.confidence));
 }

@@ -12,9 +12,9 @@
 // kernel's regime), the answer for pair (i, j) is min_k w[i][k] + w[k][j] —
 // it reads only edges incident to i or j.  An update to edge (u, v) can
 // therefore change only rows whose pair touches u or v: O(N) rows recomputed
-// in O(N) each, instead of the O(N³) full sweep.  The recompute replays the
-// scalar kernel's exact float-op sequence (ascending k, strict <, skip +inf)
-// and emits through the shared finish_pair_result/overwrite_row/classify_pair
+// in O(N) each, instead of the O(N³) full sweep.  The recompute runs the
+// dense kernel's own scalar loop over the one column (core::min_plus_relay)
+// and emits through the shared one_hop_result/overwrite_row/classify_pair
 // helpers, so the maintained columns stay BYTE-identical to a from-scratch
 // batch analyze of the post-update graph — the differential suite pins this
 // at 1/4/8 reader threads, across crash/replay boundaries.

@@ -81,6 +81,18 @@ expect 0 "generate with faults" -- \
 expect 0 "analyze faulted with coverage" -- \
   analyze --in "$TMP/faulted.ds" --metric rtt --min-samples 2 --coverage
 
+# A failed write is exit 3 and leaves no output: generate under a 4 KiB
+# file-size limit (SIGXFSZ ignored, so write() fails with EFBIG) against a
+# ~400 KB dataset.
+(trap '' XFSZ; ulimit -f 4; "$CLI" generate --dataset UW3 --scale 0.05 \
+  --out "$TMP/cap.ds") > /dev/null 2> "$TMP/cap.err"
+rc=$?
+if [[ "$rc" != 3 || ! -s "$TMP/cap.err" || -e "$TMP/cap.ds" ]]; then
+  echo "FAIL: generate past a file-size limit: exit $rc, want 3 with a" \
+    "diagnostic and no cap.ds" >&2
+  failures=$((failures + 1))
+fi
+
 # Flag-syntax edges: only --metrics takes an inline value, bool flags take
 # none, and every token must be a flag.
 expect 2 "positional argument" -- info extra
@@ -296,7 +308,12 @@ expect 2 "serve resume without journal dir" -- \
 expect 3 "serve missing input" -- \
   serve --in "$TMP/no-such-file" --trace -
 expect 3 "serve unreadable trace file" -- \
-  serve --in "$TMP/uw3.ds" --min-samples 3 --trace "$TMP/no-such-trace"
+  serve --in "$TMP/uw3.ds" --min-samples 3 --trace "$TMP/no-such-trace" \
+  --journal-dir "$TMP/jd"
+if [[ -e "$TMP/jd" ]]; then
+  echo "FAIL: serve created its journal dir despite an unreadable trace" >&2
+  failures=$((failures + 1))
+fi
 expect 4 "serve garbage input" -- serve --in "$TMP/garbage" --trace -
 printf 'query best rtt 0 1\n' > "$TMP/one_query.trace"
 expect 0 "serve minimal trace" -- \

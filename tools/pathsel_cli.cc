@@ -1,18 +1,15 @@
-// pathsel command-line tool.
+// pathsel command-line tool.  `pathsel_cli` with no arguments prints the
+// synopsis, generated from the per-command flag tables (kCommands, at the
+// bottom of this file).
 //
-//   pathsel_cli generate --dataset UW3 [--scale S] [--seed N] --out FILE
-//                        [--faults F] [--fault-seed N]
-//       Regenerate one of the paper's datasets and save it.  --faults runs
-//       the campaign under a deterministic fault schedule of the given
-//       intensity (0..1); 0 reproduces the historical bytes exactly.
-//   pathsel_cli info --in FILE
+//   pathsel_cli generate
+//       Regenerate one of the paper's datasets and save it (atomically).
+//       --faults runs the campaign under a deterministic fault schedule of
+//       the given intensity (0..1); 0 reproduces the historical bytes
+//       exactly.
+//   pathsel_cli info
 //       Print a dataset's characteristics (its Table 1 row).
-//   pathsel_cli analyze --in FILE --metric rtt|loss|bandwidth
-//                       [--min-samples N] [--one-hop] [--csv] [--coverage]
-//                       [--threads N] [--deadline SEC]
-//                       [--kernel auto|dense|search]
-//                       [--simd auto|avx2|scalar]
-//                       [--disjoint K] [--disjoint-mode link|node]
+//   pathsel_cli analyze
 //       Run the alternate-path analysis on a saved dataset.  --threads
 //       defaults to the hardware thread count (or $PATHSEL_THREADS); the
 //       results are bit-identical for every value.  --coverage appends a
@@ -42,11 +39,7 @@
 //       golden-enforced contract).  Flags that shape the sweep cannot be
 //       combined with --results-in, and post-processing flags cannot be
 //       combined with --results-out (usage errors, checked before I/O).
-//   pathsel_cli campaign --out-dir DIR [--datasets A,B,...] [--scale S]
-//                        [--seed N] [--faults F] [--fault-seed N]
-//                        [--checkpoint-dir DIR] [--resume]
-//                        [--checkpoint-every-hours H] [--deadline SEC]
-//                        [--disjoint K]
+//   pathsel_cli campaign
 //       Regenerate a set of datasets (all of Table 1 by default) into DIR
 //       with crash safety: with --checkpoint-dir each in-flight dataset is
 //       periodically checkpointed (atomically, CRC-checked), and --resume
@@ -56,10 +49,12 @@
 //       dataset (atomic, deterministic) and folds K into the checkpoint
 //       fingerprint, so resuming under a different K discards the stale
 //       checkpoint instead of splicing runs.
-//   pathsel_cli serve --in FILE --trace FILE|- [--readers N] [--queue-cap N]
-//                     [--stale-after-ms MS] [--journal-dir DIR] [--resume]
-//                     [--compact-every N] [--min-samples N] [--threads N]
-//                     [--deadline SEC] [--strict-updates]
+//   pathsel_cli matrix
+//       Expand a declarative grid file into scenario cells and fan them out
+//       over N forked workers coordinating through a flock work queue; the
+//       merged report is byte-identical for any worker count and across
+//       kill/resume.
+//   pathsel_cli serve
 //       Run the fault-tolerant online path-selection service (src/serve)
 //       against a scripted request/update trace (serve/trace.h grammar; "-"
 //       reads stdin).  Query responses print to stdout, byte-identical for
@@ -74,12 +69,18 @@
 //       Print the tool version and every stable on-disk/JSON format version
 //       (dataset, checkpoint, results, journal, serve state, bench JSON).
 //
-// Long-running commands (campaign, analyze) honour --deadline SEC and
-// SIGINT/SIGTERM: the run drains cooperatively at the next chunk/event
-// boundary, a campaign writes a final checkpoint, and the process exits 5.
-// Setting PATHSEL_WATCHDOG=1 starts a stall watchdog (poll cadence derived
-// from PATHSEL_WATCHDOG_STALL_S, default 30s); with PATHSEL_WATCHDOG_TRIP=1
-// a detected stall also cancels the run.
+// Every usage error — stray argument, unknown flag, missing or malformed
+// value, out-of-range number, unknown choice, missing required flag,
+// conflicting flags — is caught by one parser walking argv against the
+// command's table, before any file is touched.  Only the rules that depend
+// on a flag's value, not its presence, are checked by the handlers.
+//
+// Long-running commands (campaign, analyze, matrix, serve) honour --deadline
+// SEC and SIGINT/SIGTERM: the run drains cooperatively at the next
+// chunk/event boundary, a campaign writes a final checkpoint, and the
+// process exits 5.  Setting PATHSEL_WATCHDOG=1 starts a stall watchdog (poll
+// cadence derived from PATHSEL_WATCHDOG_STALL_S, default 30s); with
+// PATHSEL_WATCHDOG_TRIP=1 a detected stall also cancels the run.
 //
 // Every command also accepts --metrics[=table|json]: enables the metrics
 // registry for the run and dumps its snapshot to stderr on exit.  Metrics
@@ -95,19 +96,19 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <set>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "core/alternate.h"
 #include "core/bandwidth.h"
-#include "core/disjoint.h"
 #include "core/confidence.h"
 #include "core/coverage.h"
+#include "core/disjoint.h"
 #include "core/figures.h"
 #include "core/path_table.h"
 #include "core/result_columns.h"
@@ -161,136 +162,215 @@ int exit_code_for(const Status& status) {
   }
 }
 
-int usage() {
-  std::fprintf(stderr,
-               "usage:\n"
-               "  pathsel_cli generate --dataset NAME [--scale S] [--seed N] --out FILE\n"
-               "                       [--faults F] [--fault-seed N]\n"
-               "  pathsel_cli info --in FILE\n"
-               "  pathsel_cli analyze --in FILE --metric rtt|loss|bandwidth\n"
-               "                      [--min-samples N] [--one-hop] [--csv]\n"
-               "                      [--coverage] [--threads N] [--deadline SEC]\n"
-               "                      [--kernel auto|dense|search]\n"
-               "                      [--simd auto|avx2|scalar]\n"
-               "                      [--disjoint K] [--disjoint-mode link|node]\n"
-               "                      [--results-out FILE]\n"
-               "  pathsel_cli analyze --results-in FILE [--csv] [--threads N]\n"
-               "                      [--deadline SEC]\n"
-               "  pathsel_cli campaign --out-dir DIR [--datasets A,B,...]\n"
-               "                       [--scale S] [--seed N] [--faults F]\n"
-               "                       [--fault-seed N] [--checkpoint-dir DIR]\n"
-               "                       [--resume] [--checkpoint-every-hours H]\n"
-               "                       [--deadline SEC] [--disjoint K]\n"
-               "  pathsel_cli matrix --grid FILE --work-dir DIR [--workers N]\n"
-               "                     [--threads N] [--resume] [--deadline SEC]\n"
-               "  pathsel_cli serve --in FILE --trace FILE|- [--readers N]\n"
-               "                    [--queue-cap N] [--stale-after-ms MS]\n"
-               "                    [--journal-dir DIR] [--resume]\n"
-               "                    [--compact-every N] [--min-samples N]\n"
-               "                    [--threads N] [--deadline SEC]\n"
-               "                    [--strict-updates]\n"
-               "  pathsel_cli version | --version\n"
-               "datasets: D2 D2-NA N2 N2-NA UW1 UW3 UW4-A UW4-B\n"
-               "--threads defaults to the hardware thread count\n"
-               "--metrics[=table|json] dumps run metrics to stderr on exit\n"
-               "exit codes: 0 ok, 1 data error, 2 usage, 3 unreadable file,\n"
-               "            4 parse error, 5 interrupted (deadline/signal)\n");
-  return kExitUsage;
+// Prints a failed Status as the one-line diagnostic and returns its exit code.
+int exit_with(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.to_string().c_str());
+  return exit_code_for(status);
 }
 
-using FlagMap = std::map<std::string, std::string>;
+// ---- Flag tables -----------------------------------------------------------
 
-// Strict flag parser: every token must be a known flag for the command, and
-// value flags must be followed by a value.  Returns false (after a one-line
-// diagnostic) on any violation.  `optional_value_flags` take their value
-// inline (--flag=value) or default to "table" when given bare.
-bool parse_flags(int argc, char** argv, int from,
-                 const std::set<std::string>& value_flags,
-                 const std::set<std::string>& bool_flags,
-                 const std::set<std::string>& optional_value_flags,
-                 FlagMap& out) {
-  for (int i = from; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected argument: %s\n", key.c_str());
-      return false;
-    }
-    key = key.substr(2);
-    if (const auto eq = key.find('='); eq != std::string::npos) {
-      const std::string bare = key.substr(0, eq);
-      if (!optional_value_flags.contains(bare)) {
-        std::fprintf(stderr, "unknown flag: --%s\n", key.c_str());
-        return false;
-      }
-      out[bare] = key.substr(eq + 1);
-      continue;
-    }
-    if (optional_value_flags.contains(key)) {
-      out[key] = "table";
-    } else if (bool_flags.contains(key)) {
-      out[key] = "1";
-    } else if (value_flags.contains(key)) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--%s needs a value\n", key.c_str());
-        return false;
-      }
-      out[key] = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown flag: --%s\n", key.c_str());
-      return false;
-    }
+struct Options;
+
+// Where a flag's value lands.  The field's type is the flag's kind: bool
+// (takes no value), text, int, uint, real, or — for int fields — a choice,
+// stored as the index of the chosen word in the flag's metavar.
+using Field =
+    std::variant<bool Options::*, std::string Options::*, int Options::*,
+                 std::int64_t Options::*, std::uint64_t Options::*,
+                 double Options::*>;
+
+// Every command's parsed flags.  A field keeps its default when its flag is
+// absent; has() tells the few rules that care whether it was given.  A
+// choice's words are listed in the order of the enum its index casts to.
+struct Options {
+  std::string in, out, dataset, datasets, out_dir, checkpoint_dir, grid,
+      work_dir, trace, journal_dir, results_in, results_out;
+  double scale = 1.0;
+  std::uint64_t seed = meas::CatalogConfig{}.seed;
+  double faults = 0.0;
+  std::uint64_t fault_seed = meas::CatalogConfig{}.fault_seed;
+  double checkpoint_every_hours = 0.0;
+  int metric = 0;         // rtt|loss|bandwidth: core::Metric, then bandwidth
+  int kernel = 0;         // core::Kernel
+  int simd = 0;           // core::SimdMode
+  int disjoint_mode = 0;  // core::DisjointMode
+  int metrics = 0;        // table|json
+  std::int64_t min_samples = 30;
+  std::int64_t disjoint = 0;
+  std::int64_t threads = 0;
+  std::int64_t workers = 0;
+  std::int64_t readers = 1;
+  std::int64_t queue_cap = 1024;
+  std::int64_t stale_after_ms = 5000;
+  std::int64_t compact_every = 1024;
+  double deadline = 0.0;
+  bool one_hop = false, csv = false, coverage = false, resume = false,
+       strict_updates = false;
+  std::vector<Field> given;
+
+  template <class T>
+  [[nodiscard]] bool has(T Options::*field) const {
+    return std::find(given.begin(), given.end(), Field{field}) != given.end();
   }
-  return true;
-}
+};
 
-// Strict numeric flag accessors: the whole value must parse and fall inside
-// the given range; `out` keeps its default when the flag is absent.
-bool invalid_flag(const char* key, const std::string& value) {
-  std::fprintf(stderr, "invalid value for --%s: %s\n", key, value.c_str());
+constexpr int kBandwidth = 2;  // --metric index past core::Metric's rtt, loss
+constexpr int kJson = 1;       // --metrics index
+
+struct Flag {
+  const char* name;
+  Field field;
+  const char* metavar = nullptr;  // value placeholder; a choice's words
+  double lo = 0.0, hi = 0.0;      // inclusive range of int and real values
+  const char* bare = nullptr;     // value when given bare; only such a flag
+                                  // takes an inline value (--flag=value)
+};
+
+// `flag` given: each of `others` is refused (conflicts), or at least one of
+// them must be given too (needs).
+struct Rule {
+  const char* flag;
+  std::vector<const char*> others;
+};
+
+struct Command {
+  const char* name;
+  int (*run)(const Options&);
+  bool interruptible;  // drains on SIGINT/SIGTERM/--deadline; watchdog-able
+  std::vector<Flag> flags;
+  std::vector<std::vector<const char*>> required;  // one of each group
+  std::vector<Rule> conflicts = {};
+  std::vector<Rule> needs = {};
+};
+
+bool reject(const std::string& message) {
+  std::fprintf(stderr, "%s\n", message.c_str());
   return false;
 }
 
-bool flag_i64(const FlagMap& flags, const char* key, std::int64_t lo,
-              std::int64_t hi, std::int64_t& out) {
-  const auto it = flags.find(key);
-  if (it == flags.end()) return true;
-  std::int64_t v = 0;
-  if (!codec::parse_i64(it->second, v) || v < lo || v > hi) {
-    return invalid_flag(key, it->second);
+std::string join_flags(const std::vector<const char*>& names) {
+  std::string out;
+  for (const char* name : names) {
+    out += (out.empty() ? "--" : " or --") + std::string{name};
   }
-  out = v;
+  return out;
+}
+
+template <class... F>
+struct Overloaded : F... {
+  using F::operator()...;
+};
+
+// Stores `value` in the flag's field; false when it does not parse, falls
+// outside the range or is none of the choice's words.
+bool store(const Flag& flag, std::string_view value, Options& o) {
+  return std::visit(
+      Overloaded{
+          [&](bool Options::*f) { return o.*f = true; },
+          [&](std::string Options::*f) {
+            o.*f = value;
+            return true;
+          },
+          [&](int Options::*f) {
+            std::string_view words = flag.metavar;
+            for (int index = 0;; ++index) {
+              const std::size_t bar = words.find('|');
+              if (words.substr(0, bar) == value) {
+                o.*f = index;
+                return true;
+              }
+              if (bar == std::string_view::npos) return false;
+              words.remove_prefix(bar + 1);
+            }
+          },
+          [&](std::int64_t Options::*f) {
+            std::int64_t v = 0;
+            if (!codec::parse_i64(value, v) ||
+                v < static_cast<std::int64_t>(flag.lo) ||
+                v > static_cast<std::int64_t>(flag.hi)) {
+              return false;
+            }
+            o.*f = v;
+            return true;
+          },
+          [&](std::uint64_t Options::*f) {
+            return codec::parse_u64(value, o.*f);
+          },
+          [&](double Options::*f) {
+            double v = 0.0;
+            if (!codec::parse_double(value, v) || !(v >= flag.lo) ||
+                !(v <= flag.hi)) {
+              return false;
+            }
+            o.*f = v;
+            return true;
+          }},
+      flag.field);
+}
+
+// Walks argv[2..] against the command's table into `o`.  Every usage error
+// is caught here, before any I/O, with a one-line diagnostic.
+bool parse(const Command& cmd, int argc, char** argv, Options& o) {
+  std::set<std::string_view> seen;
+  for (int i = 2; i < argc; ++i) {
+    const std::string_view token = argv[i];
+    if (!token.starts_with("--")) {
+      return reject("unexpected argument: " + std::string{token});
+    }
+    const std::string_view body = token.substr(2);
+    const std::size_t eq = body.find('=');
+    const auto flag = std::find_if(
+        cmd.flags.begin(), cmd.flags.end(),
+        [name = body.substr(0, eq)](const Flag& f) { return name == f.name; });
+    if (flag == cmd.flags.end() ||
+        (eq != std::string_view::npos && flag->bare == nullptr)) {
+      return reject("unknown flag: " + std::string{token});
+    }
+    std::string_view value;
+    if (flag->bare != nullptr) {
+      value = eq == std::string_view::npos ? flag->bare : body.substr(eq + 1);
+    } else if (!std::holds_alternative<bool Options::*>(flag->field)) {
+      if (i + 1 >= argc) {
+        return reject(std::string{token} + " needs a value");
+      }
+      value = argv[++i];
+    }
+    if (!store(*flag, value, o)) {
+      return reject("invalid value for --" + std::string{flag->name} + ": " +
+                    std::string{value});
+    }
+    seen.insert(flag->name);
+    o.given.push_back(flag->field);
+  }
+  const auto any_seen = [&seen](const std::vector<const char*>& names) {
+    return std::any_of(names.begin(), names.end(),
+                       [&seen](const char* n) { return seen.contains(n); });
+  };
+  for (const auto& group : cmd.required) {
+    if (!any_seen(group)) {
+      return reject(std::string{cmd.name} + " needs " + join_flags(group));
+    }
+  }
+  for (const Rule& rule : cmd.conflicts) {
+    if (!seen.contains(rule.flag)) continue;
+    for (const char* other : rule.others) {
+      if (seen.contains(other)) {
+        return reject("--" + std::string{rule.flag} +
+                      " cannot be combined with --" + other);
+      }
+    }
+  }
+  for (const Rule& rule : cmd.needs) {
+    if (seen.contains(rule.flag) && !any_seen(rule.others)) {
+      return reject("--" + std::string{rule.flag} + " needs " +
+                    join_flags(rule.others));
+    }
+  }
   return true;
 }
 
-bool flag_u64(const FlagMap& flags, const char* key, std::uint64_t& out) {
-  const auto it = flags.find(key);
-  if (it == flags.end()) return true;
-  if (!codec::parse_u64(it->second, out)) return invalid_flag(key, it->second);
-  return true;
-}
-
-bool flag_double(const FlagMap& flags, const char* key, double lo, double hi,
-                 double& out) {
-  const auto it = flags.find(key);
-  if (it == flags.end()) return true;
-  double v = 0.0;
-  if (!codec::parse_double(it->second, v) || !(v >= lo) || !(v <= hi)) {
-    return invalid_flag(key, it->second);
-  }
-  out = v;
-  return true;
-}
-
-// Arms g_cancel with the --deadline value when present (seconds of wall
-// clock; 0 trips immediately).
-bool arm_deadline(const FlagMap& flags) {
-  double deadline = 0.0;
-  if (!flag_double(flags, "deadline", 0.0, 1e9, deadline)) return false;
-  if (flags.contains("deadline")) {
-    g_cancel.set_deadline_after_seconds(deadline);
-  }
-  return true;
-}
+// ---- Shared helpers --------------------------------------------------------
 
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
@@ -307,6 +387,40 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
+// Loads a dataset file into `ds`; nonzero return is the process exit code
+// (3 unreadable, 4 malformed).
+int load(const std::string& path, meas::Dataset& ds) {
+  Result<meas::Dataset> loaded = meas::load_dataset(path);
+  if (!loaded.is_ok()) return exit_with(loaded.status());
+  ds = std::move(loaded.value());
+  return kExitOk;
+}
+
+meas::CatalogConfig catalog_config(const Options& o) {
+  return {.seed = o.seed,
+          .scale = o.scale,
+          .fault_intensity = o.faults,
+          .fault_seed = o.fault_seed};
+}
+
+// The kill-and-resume tests' hooks, read from the environment (0 when
+// unset).  PATHSEL_TEST_CRASH_AFTER=N hard-kills the process (SIGKILL, no
+// cleanup) right after its N-th durable write — a campaign checkpoint, a
+// matrix cell checkpoint, a serve journal append — to place a machine crash
+// at a reproducible instant; PATHSEL_MATRIX_CRASH_WORKER picks the matrix
+// worker that crashes.
+long test_hook(const char* name) {
+  const char* env = std::getenv(name);
+  return env == nullptr ? 0 : std::strtol(env, nullptr, 10);
+}
+
+std::size_t test_crash_after() {
+  return static_cast<std::size_t>(
+      std::max(test_hook("PATHSEL_TEST_CRASH_AFTER"), 0L));
+}
+
+// ---- Commands --------------------------------------------------------------
+
 // Writes the campaign-level disjoint report for one finished dataset:
 // deterministic TSV (stable column set, %.6g values, table.edges() order),
 // written atomically next to the dataset output.  The min-samples floor
@@ -316,24 +430,15 @@ std::vector<std::string> split_csv(const std::string& s) {
 // exit code.
 int write_disjoint_report(const std::string& out_dir, const std::string& name,
                           int k, double scale) {
-  const std::string ds_path = out_dir + "/" + name + ".ds";
-  std::ifstream is{ds_path};
-  if (!is) {
-    std::fprintf(stderr, "cannot open %s\n", ds_path.c_str());
-    return kExitUnreadable;
-  }
-  std::string error;
-  auto parsed = meas::read_dataset(is, &error);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "parse error in %s: %s\n", ds_path.c_str(),
-                 error.c_str());
-    return kExitParseError;
+  meas::Dataset ds;
+  if (const int rc = load(out_dir + "/" + name + ".ds", ds); rc != kExitOk) {
+    return rc;
   }
   core::BuildOptions build;
   build.min_samples =
       std::max(3, static_cast<int>(std::llround(30.0 * scale)));
   build.cancel = &g_cancel;
-  const auto built = core::PathTable::build_checked(*parsed, build);
+  const auto built = core::PathTable::build_checked(ds, build);
   if (!built.is_ok()) {
     std::fprintf(stderr, "%s: %s\n", name.c_str(),
                  built.status().to_string().c_str());
@@ -361,25 +466,18 @@ int write_disjoint_report(const std::string& out_dir, const std::string& name,
          "\n";
   tsv += core::render_disjoint_rows(swept.value(), '\t');
   const std::string tsv_path = out_dir + "/" + name + ".disjoint.tsv";
-  const Status wrote = write_file_atomic(tsv_path, tsv);
-  if (!wrote.is_ok()) {
-    std::fprintf(stderr, "%s\n", wrote.to_string().c_str());
-    return exit_code_for(wrote);
+  if (const Status wrote = write_file_atomic(tsv_path, tsv); !wrote.is_ok()) {
+    return exit_with(wrote);
   }
   std::printf("wrote %s\n", tsv_path.c_str());
   return kExitOk;
 }
 
-int cmd_campaign(const FlagMap& flags) {
-  const auto out_dir = flags.find("out-dir");
-  if (out_dir == flags.end()) {
-    std::fprintf(stderr, "campaign needs --out-dir\n");
-    return kExitUsage;
-  }
+int cmd_campaign(const Options& o) {
   meas::CampaignOptions options;
-  options.output_dir = out_dir->second;
-  if (const auto it = flags.find("datasets"); it != flags.end()) {
-    options.datasets = split_csv(it->second);
+  options.output_dir = o.out_dir;
+  if (o.has(&Options::datasets)) {
+    options.datasets = split_csv(o.datasets);
     if (options.datasets.empty()) {
       std::fprintf(stderr, "--datasets needs at least one name\n");
       return kExitUsage;
@@ -391,52 +489,18 @@ int cmd_campaign(const FlagMap& flags) {
       }
     }
   }
-  double scale = 1.0;
-  if (!flag_double(flags, "scale", 1e-6, 1.0, scale)) return kExitUsage;
-  options.catalog.scale = scale;
-  if (!flag_u64(flags, "seed", options.catalog.seed)) return kExitUsage;
-  if (!flag_double(flags, "faults", 0.0, 1.0,
-                   options.catalog.fault_intensity)) {
-    return kExitUsage;
+  options.catalog = catalog_config(o);
+  options.checkpoint_dir = o.checkpoint_dir;
+  options.resume = o.resume;
+  if (o.has(&Options::checkpoint_every_hours)) {
+    options.checkpoint_interval = Duration::hours(o.checkpoint_every_hours);
   }
-  if (!flag_u64(flags, "fault-seed", options.catalog.fault_seed)) {
-    return kExitUsage;
-  }
-  if (const auto it = flags.find("checkpoint-dir"); it != flags.end()) {
-    options.checkpoint_dir = it->second;
-  }
-  options.resume = flags.contains("resume");
-  if (options.resume && options.checkpoint_dir.empty()) {
-    std::fprintf(stderr, "--resume requires --checkpoint-dir\n");
-    return kExitUsage;
-  }
-  double every_hours = 0.0;
-  if (!flag_double(flags, "checkpoint-every-hours", 1e-9, 1e9, every_hours)) {
-    return kExitUsage;
-  }
-  if (flags.contains("checkpoint-every-hours")) {
-    options.checkpoint_interval = Duration::hours(every_hours);
-  }
-  std::int64_t disjoint_k = 0;
-  if (!flag_i64(flags, "disjoint", 1, 1'000'000, disjoint_k)) {
-    return kExitUsage;
-  }
-  options.disjoint_k = static_cast<int>(disjoint_k);
-  if (!arm_deadline(flags)) return kExitUsage;
+  options.disjoint_k = static_cast<int>(o.disjoint);
   options.cancel = &g_cancel;
-
-  // PATHSEL_TEST_CRASH_AFTER=N hard-kills the process (SIGKILL, no cleanup)
-  // right after the N-th checkpoint write; the kill-and-resume tests use it
-  // to simulate a machine crash at a reproducible instant.
-  if (const char* crash_env = std::getenv("PATHSEL_TEST_CRASH_AFTER")) {
-    const long crash_after = std::strtol(crash_env, nullptr, 10);
-    if (crash_after > 0) {
-      options.after_checkpoint = [crash_after](std::size_t writes) {
-        if (writes >= static_cast<std::size_t>(crash_after)) {
-          std::raise(SIGKILL);
-        }
-      };
-    }
+  if (const std::size_t crash_after = test_crash_after(); crash_after > 0) {
+    options.after_checkpoint = [crash_after](std::size_t writes) {
+      if (writes >= crash_after) std::raise(SIGKILL);
+    };
   }
 
   const meas::CampaignReport report = meas::run_campaign(options);
@@ -478,27 +542,10 @@ int cmd_campaign(const FlagMap& flags) {
   return kExitOk;
 }
 
-// `matrix` expands a declarative grid file into scenario cells and fans them
-// out over N forked workers coordinating through a flock work queue; the
-// merged report is byte-identical for any worker count and across
-// kill/resume.  The grid file is parsed and rejected (exit 2) before any
-// work-dir I/O happens, so a typo never scribbles on a previous run's state.
-int cmd_matrix(const FlagMap& flags) {
-  const auto grid_it = flags.find("grid");
-  const auto work_it = flags.find("work-dir");
-  if (grid_it == flags.end() || work_it == flags.end()) {
-    std::fprintf(stderr, "matrix needs --grid and --work-dir\n");
-    return kExitUsage;
-  }
-  std::int64_t workers = 0;
-  if (!flag_i64(flags, "workers", 0, matrix::kMaxWorkers, workers)) {
-    return kExitUsage;
-  }
-  std::int64_t threads = 0;
-  if (!flag_i64(flags, "threads", 1, 1'000'000, threads)) return kExitUsage;
-  if (!arm_deadline(flags)) return kExitUsage;
-
-  const Result<std::string> text = read_file(grid_it->second);
+// The grid file is parsed and rejected (exit 2) before any work-dir I/O
+// happens, so a typo never scribbles on a previous run's state.
+int cmd_matrix(const Options& o) {
+  const Result<std::string> text = read_file(o.grid);
   if (!text.is_ok()) {
     std::fprintf(stderr, "%s\n", text.status().to_string().c_str());
     return kExitUnreadable;
@@ -507,41 +554,29 @@ int cmd_matrix(const FlagMap& flags) {
   if (!grid.is_ok()) {
     // A malformed grid is a usage error by contract, whatever code the
     // parser classified it under — and nothing has been written yet.
-    std::fprintf(stderr, "%s: %s\n", grid_it->second.c_str(),
+    std::fprintf(stderr, "%s: %s\n", o.grid.c_str(),
                  grid.status().message().c_str());
     return kExitUsage;
   }
 
   matrix::MatrixOptions options;
   options.grid = grid.value();
-  options.work_dir = work_it->second;
-  options.workers = static_cast<int>(workers);
-  options.threads = static_cast<int>(threads);
-  options.resume = flags.contains("resume");
+  options.work_dir = o.work_dir;
+  options.workers = static_cast<int>(o.workers);
+  options.threads = static_cast<int>(o.threads);
+  options.resume = o.resume;
   options.cancel = &g_cancel;
-  // Same crash-injection contract as `campaign`, plus a worker selector so
-  // the multi-worker kill-and-resume test can kill one specific worker.
-  if (const char* crash_env = std::getenv("PATHSEL_TEST_CRASH_AFTER")) {
-    const long crash_after = std::strtol(crash_env, nullptr, 10);
-    if (crash_after > 0) {
-      options.crash_after = static_cast<std::size_t>(crash_after);
-    }
-  }
-  if (const char* worker_env = std::getenv("PATHSEL_MATRIX_CRASH_WORKER")) {
-    const long crash_worker = std::strtol(worker_env, nullptr, 10);
-    if (crash_worker >= 0 && crash_worker < matrix::kMaxWorkers) {
-      options.crash_worker = static_cast<int>(crash_worker);
-    }
+  options.crash_after = test_crash_after();
+  if (const long worker = test_hook("PATHSEL_MATRIX_CRASH_WORKER");
+      worker >= 0 && worker < matrix::kMaxWorkers) {
+    options.crash_worker = static_cast<int>(worker);
   }
 
   const matrix::MatrixReport report = matrix::run_matrix(options);
   for (const std::string& note : report.notes) {
     std::fprintf(stderr, "%s\n", note.c_str());
   }
-  if (!report.status.is_ok()) {
-    std::fprintf(stderr, "%s\n", report.status.to_string().c_str());
-    return exit_code_for(report.status);
-  }
+  if (!report.status.is_ok()) return exit_with(report.status);
   std::fprintf(stderr, "matrix: %zu cells (%zu reused), report %s\n",
                report.cells_total, report.cells_reused,
                report.report_path.c_str());
@@ -551,71 +586,25 @@ int cmd_matrix(const FlagMap& flags) {
   return kExitOk;
 }
 
-int cmd_generate(const FlagMap& flags) {
-  const auto dataset = flags.find("dataset");
-  const auto out = flags.find("out");
-  if (dataset == flags.end() || out == flags.end()) {
-    std::fprintf(stderr, "generate needs --dataset and --out\n");
+int cmd_generate(const Options& o) {
+  if (!meas::Catalog::is_dataset_name(o.dataset)) {
+    std::fprintf(stderr, "unknown dataset: %s\n", o.dataset.c_str());
     return kExitUsage;
   }
-  static const std::set<std::string> kNames{"D2",  "D2-NA", "N2",    "N2-NA",
-                                            "UW1", "UW3",   "UW4-A", "UW4-B"};
-  if (!kNames.contains(dataset->second)) {
-    std::fprintf(stderr, "unknown dataset: %s\n", dataset->second.c_str());
-    return kExitUsage;
+  meas::Catalog catalog{catalog_config(o)};
+  const meas::Dataset& ds = catalog.by_name(o.dataset);
+  if (const Status saved = meas::save_dataset(o.out, ds); !saved.is_ok()) {
+    return exit_with(saved);
   }
-
-  meas::CatalogConfig cfg;
-  double scale = 1.0;
-  if (!flag_double(flags, "scale", 1e-6, 1.0, scale)) return kExitUsage;
-  cfg.scale = scale;
-  if (!flag_u64(flags, "seed", cfg.seed)) return kExitUsage;
-  if (!flag_double(flags, "faults", 0.0, 1.0, cfg.fault_intensity)) {
-    return kExitUsage;
-  }
-  if (!flag_u64(flags, "fault-seed", cfg.fault_seed)) return kExitUsage;
-
-  meas::Catalog catalog{cfg};
-  const meas::Dataset& ds = catalog.by_name(dataset->second);
-
-  std::ofstream os{out->second};
-  if (!os) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out->second.c_str());
-    return kExitUnreadable;
-  }
-  meas::write_dataset(os, ds);
   std::printf("wrote %s: %zu hosts, %zu measurements (%zu completed)\n",
-              out->second.c_str(), ds.hosts.size(), ds.measurements.size(),
+              o.out.c_str(), ds.hosts.size(), ds.measurements.size(),
               ds.completed_count());
   return kExitOk;
 }
 
-// Loads --in into `ds`; nonzero return is the process exit code.
-int load(const FlagMap& flags, meas::Dataset& ds) {
-  const auto in = flags.find("in");
-  if (in == flags.end()) {
-    std::fprintf(stderr, "missing --in FILE\n");
-    return kExitUsage;
-  }
-  std::ifstream is{in->second};
-  if (!is) {
-    std::fprintf(stderr, "cannot open %s\n", in->second.c_str());
-    return kExitUnreadable;
-  }
-  std::string error;
-  auto parsed = meas::read_dataset(is, &error);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "parse error in %s: %s\n", in->second.c_str(),
-                 error.c_str());
-    return kExitParseError;
-  }
-  ds = std::move(*parsed);
-  return kExitOk;
-}
-
-int cmd_info(const FlagMap& flags) {
+int cmd_info(const Options& o) {
   meas::Dataset ds;
-  if (const int rc = load(flags, ds); rc != kExitOk) return rc;
+  if (const int rc = load(o.in, ds); rc != kExitOk) return rc;
   Table table{"dataset " + ds.name};
   table.set_header({"field", "value"});
   table.add_row({"kind", ds.kind == meas::MeasurementKind::kTraceroute
@@ -683,10 +672,7 @@ int run_post_processing(const core::ResultColumns& columns, int threads,
   const auto cdf = core::improvement_cdf(columns, threads);
   const auto tally_checked =
       core::classify_significance_checked(columns, 0.95, threads, &g_cancel);
-  if (!tally_checked.is_ok()) {
-    std::fprintf(stderr, "%s\n", tally_checked.status().to_string().c_str());
-    return exit_code_for(tally_checked.status());
-  }
+  if (!tally_checked.is_ok()) return exit_with(tally_checked.status());
   const core::SignificanceTally& tally = tally_checked.value();
   std::printf("pairs analyzed: %zu\n", columns.size());
   std::printf("better alternate exists: %.0f%%\n",
@@ -706,176 +692,55 @@ int run_post_processing(const core::ResultColumns& columns, int threads,
   return kExitOk;
 }
 
-int cmd_analyze(const FlagMap& flags) {
-  // Validate every flag before touching the input file, so usage errors are
-  // reported as such even when the file is also bad.
-  const auto metric_it = flags.find("metric");
-  const std::string metric = metric_it == flags.end() ? "rtt" : metric_it->second;
-  if (metric != "rtt" && metric != "loss" && metric != "bandwidth") {
-    std::fprintf(stderr, "unknown metric: %s\n", metric.c_str());
+int cmd_analyze(const Options& o) {
+  // The rules that depend on a flag's value, which the table cannot state.
+  // Like the table's, they are usage errors caught before any I/O.
+  const bool bandwidth = o.metric == kBandwidth;
+  if (bandwidth && (o.has(&Options::kernel) || o.has(&Options::simd) ||
+                    o.has(&Options::disjoint) ||
+                    o.has(&Options::results_out))) {
+    std::fprintf(stderr,
+                 "--kernel, --simd, --disjoint and --results-out do not "
+                 "apply to bandwidth analysis\n");
     return kExitUsage;
   }
-
-  // The split-run flags bound what the run can do: --results-out stops after
-  // the sweep (post-processing flags would silently do nothing), --results-in
-  // starts after it (sweep-shaping flags could not be honoured).  Both are
-  // usage errors caught before any file is touched.
-  const bool results_out = flags.contains("results-out");
-  const bool results_in = flags.contains("results-in");
-  if (results_out) {
-    for (const char* other : {"results-in", "csv", "coverage", "disjoint"}) {
-      if (flags.contains(other)) {
-        std::fprintf(stderr, "--results-out cannot be combined with --%s\n",
-                     other);
-        return kExitUsage;
-      }
-    }
-    if (metric == "bandwidth") {
-      std::fprintf(stderr,
-                   "--results-out does not apply to bandwidth analysis\n");
-      return kExitUsage;
-    }
-  }
-  if (results_in) {
-    for (const char* other :
-         {"in", "metric", "min-samples", "one-hop", "kernel", "simd",
-          "coverage", "disjoint", "disjoint-mode"}) {
-      if (flags.contains(other)) {
-        std::fprintf(stderr,
-                     "--results-in reads a finished sweep; it cannot be "
-                     "combined with --%s\n",
-                     other);
-        return kExitUsage;
-      }
-    }
-  }
-
-  core::Kernel kernel = core::Kernel::kAuto;
-  if (const auto it = flags.find("kernel"); it != flags.end()) {
-    if (it->second == "auto") {
-      kernel = core::Kernel::kAuto;
-    } else if (it->second == "dense") {
-      kernel = core::Kernel::kDense;
-    } else if (it->second == "search") {
-      kernel = core::Kernel::kSearch;
-    } else {
-      std::fprintf(stderr, "invalid value for --kernel: %s\n",
-                   it->second.c_str());
-      return kExitUsage;
-    }
-    if (metric == "bandwidth") {
-      std::fprintf(stderr, "--kernel does not apply to bandwidth analysis\n");
-      return kExitUsage;
-    }
-    if (kernel == core::Kernel::kDense && !flags.contains("one-hop")) {
-      std::fprintf(stderr, "--kernel dense requires --one-hop\n");
-      return kExitUsage;
-    }
-  }
-
-  core::SimdMode simd = core::SimdMode::kAuto;
-  if (const auto it = flags.find("simd"); it != flags.end()) {
-    if (it->second == "auto") {
-      simd = core::SimdMode::kAuto;
-    } else if (it->second == "avx2") {
-      simd = core::SimdMode::kAvx2;
-    } else if (it->second == "scalar") {
-      simd = core::SimdMode::kScalar;
-    } else {
-      std::fprintf(stderr, "invalid value for --simd: %s\n",
-                   it->second.c_str());
-      return kExitUsage;
-    }
-    if (metric == "bandwidth") {
-      std::fprintf(stderr, "--simd does not apply to bandwidth analysis\n");
-      return kExitUsage;
-    }
-  }
-
-  // The disjoint analyzer replaces the alternate sweep; a malformed or
-  // non-positive K is a usage error here, while a K exceeding the graph's
-  // N-2 ceiling is a data error detected after the dataset loads.
-  std::int64_t disjoint_k = 0;
-  core::DisjointMode disjoint_mode = core::DisjointMode::kLinkDisjoint;
-  if (flags.contains("disjoint")) {
-    if (!flag_i64(flags, "disjoint", 1, 1'000'000, disjoint_k)) {
-      return kExitUsage;
-    }
-    if (metric == "bandwidth") {
-      std::fprintf(stderr, "--disjoint does not apply to bandwidth analysis\n");
-      return kExitUsage;
-    }
-    for (const char* other : {"one-hop", "kernel", "simd"}) {
-      if (flags.contains(other)) {
-        std::fprintf(stderr, "--disjoint cannot be combined with --%s\n",
-                     other);
-        return kExitUsage;
-      }
-    }
-  }
-  if (const auto it = flags.find("disjoint-mode"); it != flags.end()) {
-    if (disjoint_k == 0) {
-      std::fprintf(stderr, "--disjoint-mode requires --disjoint K\n");
-      return kExitUsage;
-    }
-    if (it->second == "link") {
-      disjoint_mode = core::DisjointMode::kLinkDisjoint;
-    } else if (it->second == "node") {
-      disjoint_mode = core::DisjointMode::kNodeDisjoint;
-    } else {
-      std::fprintf(stderr, "invalid value for --disjoint-mode: %s\n",
-                   it->second.c_str());
-      return kExitUsage;
-    }
+  const auto kernel = static_cast<core::Kernel>(o.kernel);
+  if (kernel == core::Kernel::kDense && !o.one_hop) {
+    std::fprintf(stderr, "--kernel dense requires --one-hop\n");
+    return kExitUsage;
   }
 
   // 0 resolves to default_thread_count() (PATHSEL_THREADS env override, else
   // hardware_concurrency); --threads 1 forces the serial path.
-  std::int64_t threads = 0;
-  if (!flag_i64(flags, "threads", 0, 4096, threads)) return kExitUsage;
-
+  const int threads = static_cast<int>(o.threads);
   core::BuildOptions build;
-  build.min_samples = 30;
-  std::int64_t min_samples = build.min_samples;
-  if (!flag_i64(flags, "min-samples", 1, 1'000'000, min_samples)) {
-    return kExitUsage;
-  }
-  build.min_samples = static_cast<int>(min_samples);
-  build.threads = static_cast<int>(threads);
-  if (!arm_deadline(flags)) return kExitUsage;
+  build.min_samples = static_cast<int>(o.min_samples);
+  build.threads = threads;
   build.cancel = &g_cancel;
 
-  if (results_in) {
-    const std::string& path = flags.at("results-in");
-    const auto sets = core::read_result_columns(path);
-    if (!sets.is_ok()) {
-      std::fprintf(stderr, "%s\n", sets.status().to_string().c_str());
-      return exit_code_for(sets.status());
-    }
+  if (o.has(&Options::results_in)) {
+    const auto sets = core::read_result_columns(o.results_in);
+    if (!sets.is_ok()) return exit_with(sets.status());
     if (sets.value().size() != 1) {
       std::fprintf(stderr,
                    "%s holds %zu column sets; analyze --results-in needs "
                    "exactly one\n",
-                   path.c_str(), sets.value().size());
+                   o.results_in.c_str(), sets.value().size());
       return kExitDataError;
     }
-    return run_post_processing(sets.value().front(), static_cast<int>(threads),
-                               nullptr, flags.contains("csv"));
+    return run_post_processing(sets.value().front(), threads, nullptr, o.csv);
   }
 
   meas::Dataset ds;
-  if (const int rc = load(flags, ds); rc != kExitOk) return rc;
+  if (const int rc = load(o.in, ds); rc != kExitOk) return rc;
 
-  if (metric == "bandwidth") {
+  if (bandwidth) {
     if (ds.kind != meas::MeasurementKind::kTcpTransfer) {
       std::fprintf(stderr, "bandwidth analysis needs a tcp dataset\n");
       return kExitDataError;
     }
     const auto built = core::PathTable::build_checked(ds, build);
-    if (!built.is_ok()) {
-      std::fprintf(stderr, "%s\n", built.status().to_string().c_str());
-      return exit_code_for(built.status());
-    }
+    if (!built.is_ok()) return exit_with(built.status());
     const core::PathTable& table = built.value();
     std::printf("path graph: %zu measured paths over %zu hosts\n",
                 table.edges().size(), table.hosts().size());
@@ -891,40 +756,28 @@ int cmd_analyze(const FlagMap& flags) {
       std::printf("%s: %zu pairs, %.0f%% with a better one-hop alternate\n",
                   label, results.size(), 100.0 * cdf.fraction_above(0.0));
     }
-    if (flags.contains("coverage")) {
-      print_coverage(core::summarize_coverage(ds, table));
-    }
+    if (o.coverage) print_coverage(core::summarize_coverage(ds, table));
     return kExitOk;
   }
 
-  if (disjoint_k > 0) {
+  const auto metric = static_cast<core::Metric>(o.metric);
+  if (o.has(&Options::disjoint)) {
+    // A K beyond the graph's N-2 ceiling is a data error, found only now.
     const auto built = core::PathTable::build_checked(ds, build);
-    if (!built.is_ok()) {
-      std::fprintf(stderr, "%s\n", built.status().to_string().c_str());
-      return exit_code_for(built.status());
-    }
+    if (!built.is_ok()) return exit_with(built.status());
     const core::PathTable& table = built.value();
     std::printf("path graph: %zu measured paths over %zu hosts\n",
                 table.edges().size(), table.hosts().size());
-    const Status valid =
-        core::validate_disjoint_k(static_cast<int>(disjoint_k),
-                                  table.hosts().size());
-    if (!valid.is_ok()) {
-      std::fprintf(stderr, "%s\n", valid.to_string().c_str());
-      return exit_code_for(valid);
-    }
     core::DisjointOptions opt;
-    opt.metric =
-        metric == "rtt" ? core::Metric::kRtt : core::Metric::kLoss;
-    opt.k = static_cast<int>(disjoint_k);
-    opt.mode = disjoint_mode;
-    opt.threads = static_cast<int>(threads);
+    opt.metric = metric;
+    opt.k = static_cast<int>(o.disjoint);
+    opt.mode = static_cast<core::DisjointMode>(o.disjoint_mode);
+    opt.threads = threads;
     opt.cancel = &g_cancel;
+    const Status valid = core::validate_disjoint_k(opt.k, table.hosts().size());
+    if (!valid.is_ok()) return exit_with(valid);
     const auto swept = core::compute_disjoint_alternates(table, opt);
-    if (!swept.is_ok()) {
-      std::fprintf(stderr, "%s\n", swept.status().to_string().c_str());
-      return exit_code_for(swept.status());
-    }
+    if (!swept.is_ok()) return exit_with(swept.status());
     const std::vector<core::PairDisjointResult>& results = swept.value();
     std::printf("disjoint analysis: mode=%s, requested k=%d\n",
                 core::to_string(opt.mode), opt.k);
@@ -957,7 +810,7 @@ int cmd_analyze(const FlagMap& flags) {
                     ? 0.0
                     : 100.0 * static_cast<double>(beats_direct) /
                           static_cast<double>(results.size()));
-    if (flags.contains("csv")) {
+    if (o.csv) {
       const std::string rows = core::render_disjoint_rows(results, ',');
       std::fwrite(rows.data(), 1, rows.size(), stdout);
     }
@@ -965,132 +818,80 @@ int cmd_analyze(const FlagMap& flags) {
   }
 
   core::AnalyzerOptions analyze;
-  analyze.metric = metric == "rtt" ? core::Metric::kRtt : core::Metric::kLoss;
-  if (flags.contains("one-hop")) analyze.max_intermediate_hosts = 1;
-  analyze.threads = static_cast<int>(threads);
+  analyze.metric = metric;
+  if (o.one_hop) analyze.max_intermediate_hosts = 1;
+  analyze.threads = threads;
   analyze.cancel = &g_cancel;
   analyze.kernel = kernel;
-  analyze.simd = simd;
+  analyze.simd = static_cast<core::SimdMode>(o.simd);
 
   auto result = core::analyze_columns_with_coverage(ds, build, analyze);
-  if (!result.is_ok()) {
-    std::fprintf(stderr, "%s\n", result.status().to_string().c_str());
-    return exit_code_for(result.status());
-  }
+  if (!result.is_ok()) return exit_with(result.status());
   core::DegradedColumnsAnalysis& analysis = result.value();
   std::printf("path graph: %zu measured paths over %zu hosts\n",
               analysis.coverage.usable_edges, analysis.coverage.hosts);
-  if (results_out) {
+  if (o.has(&Options::results_out)) {
     // Stop after the sweep: classify (so the file carries the verdicts) and
     // write the columns.  stdout holds only the `path graph:` line, so a
     // later --results-in run's stdout concatenates to the fused output.
-    const std::string& path = flags.at("results-out");
     const Status annotated = core::annotate_significance(
-        analysis.columns, 0.95, static_cast<int>(threads), &g_cancel);
-    if (!annotated.is_ok()) {
-      std::fprintf(stderr, "%s\n", annotated.to_string().c_str());
-      return exit_code_for(annotated);
-    }
+        analysis.columns, 0.95, threads, &g_cancel);
+    if (!annotated.is_ok()) return exit_with(annotated);
     const Status wrote = core::write_result_columns(
-        path, std::span<const core::ResultColumns>{&analysis.columns, 1});
-    if (!wrote.is_ok()) {
-      std::fprintf(stderr, "%s\n", wrote.to_string().c_str());
-      return exit_code_for(wrote);
-    }
-    std::fprintf(stderr, "wrote %s\n", path.c_str());
+        o.results_out,
+        std::span<const core::ResultColumns>{&analysis.columns, 1});
+    if (!wrote.is_ok()) return exit_with(wrote);
+    std::fprintf(stderr, "wrote %s\n", o.results_out.c_str());
     return kExitOk;
   }
-  return run_post_processing(
-      analysis.columns, static_cast<int>(threads),
-      flags.contains("coverage") ? &analysis.coverage : nullptr,
-      flags.contains("csv"));
+  return run_post_processing(analysis.columns, threads,
+                             o.coverage ? &analysis.coverage : nullptr, o.csv);
 }
 
-int cmd_serve(const FlagMap& flags) {
-  // Validate every flag before touching any file, so usage errors are cheap
-  // and never leave a half-initialized journal directory behind.
-  const auto trace_flag = flags.find("trace");
-  if (trace_flag == flags.end()) {
-    std::fprintf(stderr, "serve needs --trace FILE (or - for stdin)\n");
-    return kExitUsage;
-  }
-  std::int64_t readers = 1;
-  std::int64_t queue_cap = 1024;
-  std::int64_t stale_after_ms = 5000;
-  std::int64_t compact_every = 1024;
-  std::int64_t min_samples = 30;
-  std::int64_t threads = 0;
-  if (!flag_i64(flags, "readers", 1, 256, readers) ||
-      !flag_i64(flags, "queue-cap", 1, 1'000'000'000, queue_cap) ||
-      !flag_i64(flags, "stale-after-ms", 0, std::int64_t{1} << 60,
-                stale_after_ms) ||
-      !flag_i64(flags, "compact-every", 0, 1'000'000'000, compact_every) ||
-      !flag_i64(flags, "min-samples", 1, 1'000'000'000, min_samples) ||
-      !flag_i64(flags, "threads", 1, 4096, threads)) {
-    return kExitUsage;
-  }
-  if (flags.contains("resume") && !flags.contains("journal-dir")) {
-    std::fprintf(stderr, "--resume needs --journal-dir\n");
-    return kExitUsage;
-  }
-  if (!arm_deadline(flags)) return kExitUsage;
-
+// Every file this opens — the dataset, then the trace — is opened before
+// the engine creates or replays the journal directory, so a bad input never
+// leaves a half-initialized journal behind.
+int cmd_serve(const Options& o) {
   meas::Dataset ds;
-  if (const int rc = load(flags, ds); rc != kExitOk) return rc;
-
-  serve::ServeOptions options;
-  options.build.min_samples = static_cast<int>(min_samples);
-  options.build.cancel = &g_cancel;
-  options.threads = static_cast<int>(threads);
-  options.queue_capacity = static_cast<std::size_t>(queue_cap);
-  options.stale_after_ms = stale_after_ms;
-  if (const auto dir = flags.find("journal-dir"); dir != flags.end()) {
-    options.journal_dir = dir->second;
-  }
-  options.resume = flags.contains("resume");
-  options.compact_every = static_cast<std::uint64_t>(compact_every);
-  options.cancel = &g_cancel;
-  options.max_reader_slots = static_cast<std::size_t>(readers);
-
-  // PATHSEL_TEST_CRASH_AFTER=N hard-kills the server (SIGKILL, no cleanup)
-  // right after the N-th journal append — after the record is durable but
-  // before it mutates anything.  The kill-and-resume tests use it to place
-  // a machine crash at the worst reproducible instant.
-  if (const char* crash_env = std::getenv("PATHSEL_TEST_CRASH_AFTER")) {
-    const long crash_after = std::strtol(crash_env, nullptr, 10);
-    if (crash_after > 0) {
-      options.crash_after_appends = static_cast<std::size_t>(crash_after);
-    }
-  }
-
-  auto engine = serve::ServeEngine::create(ds, options);
-  if (!engine.is_ok()) {
-    std::fprintf(stderr, "%s\n", engine.status().to_string().c_str());
-    return exit_code_for(engine.status());
-  }
-  for (const std::string& note : engine.value()->recovery_log()) {
-    std::fprintf(stderr, "serve: %s\n", note.c_str());
-  }
+  if (const int rc = load(o.in, ds); rc != kExitOk) return rc;
 
   std::ifstream trace_file;
   std::istream* trace_in = &std::cin;
-  if (trace_flag->second != "-") {
-    trace_file.open(trace_flag->second);
+  if (o.trace != "-") {
+    trace_file.open(o.trace);
     if (!trace_file) {
-      std::fprintf(stderr, "cannot open %s\n", trace_flag->second.c_str());
+      std::fprintf(stderr, "cannot open %s\n", o.trace.c_str());
       return kExitUnreadable;
     }
     trace_in = &trace_file;
   }
 
+  serve::ServeOptions options;
+  options.build.min_samples = static_cast<int>(o.min_samples);
+  options.build.cancel = &g_cancel;
+  options.threads = static_cast<int>(o.threads);
+  options.queue_capacity = static_cast<std::size_t>(o.queue_cap);
+  options.stale_after_ms = o.stale_after_ms;
+  options.journal_dir = o.journal_dir;
+  options.resume = o.resume;
+  options.compact_every = static_cast<std::uint64_t>(o.compact_every);
+  options.cancel = &g_cancel;
+  options.max_reader_slots = static_cast<std::size_t>(o.readers);
+  // The crash hook fires after the record is durable but before it mutates
+  // anything: the worst reproducible instant.
+  options.crash_after_appends = test_crash_after();
+
+  auto engine = serve::ServeEngine::create(ds, options);
+  if (!engine.is_ok()) return exit_with(engine.status());
+  for (const std::string& note : engine.value()->recovery_log()) {
+    std::fprintf(stderr, "serve: %s\n", note.c_str());
+  }
+
   serve::TraceOptions trace_options;
-  trace_options.readers = static_cast<int>(readers);
+  trace_options.readers = static_cast<int>(o.readers);
   const Result<serve::TraceStats> stats = serve::run_trace(
       *engine.value(), *trace_in, std::cout, std::cerr, trace_options);
-  if (!stats.is_ok()) {
-    std::fprintf(stderr, "%s\n", stats.status().to_string().c_str());
-    return exit_code_for(stats.status());
-  }
+  if (!stats.is_ok()) return exit_with(stats.status());
   const serve::ServeCounters counters = engine.value()->counters();
   std::fprintf(stderr,
                "serve: %zu ops, %zu queries, %zu updates accepted, "
@@ -1100,7 +901,7 @@ int cmd_serve(const FlagMap& flags) {
                static_cast<unsigned long long>(counters.updates_applied),
                static_cast<unsigned long long>(counters.updates_shed),
                static_cast<unsigned long long>(counters.snapshots_published));
-  if (flags.contains("strict-updates") && stats.value().rejected > 0) {
+  if (o.strict_updates && stats.value().rejected > 0) {
     std::fprintf(stderr, "serve: --strict-updates and %zu rejections\n",
                  stats.value().rejected);
     return kExitDataError;
@@ -1114,7 +915,7 @@ int cmd_serve(const FlagMap& flags) {
 
 // The version report names every stable format a release promises to keep
 // readable, so operators can check compatibility without consulting docs.
-int print_version() {
+int cmd_version(const Options&) {
   std::printf("pathsel_cli %s\n", PATHSEL_VERSION);
   std::printf("formats:\n");
   std::printf("  dataset      %s\n", meas::kDatasetHeader);
@@ -1129,11 +930,11 @@ int print_version() {
   return kExitOk;
 }
 
-// Dumps the registry snapshot to stderr in the requested format.  stderr
-// keeps stdout byte-identical to a metrics-off run (metrics are passive).
-void dump_metrics(const std::string& format) {
+// Dumps the registry snapshot to stderr.  stderr keeps stdout byte-identical
+// to a metrics-off run (metrics are passive).
+void dump_metrics(bool json) {
   const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
-  if (format == "json") {
+  if (json) {
     std::fprintf(stderr, "%s\n", metrics_to_json(snap).c_str());
     return;
   }
@@ -1160,99 +961,169 @@ void dump_metrics(const std::string& format) {
   }
 }
 
-// Runs `cmd` with the registry enabled when --metrics was given, dumping the
-// snapshot afterwards.  The flag value must be "table" or "json".
-int with_metrics(const FlagMap& flags, int (*cmd)(const FlagMap&)) {
-  const auto it = flags.find("metrics");
-  if (it != flags.end()) {
-    if (it->second != "table" && it->second != "json") {
-      std::fprintf(stderr, "invalid value for --metrics: %s\n",
-                   it->second.c_str());
-      return kExitUsage;
+// ---- The tables --------------------------------------------------------------
+
+using O = Options;
+
+const Flag kMetricsFlag{"metrics", &O::metrics, "table|json", 0, 0, "table"};
+const Flag kDeadlineFlag{"deadline", &O::deadline, "SEC", 0.0, 1e9};
+
+const std::vector<Command> kCommands = {
+    {"generate", cmd_generate, false,
+     {{"dataset", &O::dataset, "NAME"},
+      {"scale", &O::scale, "S", 1e-6, 1.0},
+      {"seed", &O::seed, "N"},
+      {"out", &O::out, "FILE"},
+      {"faults", &O::faults, "F", 0.0, 1.0},
+      {"fault-seed", &O::fault_seed, "N"},
+      kMetricsFlag},
+     {{"dataset"}, {"out"}}},
+    {"info", cmd_info, false,
+     {{"in", &O::in, "FILE"}, kMetricsFlag},
+     {{"in"}}},
+    {"analyze", cmd_analyze, true,
+     {{"in", &O::in, "FILE"},
+      {"metric", &O::metric, "rtt|loss|bandwidth"},
+      {"min-samples", &O::min_samples, "N", 1, 1e6},
+      {"one-hop", &O::one_hop},
+      {"csv", &O::csv},
+      {"coverage", &O::coverage},
+      {"threads", &O::threads, "N", 0, 4096},
+      kDeadlineFlag,
+      {"kernel", &O::kernel, "auto|dense|search"},
+      {"simd", &O::simd, "auto|avx2|scalar"},
+      {"disjoint", &O::disjoint, "K", 1, 1e6},
+      {"disjoint-mode", &O::disjoint_mode, "link|node"},
+      {"results-out", &O::results_out, "FILE"},
+      {"results-in", &O::results_in, "FILE"},
+      kMetricsFlag},
+     {{"in", "results-in"}},
+     // --results-out stops after the sweep, so post-processing flags would
+     // do nothing; --results-in starts after it, so sweep-shaping flags
+     // could not be honoured.
+     {{"results-out", {"results-in", "csv", "coverage", "disjoint"}},
+      {"results-in",
+       {"in", "metric", "min-samples", "one-hop", "kernel", "simd",
+        "coverage", "disjoint", "disjoint-mode"}},
+      {"disjoint", {"one-hop", "kernel", "simd"}}},
+     {{"disjoint-mode", {"disjoint"}}}},
+    {"campaign", cmd_campaign, true,
+     {{"out-dir", &O::out_dir, "DIR"},
+      {"datasets", &O::datasets, "A,B,..."},
+      {"scale", &O::scale, "S", 1e-6, 1.0},
+      {"seed", &O::seed, "N"},
+      {"faults", &O::faults, "F", 0.0, 1.0},
+      {"fault-seed", &O::fault_seed, "N"},
+      {"checkpoint-dir", &O::checkpoint_dir, "DIR"},
+      {"resume", &O::resume},
+      {"checkpoint-every-hours", &O::checkpoint_every_hours, "H", 1e-9, 1e9},
+      kDeadlineFlag,
+      {"disjoint", &O::disjoint, "K", 1, 1e6},
+      kMetricsFlag},
+     {{"out-dir"}},
+     {},
+     {{"resume", {"checkpoint-dir"}}}},
+    {"matrix", cmd_matrix, true,
+     {{"grid", &O::grid, "FILE"},
+      {"work-dir", &O::work_dir, "DIR"},
+      {"workers", &O::workers, "N", 0, matrix::kMaxWorkers},
+      {"threads", &O::threads, "N", 1, 1e6},
+      {"resume", &O::resume},
+      kDeadlineFlag,
+      kMetricsFlag},
+     {{"grid"}, {"work-dir"}}},
+    {"serve", cmd_serve, true,
+     {{"in", &O::in, "FILE"},
+      {"trace", &O::trace, "FILE|-"},
+      {"readers", &O::readers, "N", 1, 256},
+      {"queue-cap", &O::queue_cap, "N", 1, 1e9},
+      {"stale-after-ms", &O::stale_after_ms, "MS", 0, 0x1p60},
+      {"journal-dir", &O::journal_dir, "DIR"},
+      {"resume", &O::resume},
+      {"compact-every", &O::compact_every, "N", 0, 1e9},
+      {"min-samples", &O::min_samples, "N", 1, 1e9},
+      {"threads", &O::threads, "N", 1, 4096},
+      kDeadlineFlag,
+      {"strict-updates", &O::strict_updates},
+      kMetricsFlag},
+     {{"in"}, {"trace"}},
+     {},
+     {{"resume", {"journal-dir"}}}},
+    {"version", cmd_version, false, {}, {}},
+};
+
+// The synopsis, generated from the tables: a required flag prints bare (the
+// first of a one-of group), every other flag in brackets.
+int usage() {
+  std::string text = "usage:\n";
+  for (const Command& cmd : kCommands) {
+    std::string line = std::string{"  pathsel_cli "} + cmd.name;
+    const std::size_t indent = line.size();
+    for (const Flag& flag : cmd.flags) {
+      std::string token = std::string{"--"} + flag.name;
+      if (flag.bare != nullptr) {
+        token += std::string{"[="} + flag.metavar + "]";
+      } else if (flag.metavar != nullptr) {
+        token += std::string{" "} + flag.metavar;
+      }
+      const bool required = std::any_of(
+          cmd.required.begin(), cmd.required.end(),
+          [&flag](const auto& group) {
+            return std::string_view{group.front()} == flag.name;
+          });
+      if (!required) token = "[" + token + "]";
+      if (line.size() + 1 + token.size() > 79) {
+        text += line + "\n";
+        line.assign(indent, ' ');
+      }
+      line += " " + token;
     }
-    MetricsRegistry::global().enable();
+    text += line + "\n";
   }
-  const int rc = cmd(flags);
-  if (it != flags.end()) dump_metrics(it->second);
-  return rc;
+  text += "datasets:";
+  for (const std::string& name : meas::Catalog::dataset_names()) {
+    text += " " + name;
+  }
+  text +=
+      "\n--threads defaults to the hardware thread count\n"
+      "exit codes: 0 ok, 1 data error, 2 usage, 3 unreadable file,\n"
+      "            4 parse error, 5 interrupted (deadline/signal)\n";
+  std::fputs(text.c_str(), stderr);
+  return kExitUsage;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string command = argv[1];
-  FlagMap flags;
-  if (command == "version" || command == "--version") {
-    if (argc != 2) {
-      std::fprintf(stderr, "version takes no arguments\n");
-      return kExitUsage;
-    }
-    return print_version();
+  std::string_view name = argv[1];
+  if (name == "--version") name = "version";
+  const auto cmd =
+      std::find_if(kCommands.begin(), kCommands.end(),
+                   [name](const Command& c) { return name == c.name; });
+  if (cmd == kCommands.end()) {
+    std::fprintf(stderr, "unknown command: %s\n", argv[1]);
+    return usage();
   }
-  if (command == "generate") {
-    if (!parse_flags(argc, argv, 2,
-                     {"dataset", "scale", "seed", "out", "faults", "fault-seed"},
-                     {}, {"metrics"}, flags)) {
-      return kExitUsage;
-    }
-    return with_metrics(flags, cmd_generate);
+  Options options;
+  if (!parse(*cmd, argc, argv, options)) return kExitUsage;
+
+  // --deadline counts wall-clock seconds from here; 0 trips immediately.
+  if (options.has(&Options::deadline)) {
+    g_cancel.set_deadline_after_seconds(options.deadline);
   }
-  if (command == "info") {
-    if (!parse_flags(argc, argv, 2, {"in"}, {}, {"metrics"}, flags)) {
-      return kExitUsage;
-    }
-    return with_metrics(flags, cmd_info);
-  }
+  const bool metrics = options.has(&Options::metrics);
+  if (metrics) MetricsRegistry::global().enable();
   // The long-running commands drain cooperatively on Ctrl-C / TERM and can
   // be liveness-monitored via PATHSEL_WATCHDOG (see the header comment).
-  const auto run_interruptible = [&flags](int (*cmd)(const FlagMap&)) {
+  Watchdog dog;
+  if (cmd->interruptible) {
     g_cancel.arm_signal(SIGINT);
     g_cancel.arm_signal(SIGTERM);
-    Watchdog dog;
     Watchdog::start_from_env(dog, &g_cancel);
-    const int rc = with_metrics(flags, cmd);
-    dog.stop();
-    return rc;
-  };
-  if (command == "analyze") {
-    if (!parse_flags(argc, argv, 2,
-                     {"in", "metric", "min-samples", "threads", "deadline",
-                      "kernel", "simd", "disjoint", "disjoint-mode",
-                      "results-out", "results-in"},
-                     {"one-hop", "csv", "coverage"}, {"metrics"}, flags)) {
-      return kExitUsage;
-    }
-    return run_interruptible(cmd_analyze);
   }
-  if (command == "campaign") {
-    if (!parse_flags(argc, argv, 2,
-                     {"out-dir", "datasets", "scale", "seed", "faults",
-                      "fault-seed", "checkpoint-dir", "checkpoint-every-hours",
-                      "deadline", "disjoint"},
-                     {"resume"}, {"metrics"}, flags)) {
-      return kExitUsage;
-    }
-    return run_interruptible(cmd_campaign);
-  }
-  if (command == "matrix") {
-    if (!parse_flags(argc, argv, 2,
-                     {"grid", "work-dir", "workers", "threads", "deadline"},
-                     {"resume"}, {"metrics"}, flags)) {
-      return kExitUsage;
-    }
-    return run_interruptible(cmd_matrix);
-  }
-  if (command == "serve") {
-    if (!parse_flags(argc, argv, 2,
-                     {"in", "trace", "readers", "queue-cap", "stale-after-ms",
-                      "journal-dir", "compact-every", "min-samples", "threads",
-                      "deadline"},
-                     {"resume", "strict-updates"}, {"metrics"}, flags)) {
-      return kExitUsage;
-    }
-    return run_interruptible(cmd_serve);
-  }
-  std::fprintf(stderr, "unknown command: %s\n", command.c_str());
-  return usage();
+  const int rc = cmd->run(options);
+  dog.stop();
+  if (metrics) dump_metrics(options.metrics == kJson);
+  return rc;
 }
