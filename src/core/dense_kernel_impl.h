@@ -13,11 +13,11 @@
 //
 // where best_row and via_row point at best[j_begin] and via[j_begin] (so one
 // cell can be computed into two scalars), with IEEE double addition and a
-// strict `<`, so for any tiling that feeds
-// every k block in ascending order the two are bit-identical: the same
-// additions happen in the same order per (i, j) cell, and ties keep the
-// smallest relay index in both.  The differential suite
-// (tests/core/dense_kernel_simd_test.cc) locks this lane by lane.
+// strict `<`, so for any tiling that feeds every k block in ascending order
+// the two are bit-identical: the same additions happen in the same order per
+// (i, j) cell, and ties keep the smallest relay index in both.  The
+// differential suite (tests/core/dense_kernel_simd_test.cc) locks this lane
+// by lane.
 #pragma once
 
 #include <cstddef>

@@ -149,6 +149,12 @@ TEST(DenseKernelSimd, BitIdenticalAcrossRaggedWidths) {
     expect_bitwise_equal(scalar, simd);
     const MinPlusSquare reference = brute_force(w);
     expect_bitwise_equal(scalar, reference);
+    // The single-cell primitive the serve engine refreshes rows with.
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(min_plus_relay(w, i, j), scalar.via[i * n + j]);
+      }
+    }
   }
 }
 
