@@ -1,5 +1,6 @@
-// Byte goldens for the binary on-disk formats: PSRC (result columns), PSJL
-// (serve update journal) and PSSV (serve state snapshot).
+// Byte goldens for the on-disk formats: the binary PSRC (result columns),
+// PSJL (serve update journal) and PSSV (serve state snapshot), and the text
+// .ds dataset rows and campaign checkpoints.
 //
 // The fixtures are literal values with no analysis behind them, so neither
 // compiler nor floating-point choices can move the bytes.  Round-trip and
@@ -18,11 +19,15 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
+
 #include "core/dense_kernel.h"
 #include "core/result_columns.h"
+#include "meas/checkpoint.h"
+#include "meas/serialize.h"
 #include "serve/journal.h"
 
 namespace pathsel {
@@ -206,6 +211,187 @@ TEST(FormatGolden, ServeStatePssvBytes) {
     expect_raw_bits(got.edges[i].rtt, image.edges[i].rtt);
     expect_raw_bits(got.edges[i].loss, image.edges[i].loss);
   }
+}
+
+// .ds rows print doubles as %.17g: these values sit on both sides of its
+// fixed/exponent switches (1e-4 vs 1e-5, 17 vs 18 integer digits) and include
+// -0, 0.1 (not exact in binary), and the smallest subnormal.
+const double kRtts[] = {0.0,     -0.0,    0.1,
+                        5e-324,  1e-4,    1e-5,
+                        12345678901234568.0, 1.2345678901234568e+17, 71.25};
+
+meas::Measurement trace_row(std::int64_t when_ms, int src, int dst,
+                            std::size_t first_rtt) {
+  meas::Measurement m;
+  m.when = SimTime::at(Duration::millis(when_ms));
+  m.src = topo::HostId{src};
+  m.dst = topo::HostId{dst};
+  m.completed = true;
+  for (std::size_t i = 0; i < m.samples.size(); ++i) {
+    m.samples[i].lost = i == 1;
+    m.samples[i].rtt_ms = kRtts[(first_rtt + i) % std::size(kRtts)];
+  }
+  return m;
+}
+
+meas::Dataset traceroute_fixture() {
+  meas::Dataset ds;
+  ds.name = "golden trace";
+  ds.kind = meas::MeasurementKind::kTraceroute;
+  ds.duration = Duration::millis(604800000);
+  ds.first_sample_loss_only = true;
+  ds.episode_count = 2;
+  ds.hosts = {topo::HostId{0}, topo::HostId{3}, topo::HostId{5},
+              topo::HostId{2147483647}};
+  meas::Measurement a = trace_row(0, 0, 3, 0);
+  a.episode = 0;
+  a.as_path = {topo::AsId{7}, topo::AsId{0}, topo::AsId{2147483647}};
+  meas::Measurement b = trace_row(604799999, 5, 2147483647, 3);
+  b.episode = 1;
+  b.attempts = 2;
+  b.as_path = {topo::AsId{701}};
+  meas::Measurement c = trace_row(60000, 3, 0, 6);
+  c.completed = false;
+  c.failure = meas::FailureReason::kStuckProbe;
+  c.attempts = 255;
+  ds.measurements = {a, b, c};
+  return ds;
+}
+
+meas::Dataset tcp_fixture() {
+  meas::Dataset ds;
+  ds.name = "golden-tcp";
+  ds.kind = meas::MeasurementKind::kTcpTransfer;
+  ds.duration = Duration::millis(86400000);
+  ds.hosts = {topo::HostId{1}, topo::HostId{4}};
+  const double values[][3] = {{123.456, 0.1, 0.0},
+                              {5e-324, -0.0, 1.0},
+                              {1.2345678901234568e+17, 1e-5, 0.015625},
+                              {0.0, 0.0, 0.0}};
+  std::int64_t when = 0;
+  for (const auto& v : values) {
+    meas::Measurement m;
+    m.when = SimTime::at(Duration::millis(when));
+    when += 1234567;
+    m.src = topo::HostId{when % 2 == 0 ? 1 : 4};
+    m.dst = topo::HostId{when % 2 == 0 ? 4 : 1};
+    m.completed = true;
+    m.bandwidth_kBps = v[0];
+    m.tcp_rtt_ms = v[1];
+    m.tcp_loss_rate = v[2];
+    ds.measurements.push_back(m);
+  }
+  ds.measurements.back().completed = false;
+  ds.measurements.back().failure = meas::FailureReason::kEndpointDown;
+  return ds;
+}
+
+std::string dataset_bytes(const meas::Dataset& ds) {
+  std::ostringstream os;
+  meas::write_dataset(os, ds);
+  return os.str();
+}
+
+void expect_same_measurements(const meas::Dataset& got,
+                              const meas::Dataset& want) {
+  ASSERT_EQ(got.measurements.size(), want.measurements.size());
+  for (std::size_t i = 0; i < want.measurements.size(); ++i) {
+    const meas::Measurement& g = got.measurements[i];
+    const meas::Measurement& w = want.measurements[i];
+    EXPECT_EQ(g.when, w.when);
+    EXPECT_EQ(g.src, w.src);
+    EXPECT_EQ(g.dst, w.dst);
+    EXPECT_EQ(g.episode, w.episode);
+    EXPECT_EQ(g.completed, w.completed);
+    EXPECT_EQ(g.failure, w.failure);
+    EXPECT_EQ(g.attempts, w.attempts);
+    for (std::size_t s = 0; s < w.samples.size(); ++s) {
+      EXPECT_EQ(g.samples[s].lost, w.samples[s].lost);
+      EXPECT_EQ(bits(g.samples[s].rtt_ms), bits(w.samples[s].rtt_ms));
+    }
+    EXPECT_EQ(g.as_path, w.as_path);
+    EXPECT_EQ(bits(g.bandwidth_kBps), bits(w.bandwidth_kBps));
+    EXPECT_EQ(bits(g.tcp_rtt_ms), bits(w.tcp_rtt_ms));
+    EXPECT_EQ(bits(g.tcp_loss_rate), bits(w.tcp_loss_rate));
+  }
+}
+
+void check_dataset_golden(const std::string& name, const meas::Dataset& ds) {
+  const std::string golden = check_golden(name, dataset_bytes(ds));
+  std::istringstream is{golden};
+  std::string error;
+  const std::optional<meas::Dataset> parsed = meas::read_dataset(is, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(parsed->name, ds.name);
+  EXPECT_EQ(parsed->kind, ds.kind);
+  EXPECT_EQ(parsed->duration, ds.duration);
+  EXPECT_EQ(parsed->first_sample_loss_only, ds.first_sample_loss_only);
+  EXPECT_EQ(parsed->episode_count, ds.episode_count);
+  EXPECT_EQ(parsed->hosts, ds.hosts);
+  expect_same_measurements(*parsed, ds);
+  EXPECT_TRUE(dataset_bytes(*parsed) == golden);
+}
+
+TEST(FormatGolden, DatasetTracerouteBytes) {
+  check_dataset_golden("dataset_traceroute.ds", traceroute_fixture());
+}
+
+TEST(FormatGolden, DatasetTcpBytes) {
+  check_dataset_golden("dataset_tcp.ds", tcp_fixture());
+}
+
+meas::CampaignCheckpoint checkpoint_fixture() {
+  meas::CampaignCheckpoint cp;
+  cp.dataset_name = "golden trace";
+  cp.now = SimTime::at(Duration::millis(43200000));
+  cp.next_seq = 17;
+  cp.episode_count = 2;
+  cp.rng_state = {1, 0xffffffffffffffffULL, 0x0123456789abcdefULL, 0};
+  cp.server_rng_states = {{2, 3, 5, 7}};
+  cp.injector_epoch = 9;
+  meas::CampaignEvent retry;
+  retry.t = SimTime::at(Duration::millis(43200500));
+  retry.seq = 16;
+  retry.kind = meas::CampaignEventKind::kRetry;
+  retry.a = 3;
+  retry.b = 0;
+  retry.first = SimTime::at(Duration::millis(43190000));
+  retry.episode = 1;
+  retry.tried = 2;
+  meas::CampaignEvent next;
+  next.t = SimTime::at(Duration::millis(43260000));
+  next.seq = 12;
+  cp.pending = {retry, next};
+  cp.measurements = traceroute_fixture().measurements;
+  return cp;
+}
+
+TEST(FormatGolden, CheckpointBytes) {
+  const meas::CampaignCheckpoint cp = checkpoint_fixture();
+  const std::string golden = check_golden(
+      "checkpoint.txt",
+      meas::serialize_checkpoint(cp, meas::MeasurementKind::kTraceroute,
+                                 kFingerprint));
+
+  const Result<meas::CampaignCheckpoint> parsed = meas::parse_checkpoint(
+      golden, meas::MeasurementKind::kTraceroute, kFingerprint);
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().message();
+  const meas::CampaignCheckpoint& got = parsed.value();
+  EXPECT_EQ(got.dataset_name, cp.dataset_name);
+  EXPECT_EQ(got.now, cp.now);
+  EXPECT_EQ(got.next_seq, cp.next_seq);
+  EXPECT_EQ(got.rng_state, cp.rng_state);
+  EXPECT_EQ(got.server_rng_states, cp.server_rng_states);
+  ASSERT_EQ(got.pending.size(), cp.pending.size());
+  EXPECT_EQ(got.pending[0].first, cp.pending[0].first);
+  EXPECT_EQ(got.pending[0].tried, cp.pending[0].tried);
+  meas::Dataset got_rows;
+  got_rows.measurements = got.measurements;
+  meas::Dataset want_rows;
+  want_rows.measurements = cp.measurements;
+  expect_same_measurements(got_rows, want_rows);
+  EXPECT_TRUE(meas::serialize_checkpoint(got, meas::MeasurementKind::kTraceroute,
+                                         kFingerprint) == golden);
 }
 
 }  // namespace
