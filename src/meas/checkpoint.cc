@@ -205,10 +205,10 @@ std::string serialize_checkpoint(const CampaignCheckpoint& cp,
        << ev.episode << ' ' << ev.tried << '\n';
   }
   os << "measurements " << cp.measurements.size() << '\n';
+  std::string payload = std::move(os).str();
   for (const Measurement& m : cp.measurements) {
-    write_measurement(os, m, kind);
+    append_measurement(payload, m, kind);
   }
-  std::string payload = os.str();
   payload += "crc " + std::to_string(crc32(payload)) + '\n';
   return payload;
 }

@@ -21,6 +21,17 @@
 //   Legacy datasets contain neither token, so writing a fault-free dataset
 //   reproduces the historical byte stream exactly.
 //
+// Token language.  A line is split into tokens at the C locale's whitespace
+// (space, \t, \r, \v, \f), so a trailing \r or extra spaces are harmless,
+// and every token is parsed whole: a number glued to its neighbour ("0f",
+// "7a") is malformed.  Integers are base-10 with an optional sign, '+'
+// included.  Doubles are decimal: an optional sign, digits with an optional
+// point and fraction, and an optional exponent ("1", "+1.5", ".5", "5.",
+// "1e2", "-0"); there is no hex, inf or nan.  A value outside its
+// field's type is rejected, except that a double too small for a subnormal
+// reads as a zero of its sign.  The writer prints doubles as printf("%.17g"),
+// which round-trips every finite value bit for bit.
+//
 // The reader validates everything it parses — host ids must be declared in
 // the hosts line, RTTs/rates must be finite and in range, counts must be
 // sane — and rejects trailing garbage; a malformed or truncated file yields
@@ -28,9 +39,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 
 #include "meas/dataset.h"
@@ -41,8 +54,15 @@ namespace pathsel::meas {
 /// First line of a dataset file: the format name and version.
 inline constexpr char kDatasetHeader[] = "pathsel-dataset v1";
 
-/// Writes the dataset; the stream's failbit reflects I/O errors.
+/// Writes the dataset; the stream's failbit reflects I/O errors.  The text
+/// reaches the stream in bounded chunks, never as one whole-file copy.
 void write_dataset(std::ostream& os, const Dataset& dataset);
+
+/// Formats the dataset as write_dataset does and hands `sink` the text in
+/// chunks of about 64 KiB, so no whole-file copy is ever held.
+void write_dataset_chunks(
+    const Dataset& dataset,
+    const std::function<void(std::string_view)>& sink);
 
 /// Parses a dataset.  On failure returns nullopt and, if `error` is
 /// non-null, stores a human-readable reason.
@@ -57,7 +77,8 @@ void write_dataset(std::ostream& os, const Dataset& dataset);
                                                   std::string* error = nullptr);
 
 /// Reads and parses a dataset file: kIoError when it cannot be read,
-/// kParseError (message prefixed with the path) when read_dataset rejects it.
+/// kParseError (message prefixed with the path) when the text is rejected by
+/// the rules read_dataset applies.
 [[nodiscard]] Result<Dataset> load_dataset(const std::string& path);
 
 /// Writes the dataset to `path` atomically (util/atomic_io.h): on failure,
@@ -65,18 +86,19 @@ void write_dataset(std::ostream& os, const Dataset& dataset);
 [[nodiscard]] Status save_dataset(const std::string& path,
                                   const Dataset& dataset);
 
-/// Writes one measurement row (the full "m ..." line, newline included)
-/// exactly as write_dataset does.  Checkpoints embed pending measurements
-/// with this writer so a resumed campaign re-serializes byte-identically.
-void write_measurement(std::ostream& os, const Measurement& m,
-                       MeasurementKind kind);
+/// Appends one measurement row (the full "m ..." line, newline included)
+/// exactly as write_dataset writes it.  Checkpoints embed pending
+/// measurements with this writer so a resumed campaign re-serializes
+/// byte-identically.
+void append_measurement(std::string& out, const Measurement& m,
+                        MeasurementKind kind);
 
-/// Parses one measurement row as written by write_measurement, with the same
-/// strict validation read_dataset applies.  `declared_hosts` (nullable)
+/// Parses one measurement row as written by append_measurement, with the
+/// same strict validation read_dataset applies.  `declared_hosts` (nullable)
 /// restricts src/dst to declared ids.  On failure returns false and, if
 /// `error` is non-null, stores a human-readable reason.
 [[nodiscard]] bool parse_measurement(
-    const std::string& line, MeasurementKind kind,
+    std::string_view line, MeasurementKind kind,
     const std::unordered_set<std::int32_t>* declared_hosts, Measurement& out,
     std::string* error = nullptr);
 

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <csignal>
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "core/confidence.h"
@@ -27,9 +26,11 @@ namespace {
 
 std::uint64_t ServeEngine::compute_fingerprint(const meas::Dataset& dataset,
                                                int min_samples) {
-  std::ostringstream os;
-  meas::write_dataset(os, dataset);
-  return (static_cast<std::uint64_t>(crc32(os.str())) << 32) |
+  std::uint32_t crc = 0;
+  meas::write_dataset_chunks(dataset, [&crc](std::string_view chunk) {
+    crc = crc32(chunk, crc);
+  });
+  return (static_cast<std::uint64_t>(crc) << 32) |
          static_cast<std::uint32_t>(min_samples);
 }
 

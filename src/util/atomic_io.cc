@@ -54,9 +54,9 @@ void set_write_file_cap_for_testing(std::size_t cap_bytes) noexcept {
   g_write_cap_bytes = cap_bytes;
 }
 
-std::uint32_t crc32(std::string_view bytes) noexcept {
+std::uint32_t crc32(std::string_view bytes, std::uint32_t prior) noexcept {
   static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t c = 0xFFFFFFFFU;
+  std::uint32_t c = prior ^ 0xFFFFFFFFU;
   for (const char ch : bytes) {
     c = table[(c ^ static_cast<unsigned char>(ch)) & 0xFFU] ^ (c >> 8);
   }

@@ -24,7 +24,10 @@
 namespace pathsel {
 
 /// CRC-32 (IEEE) of the bytes, seeded with the conventional ~0 / final xor.
-[[nodiscard]] std::uint32_t crc32(std::string_view bytes) noexcept;
+/// Pass the CRC of the bytes before these as `prior` to continue it:
+/// crc32(b, crc32(a)) == crc32(a + b).
+[[nodiscard]] std::uint32_t crc32(std::string_view bytes,
+                                  std::uint32_t prior = 0) noexcept;
 
 /// Writes `contents` to `path` atomically: tmp file + fsync + rename +
 /// directory fsync.  On any failure the destination is untouched and the tmp

@@ -15,6 +15,7 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "core/alternate.h"
 #include "core/confidence.h"
 #include "core/result_columns.h"
+#include "meas/serialize.h"
 #include "serve/journal.h"
 #include "serve/snapshot.h"
 #include "test_util.h"
@@ -107,6 +109,22 @@ std::vector<EdgeUpdate> mixed_updates() {
       update(1, 4, 500.0, true),   update(0, 5, 77.25),
       update(3, 5, 0.125),         update(2, 4, 62.0),
   };
+}
+
+// Journals and snapshots written by earlier builds carry the fingerprint,
+// so it must stay the CRC of the whole .ds text, however the writer chunks
+// that text.
+TEST(ServeFingerprint, IsCrcOfTheWholeDatasetText) {
+  meas::Dataset ds = mesh_dataset();
+  for (int i = 0; i < 6000; ++i) {
+    test::add_invocation(ds, 0, 1, {10.0 + i * 0.001, 11.0, 12.0});
+  }
+  std::ostringstream os;
+  meas::write_dataset(os, ds);
+  const std::string text = os.str();
+  ASSERT_GT(text.size(), 3u * 64 * 1024);  // several write chunks
+  EXPECT_EQ(ServeEngine::compute_fingerprint(ds, 7),
+            (std::uint64_t{crc32(text)} << 32) | 7u);
 }
 
 TEST(ServeDifferential, InitialSnapshotMatchesBatch) {

@@ -31,6 +31,14 @@ TEST(AtomicIoCrc32, KnownAnswerVectors) {
             0x414FA339u);
 }
 
+TEST(AtomicIoCrc32, ContinuesAcrossEverySplit) {
+  const std::string_view text{"123456789"};
+  for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+    EXPECT_EQ(crc32(text.substr(cut), crc32(text.substr(0, cut))), 0xCBF43926u)
+        << "split at " << cut;
+  }
+}
+
 TEST(AtomicIoCrc32, SensitiveToEveryByte) {
   const std::string base{"pathsel journal record"};
   const std::uint32_t reference = crc32(base);
