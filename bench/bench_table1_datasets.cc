@@ -1,10 +1,43 @@
 // Table 1: characteristics of the datasets.
+//
+// The bench also round-trips every dataset through the .ds text codec
+// (meas/serialize.h) and requires the re-serialized bytes to match, so its
+// JSON metrics carry the codec's meas.dataset.write / meas.dataset.read
+// phases and record/byte counters for the perf gate.  The round trip adds
+// nothing to the printed table or the JSON results.
+#include <sstream>
+
 #include "bench_util.h"
+#include "meas/serialize.h"
 
 namespace pathsel {
 namespace {
 
-void run() {
+// Writes the dataset, reads it back and re-serializes it; false (with a
+// message on stderr) unless the bytes match.
+bool round_trips(const meas::Dataset& ds) {
+  std::ostringstream os;
+  meas::write_dataset(os, ds);
+  const std::string bytes = std::move(os).str();
+  std::istringstream is{bytes};
+  std::string error;
+  const std::optional<meas::Dataset> loaded = meas::read_dataset(is, &error);
+  if (!loaded.has_value()) {
+    std::fprintf(stderr, "%s: read back failed: %s\n", ds.name.c_str(),
+                 error.c_str());
+    return false;
+  }
+  std::ostringstream again;
+  meas::write_dataset(again, *loaded);
+  if (again.str() != bytes) {
+    std::fprintf(stderr, "%s: read back re-serializes to different bytes\n",
+                 ds.name.c_str());
+    return false;
+  }
+  return true;
+}
+
+bool run() {
   bench::print_experiment_header(
       "Table 1", "characteristics of the regenerated datasets",
       "8 datasets; 15-39 hosts; 7.5k-217k measurements; 86-100% coverage");
@@ -37,6 +70,10 @@ void run() {
                    row.paper_meas, row.paper_cover});
   }
   bench::emit(table);
+
+  bool ok = true;
+  for (const Row& row : rows) ok = round_trips(catalog.by_name(row.name)) && ok;
+  return ok;
 }
 
 }  // namespace
@@ -44,6 +81,7 @@ void run() {
 
 int main(int argc, char** argv) {
   if (!pathsel::bench::init(argc, argv, "table1_datasets")) return 2;
-  pathsel::run();
-  return pathsel::bench::finish();
+  const bool ok = pathsel::run();
+  const int rc = pathsel::bench::finish();
+  return ok ? rc : 1;
 }
