@@ -1,6 +1,7 @@
 // Byte goldens for the on-disk formats: the binary PSRC (result columns),
 // PSJL (serve update journal) and PSSV (serve state snapshot), and the text
-// .ds dataset rows and campaign checkpoints.
+// .ds dataset rows, campaign checkpoints, checkpoint MANIFEST and matrix cell
+// summaries.
 //
 // The fixtures are literal values with no analysis behind them, so neither
 // compiler nor floating-point choices can move the bytes.  Round-trip and
@@ -16,6 +17,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -26,9 +28,11 @@
 
 #include "core/dense_kernel.h"
 #include "core/result_columns.h"
+#include "matrix/cell.h"
 #include "meas/checkpoint.h"
 #include "meas/serialize.h"
 #include "serve/journal.h"
+#include "util/atomic_io.h"
 
 namespace pathsel {
 namespace {
@@ -392,6 +396,129 @@ TEST(FormatGolden, CheckpointBytes) {
   expect_same_measurements(got_rows, want_rows);
   EXPECT_TRUE(meas::serialize_checkpoint(got, meas::MeasurementKind::kTraceroute,
                                          kFingerprint) == golden);
+}
+
+// The MANIFEST of a checkpoint directory after saves for two datasets: one
+// `entry` line per dataset, sorted by name, under a decimal crc trailer.
+TEST(FormatGolden, CheckpointManifestBytes) {
+  const std::string dir = ::testing::TempDir() + "format_golden_manifest";
+  std::filesystem::remove_all(dir);
+  meas::CheckpointStore store{dir};
+  meas::CampaignCheckpoint cp = checkpoint_fixture();
+  cp.dataset_name = "UW4-A";
+  ASSERT_TRUE(
+      store.save(cp, meas::MeasurementKind::kTraceroute, kFingerprint).is_ok());
+  cp.dataset_name = "UW3";
+  ASSERT_TRUE(
+      store.save(cp, meas::MeasurementKind::kTraceroute, kFingerprint).is_ok());
+  const Result<std::string> manifest = read_file(store.manifest_path());
+  ASSERT_TRUE(manifest.is_ok()) << manifest.status().message();
+  const std::string golden = check_golden("manifest.txt", manifest.value());
+
+  // The reader side: a save on top of the golden keeps both entries, which
+  // it can only do by parsing them back.
+  ASSERT_TRUE(write_file_atomic(store.manifest_path(), golden).is_ok());
+  cp.dataset_name = "UW1";
+  ASSERT_TRUE(
+      store.save(cp, meas::MeasurementKind::kTraceroute, kFingerprint).is_ok());
+  const Result<std::string> grown = read_file(store.manifest_path());
+  ASSERT_TRUE(grown.is_ok());
+  for (const char* entry : {"\nentry UW1 UW1.ckpt.0 ",
+                            "\nentry UW3 UW3.ckpt.0 ",
+                            "\nentry UW4-A UW4-A.ckpt.0 "}) {
+    EXPECT_NE(grown.value().find(entry), std::string::npos) << entry;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Cell summaries print fingerprints as 16 hex digits and doubles as %.17g:
+// the fixture has fingerprints with leading zeros, -0, and doubles on both
+// sides of the fixed/exponent switch (1e-4 vs 1e-5, 17 vs 18 digits).
+matrix::CellSummary cell_summary_fixture() {
+  matrix::CellSummary s;
+  s.grid_fp = 0x00000000000000abULL;
+  s.cell_fp = 0x0123456789abcdefULL;
+  s.index = 7;
+  s.dataset = "UW4-A";
+  s.fault = 0.1;
+  s.metric = "loss";
+  s.policy = "one-hop/dense";
+  s.min_samples = 30;
+  s.seed = 18446744073709551615ULL;
+  s.hosts = 36;
+  s.measurements = 12345;
+  s.completed = 12000;
+  s.usable_edges = 600;
+  s.pairs = 1260;
+  s.coverage = -0.0;
+  s.better = 1e-4;
+  s.has_sig = true;
+  s.sig_better = 1e-5;
+  s.sig_indeterminate = 12345678901234568.0;
+  s.sig_worse = 1.2345678901234568e+17;
+  s.found_full = 0.0;
+  s.artifacts.push_back({"cells/cell-00007-0123456789abcdef/results.psrc",
+                         4096, 0x0000beefu});
+  s.artifacts.push_back({"cells/cell-00007-0123456789abcdef/extra.tsv", 0,
+                         0xdeadbeefu});
+  return s;
+}
+
+void expect_same_summary(const matrix::CellSummary& got,
+                         const matrix::CellSummary& want) {
+  EXPECT_EQ(got.grid_fp, want.grid_fp);
+  EXPECT_EQ(got.cell_fp, want.cell_fp);
+  EXPECT_EQ(got.index, want.index);
+  EXPECT_EQ(got.dataset, want.dataset);
+  EXPECT_EQ(bits(got.fault), bits(want.fault));
+  EXPECT_EQ(got.metric, want.metric);
+  EXPECT_EQ(got.policy, want.policy);
+  EXPECT_EQ(got.min_samples, want.min_samples);
+  EXPECT_EQ(got.seed, want.seed);
+  EXPECT_EQ(got.ok, want.ok);
+  EXPECT_EQ(got.error, want.error);
+  if (want.ok) {
+    EXPECT_EQ(got.hosts, want.hosts);
+    EXPECT_EQ(got.measurements, want.measurements);
+    EXPECT_EQ(got.completed, want.completed);
+    EXPECT_EQ(got.usable_edges, want.usable_edges);
+    EXPECT_EQ(got.pairs, want.pairs);
+    EXPECT_EQ(bits(got.coverage), bits(want.coverage));
+    EXPECT_EQ(bits(got.better), bits(want.better));
+    EXPECT_EQ(got.has_sig, want.has_sig);
+    EXPECT_EQ(bits(got.sig_better), bits(want.sig_better));
+    EXPECT_EQ(bits(got.sig_indeterminate), bits(want.sig_indeterminate));
+    EXPECT_EQ(bits(got.sig_worse), bits(want.sig_worse));
+    EXPECT_EQ(bits(got.found_full), bits(want.found_full));
+  }
+  ASSERT_EQ(got.artifacts.size(), want.artifacts.size());
+  for (std::size_t i = 0; i < want.artifacts.size(); ++i) {
+    EXPECT_EQ(got.artifacts[i].rel_path, want.artifacts[i].rel_path);
+    EXPECT_EQ(got.artifacts[i].size, want.artifacts[i].size);
+    EXPECT_EQ(got.artifacts[i].crc, want.artifacts[i].crc);
+  }
+}
+
+void check_cell_summary_golden(const std::string& name,
+                               const matrix::CellSummary& s) {
+  const std::string golden =
+      check_golden(name, matrix::serialize_cell_summary(s));
+  const Result<matrix::CellSummary> parsed = matrix::parse_cell_summary(golden);
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().message();
+  expect_same_summary(parsed.value(), s);
+  EXPECT_TRUE(matrix::serialize_cell_summary(parsed.value()) == golden);
+}
+
+TEST(FormatGolden, CellSummaryOkBytes) {
+  check_cell_summary_golden("cell_summary_ok.txt", cell_summary_fixture());
+}
+
+TEST(FormatGolden, CellSummaryDegradedBytes) {
+  matrix::CellSummary s = cell_summary_fixture();
+  s.ok = false;
+  s.error = "invalid argument: disjoint k=5 needs at least 7 hosts";
+  s.artifacts.pop_back();
+  check_cell_summary_golden("cell_summary_degraded.txt", s);
 }
 
 }  // namespace
