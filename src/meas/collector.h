@@ -99,7 +99,7 @@ struct CampaignEvent {
   CampaignEventKind kind = CampaignEventKind::kNextPair;
   std::int32_t a = 0;      // server index (kServerProbe) or src host id
   std::int32_t b = 0;      // dst host id (kEpisodeProbe, kRetry)
-  SimTime first;           // first-attempt time (kRetry)
+  SimTime first{};         // first-attempt time (kRetry)
   std::int32_t episode = -1;  // kEpisodeProbe, kRetry
   std::int32_t tried = 0;     // retries already attempted (kRetry)
 };

@@ -291,7 +291,7 @@ TEST(Checkpoint, TruncatedManifestNeitherBlocksResumeNorPersists) {
                        std::istreambuf_iterator<char>{}};
   }();
 
-  for (const std::string torn :
+  for (const std::string& torn :
        {std::string{}, manifest.substr(0, manifest.size() / 2),
         std::string{"\x01\x02garbage"}}) {
     write_raw(store.manifest_path(), torn);

@@ -152,7 +152,9 @@ TEST(Codec, StrictNumberParsers) {
       {std::string_view{"1\0" "2", 3}, false, 0, false, 0, false, 0.0},
   };
   for (const Row& row : rows) {
-    const std::string label = "'" + std::string{row.text} + "'";
+    std::string label = "'";
+    label += row.text;
+    label += "'";
     std::uint64_t u = 99;
     EXPECT_EQ(parse_u64(row.text, u), row.u64_ok) << label;
     EXPECT_EQ(u, row.u64_ok ? row.u64 : 99u) << label;
