@@ -1,6 +1,5 @@
 #include "matrix/cell.h"
 
-#include <cstdio>
 #include <filesystem>
 
 #include "core/confidence.h"
@@ -20,52 +19,9 @@ namespace pathsel::matrix {
 
 namespace {
 
-std::string fmt17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 Status parse_fail(const std::string& what) {
   return Status::error(ErrorCode::kParseError, "cell summary: " + what);
 }
-
-// Strict line cursor over the summary payload: every field is read in the
-// exact order serialize_cell_summary writes it.
-class LineReader {
- public:
-  explicit LineReader(std::string_view text) : text_{text} {}
-
-  bool next(std::string_view& line) {
-    if (pos_ > text_.size()) return false;
-    const std::size_t eol = text_.find('\n', pos_);
-    if (eol == std::string_view::npos) return false;  // payload ends in \n
-    line = text_.substr(pos_, eol - pos_);
-    pos_ = eol + 1;
-    return true;
-  }
-
-  // Peek without consuming, for the variable-length artifact list.
-  bool peek(std::string_view& line) {
-    const std::size_t saved = pos_;
-    const bool ok = next(line);
-    pos_ = saved;
-    return ok;
-  }
-
-  [[nodiscard]] bool exhausted() const noexcept { return pos_ >= text_.size(); }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
 
 // Splits "key value" on the first space; the value may itself hold spaces.
 bool key_value(std::string_view line, std::string_view key,
@@ -85,8 +41,8 @@ bool key_value(std::string_view line, std::string_view key,
 // state is discarded, never merged).
 std::uint64_t dataset_key(const CellContext& ctx, const CellSpec& cell) {
   const std::string params = cell.dataset + "|" + std::to_string(cell.seed) +
-                             "|" + fmt17(ctx.grid->scale) + "|" +
-                             fmt17(cell.fault);
+                             "|" + codec::to_text(ctx.grid->scale) + "|" +
+                             codec::to_text(cell.fault);
   return meas::fold_fingerprint(ctx.grid_fp, crc32(params));
 }
 
@@ -112,7 +68,8 @@ Status ensure_dataset(const CellContext& ctx, const CellSpec& cell,
                       std::string& ds_path, bool& busy) {
   busy = false;
   const std::uint64_t key = dataset_key(ctx, cell);
-  const std::string dir = datasets_dir(ctx.work_dir) + "/" + hex16(key);
+  const std::string dir =
+      datasets_dir(ctx.work_dir) + "/" + codec::to_text(codec::Hex{key});
   const std::string done_path = dir + "/DONE";
   ds_path = dir + "/" + cell.dataset + ".ds";
   std::error_code ec;
@@ -152,7 +109,8 @@ Status ensure_dataset(const CellContext& ctx, const CellSpec& cell,
   }
   if (!report.status.is_ok()) return report.status;
   MetricsRegistry::global().count("matrix.datasets.collected");
-  return write_file_atomic(done_path, hex16(key) + "\n");
+  return write_file_atomic(done_path,
+                           codec::to_text(codec::Hex{key}) + "\n");
 }
 
 Status write_artifact(const CellContext& ctx, CellSummary& summary,
@@ -270,86 +228,61 @@ Status analyze_cell(const CellContext& ctx, const CellSpec& cell,
 }  // namespace
 
 std::string serialize_cell_summary(const CellSummary& s) {
+  using codec::append_line;
+  using codec::Hex;
   std::string out = "pathsel-matrix-cell v" +
                     std::to_string(kCellSummaryVersion) + "\n";
-  out += "grid_fp " + hex16(s.grid_fp) + "\n";
-  out += "cell_fp " + hex16(s.cell_fp) + "\n";
-  out += "index " + std::to_string(s.index) + "\n";
-  out += "dataset " + s.dataset + "\n";
-  out += "fault " + fmt17(s.fault) + "\n";
-  out += "metric " + s.metric + "\n";
-  out += "policy " + s.policy + "\n";
-  out += "min_samples " + std::to_string(s.min_samples) + "\n";
-  out += "seed " + std::to_string(s.seed) + "\n";
-  out += std::string{"ok "} + (s.ok ? "1" : "0") + "\n";
+  append_line(out, "grid_fp", Hex{s.grid_fp});
+  append_line(out, "cell_fp", Hex{s.cell_fp});
+  append_line(out, "index", s.index);
+  append_line(out, "dataset", s.dataset);
+  append_line(out, "fault", s.fault);
+  append_line(out, "metric", s.metric);
+  append_line(out, "policy", s.policy);
+  append_line(out, "min_samples", s.min_samples);
+  append_line(out, "seed", s.seed);
+  append_line(out, "ok", s.ok ? 1 : 0);
   if (!s.ok) {
-    out += "error " + s.error + "\n";
+    append_line(out, "error", s.error);
   } else {
-    out += "hosts " + std::to_string(s.hosts) + "\n";
-    out += "measurements " + std::to_string(s.measurements) + "\n";
-    out += "completed " + std::to_string(s.completed) + "\n";
-    out += "usable_edges " + std::to_string(s.usable_edges) + "\n";
-    out += "pairs " + std::to_string(s.pairs) + "\n";
-    out += "coverage " + fmt17(s.coverage) + "\n";
-    out += "better " + fmt17(s.better) + "\n";
-    out += std::string{"has_sig "} + (s.has_sig ? "1" : "0") + "\n";
-    out += "sig_better " + fmt17(s.sig_better) + "\n";
-    out += "sig_indeterminate " + fmt17(s.sig_indeterminate) + "\n";
-    out += "sig_worse " + fmt17(s.sig_worse) + "\n";
-    out += "found_full " + fmt17(s.found_full) + "\n";
+    append_line(out, "hosts", s.hosts);
+    append_line(out, "measurements", s.measurements);
+    append_line(out, "completed", s.completed);
+    append_line(out, "usable_edges", s.usable_edges);
+    append_line(out, "pairs", s.pairs);
+    append_line(out, "coverage", s.coverage);
+    append_line(out, "better", s.better);
+    append_line(out, "has_sig", s.has_sig ? 1 : 0);
+    append_line(out, "sig_better", s.sig_better);
+    append_line(out, "sig_indeterminate", s.sig_indeterminate);
+    append_line(out, "sig_worse", s.sig_worse);
+    append_line(out, "found_full", s.found_full);
   }
   for (const CellSummary::Artifact& a : s.artifacts) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, " %llu %08lx",
-                  static_cast<unsigned long long>(a.size),
-                  static_cast<unsigned long>(a.crc));
-    out += "artifact " + a.rel_path + buf + "\n";
+    append_line(out, "artifact", a.rel_path, a.size, Hex{a.crc, 8});
   }
-  char crc_line[32];
-  std::snprintf(crc_line, sizeof crc_line, "crc %08lx\n",
-                static_cast<unsigned long>(crc32(out)));
-  return out + crc_line;
+  codec::seal_text(out, codec::CrcRadix::kHex);
+  return out;
 }
 
 Result<CellSummary> parse_cell_summary(std::string_view text) {
-  // Find the trailing `crc XXXXXXXX\n` line and validate the payload first;
-  // a torn or tampered file never reaches the field parser.
-  if (text.size() < 14 || text.back() != '\n') {
-    return parse_fail("truncated (no trailing crc line)");
-  }
-  const std::size_t crc_pos = text.rfind("crc ", text.size() - 2);
-  if (crc_pos == std::string_view::npos ||
-      (crc_pos != 0 && text[crc_pos - 1] != '\n')) {
-    return parse_fail("missing crc line");
-  }
-  std::uint64_t stored_crc = 0;
-  const std::string_view crc_value =
-      text.substr(crc_pos + 4, text.size() - crc_pos - 5);
-  if (!codec::parse_u64(crc_value, stored_crc, 16)) {
-    return parse_fail("malformed crc line");
-  }
-  const std::string_view payload = text.substr(0, crc_pos);
-  if (crc32(payload) != static_cast<std::uint32_t>(stored_crc)) {
-    return parse_fail("crc mismatch (torn or corrupt summary)");
-  }
-  // The crc line is the one part outside the checksum, so pin its exact
-  // canonical rendering: "Fdebc0dc" parses to the same value as "fdebc0dc"
-  // and would otherwise let a case-flipped byte through.
-  char canonical[16];
-  std::snprintf(canonical, sizeof canonical, "crc %08lx\n",
-                static_cast<unsigned long>(stored_crc));
-  if (text.substr(crc_pos) != canonical) {
-    return parse_fail("malformed crc line");
+  // A torn or tampered file never reaches the field parser.
+  const std::optional<std::string_view> payload =
+      codec::unseal_text(text, codec::CrcRadix::kHex);
+  if (!payload.has_value()) {
+    return parse_fail("missing, malformed or mismatched crc line (torn or "
+                      "corrupt summary)");
   }
 
-  LineReader reader{payload};
+  // Every field is read in the exact order serialize_cell_summary writes it.
+  codec::Lines lines{*payload};
   std::string_view line;
   std::string_view value;
   auto need = [&](std::string_view key) -> bool {
-    return reader.next(line) && key_value(line, key, value);
+    return lines.next(line) && key_value(line, key, value);
   };
 
-  if (!reader.next(line) ||
+  if (!lines.next(line) ||
       line != "pathsel-matrix-cell v" + std::to_string(kCellSummaryVersion)) {
     return parse_fail("bad or missing header");
   }
@@ -423,9 +356,11 @@ Result<CellSummary> parse_cell_summary(std::string_view text) {
       return parse_fail("bad found_full");
     }
   }
-  while (reader.peek(line)) {
-    if (!key_value(line, "artifact", value)) break;
-    reader.next(line);
+  // Only artifact lines may follow the fields.
+  while (lines.next(line)) {
+    if (!key_value(line, "artifact", value)) {
+      return parse_fail("trailing garbage after fields");
+    }
     // `artifact <rel_path> <size> <crc>`: rel_path may not hold spaces (the
     // engine only writes fixed names), so split from the right.
     const std::string_view rest = value;
@@ -447,7 +382,6 @@ Result<CellSummary> parse_cell_summary(std::string_view text) {
     a.crc = static_cast<std::uint32_t>(crc_v);
     s.artifacts.push_back(std::move(a));
   }
-  if (!reader.exhausted()) return parse_fail("trailing garbage after fields");
   return s;
 }
 

@@ -1,7 +1,6 @@
 #include "matrix/grid.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include "meas/catalog.h"
 #include "meas/checkpoint.h"
@@ -94,12 +93,6 @@ Result<std::vector<std::string>> split_values(std::string_view s,
   return out;
 }
 
-std::string fmt17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 const char* const kAxisNames[] = {"datasets", "faults",  "metrics",
                                   "policies", "samples", "seeds"};
 
@@ -142,14 +135,10 @@ Result<GridConfig> parse_grid(std::string_view text) {
     return Status::ok();
   };
 
+  codec::Lines lines{text};
+  std::string_view raw;
   std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    std::string_view raw =
-        text.substr(pos, eol == std::string_view::npos ? std::string_view::npos
-                                                       : eol - pos);
-    pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
+  while (lines.next(raw)) {
     ++line_no;
     if (const std::size_t hash = raw.find('#'); hash != std::string_view::npos) {
       raw = raw.substr(0, hash);
@@ -301,7 +290,7 @@ Result<GridConfig> parse_grid(std::string_view text) {
   for (const auto& [axis, axis_labels] :
        {std::pair{"datasets", as_labels(grid.datasets,
                                         [](const std::string& s) { return s; })},
-        std::pair{"faults", as_labels(grid.faults, fmt17)},
+        std::pair{"faults", as_labels(grid.faults, codec::to_text<double>)},
         std::pair{"metrics",
                   as_labels(grid.metrics,
                             [](core::Metric m) {
@@ -332,7 +321,7 @@ std::string canonical_grid(const GridConfig& grid) {
   std::string out = "# pathsel-grid v" + std::to_string(kGridFormatVersion) +
                     " (canonical)\n";
   out += "name = " + grid.name + "\n";
-  out += "scale = " + fmt17(grid.scale) + "\n";
+  out += "scale = " + codec::to_text(grid.scale) + "\n";
   auto section = [&out](const char* axis, const std::vector<std::string>& vs) {
     out += std::string{"["} + axis + "]\nvalues = ";
     for (std::size_t i = 0; i < vs.size(); ++i) {
@@ -345,7 +334,7 @@ std::string canonical_grid(const GridConfig& grid) {
   vs.assign(grid.datasets.begin(), grid.datasets.end());
   section("datasets", vs);
   vs.clear();
-  for (const double f : grid.faults) vs.push_back(fmt17(f));
+  for (const double f : grid.faults) vs.push_back(codec::to_text(f));
   section("faults", vs);
   vs.clear();
   for (const core::Metric m : grid.metrics) vs.emplace_back(metric_label(m));
@@ -406,7 +395,7 @@ int effective_min_samples(const GridConfig& grid, const CellSpec& cell) {
 }
 
 std::string cell_label(const CellSpec& cell) {
-  return cell.dataset + " fault=" + fmt17(cell.fault) + " " +
+  return cell.dataset + " fault=" + codec::to_text(cell.fault) + " " +
          metric_label(cell.metric) + " " + cell.policy.label() +
          " ms=" + std::to_string(cell.min_samples) +
          " seed=" + std::to_string(cell.seed);

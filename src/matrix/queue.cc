@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "util/codec.h"
+
 namespace pathsel::matrix {
 
 namespace {
@@ -9,13 +11,6 @@ namespace {
 std::string cell_file_stem(std::size_t index) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "cell-%05zu", index);
-  return buf;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
   return buf;
 }
 
@@ -52,7 +47,7 @@ std::string cell_summary_path(const std::string& work_dir, std::size_t index) {
 std::string cell_work_dir(const std::string& work_dir, std::size_t index,
                           std::uint64_t cell_fp) {
   return cells_dir(work_dir) + "/" + cell_file_stem(index) + "-" +
-         hex16(cell_fp);
+         codec::to_text(codec::Hex{cell_fp});
 }
 
 Result<FileLock> try_claim_cell(const std::string& work_dir,

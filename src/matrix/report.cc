@@ -6,6 +6,7 @@
 #include <functional>
 #include <sstream>
 
+#include "util/codec.h"
 #include "util/table.h"
 
 namespace pathsel::matrix {
@@ -20,13 +21,6 @@ std::string shortest(double v) {
     std::snprintf(buf, sizeof buf, "%.*g", prec, v);
     if (std::strtod(buf, nullptr) == v) return buf;
   }
-  return buf;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
   return buf;
 }
 
@@ -104,7 +98,7 @@ std::string render_matrix_report(const GridConfig& grid,
   std::ostringstream os;
   os << "pathsel matrix report v1\n";
   os << "grid: " << grid.name << "\n";
-  os << "fingerprint: " << hex16(grid_fp) << "\n";
+  os << "fingerprint: " << codec::to_text(codec::Hex{grid_fp}) << "\n";
   os << "scale: " << shortest(grid.scale) << "\n";
   os << "cells: " << summaries.size() << "\n";
   std::size_t degraded = 0;

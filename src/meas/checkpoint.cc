@@ -1,9 +1,9 @@
 #include "meas/checkpoint.h"
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <limits>
-#include <sstream>
 
 #include "meas/serialize.h"
 #include "util/atomic_io.h"
@@ -31,33 +31,16 @@ Status corrupt(const std::string& what) {
   return Status::error(ErrorCode::kParseError, "corrupt checkpoint: " + what);
 }
 
-/// Splits off and verifies the trailing "crc <n>" line; on success returns
-/// the payload (everything before that line).
-Result<std::string_view> strip_and_check_crc(std::string_view text) {
-  // The payload always ends with '\n', so the crc line is the last
-  // newline-terminated line.
-  if (text.empty() || text.back() != '\n') {
-    return corrupt("missing trailing newline (truncated)");
+/// The payload of checkpoint or MANIFEST text: everything before its
+/// trailing decimal "crc <n>" line, which must match.
+Result<std::string_view> unseal(std::string_view text) {
+  const std::optional<std::string_view> payload =
+      codec::unseal_text(text, codec::CrcRadix::kDecimal);
+  if (!payload.has_value()) {
+    return corrupt("missing, malformed or mismatched crc line (torn or "
+                   "tampered file)");
   }
-  const std::size_t line_start =
-      text.find_last_of('\n', text.size() - 2);  // newline before the crc line
-  if (line_start == std::string_view::npos) return corrupt("no crc line");
-  const std::string_view payload = text.substr(0, line_start + 1);
-  std::string crc_line{text.substr(line_start + 1)};
-  crc_line.pop_back();  // trailing '\n'
-  std::istringstream ls{crc_line};
-  std::string key;
-  std::string value;
-  std::uint64_t recorded = 0;
-  if (!(ls >> key >> value) || key != "crc" ||
-      !codec::parse_u64(value, recorded) || recorded > 0xFFFFFFFFULL ||
-      (ls >> key)) {
-    return corrupt("malformed crc line");
-  }
-  if (crc32(payload) != static_cast<std::uint32_t>(recorded)) {
-    return corrupt("payload does not match its crc (torn or tampered file)");
-  }
-  return payload;
+  return *payload;
 }
 
 std::string sanitize_filename(const std::string& dataset) {
@@ -78,41 +61,35 @@ struct ManifestEntry {
 };
 
 std::string serialize_manifest(const std::vector<ManifestEntry>& entries) {
-  std::ostringstream os;
-  os << kManifestHeader << '\n';
+  std::string out = kManifestHeader;
+  out += '\n';
   for (const ManifestEntry& e : entries) {
-    os << "entry " << e.dataset << ' ' << e.file << ' ' << e.crc << ' '
-       << e.size << '\n';
+    codec::append_line(out, "entry", e.dataset, e.file, e.crc, e.size);
   }
-  std::string payload = os.str();
-  payload += "crc " + std::to_string(crc32(payload)) + '\n';
-  return payload;
+  codec::seal_text(out, codec::CrcRadix::kDecimal);
+  return out;
 }
 
 Result<std::vector<ManifestEntry>> parse_manifest(std::string_view text) {
-  const Result<std::string_view> payload = strip_and_check_crc(text);
+  const Result<std::string_view> payload = unseal(text);
   if (!payload.is_ok()) return payload.status();
-  std::istringstream is{std::string{payload.value()}};
-  std::string line;
-  if (!std::getline(is, line) || line != kManifestHeader) {
+  codec::Lines lines{payload.value()};
+  std::string_view line;
+  if (!lines.next(line) || line != kManifestHeader) {
     return corrupt("missing manifest header");
   }
   std::vector<ManifestEntry> entries;
-  while (std::getline(is, line)) {
+  while (lines.next(line)) {
     if (line.empty()) continue;
-    std::istringstream ls{line};
-    std::string key;
+    codec::Tokens ls{line};
     ManifestEntry e;
-    std::string crc_text;
-    std::string size_text;
-    std::uint64_t crc = 0;
-    if (!(ls >> key >> e.dataset >> e.file >> crc_text >> size_text) ||
-        key != "entry" || !codec::parse_u64(crc_text, crc) ||
-        crc > 0xFFFFFFFFULL || !codec::parse_u64(size_text, e.size) ||
-        (ls >> key)) {
-      return corrupt("malformed manifest entry: " + line);
+    const std::string_view key = ls.next();
+    e.dataset = ls.next();
+    e.file = ls.next();
+    if (key != "entry" || e.file.empty() || !ls.next_int(e.crc) ||
+        !ls.next_int(e.size) || !ls.next().empty()) {
+      return corrupt("malformed manifest entry: " + std::string{line});
     }
-    e.crc = static_cast<std::uint32_t>(crc);
     entries.push_back(std::move(e));
   }
   return entries;
@@ -181,62 +158,70 @@ std::uint64_t checkpoint_fingerprint(std::string_view dataset,
 std::string serialize_checkpoint(const CampaignCheckpoint& cp,
                                  MeasurementKind kind,
                                  std::uint64_t fingerprint) {
-  std::ostringstream os;
-  os << kCheckpointHeader << '\n';
-  os << "dataset " << cp.dataset_name << '\n';
-  os << "kind "
-     << (kind == MeasurementKind::kTraceroute ? "traceroute" : "tcp") << '\n';
-  os << "fingerprint " << fingerprint << '\n';
-  os << "now_ms " << cp.now.since_start().total_millis() << '\n';
-  os << "next_seq " << cp.next_seq << '\n';
-  os << "episodes " << cp.episode_count << '\n';
-  os << "injector_epoch " << cp.injector_epoch << '\n';
-  os << "rng " << cp.rng_state[0] << ' ' << cp.rng_state[1] << ' '
-     << cp.rng_state[2] << ' ' << cp.rng_state[3] << '\n';
-  os << "server_rngs " << cp.server_rng_states.size() << '\n';
+  using codec::append_line;
+  std::string out = kCheckpointHeader;
+  out += '\n';
+  append_line(out, "dataset", cp.dataset_name);
+  append_line(out, "kind",
+              kind == MeasurementKind::kTraceroute ? "traceroute" : "tcp");
+  append_line(out, "fingerprint", fingerprint);
+  append_line(out, "now_ms", cp.now.since_start().total_millis());
+  append_line(out, "next_seq", cp.next_seq);
+  append_line(out, "episodes", cp.episode_count);
+  append_line(out, "injector_epoch", cp.injector_epoch);
+  append_line(out, "rng", cp.rng_state[0], cp.rng_state[1], cp.rng_state[2],
+              cp.rng_state[3]);
+  append_line(out, "server_rngs", cp.server_rng_states.size());
   for (const auto& s : cp.server_rng_states) {
-    os << "r " << s[0] << ' ' << s[1] << ' ' << s[2] << ' ' << s[3] << '\n';
+    append_line(out, "r", s[0], s[1], s[2], s[3]);
   }
-  os << "pending " << cp.pending.size() << '\n';
+  append_line(out, "pending", cp.pending.size());
   for (const CampaignEvent& ev : cp.pending) {
-    os << "e " << static_cast<int>(ev.kind) << ' '
-       << ev.t.since_start().total_millis() << ' ' << ev.seq << ' ' << ev.a
-       << ' ' << ev.b << ' ' << ev.first.since_start().total_millis() << ' '
-       << ev.episode << ' ' << ev.tried << '\n';
+    append_line(out, "e", static_cast<int>(ev.kind),
+                ev.t.since_start().total_millis(), ev.seq, ev.a, ev.b,
+                ev.first.since_start().total_millis(), ev.episode, ev.tried);
   }
-  os << "measurements " << cp.measurements.size() << '\n';
-  std::string payload = std::move(os).str();
+  append_line(out, "measurements", cp.measurements.size());
   for (const Measurement& m : cp.measurements) {
-    append_measurement(payload, m, kind);
+    append_measurement(out, m, kind);
   }
-  payload += "crc " + std::to_string(crc32(payload)) + '\n';
-  return payload;
+  codec::seal_text(out, codec::CrcRadix::kDecimal);
+  return out;
 }
 
 Result<CampaignCheckpoint> parse_checkpoint(std::string_view text,
                                             MeasurementKind expected_kind,
                                             std::uint64_t expected_fingerprint) {
-  const Result<std::string_view> payload = strip_and_check_crc(text);
+  const Result<std::string_view> payload = unseal(text);
   if (!payload.is_ok()) return payload.status();
-  std::istringstream is{std::string{payload.value()}};
-  std::string line;
-  if (!std::getline(is, line) || line != kCheckpointHeader) {
+  codec::Lines lines{payload.value()};
+  std::string_view line;
+  if (!lines.next(line) || line != kCheckpointHeader) {
     return corrupt("missing or unsupported header");
   }
 
-  auto expect_field = [&](const char* key, std::string& value) -> bool {
-    if (!std::getline(is, line)) return false;
-    std::istringstream ls{line};
-    std::string k;
-    ls >> k;
-    if (k != key) return false;
-    std::getline(ls, value);
-    if (!value.empty() && value.front() == ' ') value.erase(0, 1);
+  // A key token, one separating space, and the rest of the line as the
+  // value.
+  auto expect_field = [&](const char* key, std::string_view& value) -> bool {
+    if (!lines.next(line)) return false;
+    codec::Tokens ls{line};
+    if (ls.next() != key) return false;
+    value = ls.rest();
+    if (!value.empty() && value.front() == ' ') value.remove_prefix(1);
     return true;
+  };
+  // A line of exactly `key` and four u64 words.
+  auto rng_line = [&](const char* key, std::array<std::uint64_t, 4>& state) {
+    codec::Tokens ls{line};
+    if (ls.next() != key) return false;
+    for (std::uint64_t& word : state) {
+      if (!ls.next_int(word)) return false;
+    }
+    return ls.next().empty();
   };
 
   CampaignCheckpoint cp;
-  std::string value;
+  std::string_view value;
   std::uint64_t u = 0;
   std::int64_t i = 0;
   if (!expect_field("dataset", value)) return corrupt("missing dataset");
@@ -248,7 +233,7 @@ Result<CampaignCheckpoint> parse_checkpoint(std::string_view text,
   } else if (value == "tcp") {
     kind = MeasurementKind::kTcpTransfer;
   } else {
-    return corrupt("unknown kind: " + value);
+    return corrupt("unknown kind: " + std::string{value});
   }
   if (kind != expected_kind) {
     return Status::error(ErrorCode::kInvalidArgument,
@@ -281,21 +266,8 @@ Result<CampaignCheckpoint> parse_checkpoint(std::string_view text,
     return corrupt("invalid injector_epoch");
   }
 
-  if (!std::getline(is, line)) return corrupt("missing rng line");
-  {
-    std::istringstream ls{line};
-    std::string key;
-    std::string words[4];
-    if (!(ls >> key >> words[0] >> words[1] >> words[2] >> words[3]) ||
-        key != "rng" || (ls >> key)) {
-      return corrupt("malformed rng line");
-    }
-    for (std::size_t k = 0; k < 4; ++k) {
-      if (!codec::parse_u64(words[k], cp.rng_state[k])) {
-        return corrupt("malformed rng state");
-      }
-    }
-  }
+  if (!lines.next(line)) return corrupt("missing rng line");
+  if (!rng_line("rng", cp.rng_state)) return corrupt("malformed rng line");
 
   if (!expect_field("server_rngs", value) || !codec::parse_u64(value, u) ||
       u > kMaxServerRngs) {
@@ -303,20 +275,9 @@ Result<CampaignCheckpoint> parse_checkpoint(std::string_view text,
   }
   cp.server_rng_states.reserve(u);
   for (std::uint64_t n = 0; n < u; ++n) {
-    if (!std::getline(is, line)) return corrupt("truncated server rng list");
-    std::istringstream ls{line};
-    std::string key;
-    std::string words[4];
-    if (!(ls >> key >> words[0] >> words[1] >> words[2] >> words[3]) ||
-        key != "r" || (ls >> key)) {
-      return corrupt("malformed server rng line");
-    }
+    if (!lines.next(line)) return corrupt("truncated server rng list");
     std::array<std::uint64_t, 4> state{};
-    for (std::size_t k = 0; k < 4; ++k) {
-      if (!codec::parse_u64(words[k], state[k])) {
-        return corrupt("malformed server rng state");
-      }
-    }
+    if (!rng_line("r", state)) return corrupt("malformed server rng line");
     cp.server_rng_states.push_back(state);
   }
 
@@ -326,38 +287,25 @@ Result<CampaignCheckpoint> parse_checkpoint(std::string_view text,
   }
   cp.pending.reserve(u);
   for (std::uint64_t n = 0; n < u; ++n) {
-    if (!std::getline(is, line)) return corrupt("truncated pending list");
-    std::istringstream ls{line};
-    std::string key;
-    std::int64_t kind_v = 0;
+    if (!lines.next(line)) return corrupt("truncated pending list");
+    codec::Tokens ls{line};
+    int kind_v = 0;
     std::int64_t t_ms = 0;
     std::int64_t first_ms = 0;
     CampaignEvent ev;
-    std::int64_t a = 0;
-    std::int64_t b = 0;
-    std::int64_t episode = 0;
-    std::int64_t tried = 0;
-    if (!(ls >> key >> kind_v >> t_ms >> ev.seq >> a >> b >> first_ms >>
-          episode >> tried) ||
-        key != "e" || (ls >> key)) {
-      return corrupt("malformed pending event: " + line);
+    if (ls.next() != "e" || !ls.next_int(kind_v) || !ls.next_int(t_ms) ||
+        !ls.next_int(ev.seq) || !ls.next_int(ev.a) || !ls.next_int(ev.b) ||
+        !ls.next_int(first_ms) || !ls.next_int(ev.episode) ||
+        !ls.next_int(ev.tried) || !ls.next().empty()) {
+      return corrupt("malformed pending event: " + std::string{line});
     }
     if (kind_v < 0 || kind_v >= kCampaignEventKindCount || t_ms < 0 ||
-        first_ms < 0 || episode < -1 || tried < 0 || tried > 255 ||
-        a < std::numeric_limits<std::int32_t>::min() ||
-        a > std::numeric_limits<std::int32_t>::max() ||
-        b < std::numeric_limits<std::int32_t>::min() ||
-        b > std::numeric_limits<std::int32_t>::max() ||
-        episode > std::numeric_limits<std::int32_t>::max()) {
-      return corrupt("pending event out of range: " + line);
+        first_ms < 0 || ev.episode < -1 || ev.tried < 0 || ev.tried > 255) {
+      return corrupt("pending event out of range: " + std::string{line});
     }
     ev.kind = static_cast<CampaignEventKind>(kind_v);
     ev.t = SimTime::at(Duration::millis(t_ms));
     ev.first = SimTime::at(Duration::millis(first_ms));
-    ev.a = static_cast<std::int32_t>(a);
-    ev.b = static_cast<std::int32_t>(b);
-    ev.episode = static_cast<std::int32_t>(episode);
-    ev.tried = static_cast<std::int32_t>(tried);
     cp.pending.push_back(ev);
   }
 
@@ -367,7 +315,7 @@ Result<CampaignCheckpoint> parse_checkpoint(std::string_view text,
   }
   cp.measurements.reserve(u);
   for (std::uint64_t n = 0; n < u; ++n) {
-    if (!std::getline(is, line)) return corrupt("truncated measurement list");
+    if (!lines.next(line)) return corrupt("truncated measurement list");
     Measurement m;
     std::string error;
     if (!parse_measurement(line, kind, nullptr, m, &error)) {
@@ -375,7 +323,7 @@ Result<CampaignCheckpoint> parse_checkpoint(std::string_view text,
     }
     cp.measurements.push_back(std::move(m));
   }
-  if (std::getline(is, line)) return corrupt("trailing data after payload");
+  if (lines.next(line)) return corrupt("trailing data after payload");
   return cp;
 }
 

@@ -1,8 +1,6 @@
 #include "meas/serialize.h"
 
-#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -33,39 +31,21 @@ bool finite_nonneg(double x) { return std::isfinite(x) && x >= 0.0; }
 
 // ---- writer ---------------------------------------------------------------
 
-// Appends ' ' and the value: one field of a row or header line.
-template <typename Int>
-void append_field(std::string& out, Int v) {
-  char buf[24];
-  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
-  out += ' ';
-  out.append(buf, r.ptr);
-}
-
-// Precision 17 in the general format is printf("%.17g"), enough digits to
-// round-trip every double and byte for byte what an ostream at
-// precision(17) prints.
-void append_field(std::string& out, double v) {
-  char buf[32];
-  const std::to_chars_result r =
-      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
-  out += ' ';
-  out.append(buf, r.ptr);
-}
+using codec::append_field;
 
 void append_header(std::string& out, const Dataset& dataset) {
   out += kDatasetHeader;
-  out += "\nname ";
-  out += dataset.name;
-  out += dataset.kind == MeasurementKind::kTraceroute ? "\nkind traceroute"
-                                                      : "\nkind tcp";
-  out += "\nduration_ms";
-  append_field(out, dataset.duration.total_millis());
-  out += "\nfirst_sample_loss_only";
-  append_field(out, dataset.first_sample_loss_only ? 1 : 0);
-  out += "\nepisodes";
-  append_field(out, dataset.episode_count);
-  out += "\nhosts";
+  out += '\n';
+  codec::append_line(out, "name", dataset.name);
+  codec::append_line(out, "kind",
+                     dataset.kind == MeasurementKind::kTraceroute
+                         ? "traceroute"
+                         : "tcp");
+  codec::append_line(out, "duration_ms", dataset.duration.total_millis());
+  codec::append_line(out, "first_sample_loss_only",
+                     dataset.first_sample_loss_only ? 1 : 0);
+  codec::append_line(out, "episodes", dataset.episode_count);
+  out += "hosts";
   append_field(out, dataset.hosts.size());
   for (const auto h : dataset.hosts) append_field(out, h.value());
   out += '\n';
@@ -73,81 +53,7 @@ void append_header(std::string& out, const Dataset& dataset) {
 
 // ---- reader ---------------------------------------------------------------
 
-// The whitespace operator>> skips in the C locale.
-constexpr bool is_space(char c) noexcept {
-  return c == ' ' || (c >= '\t' && c <= '\r');
-}
-
-// One whole token as a base-10 integer.  from_chars takes a '-' but not the
-// '+' that num_get also accepts, so a single '+' is stripped first.
-template <typename Int>
-bool parse_int(std::string_view token, Int& out) {
-  if (!token.empty() && token.front() == '+') {
-    token.remove_prefix(1);
-    if (!token.empty() && token.front() == '-') return false;
-  }
-  const char* end = token.data() + token.size();
-  const std::from_chars_result r = std::from_chars(token.data(), end, out);
-  return r.ec == std::errc{} && r.ptr == end;
-}
-
-// One whole token as a decimal double (see the token language in
-// serialize.h).
-bool parse_real(std::string_view token, double& out) {
-  const bool plus = !token.empty() && token.front() == '+';
-  if (plus) token.remove_prefix(1);
-  const std::size_t lead = !plus && !token.empty() && token.front() == '-';
-  // A digit or a point must follow the sign: this rules out a second sign
-  // and the inf/nan spellings from_chars would otherwise take.
-  if (token.size() <= lead ||
-      !((token[lead] >= '0' && token[lead] <= '9') || token[lead] == '.')) {
-    return false;
-  }
-  const char* end = token.data() + token.size();
-  const std::from_chars_result r =
-      std::from_chars(token.data(), end, out, std::chars_format::general);
-  if (r.ptr != end) return false;
-  if (r.ec == std::errc::result_out_of_range) {
-    // from_chars reports overflow and underflow alike and leaves `out`
-    // alone.  strtod tells them apart: an infinity for overflow (rejected),
-    // a signed zero or subnormal for underflow (accepted, as num_get did).
-    const double v = std::strtod(std::string{token}.c_str(), nullptr);
-    if (std::isinf(v)) return false;
-    out = v;
-    return true;
-  }
-  return r.ec == std::errc{};
-}
-
-// Whitespace-separated tokens of one line.
-class Tokens {
- public:
-  explicit Tokens(std::string_view line) noexcept
-      : p_{line.data()}, end_{line.data() + line.size()} {}
-
-  /// The next token; empty once the line is used up.
-  std::string_view next() noexcept {
-    while (p_ != end_ && is_space(*p_)) ++p_;
-    const char* begin = p_;
-    while (p_ != end_ && !is_space(*p_)) ++p_;
-    return {begin, static_cast<std::size_t>(p_ - begin)};
-  }
-
-  /// Everything after the last token taken, unskipped.
-  std::string_view rest() const noexcept {
-    return {p_, static_cast<std::size_t>(end_ - p_)};
-  }
-
-  template <typename Int>
-  bool next_int(Int& out) {
-    return parse_int(next(), out);
-  }
-  bool next_real(double& out) { return parse_real(next(), out); }
-
- private:
-  const char* p_;
-  const char* end_;
-};
+using codec::Tokens;
 
 // Parses the fields after a row's "m" tag.  `line` is the whole row, for
 // error messages.
@@ -377,20 +283,12 @@ std::optional<Dataset> parse_dataset(NextLine&& read_line, std::string* error) {
   return ds;
 }
 
-// parse_dataset over text in memory, split at '\n' as std::getline would.
+// parse_dataset over text in memory.
 std::optional<Dataset> parse_dataset_text(std::string_view text,
                                           std::string* error) {
-  std::size_t pos = 0;
+  codec::Lines lines{text};
   return parse_dataset(
-      [&text, &pos](std::string_view& line) {
-        if (pos >= text.size()) return false;
-        const std::size_t nl = text.find('\n', pos);
-        const std::size_t stop = nl == std::string_view::npos ? text.size() : nl;
-        line = text.substr(pos, stop - pos);
-        pos = stop + 1;
-        return true;
-      },
-      error);
+      [&lines](std::string_view& line) { return lines.next(line); }, error);
 }
 
 }  // namespace

@@ -21,16 +21,12 @@
 //   Legacy datasets contain neither token, so writing a fault-free dataset
 //   reproduces the historical byte stream exactly.
 //
-// Token language.  A line is split into tokens at the C locale's whitespace
-// (space, \t, \r, \v, \f), so a trailing \r or extra spaces are harmless,
-// and every token is parsed whole: a number glued to its neighbour ("0f",
-// "7a") is malformed.  Integers are base-10 with an optional sign, '+'
-// included.  Doubles are decimal: an optional sign, digits with an optional
-// point and fraction, and an optional exponent ("1", "+1.5", ".5", "5.",
-// "1e2", "-0"); there is no hex, inf or nan.  A value outside its
-// field's type is rejected, except that a double too small for a subnormal
-// reads as a zero of its sign.  The writer prints doubles as printf("%.17g"),
-// which round-trips every finite value bit for bit.
+// Token language.  Lines split into tokens at the C locale's whitespace, so
+// a trailing \r or extra spaces are harmless, and every token is parsed
+// whole, so a number glued to its neighbour ("0f", "7a") is malformed.
+// Integers are base-10 and doubles decimal, with no hex, inf or nan; the
+// language is the shared text codec's, defined in util/codec.h.  The writer
+// prints doubles so that every finite value round-trips bit for bit.
 //
 // The reader validates everything it parses — host ids must be declared in
 // the hosts line, RTTs/rates must be finite and in range, counts must be

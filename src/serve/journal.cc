@@ -55,18 +55,12 @@ constexpr std::size_t kEdgeStateBytes = 4 + 4 + 8 + 2 * 5 * 8;
 }  // namespace
 
 Result<EdgeUpdate> parse_update(std::string_view spec) {
-  // Tokenize on single spaces; extra or missing fields are their own errors.
+  // Extra or missing fields are their own errors.
   std::vector<std::string> tokens;
-  std::string cur;
-  for (const char ch : spec) {
-    if (ch == ' ' || ch == '\t') {
-      if (!cur.empty()) tokens.push_back(std::move(cur));
-      cur.clear();
-    } else {
-      cur.push_back(ch);
-    }
+  codec::Tokens ls{spec};
+  for (std::string_view t = ls.next(); !t.empty(); t = ls.next()) {
+    tokens.emplace_back(t);
   }
-  if (!cur.empty()) tokens.push_back(std::move(cur));
 
   auto bad = [&](const std::string& why) {
     return Status::error(ErrorCode::kInvalidArgument,
@@ -83,7 +77,7 @@ Result<EdgeUpdate> parse_update(std::string_view spec) {
   auto parse_host = [&](const std::string& tok, const char* which,
                         std::int32_t& out) -> Status {
     std::int64_t v = 0;
-    if (!codec::parse_i64(tok, v) || v < 0 ||
+    if (!codec::parse_int(tok, v) || v < 0 ||
         v > std::numeric_limits<std::int32_t>::max()) {
       return bad(std::string{which} + " host id '" + tok +
                  "' is not a non-negative integer");
@@ -98,7 +92,7 @@ Result<EdgeUpdate> parse_update(std::string_view spec) {
   if (a == b) return bad("a path needs two distinct hosts");
 
   double rtt = 0.0;
-  if (!codec::parse_double(tokens[3], rtt) || !std::isfinite(rtt) ||
+  if (!codec::parse_real(tokens[3], rtt) || !std::isfinite(rtt) ||
       rtt < 0.0) {
     return bad("rtt '" + tokens[3] + "' is not a finite non-negative number");
   }

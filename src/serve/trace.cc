@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -15,14 +14,6 @@
 namespace pathsel::serve {
 
 namespace {
-
-// Shortest-exact double rendering (%.17g round-trips every IEEE double), the
-// same convention the bench JSON writers use for byte-stable output.
-std::string render_double(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", v);
-  return buffer;
-}
 
 struct PendingQuery {
   enum class Kind { kBest, kDisjoint };
@@ -48,13 +39,13 @@ std::string run_query(ServeEngine& engine, const PendingQuery& q,
     std::string line = q.prefix + ": " + meta_fields(r.meta) + " ";
     switch (r.kind) {
       case BestResponse::Kind::kOk:
-        line += "direct=" + render_double(r.direct) +
-                " alternate=" + render_double(r.alternate) +
+        line += "direct=" + codec::to_text(r.direct) +
+                " alternate=" + codec::to_text(r.alternate) +
                 " relay=" + std::to_string(r.relay) + " significance=" +
                 core::to_string(r.significance);
         break;
       case BestResponse::Kind::kNoAlternate:
-        line += "no-alternate direct=" + render_double(r.direct);
+        line += "no-alternate direct=" + codec::to_text(r.direct);
         break;
       case BestResponse::Kind::kNoPair:
         line += "no-pair";
@@ -72,15 +63,15 @@ std::string run_query(ServeEngine& engine, const PendingQuery& q,
   switch (r.kind) {
     case DisjointResponse::Kind::kOk: {
       line += "found=" + std::to_string(r.result.found_k()) +
-              " default=" + render_double(r.result.default_value) +
-              " total_weight=" + render_double(r.result.total_weight) +
+              " default=" + codec::to_text(r.result.default_value) +
+              " total_weight=" + codec::to_text(r.result.total_weight) +
               " paths=";
       if (r.result.paths.empty()) {
         line += "-";
       } else {
         for (std::size_t p = 0; p < r.result.paths.size(); ++p) {
           if (p > 0) line += "|";
-          line += render_double(r.result.paths[p].value) + ":";
+          line += codec::to_text(r.result.paths[p].value) + ":";
           const auto& via = r.result.paths[p].via;
           for (std::size_t h = 0; h < via.size(); ++h) {
             if (h > 0) line += ",";
@@ -142,7 +133,7 @@ void drain_queries(ServeEngine& engine, std::vector<PendingQuery>& batch,
   batch.clear();
 }
 
-[[nodiscard]] bool parse_metric(const std::string& token,
+[[nodiscard]] bool parse_metric(std::string_view token,
                                 core::Metric& metric) {
   if (token == "rtt") {
     metric = core::Metric::kRtt;
@@ -153,14 +144,6 @@ void drain_queries(ServeEngine& engine, std::vector<PendingQuery>& batch,
     return true;
   }
   return false;
-}
-
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream is{line};
-  std::string token;
-  while (is >> token) tokens.push_back(token);
-  return tokens;
 }
 
 }  // namespace
@@ -184,11 +167,12 @@ Result<TraceStats> run_trace(ServeEngine& engine, std::istream& in,
     const std::size_t first = line.find_first_not_of(" \t");
     if (first == std::string::npos || line[first] == '#') continue;
     ++stats.lines;
-    const std::vector<std::string> tokens = tokenize(line);
+    codec::Tokens tokens{line};
+    const std::string_view op = tokens.next();
 
-    if (tokens[0] == "tick") {
+    if (op == "tick") {
       std::int64_t ms = 0;
-      if (tokens.size() != 2 || !codec::parse_i64(tokens[1], ms) || ms < 0) {
+      if (!tokens.next_int(ms) || ms < 0 || !tokens.next().empty()) {
         malformed("tick wants one non-negative millisecond count");
         continue;
       }
@@ -197,8 +181,8 @@ Result<TraceStats> run_trace(ServeEngine& engine, std::istream& in,
       continue;
     }
 
-    if (tokens[0] == "flush") {
-      if (tokens.size() != 1) {
+    if (op == "flush") {
+      if (!tokens.next().empty()) {
         malformed("flush takes no operands");
         continue;
       }
@@ -207,10 +191,8 @@ Result<TraceStats> run_trace(ServeEngine& engine, std::istream& in,
       continue;
     }
 
-    if (tokens[0] == "update") {
-      const std::size_t at = line.find("update");
-      Result<EdgeUpdate> update = parse_update(
-          std::string_view{line}.substr(at + std::string{"update"}.size()));
+    if (op == "update") {
+      Result<EdgeUpdate> update = parse_update(tokens.rest());
       if (!update.is_ok()) {
         malformed(update.status().message());
         continue;
@@ -223,45 +205,49 @@ Result<TraceStats> run_trace(ServeEngine& engine, std::istream& in,
       continue;
     }
 
-    if (tokens[0] == "query") {
+    if (op == "query") {
       PendingQuery q;
-      if (tokens.size() >= 2 && tokens[1] == "best") {
-        std::int64_t a = 0;
-        std::int64_t b = 0;
-        if (tokens.size() != 5 || !parse_metric(tokens[2], q.metric) ||
-            !codec::parse_i64(tokens[3], a) ||
-            !codec::parse_i64(tokens[4], b)) {
+      const std::string_view kind = tokens.next();
+      const std::string metric{tokens.next()};
+      if (kind == "best") {
+        const std::string a{tokens.next()};
+        const std::string b{tokens.next()};
+        std::int64_t a_id = 0;
+        std::int64_t b_id = 0;
+        if (!parse_metric(metric, q.metric) || !codec::parse_int(a, a_id) ||
+            !codec::parse_int(b, b_id) || !tokens.next().empty()) {
           malformed("want 'query best rtt|loss A B'");
           continue;
         }
         q.kind = PendingQuery::Kind::kBest;
-        q.a = topo::HostId{static_cast<std::int32_t>(a)};
-        q.b = topo::HostId{static_cast<std::int32_t>(b)};
-        q.prefix = "best " + tokens[2] + " " + tokens[3] + " " + tokens[4];
-      } else if (tokens.size() >= 2 && tokens[1] == "disjoint") {
-        std::int64_t k = 0;
-        std::int64_t a = 0;
-        std::int64_t b = 0;
-        if ((tokens.size() != 6 && tokens.size() != 7) ||
-            !parse_metric(tokens[2], q.metric) ||
-            !codec::parse_i64(tokens[3], k) ||
-            !codec::parse_i64(tokens[4], a) ||
-            !codec::parse_i64(tokens[5], b)) {
+        q.a = topo::HostId{static_cast<std::int32_t>(a_id)};
+        q.b = topo::HostId{static_cast<std::int32_t>(b_id)};
+        q.prefix = "best " + metric + " " + a + " " + b;
+      } else if (kind == "disjoint") {
+        const std::string k{tokens.next()};
+        const std::string a{tokens.next()};
+        const std::string b{tokens.next()};
+        const std::string_view budget = tokens.next();
+        std::int64_t k_v = 0;
+        std::int64_t a_id = 0;
+        std::int64_t b_id = 0;
+        if (!parse_metric(metric, q.metric) || !codec::parse_int(k, k_v) ||
+            !codec::parse_int(a, a_id) || !codec::parse_int(b, b_id) ||
+            !tokens.next().empty()) {
           malformed("want 'query disjoint rtt|loss K A B [BUDGET_MS]'");
           continue;
         }
-        if (tokens.size() == 7 &&
-            (!codec::parse_double(tokens[6], q.deadline_ms) ||
+        if (!budget.empty() &&
+            (!codec::parse_real(budget, q.deadline_ms) ||
              q.deadline_ms < 0.0)) {
           malformed("query budget must be a non-negative millisecond value");
           continue;
         }
         q.kind = PendingQuery::Kind::kDisjoint;
-        q.k = static_cast<int>(k);
-        q.a = topo::HostId{static_cast<std::int32_t>(a)};
-        q.b = topo::HostId{static_cast<std::int32_t>(b)};
-        q.prefix = "disjoint " + tokens[2] + " k=" + tokens[3] + " " +
-                   tokens[4] + " " + tokens[5];
+        q.k = static_cast<int>(k_v);
+        q.a = topo::HostId{static_cast<std::int32_t>(a_id)};
+        q.b = topo::HostId{static_cast<std::int32_t>(b_id)};
+        q.prefix = "disjoint " + metric + " k=" + k + " " + a + " " + b;
       } else {
         malformed("unknown query kind (want best|disjoint)");
         continue;
@@ -271,7 +257,7 @@ Result<TraceStats> run_trace(ServeEngine& engine, std::istream& in,
       continue;
     }
 
-    malformed("unknown op '" + tokens[0] + "'");
+    malformed("unknown op '" + std::string{op} + "'");
   }
 
   drain_queries(engine, pending, options.readers, out);

@@ -1,6 +1,6 @@
 #include "util/codec.h"
 
-#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/atomic_io.h"
@@ -9,19 +9,14 @@ namespace pathsel::codec {
 
 namespace {
 
-// strto* need a NUL-terminated copy; a parse counts only when it consumed
-// the whole copy (an embedded NUL ends the number early and is rejected).
-template <typename T, typename Convert>
-bool parse_whole(std::string_view text, T& out, Convert&& convert) {
-  const std::string z{text};
-  errno = 0;
-  char* end = nullptr;
-  const T v = convert(z.c_str(), &end);
-  if (errno == ERANGE || end == z.c_str() || end != z.c_str() + z.size()) {
-    return false;
+void append_trailer(std::string& out, std::uint32_t crc, CrcRadix radix) {
+  out += "crc ";
+  if (radix == CrcRadix::kHex) {
+    append_text(out, Hex{crc, 8});
+  } else {
+    append_text(out, crc);
   }
-  out = v;
-  return true;
+  out += '\n';
 }
 
 }  // namespace
@@ -45,24 +40,44 @@ void Cursor::fail_truncated(const char* what) {
   error_ = std::string{"truncated file: expected "} + what;
 }
 
-bool parse_u64(std::string_view text, std::uint64_t& out, int base) {
-  const std::size_t first = text.find_first_not_of(" \t\n\v\f\r");
-  if (first != std::string_view::npos && text[first] == '-') return false;
-  return parse_whole(text, out, [base](const char* s, char** end) {
-    return static_cast<std::uint64_t>(std::strtoull(s, end, base));
-  });
+namespace detail {
+
+bool parse_out_of_range(std::string_view token, double& out) {
+  // from_chars reports overflow and underflow alike and leaves `out` alone.
+  // strtod tells them apart: an infinity for overflow (rejected), a signed
+  // zero or subnormal for underflow (accepted).
+  const double v = std::strtod(std::string{token}.c_str(), nullptr);
+  if (std::isinf(v)) return false;
+  out = v;
+  return true;
 }
 
-bool parse_i64(std::string_view text, std::int64_t& out) {
-  return parse_whole(text, out, [](const char* s, char** end) {
-    return static_cast<std::int64_t>(std::strtoll(s, end, 10));
-  });
+}  // namespace detail
+
+void append_text(std::string& out, Hex v) {
+  char buf[24];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof buf, v.value, 16);
+  const auto len = static_cast<int>(r.ptr - buf);
+  if (len < v.digits) out.append(static_cast<std::size_t>(v.digits - len), '0');
+  out.append(buf, r.ptr);
 }
 
-bool parse_double(std::string_view text, double& out) {
-  return parse_whole(text, out, [](const char* s, char** end) {
-    return std::strtod(s, end);
-  });
+void seal_text(std::string& text, CrcRadix radix) {
+  append_trailer(text, crc32(text), radix);
+}
+
+std::optional<std::string_view> unseal_text(std::string_view text,
+                                            CrcRadix radix) {
+  if (text.empty() || text.back() != '\n') return std::nullopt;
+  // The last line starts after the newline before the final one (npos + 1
+  // is 0: a one-line text is all trailer).
+  const std::size_t start = text.substr(0, text.size() - 1).rfind('\n') + 1;
+  const std::string_view payload = text.substr(0, start);
+  std::string trailer;
+  append_trailer(trailer, crc32(payload), radix);
+  if (text.substr(start) != trailer) return std::nullopt;
+  return payload;
 }
 
 }  // namespace pathsel::codec

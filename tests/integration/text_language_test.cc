@@ -259,23 +259,25 @@ TEST(TextLanguage, ReaderOutcomeTable) {
       {R::kCheckpointLine, "e 04 043200500 016 3 0 43190000 01 2", true},
       {R::kCheckpointLine, "e 4 43200500 16 3 0 43190000 1 2\r", true},
       {R::kCheckpointLine, "e 4 43200500 16 3 0 43190000 1", false},
-      // Seven tokens, read as eight fields: a = 3, b = -4.
-      {R::kCheckpointLine, "e 1 10 1 3-4 5 6 7", true},
-      // A negative sequence number wraps to 2^64 - 16.
-      {R::kCheckpointLine, "e 4 43200500 -16 3 0 43190000 1 2", true},
+      // Whole tokens: seven tokens are not eight fields (3-4 is not a = 3,
+      // b = -4), and an unsigned sequence number takes no '-' (-16 does not
+      // wrap to 2^64 - 16).  Both were accepted by the istream reader.
+      {R::kCheckpointLine, "e 1 10 1 3-4 5 6 7", false},
+      {R::kCheckpointLine, "e 4 43200500 -16 3 0 43190000 1 2", false},
       // Header values: leading whitespace and '+' parse, trailing \r does not.
       {R::kCheckpointLine, "next_seq  17", true},
       {R::kCheckpointLine, "next_seq +17", true},
       {R::kCheckpointLine, "next_seq 17\r", false},
 
-      // Checkpoint and MANIFEST crc trailers.
+      // Checkpoint and MANIFEST crc trailers: only the canonical spelling,
+      // as in cell summaries (a sign or a leading zero was accepted).
       {R::kCheckpointCrc, "crc {}", true},
-      {R::kCheckpointCrc, "crc +{}", true},
-      {R::kCheckpointCrc, "crc 0{}", true},
+      {R::kCheckpointCrc, "crc +{}", false},
+      {R::kCheckpointCrc, "crc 0{}", false},
       {R::kCheckpointCrc, "crc {}x", false},
       {R::kManifestCrc, "crc {}", true},
-      {R::kManifestCrc, "crc +{}", true},
-      {R::kManifestCrc, "crc 0{}", true},
+      {R::kManifestCrc, "crc +{}", false},
+      {R::kManifestCrc, "crc 0{}", false},
       {R::kManifestCrc, "crc {}x", false},
 
       // Cell summary fields: hex fingerprints and crcs in either case and
@@ -290,19 +292,21 @@ TEST(TextLanguage, ReaderOutcomeTable) {
        true},
       {R::kCellSummaryLine, "coverage 0.5", true},
       {R::kCellSummaryLine, "coverage 1e400", false},
-      // Subnormals: the writer prints them, strtod flags them ERANGE.
-      {R::kCellSummaryLine, "coverage 4.9406564584124654e-324", false},
-      {R::kCellSummaryLine, "coverage 2.2250738585072009e-308", false},
-      {R::kCellSummaryLine, "fault 0x1p-2", true},
-      {R::kCellSummaryLine, "coverage inf", true},
+      // Subnormals read back as written (strtod's ERANGE rejected them).
+      {R::kCellSummaryLine, "coverage 4.9406564584124654e-324", true},
+      {R::kCellSummaryLine, "coverage 2.2250738585072009e-308", true},
+      // No hex floats, inf or nan (strtod took them).
+      {R::kCellSummaryLine, "fault 0x1p-2", false},
+      {R::kCellSummaryLine, "coverage inf", false},
 
       // Serve update specs.
       {R::kUpdate, "sample 1 2 3.5 0", true},
       {R::kUpdate, "sample\t1\t2\t3.5\t0", true},
-      {R::kUpdate, "sample\v1 2 3.5 0", false},
-      {R::kUpdate, "sample 1 2 3.5 0\f", false},
+      // Tokens split at all C-locale whitespace (it was space and tab).
+      {R::kUpdate, "sample\v1 2 3.5 0", true},
+      {R::kUpdate, "sample 1 2 3.5 0\f", true},
       {R::kUpdate, "sample 1 2 +3.5 0", true},
-      {R::kUpdate, "sample 1 2 0x1p3 0", true},
+      {R::kUpdate, "sample 1 2 0x1p3 0", false},
       {R::kUpdate, "sample 1 2 inf 0", false},
       {R::kUpdate, "sample 1 2 3.5", false},
 
@@ -310,15 +314,16 @@ TEST(TextLanguage, ReaderOutcomeTable) {
       {R::kTraceBudget, "5", true},
       {R::kTraceBudget, "0", true},
       {R::kTraceBudget, "-1", false},
-      {R::kTraceBudget, "inf", true},
-      {R::kTraceBudget, "nan", true},
-      {R::kTraceBudget, "0x1p3", true},
+      // No inf, nan or hex floats (a nan budget was accepted).
+      {R::kTraceBudget, "inf", false},
+      {R::kTraceBudget, "nan", false},
+      {R::kTraceBudget, "0x1p3", false},
       {R::kTraceBudget, "5ms", false},
 
       // Grid fault intensities.
       {R::kGridFault, "0.25", true},
       {R::kGridFault, "+0.25", true},
-      {R::kGridFault, "0x1p-2", true},
+      {R::kGridFault, "0x1p-2", false},  // no hex floats
       {R::kGridFault, "inf", false},
       {R::kGridFault, "nan", false},
       {R::kGridFault, "1.5", false},

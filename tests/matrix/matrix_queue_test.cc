@@ -7,6 +7,8 @@
 // which is the predicate the whole crash-reclaim protocol rests on.
 #include "matrix/queue.h"
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <string>
 
@@ -130,6 +132,27 @@ TEST(MatrixCellSummary, DegradedRoundTrip) {
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
   EXPECT_FALSE(parsed.value().ok);
   EXPECT_EQ(parsed.value().error, s.error);
+  EXPECT_EQ(serialize_cell_summary(parsed.value()), bytes);
+}
+
+// Every double the writer prints reads back bit for bit, subnormals
+// included: %.17g prints 5e-324 as 4.9406564584124654e-324.
+TEST(MatrixCellSummary, SubnormalsRoundTrip) {
+  CellSummary s = sample_summary();
+  s.coverage = 5e-324;
+  s.better = 2.2250738585072009e-308;
+  s.found_full = -0.0;
+  const std::string bytes = serialize_cell_summary(s);
+  EXPECT_NE(bytes.find("\ncoverage 4.9406564584124654e-324\n"),
+            std::string::npos);
+  const Result<CellSummary> parsed = parse_cell_summary(bytes);
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed.value().coverage),
+            std::bit_cast<std::uint64_t>(s.coverage));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed.value().better),
+            std::bit_cast<std::uint64_t>(s.better));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed.value().found_full),
+            std::bit_cast<std::uint64_t>(s.found_full));
   EXPECT_EQ(serialize_cell_summary(parsed.value()), bytes);
 }
 

@@ -63,8 +63,8 @@ expect 2 "negative fault seed" -- generate --dataset UW3 --fault-seed -1 \
 expect 2 "scale out of range" -- generate --dataset UW3 --scale 0 --out "$TMP/x"
 expect 2 "fault intensity out of range" -- \
   generate --dataset UW3 --faults 1.5 --out "$TMP/x"
-# Number flags take strtod's language, hex floats included.
-expect 0 "hex-float fault intensity" -- \
+# Number flags take the text codec's decimal language: no hex floats.
+expect 2 "hex-float fault intensity" -- \
   generate --dataset UW3 --scale 0.01 --faults 0x1p-2 --out "$TMP/hex.ds"
 expect 2 "bad metric" -- analyze --in "$TMP/garbage" --metric vibes
 expect 2 "threads out of range" -- \

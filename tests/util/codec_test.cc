@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
+
+#include "util/atomic_io.h"
 
 namespace pathsel::codec {
 namespace {
@@ -123,7 +128,8 @@ TEST(Codec, UnsealRejectsEveryBitFlipAndEveryTruncation) {
 }
 
 // One row per input: whether each parser accepts it, and the value it
-// yields.  Rows marked "today" pin the strto* language the parsers keep.
+// yields.  Leading whitespace and a '+' sign are strto*'s and stay accepted;
+// inf, nan and hex floats are not in the token language.
 TEST(Codec, StrictNumberParsers) {
   struct Row {
     std::string_view text;
@@ -147,8 +153,21 @@ TEST(Codec, StrictNumberParsers) {
        std::numeric_limits<std::int64_t>::min(), true, -9223372036854775808.0},
       {"1e400", false, 0, false, 0, false, 0.0},
       {"2.5", false, 0, false, 0, true, 2.5},
-      {"+5", true, 5, true, 5, true, 5.0},  // today: sign accepted
-      {" 7", true, 7, true, 7, true, 7.0},  // today: leading space accepted
+      {"+5", true, 5, true, 5, true, 5.0},
+      {" 7", true, 7, true, 7, true, 7.0},
+      {"\t\v+7", true, 7, true, 7, true, 7.0},
+      {"+-5", false, 0, false, 0, false, 0.0},
+      {"007", true, 7, true, 7, true, 7.0},
+      {"0x10", false, 0, false, 0, false, 0.0},
+      {"inf", false, 0, false, 0, false, 0.0},
+      {"-nan", false, 0, false, 0, false, 0.0},
+      {"0x1p3", false, 0, false, 0, false, 0.0},
+      {"5e-324", false, 0, false, 0, true, 5e-324},
+      {"2.2250738585072009e-308", false, 0, false, 0, true,
+       2.2250738585072009e-308},
+      {"-1e-400", false, 0, false, 0, true, -0.0},
+      {".5", false, 0, false, 0, true, 0.5},
+      {"-.5e1", false, 0, false, 0, true, -5.0},
       {std::string_view{"1\0" "2", 3}, false, 0, false, 0, false, 0.0},
   };
   for (const Row& row : rows) {
@@ -163,7 +182,9 @@ TEST(Codec, StrictNumberParsers) {
     EXPECT_EQ(i, row.i64_ok ? row.i64 : 99) << label;
     double d = 99.0;
     EXPECT_EQ(parse_double(row.text, d), row.dbl_ok) << label;
-    EXPECT_EQ(d, row.dbl_ok ? row.dbl : 99.0) << label;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(d),
+              std::bit_cast<std::uint64_t>(row.dbl_ok ? row.dbl : 99.0))
+        << label;
   }
 }
 
@@ -173,9 +194,135 @@ TEST(Codec, ParseU64TakesABase) {
   EXPECT_EQ(v, 0xfdebc0dcu);
   EXPECT_TRUE(parse_u64("FDEBC0DC", v, 16));
   EXPECT_EQ(v, 0xfdebc0dcu);
+  EXPECT_TRUE(parse_u64("0xfdebc0dc", v, 16));  // strtoull's prefix
+  EXPECT_EQ(v, 0xfdebc0dcu);
+  EXPECT_TRUE(parse_u64("+0XFDEBC0DC", v, 16));
+  EXPECT_EQ(v, 0xfdebc0dcu);
+  EXPECT_FALSE(parse_u64("0x", v, 16));
   EXPECT_FALSE(parse_u64("fdebc0dc", v));
   EXPECT_FALSE(parse_u64("-fdebc0dc", v, 16));
   EXPECT_FALSE(parse_u64("10000000000000000", v, 16));
+}
+
+TEST(Codec, LinesSplitAsGetline) {
+  auto split = [](std::string_view text) {
+    std::vector<std::string> out;
+    Lines lines{text};
+    for (std::string_view line; lines.next(line);) out.emplace_back(line);
+    return out;
+  };
+  using V = std::vector<std::string>;
+  EXPECT_EQ(split(""), V{});
+  EXPECT_EQ(split("\n"), V{""});
+  EXPECT_EQ(split("a"), V{"a"});
+  EXPECT_EQ(split("a\n"), V{"a"});
+  EXPECT_EQ(split("a\n\nb\r"), (V{"a", "", "b\r"}));
+  EXPECT_EQ(split("a\n\n"), (V{"a", ""}));
+}
+
+TEST(Codec, TokensSplitAtCLocaleWhitespace) {
+  Tokens ls{" m\t-12 +3\v\f0.5\r x7"};
+  EXPECT_EQ(ls.next(), "m");
+  std::int32_t i = 0;
+  EXPECT_TRUE(ls.next_int(i));
+  EXPECT_EQ(i, -12);
+  std::uint8_t u = 0;
+  EXPECT_TRUE(ls.next_int(u));
+  EXPECT_EQ(u, 3);
+  double d = 0.0;
+  EXPECT_TRUE(ls.next_real(d));
+  EXPECT_EQ(d, 0.5);
+  EXPECT_EQ(ls.rest(), "\r x7");
+  EXPECT_FALSE(ls.next_int(i));  // "x7" is not a whole number
+  EXPECT_EQ(ls.next(), "");
+  std::uint8_t small = 0;
+  EXPECT_FALSE(parse_int("256", small));
+  EXPECT_EQ(small, 0);
+}
+
+// append_text prints doubles exactly as printf("%.17g") does and Hex values
+// exactly as %016llx / %08lx.
+TEST(Codec, FieldWriterMatchesPrintf) {
+  const double values[] = {0.0,
+                           -0.0,
+                           0.1,
+                           1e-4,
+                           1e-5,
+                           5e-324,
+                           2.2250738585072009e-308,
+                           12345678901234568.0,
+                           1.2345678901234568e+17,
+                           -1.5,
+                           std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::infinity()};
+  for (const double v : values) {
+    char want[64];
+    std::snprintf(want, sizeof want, "%.17g", v);
+    EXPECT_EQ(to_text(v), want);
+  }
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{0xab},
+        std::uint64_t{0x0123456789abcdef},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    char want[24];
+    std::snprintf(want, sizeof want, "%016llx",
+                  static_cast<unsigned long long>(v));
+    EXPECT_EQ(to_text(Hex{v}), want);
+  }
+  for (const std::uint32_t v : {0u, 0xbeefu, 0xdeadbeefu}) {
+    char want[16];
+    std::snprintf(want, sizeof want, "%08lx", static_cast<unsigned long>(v));
+    EXPECT_EQ(to_text(Hex{v, 8}), want);
+  }
+  std::string line;
+  append_line(line, "e", 4, -1, std::uint64_t{18446744073709551615ULL}, 0.25,
+              "x y", Hex{7, 2});
+  EXPECT_EQ(line, "e 4 -1 18446744073709551615 0.25 x y 07\n");
+}
+
+TEST(Codec, TextTrailerIsCanonicalInEitherRadix) {
+  for (const CrcRadix radix : {CrcRadix::kDecimal, CrcRadix::kHex}) {
+    std::string sealed = "header v1\nkey 7\n";
+    seal_text(sealed, radix);
+    char want[32];
+    std::snprintf(want, sizeof want,
+                  radix == CrcRadix::kHex ? "crc %08lx\n" : "crc %lu\n",
+                  static_cast<unsigned long>(crc32("header v1\nkey 7\n")));
+    EXPECT_EQ(sealed, std::string{"header v1\nkey 7\n"} + want);
+    EXPECT_EQ(unseal_text(sealed, radix),
+              std::optional<std::string_view>{"header v1\nkey 7\n"});
+
+    const CrcRadix other =
+        radix == CrcRadix::kHex ? CrcRadix::kDecimal : CrcRadix::kHex;
+    EXPECT_FALSE(unseal_text(sealed, other).has_value());
+    const std::size_t digits = sealed.rfind(' ') + 1;
+    for (const char* spelling : {"+", "0", " "}) {
+      std::string respelled = sealed;
+      respelled.insert(digits, spelling);
+      EXPECT_FALSE(unseal_text(respelled, radix).has_value()) << spelling;
+    }
+    std::string cr = sealed;
+    cr.insert(cr.size() - 1, "\r");
+    EXPECT_FALSE(unseal_text(cr, radix).has_value());
+    for (std::size_t byte = 0; byte < sealed.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string flipped = sealed;
+        flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+        EXPECT_FALSE(unseal_text(flipped, radix).has_value())
+            << "byte " << byte << " bit " << bit;
+      }
+    }
+    for (std::size_t cut = 0; cut < sealed.size(); ++cut) {
+      EXPECT_FALSE(
+          unseal_text(std::string_view{sealed}.substr(0, cut), radix)
+              .has_value())
+          << "cut at " << cut;
+    }
+    // An empty payload seals to a one-line text.
+    std::string empty;
+    seal_text(empty, radix);
+    EXPECT_EQ(unseal_text(empty, radix), std::optional<std::string_view>{""});
+  }
 }
 
 }  // namespace
