@@ -33,7 +33,7 @@ Status corrupt(const std::string& what) {
 
 /// The payload of checkpoint or MANIFEST text: everything before its
 /// trailing decimal "crc <n>" line, which must match.
-Result<std::string_view> unseal(std::string_view text) {
+Result<std::string_view> payload_of(std::string_view text) {
   const std::optional<std::string_view> payload =
       codec::unseal_text(text, codec::CrcRadix::kDecimal);
   if (!payload.has_value()) {
@@ -71,7 +71,7 @@ std::string serialize_manifest(const std::vector<ManifestEntry>& entries) {
 }
 
 Result<std::vector<ManifestEntry>> parse_manifest(std::string_view text) {
-  const Result<std::string_view> payload = unseal(text);
+  const Result<std::string_view> payload = payload_of(text);
   if (!payload.is_ok()) return payload.status();
   codec::Lines lines{payload.value()};
   std::string_view line;
@@ -192,7 +192,7 @@ std::string serialize_checkpoint(const CampaignCheckpoint& cp,
 Result<CampaignCheckpoint> parse_checkpoint(std::string_view text,
                                             MeasurementKind expected_kind,
                                             std::uint64_t expected_fingerprint) {
-  const Result<std::string_view> payload = unseal(text);
+  const Result<std::string_view> payload = payload_of(text);
   if (!payload.is_ok()) return payload.status();
   codec::Lines lines{payload.value()};
   std::string_view line;
@@ -200,15 +200,8 @@ Result<CampaignCheckpoint> parse_checkpoint(std::string_view text,
     return corrupt("missing or unsupported header");
   }
 
-  // A key token, one separating space, and the rest of the line as the
-  // value.
-  auto expect_field = [&](const char* key, std::string_view& value) -> bool {
-    if (!lines.next(line)) return false;
-    codec::Tokens ls{line};
-    if (ls.next() != key) return false;
-    value = ls.rest();
-    if (!value.empty() && value.front() == ' ') value.remove_prefix(1);
-    return true;
+  auto expect_field = [&](const char* key, std::string_view& value) {
+    return lines.next(line) && codec::split_field(line, key, value);
   };
   // A line of exactly `key` and four u64 words.
   auto rng_line = [&](const char* key, std::array<std::uint64_t, 4>& state) {

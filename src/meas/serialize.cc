@@ -164,14 +164,12 @@ std::optional<Dataset> parse_dataset(NextLine&& read_line, std::string* error) {
   }
 
   Dataset ds;
-  // Fixed header block in order: a key token, one separating space, and the
-  // rest of the line as the value.
+  // Fixed header block in order.
   auto expect_field = [&](const char* key, std::string_view& value) -> bool {
     if (!next_line(line)) return fail(error, std::string("missing field ") + key);
-    Tokens ls{line};
-    if (ls.next() != key) return fail(error, std::string("expected field ") + key);
-    value = ls.rest();
-    if (!value.empty() && value.front() == ' ') value.remove_prefix(1);
+    if (!codec::split_field(line, key, value)) {
+      return fail(error, std::string("expected field ") + key);
+    }
     return true;
   };
 

@@ -54,6 +54,14 @@ bool parse_out_of_range(std::string_view token, double& out) {
 
 }  // namespace detail
 
+void append_text(std::string& out, double v) {
+  // The general format at precision 17 is printf("%.17g") by definition.
+  char buf[32];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  out.append(buf, r.ptr);
+}
+
 void append_text(std::string& out, Hex v) {
   char buf[24];
   const std::to_chars_result r =

@@ -295,6 +295,19 @@ class Tokens {
   const char* end_;
 };
 
+/// Reads a "key value" line: true when its first token is `key`, with
+/// `value` the rest of the line after the one space that follows the key
+/// (the value may be empty or hold spaces).
+[[nodiscard]] inline bool split_field(std::string_view line,
+                                      std::string_view key,
+                                      std::string_view& value) noexcept {
+  Tokens ls{line};
+  if (ls.next() != key) return false;
+  value = ls.rest();
+  if (!value.empty() && value.front() == ' ') value.remove_prefix(1);
+  return true;
+}
+
 /// A value the field writer prints as `digits` zero-padded lowercase hex
 /// digits: printf's %016llx by default, %08lx for a crc.
 struct Hex {
@@ -310,13 +323,7 @@ void append_text(std::string& out, Int v) {
   const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
   out.append(buf, r.ptr);
 }
-inline void append_text(std::string& out, double v) {
-  // The general format at precision 17 is printf("%.17g") by definition.
-  char buf[32];
-  const std::to_chars_result r =
-      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
-  out.append(buf, r.ptr);
-}
+void append_text(std::string& out, double v);
 void append_text(std::string& out, Hex v);
 inline void append_text(std::string& out, std::string_view v) { out += v; }
 
