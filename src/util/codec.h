@@ -225,22 +225,24 @@ namespace detail {
   return true;
 }
 
+namespace detail {
 /// The text after its leading whitespace.
 constexpr std::string_view skip_space(std::string_view text) noexcept {
   while (!text.empty() && is_space(text.front())) text.remove_prefix(1);
   return text;
 }
+}  // namespace detail
 
 [[nodiscard]] inline bool parse_u64(std::string_view text, std::uint64_t& out,
                                     int base = 10) noexcept {
-  return parse_int(skip_space(text), out, base);
+  return parse_int(detail::skip_space(text), out, base);
 }
 [[nodiscard]] inline bool parse_i64(std::string_view text,
                                     std::int64_t& out) noexcept {
-  return parse_int(skip_space(text), out);
+  return parse_int(detail::skip_space(text), out);
 }
 [[nodiscard]] inline bool parse_double(std::string_view text, double& out) {
-  return parse_real(skip_space(text), out);
+  return parse_real(detail::skip_space(text), out);
 }
 
 /// Splits text into lines at '\n' as std::getline does: a last line
