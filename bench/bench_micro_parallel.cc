@@ -1,19 +1,25 @@
-// Serial vs. multi-threaded alternate-path sweep.
+// Serial vs. multi-threaded alternate-path sweep and collection.
 //
 // Measures the end-to-end wall time of analyze_alternate_paths (the O(pairs ×
-// Dijkstra) hot loop) and PathTable::build on a dense synthetic mesh at 1, 2,
-// 4 and 8 threads, printing the speedup over the serial run.  The parallel
-// layer guarantees bit-identical output for every thread count, which is
+// Dijkstra) hot loop) and PathTable::build on a dense synthetic mesh, and of
+// collecting the catalog's UW3 dataset at the bench scale, at 1, 2, 4 and 8
+// threads, printing the speedup over the serial run.  The parallel layer
+// guarantees bit-identical output for every thread count, which is
 // re-checked here so a speedup can never come from dropped work.
 #include <chrono>
 #include <cstdio>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_util.h"
 
 #include "core/alternate.h"
 #include "core/path_table.h"
+#include "meas/collector.h"
 #include "meas/dataset.h"
+#include "meas/serialize.h"
+#include "util/expect.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -78,6 +84,22 @@ bool same_results(const std::vector<core::PairResult>& a,
   return true;
 }
 
+meas::Dataset collect_at(const meas::MaterializedSpec& spec, int threads) {
+  meas::CollectControls controls;
+  controls.threads = threads;
+  Result<meas::Dataset> ds = meas::collect_resumable(
+      *spec.net, spec.hosts, spec.config, spec.name, controls);
+  PATHSEL_EXPECT(ds.is_ok(), "uncancellable collection failed");
+  return std::move(ds.value());
+}
+
+std::string dataset_bytes(const meas::Dataset& ds) {
+  std::string bytes;
+  meas::write_dataset_chunks(
+      ds, [&bytes](std::string_view chunk) { bytes += chunk; });
+  return bytes;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -111,8 +133,16 @@ int main(int argc, char** argv) {
     (void)core::PathTable::build(ds, build_serial);
   });
 
-  bench::notef("threads,sweep_ms,sweep_speedup,build_ms,build_speedup,identical\n");
-  bench::notef("1,%.2f,1.00,%.2f,1.00,yes\n", serial_sweep_ms, serial_build_ms);
+  meas::Catalog catalog = bench::make_catalog();
+  const meas::MaterializedSpec uw3 = catalog.materialize(catalog.spec("UW3"));
+  const std::string serial_bytes = dataset_bytes(collect_at(uw3, 1));
+  const double serial_collect_ms =
+      best_of_ms(kReps, [&] { (void)collect_at(uw3, 1); });
+
+  bench::notef("threads,sweep_ms,sweep_speedup,build_ms,build_speedup,"
+               "collect_ms,collect_speedup,identical\n");
+  bench::notef("1,%.2f,1.00,%.2f,1.00,%.2f,1.00,yes\n", serial_sweep_ms,
+               serial_build_ms, serial_collect_ms);
   for (const int threads : {2, 4, 8}) {
     core::AnalyzerOptions opt;
     opt.threads = threads;
@@ -120,19 +150,25 @@ int main(int argc, char** argv) {
     build.min_samples = 2;
     build.threads = threads;
     const auto results = core::analyze_alternate_paths(table, opt);
-    const bool identical = same_results(serial_results, results);
+    const bool identical = same_results(serial_results, results) &&
+                           dataset_bytes(collect_at(uw3, threads)) ==
+                               serial_bytes;
     const double sweep_ms = best_of_ms(kReps, [&] {
       (void)core::analyze_alternate_paths(table, opt);
     });
     const double build_ms = best_of_ms(kReps, [&] {
       (void)core::PathTable::build(ds, build);
     });
-    bench::notef("%d,%.2f,%.2f,%.2f,%.2f,%s\n", threads, sweep_ms,
+    const double collect_ms =
+        best_of_ms(kReps, [&] { (void)collect_at(uw3, threads); });
+    bench::notef("%d,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%s\n", threads, sweep_ms,
                  serial_sweep_ms / sweep_ms, build_ms,
-                 serial_build_ms / build_ms, identical ? "yes" : "NO");
+                 serial_build_ms / build_ms, collect_ms,
+                 serial_collect_ms / collect_ms, identical ? "yes" : "NO");
   }
-  bench::notef("\nsummary: sweep over %zu pairs; speedup scales with available "
-               "cores, output bit-identical at every thread count\n",
-               serial_results.size());
+  bench::notef("\nsummary: sweep over %zu pairs, UW3 collection of %zu bytes; "
+               "speedup scales with available cores, output bit-identical at "
+               "every thread count\n",
+               serial_results.size(), serial_bytes.size());
   return pathsel::bench::finish();
 }

@@ -95,6 +95,7 @@ Status ensure_dataset(const CellContext& ctx, const CellSpec& cell,
   options.catalog.fault_seed = cell.seed;
   options.extra_fingerprint = key;
   options.cancel = ctx.cancel;
+  options.threads = ctx.threads;
   options.after_checkpoint = ctx.after_checkpoint;
 
   const meas::CampaignReport report = meas::run_campaign(options);

@@ -125,6 +125,7 @@ CampaignReport run_campaign(const CampaignOptions& options) {
         options.extra_fingerprint);
     CollectControls controls;
     controls.cancel = options.cancel;
+    controls.threads = options.threads;
     std::optional<CampaignCheckpoint> resume_from;
     if (checkpointing) {
       controls.checkpoint_interval =

@@ -49,6 +49,10 @@ struct CampaignOptions {
   /// each dataset's trace duration.
   Duration checkpoint_interval{};
   const CancelToken* cancel = nullptr;
+  /// Executors resolving each dataset's fault-free probes (0 means
+  /// default_thread_count()).  Outputs and checkpoints are byte-identical at
+  /// any value, so it is not part of the checkpoint fingerprint.
+  int threads = 0;
   /// Disjoint-alternates analysis mode the caller will run on the outputs
   /// (pathsel_cli campaign --disjoint k); 0 means none.  The campaign itself
   /// does not compute disjoint paths — the value exists so the checkpoint

@@ -7,6 +7,7 @@
 
 #include "util/expect.h"
 #include "util/metrics.h"
+#include "util/thread_pool.h"
 
 namespace pathsel::meas {
 
@@ -25,16 +26,22 @@ const char* failure_metric_suffix(FailureReason reason) noexcept {
   return "unknown";
 }
 
-void record_probe_outcome(FailureReason reason) {
+// Counts `n` probes that ended with `reason`.
+void record_probe_outcome(FailureReason reason, std::uint64_t n = 1) {
   MetricsRegistry& m = MetricsRegistry::global();
-  if (!m.enabled()) return;
+  if (!m.enabled() || n == 0) return;
   if (reason == FailureReason::kNone) {
-    m.count("meas.collector.probes_completed");
+    m.count("meas.collector.probes_completed", n);
   } else {
     m.count(std::string{"meas.collector.probes_failed."} +
-            failure_metric_suffix(reason));
+                failure_metric_suffix(reason),
+            n);
   }
 }
+
+// Probes per chunk of the parallel probe stage.  Fixed, so chunk boundaries
+// never depend on the thread count.
+constexpr std::size_t kProbeChunk = 512;
 
 // Fires later: the same total order sim::EventQueue imposed when the
 // collector scheduled closures, so the typed-event loop dispatches in
@@ -84,10 +91,12 @@ class Campaign {
       }
     }
     fault_aware_ = plan_ != nullptr || config_.retry.max_retries > 0;
+    if (plan_ == nullptr) resolve_default_paths();
   }
 
   Result<Dataset> run(const CollectControls& controls,
                       const CampaignCheckpoint* resume) {
+    threads_ = controls.threads;
     if (resume == nullptr) {
       schedule_initial();
     } else {
@@ -104,6 +113,7 @@ class Campaign {
     while (!heap_.empty() && !(end_ < heap_.front().t)) {
       if (controls.cancel != nullptr && controls.cancel->cancelled()) {
         if (controls.on_checkpoint != nullptr) {
+          resolve_pending();
           const Status saved = controls.on_checkpoint(snapshot());
           if (!saved.is_ok()) return saved;
         }
@@ -111,6 +121,7 @@ class Campaign {
       }
       dispatch(pop_event());
       if (checkpointing && !(now_ < next_checkpoint)) {
+        resolve_pending();
         const Status saved = controls.on_checkpoint(snapshot());
         if (!saved.is_ok()) return saved;
         while (!(now_ < next_checkpoint)) {
@@ -119,6 +130,7 @@ class Campaign {
       }
     }
 
+    resolve_pending();
     std::sort(dataset_.measurements.begin(), dataset_.measurements.end(),
               [](const Measurement& a, const Measurement& b) {
                 return a.when < b.when;
@@ -127,6 +139,11 @@ class Campaign {
   }
 
  private:
+  struct PairPaths {
+    const route::RouterPath* fwd = nullptr;
+    const route::RouterPath* rev = nullptr;
+  };
+
   // --- typed-event heap ------------------------------------------------------
   // Seq is allocated per push, exactly as sim::EventQueue allocated it per
   // schedule call, so equal-time events keep their scheduling order.
@@ -304,24 +321,80 @@ class Campaign {
     if (!availability_.is_up(src, t) || !availability_.is_up(dst, t)) {
       m.completed = false;  // unreachable server: attempt recorded, no data
       record_probe_outcome(FailureReason::kEndpointDown);
-      dataset_.measurements.push_back(std::move(m));
-      return;
+    } else {
+      // The probe itself runs later, in resolve_pending().
+      pending_.push_back(dataset_.measurements.size());
     }
+    dataset_.measurements.push_back(std::move(m));
+  }
+
+  // --- probe stage -----------------------------------------------------------
+
+  // Resolves every probe measure() has recorded since the last call, in
+  // fixed chunks on the shared pool, then counts their outcomes serially.
+  // Each chunk owns its scratch (and so its load-field memo); each probe
+  // writes only its own measurement, so the bytes match a serial run.
+  void resolve_pending() {
+    if (pending_.empty()) return;
+    ThreadPool::shared(resolve_thread_count(threads_))
+        .parallel_for(pending_.size(), kProbeChunk,
+                      [this](std::size_t begin, std::size_t end, std::size_t) {
+                        sim::ProbeScratch scratch;
+                        for (std::size_t i = begin; i < end; ++i) {
+                          probe(dataset_.measurements[pending_[i]], scratch);
+                        }
+                      });
+    std::uint64_t failed = 0;
+    for (const std::size_t i : pending_) {
+      if (!dataset_.measurements[i].completed) ++failed;
+    }
+    record_probe_outcome(FailureReason::kNone, pending_.size() - failed);
+    record_probe_outcome(FailureReason::kProbeFailure, failed);
+    pending_.clear();
+  }
+
+  // Fills the payload of one fault-free measurement recorded by measure().
+  // Reads only immutable campaign state, so chunks run concurrently.
+  void probe(Measurement& m, sim::ProbeScratch& scratch) const {
+    const PairPaths& paths = default_paths(m.src, m.dst);
     if (config_.kind == MeasurementKind::kTraceroute) {
-      const sim::TracerouteResult r = net_.traceroute(src, dst, t);
+      sim::TracerouteResult r = net_.traceroute_over(
+          *paths.fwd, *paths.rev, m.src, m.dst, m.when, scratch);
       m.completed = r.completed;
       m.samples = r.samples;
-      m.as_path = r.as_path;
+      m.as_path = std::move(r.as_path);
     } else {
-      const sim::TcpTransferResult r = net_.tcp_transfer(src, dst, t);
+      const sim::TcpTransferResult r = net_.tcp_transfer_over(
+          *paths.fwd, *paths.rev, m.src, m.dst, m.when, scratch);
       m.completed = r.completed;
       m.bandwidth_kBps = r.bandwidth_kBps;
       m.tcp_rtt_ms = r.rtt_ms;
       m.tcp_loss_rate = r.loss_rate;
     }
-    record_probe_outcome(m.completed ? FailureReason::kNone
-                                     : FailureReason::kProbeFailure);
-    dataset_.measurements.push_back(std::move(m));
+  }
+
+  // Resolves the default forward and reverse paths of every ordered host
+  // pair once, on the constructing thread: Network::default_path fills a
+  // cache and must not run on the probe workers.  Hosts x hosts, because an
+  // episode mesh also probes hosts that are not in the target pool.
+  void resolve_default_paths() {
+    const std::size_t n = dataset_.hosts.size();
+    host_index_.assign(net_.topology().host_count(), 0);
+    for (std::size_t i = 0; i < n; ++i) host_index_[dataset_.hosts[i].index()] = i;
+    paths_.assign(n * n, PairPaths{});
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        const topo::HostId a = dataset_.hosts[i];
+        const topo::HostId b = dataset_.hosts[j];
+        if (a == b) continue;
+        paths_[i * n + j] = {&net_.default_path(a, b), &net_.default_path(b, a)};
+      }
+    }
+  }
+
+  const PairPaths& default_paths(topo::HostId src, topo::HostId dst) const {
+    return paths_[host_index_[src.index()] * dataset_.hosts.size() +
+                  host_index_[dst.index()]];
   }
 
   // One attempt of a fault-aware measurement; fills m's payload on success
@@ -339,7 +412,11 @@ class Campaign {
     const route::RouterPath* fwd = nullptr;
     const route::RouterPath* rev = nullptr;
     bool storm = false;
-    if (plan_ != nullptr) {
+    if (plan_ == nullptr) {
+      const PairPaths& paths = default_paths(src, dst);
+      fwd = paths.fwd;
+      rev = paths.rev;
+    } else {
       injector_->advance_to(t);
       fwd = &injector_->effective_path(src, dst);
       rev = &injector_->effective_path(dst, src);
@@ -351,17 +428,14 @@ class Campaign {
     }
 
     if (config_.kind == MeasurementKind::kTraceroute) {
-      const sim::TracerouteResult r =
-          plan_ != nullptr
-              ? net_.traceroute_over(*fwd, *rev, src, dst, t, storm)
-              : net_.traceroute(src, dst, t);
+      sim::TracerouteResult r =
+          net_.traceroute_over(*fwd, *rev, src, dst, t, scratch_, storm);
       m.samples = r.samples;
-      m.as_path = r.as_path;
+      m.as_path = std::move(r.as_path);
       return r.completed ? FailureReason::kNone : FailureReason::kProbeFailure;
     }
     const sim::TcpTransferResult r =
-        plan_ != nullptr ? net_.tcp_transfer_over(*fwd, *rev, src, dst, t)
-                         : net_.tcp_transfer(src, dst, t);
+        net_.tcp_transfer_over(*fwd, *rev, src, dst, t, scratch_);
     if (!r.completed) return FailureReason::kProbeFailure;
     m.bandwidth_kBps = r.bandwidth_kBps;
     m.tcp_rtt_ms = r.rtt_ms;
@@ -453,6 +527,16 @@ class Campaign {
   std::optional<sim::FaultInjector> injector_;     // engaged iff plan_
   bool fault_aware_ = false;
 
+  // Default paths per ordered host pair, row-major by host position; filled
+  // only without a fault plan (the injector resolves paths otherwise).
+  std::vector<std::size_t> host_index_;  // position in hosts, by HostId
+  std::vector<PairPaths> paths_;
+  // Fault-free probes recorded but not yet resolved (measurement indices).
+  std::vector<std::size_t> pending_;
+  int threads_ = 0;
+  // The fault-aware path probes serially through this one scratch.
+  sim::ProbeScratch scratch_;
+
   std::vector<CampaignEvent> heap_;  // min-heap by (t, seq) via FiresLater
   std::uint64_t next_seq_ = 0;
   SimTime now_ = SimTime::start();
@@ -462,8 +546,8 @@ class Campaign {
 
 Dataset collect(const sim::Network& network, std::vector<topo::HostId> hosts,
                 const CollectorConfig& config, std::string name) {
-  Campaign campaign{network, std::move(hosts), config, std::move(name)};
-  Result<Dataset> result = campaign.run(CollectControls{}, nullptr);
+  Result<Dataset> result = collect_resumable(
+      network, std::move(hosts), config, std::move(name), CollectControls{});
   PATHSEL_EXPECT(result.is_ok(), "uncancellable collect() failed");
   return std::move(result.value());
 }
@@ -474,6 +558,7 @@ Result<Dataset> collect_resumable(const sim::Network& network,
                                   std::string name,
                                   const CollectControls& controls,
                                   const CampaignCheckpoint* resume) {
+  ScopedTimer timer{"meas.collect"};
   Campaign campaign{network, std::move(hosts), config, std::move(name)};
   return campaign.run(controls, resume);
 }

@@ -20,6 +20,16 @@
 // collect_resumable() continues the run with every RNG draw and every event
 // dispatch in the original order, producing a byte-identical dataset to an
 // uninterrupted run.
+//
+// Schedule and probe stages: a fault-free campaign's event loop (the
+// schedule) draws every campaign RNG value, checks availability and records
+// each measurement's when/src/dst/episode in order, but does not probe.  The
+// probes — pure functions of (network, paths, src, dst, t) — are resolved
+// afterwards in fixed-size chunks on a thread pool, before every checkpoint
+// and before the final sort.  Chunk boundaries never depend on the thread
+// count and every probe writes only its own measurement, so the dataset's
+// bytes do not depend on CollectControls::threads.  Fault-aware campaigns
+// stay serial: whether a retry is scheduled depends on the probe's outcome.
 #pragma once
 
 #include <array>
@@ -134,6 +144,9 @@ struct CollectControls {
   /// Called with each snapshot (periodic and the final one on cancellation).
   /// A non-ok return aborts the run with that status.  May be null.
   std::function<Status(const CampaignCheckpoint&)> on_checkpoint;
+  /// Executors resolving fault-free probes; 0 means default_thread_count().
+  /// The dataset and every checkpoint are byte-identical at any value.
+  int threads = 0;
 };
 
 /// Runs a campaign over the given hosts and returns the dataset.

@@ -36,22 +36,39 @@ double LoadModel::weather_at_bucket(topo::LinkId link,
   return rng.lognormal(0.0, config_.weather_sigma);
 }
 
-double LoadModel::weather(topo::LinkId link, SimTime t) const noexcept {
+double LoadModel::weather_at_bucket(topo::LinkId link, std::int64_t bucket,
+                                    LoadMemo* memo) const noexcept {
+  if (memo == nullptr) return weather_at_bucket(link, bucket);
+  // Multiplicative hashing spreads neighbouring links and buckets apart.
+  const std::uint64_t h =
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(link.value())) *
+          0x9e3779b97f4a7c15ULL +
+      static_cast<std::uint64_t>(bucket) * 0xc2b2ae3d27d4eb4fULL;
+  LoadMemo::Slot& slot = memo->slots_[h >> (64 - LoadMemo::kSlotBits)];
+  if (slot.link != link.value() || slot.bucket != bucket) {
+    slot = {weather_at_bucket(link, bucket), bucket, link.value()};
+  }
+  return slot.value;
+}
+
+double LoadModel::weather(topo::LinkId link, SimTime t,
+                          LoadMemo* memo) const noexcept {
   const std::int64_t bucket_ms = config_.weather_bucket.total_millis();
   const std::int64_t ms = t.since_start().total_millis();
   const std::int64_t bucket = ms / bucket_ms;
   const double frac =
       static_cast<double>(ms - bucket * bucket_ms) / static_cast<double>(bucket_ms);
   // Linear interpolation keeps the field continuous in time.
-  const double a = weather_at_bucket(link, bucket);
-  const double b = weather_at_bucket(link, bucket + 1);
+  const double a = weather_at_bucket(link, bucket, memo);
+  const double b = weather_at_bucket(link, bucket + 1, memo);
   return a + frac * (b - a);
 }
 
-double LoadModel::utilization(const topo::Link& link, SimTime t) const noexcept {
+double LoadModel::utilization(const topo::Link& link, SimTime t,
+                              LoadMemo* memo) const noexcept {
   const double u = link.base_utilization *
                    diurnal_factor(t, link.timezone_offset_hours) *
-                   weather(link.id, t);
+                   weather(link.id, t, memo);
   return std::clamp(u, 0.01, 0.985);
 }
 

@@ -10,7 +10,9 @@
 // for the simultaneous-episode dataset (UW4-A).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "topo/topology.h"
 #include "util/sim_time.h"
@@ -34,6 +36,27 @@ struct LoadModelConfig {
   Duration weather_bucket = Duration::minutes(10);
 };
 
+/// A bounded, direct-mapped memo of the load field's weather values for one
+/// caller.  Each slot holds the exact double the field returns for one
+/// (link, bucket) key and is overwritten when another key maps to it, so a
+/// memo never changes a result, only how often the field is drawn.  Not
+/// thread-safe: every thread (or parallel chunk) owns its own.
+class LoadMemo {
+ public:
+  static constexpr int kSlotBits = 11;  // 2048 slots
+
+  LoadMemo() : slots_(std::size_t{1} << kSlotBits) {}
+
+ private:
+  friend class LoadModel;
+  struct Slot {
+    double value = 0.0;
+    std::int64_t bucket = 0;
+    std::int32_t link = -1;  // -1: empty
+  };
+  std::vector<Slot> slots_;
+};
+
 class LoadModel {
  public:
   explicit LoadModel(LoadModelConfig config) : config_{config} {}
@@ -44,13 +67,19 @@ class LoadModel {
   [[nodiscard]] double diurnal_factor(SimTime t,
                                       double tz_offset_hours) const noexcept;
 
-  /// Instantaneous utilization of a link, in [0.01, 0.985].
-  [[nodiscard]] double utilization(const topo::Link& link, SimTime t) const noexcept;
+  /// Instantaneous utilization of a link, in [0.01, 0.985].  A non-null
+  /// `memo` serves repeated (link, bucket) draws of the weather field; the
+  /// result is bit-identical with or without it.
+  [[nodiscard]] double utilization(const topo::Link& link, SimTime t,
+                                   LoadMemo* memo = nullptr) const noexcept;
 
  private:
-  [[nodiscard]] double weather(topo::LinkId link, SimTime t) const noexcept;
+  [[nodiscard]] double weather(topo::LinkId link, SimTime t,
+                               LoadMemo* memo) const noexcept;
   [[nodiscard]] double weather_at_bucket(topo::LinkId link,
                                          std::int64_t bucket) const noexcept;
+  [[nodiscard]] double weather_at_bucket(topo::LinkId link, std::int64_t bucket,
+                                         LoadMemo* memo) const noexcept;
 
   LoadModelConfig config_;
 };

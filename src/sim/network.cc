@@ -44,50 +44,48 @@ Rng Network::probe_rng(std::uint64_t kind, topo::HostId src, topo::HostId dst,
   return Rng{splitmix64(state)};
 }
 
-double Network::expected_one_way_ms(const route::RouterPath& path,
-                                    SimTime t) const {
-  double total = 0.0;
+Network::PathLoad Network::path_load(const route::RouterPath& path, SimTime t,
+                                     LoadMemo* memo) const {
+  PathLoad load;
   for (const auto& hop : path.hops) {
     const topo::Link& l = topo_.link(hop.via);
-    total += l.prop_delay_ms +
-             link_model_.mean_queueing_delay_ms(l, load_.utilization(l, t)) +
-             link_model_.config().router_processing_ms;
+    const double u = load_.utilization(l, t, memo);
+    load.one_way_ms += l.prop_delay_ms +
+                       link_model_.mean_queueing_delay_ms(l, u) +
+                       link_model_.config().router_processing_ms;
+    load.survive *= 1.0 - link_model_.loss_probability(l, u);
+    load.bottleneck_mbps =
+        std::min(load.bottleneck_mbps, l.capacity_mbps * (1.0 - u));
   }
-  return total;
+  return load;
+}
+
+double Network::expected_one_way_ms(const route::RouterPath& path,
+                                    SimTime t) const {
+  return path_load(path, t, nullptr).one_way_ms;
 }
 
 double Network::one_way_loss_probability(const route::RouterPath& path,
                                          SimTime t) const {
-  double survive = 1.0;
-  for (const auto& hop : path.hops) {
-    const topo::Link& l = topo_.link(hop.via);
-    survive *= 1.0 - link_model_.loss_probability(l, load_.utilization(l, t));
-  }
-  return 1.0 - survive;
+  return 1.0 - path_load(path, t, nullptr).survive;
 }
 
 double Network::bottleneck_available_kBps(const route::RouterPath& path,
                                           SimTime t) const {
-  double best_mbps = 1e12;
-  for (const auto& hop : path.hops) {
-    const topo::Link& l = topo_.link(hop.via);
-    const double avail = l.capacity_mbps * (1.0 - load_.utilization(l, t));
-    best_mbps = std::min(best_mbps, avail);
-  }
-  // Mbps -> kB/s.
-  return best_mbps * 1000.0 / 8.0;
+  return path_load(path, t, nullptr).bottleneck_kBps();
 }
 
 TracerouteResult Network::traceroute(topo::HostId src, topo::HostId dst,
                                      SimTime t) const {
+  ProbeScratch scratch;
   return traceroute_over(default_path(src, dst), default_path(dst, src), src,
-                         dst, t);
+                         dst, t, scratch);
 }
 
 TracerouteResult Network::traceroute_over(const route::RouterPath& fwd,
                                           const route::RouterPath& rev,
                                           topo::HostId src, topo::HostId dst,
-                                          SimTime t,
+                                          SimTime t, ProbeScratch& scratch,
                                           bool force_rate_limited) const {
   Rng rng = probe_rng(0x7261636bULL, src, dst, t);
 
@@ -106,18 +104,13 @@ TracerouteResult Network::traceroute_over(const route::RouterPath& fwd,
   // Successive samples within one invocation are ~1 second apart, so the
   // congestion field is effectively constant across the invocation: compute
   // per-link state once and reuse it for all three samples.
-  struct LinkState {
-    double prop_and_proc;
-    double mean_queue;
-    double loss_prob;
-  };
-  std::vector<LinkState> state;
-  state.reserve(fwd.hop_count() + rev.hop_count());
+  std::vector<ProbeScratch::LinkState>& state = scratch.links_;
+  state.clear();
   auto absorb = [&](const route::RouterPath& path) {
     for (const auto& hop : path.hops) {
       const topo::Link& l = topo_.link(hop.via);
-      const double u = load_.utilization(l, t);
-      state.push_back(LinkState{
+      const double u = load_.utilization(l, t, &scratch.memo_);
+      state.push_back(ProbeScratch::LinkState{
           l.prop_delay_ms + link_model_.config().router_processing_ms,
           link_model_.mean_queueing_delay_ms(l, u),
           link_model_.loss_probability(l, u)});
@@ -132,7 +125,7 @@ TracerouteResult Network::traceroute_over(const route::RouterPath& fwd,
     ProbeSample& sample = result.samples[i];
     bool lost = false;
     double rtt = 0.0;
-    for (const LinkState& ls : state) {
+    for (const ProbeScratch::LinkState& ls : state) {
       if (rng.bernoulli(ls.loss_prob)) {
         lost = true;
         break;
@@ -152,25 +145,27 @@ TracerouteResult Network::traceroute_over(const route::RouterPath& fwd,
 
 TcpTransferResult Network::tcp_transfer(topo::HostId src, topo::HostId dst,
                                         SimTime t) const {
+  ProbeScratch scratch;
   return tcp_transfer_over(default_path(src, dst), default_path(dst, src), src,
-                           dst, t);
+                           dst, t, scratch);
 }
 
 TcpTransferResult Network::tcp_transfer_over(const route::RouterPath& fwd,
                                              const route::RouterPath& rev,
                                              topo::HostId src,
-                                             topo::HostId dst,
-                                             SimTime t) const {
+                                             topo::HostId dst, SimTime t,
+                                             ProbeScratch& scratch) const {
   Rng rng = probe_rng(0x74637031ULL, src, dst, t);
   TcpTransferResult result;
   if (rng.bernoulli(config_.measurement_failure_rate)) return result;
   result.completed = true;
 
-  const double base_rtt = expected_one_way_ms(fwd, t) +
-                          expected_one_way_ms(rev, t) +
+  const PathLoad fwd_load = path_load(fwd, t, &scratch.memo_);
+  const double base_rtt = fwd_load.one_way_ms +
+                          path_load(rev, t, &scratch.memo_).one_way_ms +
                           rng.normal(0.5, 0.1);
-  const double background_loss = one_way_loss_probability(fwd, t);
-  const double avail_kBps = bottleneck_available_kBps(fwd, t);
+  const double background_loss = 1.0 - fwd_load.survive;
+  const double avail_kBps = fwd_load.bottleneck_kBps();
 
   // The transfer is limited by whichever binds first: background loss, the
   // receiver window, or the bottleneck's available bandwidth.  Only a flow

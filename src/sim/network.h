@@ -13,12 +13,22 @@
 // time), and link congestion is a deterministic field over (link, time), so
 // measurements are reproducible and probes sharing a bottleneck at the same
 // instant see consistent congestion.
+//
+// Concurrency.  A const Network may be shared by threads that call only
+// traceroute_over / tcp_transfer_over (each with its own ProbeScratch), the
+// ground-truth queries (expected_one_way_ms, one_way_loss_probability,
+// bottleneck_available_kBps) and the accessors.  default_path is NOT safe
+// to call concurrently: it fills a mutable cache.  Nor are traceroute and
+// tcp_transfer, which call it.  Resolve paths on one thread first; the
+// references default_path returns stay valid for the Network's lifetime, so
+// workers can probe over them.
 #pragma once
 
 #include <array>
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "route/bgp.h"
 #include "route/igp.h"
@@ -66,6 +76,23 @@ struct NetworkConfig {
   double tcp_window_kB = 64.0;
 };
 
+/// Reusable per-caller state for the *_over probes: the per-link buffer a
+/// traceroute fills and a memo of the load field (sim/load_model.h).  A
+/// probe's result is bit-identical whichever scratch it is given, fresh or
+/// reused; reuse only saves allocations and load-field draws.  Not
+/// thread-safe: every thread, or every parallel chunk, owns its own.
+class ProbeScratch {
+ private:
+  friend class Network;
+  struct LinkState {
+    double prop_and_proc;
+    double mean_queue;
+    double loss_prob;
+  };
+  std::vector<LinkState> links_;
+  LoadMemo memo_;
+};
+
 class Network {
  public:
   Network(topo::Topology topology, NetworkConfig config);
@@ -78,33 +105,35 @@ class Network {
   [[nodiscard]] const NetworkConfig& config() const noexcept { return config_; }
 
   /// The default (policy-routed) forward path between two hosts; cached.
+  /// Not thread-safe (see the concurrency note above); the reference stays
+  /// valid for the Network's lifetime.
   [[nodiscard]] const route::RouterPath& default_path(topo::HostId src,
                                                       topo::HostId dst) const;
 
-  /// Traceroute measurement at simulated time t.
+  /// Traceroute measurement over the default paths at simulated time t.
   [[nodiscard]] TracerouteResult traceroute(topo::HostId src, topo::HostId dst,
                                             SimTime t) const;
 
-  /// TCP bulk transfer measurement at simulated time t.
+  /// TCP bulk transfer measurement over the default paths at time t.
   [[nodiscard]] TcpTransferResult tcp_transfer(topo::HostId src,
                                                topo::HostId dst, SimTime t) const;
 
-  /// Traceroute over explicitly supplied forward/reverse paths.  The fault
-  /// injector re-resolves paths as links fail mid-trace and probes them via
-  /// this overload; `force_rate_limited` emulates an ICMP rate-limit storm
-  /// at the target.  Probe noise is keyed on (seed, kind, src, dst, t), so
-  /// probing the default paths here is bit-identical to traceroute().
+  /// Traceroute over explicitly supplied forward/reverse paths.  The
+  /// collector probes pre-resolved default paths through it, and the fault
+  /// injector's re-resolved paths as links fail mid-trace;
+  /// `force_rate_limited` emulates an ICMP rate-limit storm at the target.
+  /// Probe noise is keyed on (seed, kind, src, dst, t), so probing the
+  /// default paths here is bit-identical to traceroute().
   [[nodiscard]] TracerouteResult traceroute_over(
       const route::RouterPath& fwd, const route::RouterPath& rev,
-      topo::HostId src, topo::HostId dst, SimTime t,
+      topo::HostId src, topo::HostId dst, SimTime t, ProbeScratch& scratch,
       bool force_rate_limited = false) const;
 
   /// TCP transfer over explicitly supplied forward/reverse paths.
-  [[nodiscard]] TcpTransferResult tcp_transfer_over(const route::RouterPath& fwd,
-                                                    const route::RouterPath& rev,
-                                                    topo::HostId src,
-                                                    topo::HostId dst,
-                                                    SimTime t) const;
+  [[nodiscard]] TcpTransferResult tcp_transfer_over(
+      const route::RouterPath& fwd, const route::RouterPath& rev,
+      topo::HostId src, topo::HostId dst, SimTime t,
+      ProbeScratch& scratch) const;
 
   // --- ground-truth inspection (used by analyses and tests) -----------------
 
@@ -122,6 +151,20 @@ class Network {
                                                  SimTime t) const;
 
  private:
+  // One walk over a path's links at time t: the sums behind the three
+  // ground-truth queries, accumulated hop by hop in path order.
+  struct PathLoad {
+    double one_way_ms = 0.0;
+    double survive = 1.0;           // probability a packet survives the path
+    double bottleneck_mbps = 1e12;  // tightest available capacity
+
+    [[nodiscard]] double bottleneck_kBps() const noexcept {
+      return bottleneck_mbps * 1000.0 / 8.0;
+    }
+  };
+  [[nodiscard]] PathLoad path_load(const route::RouterPath& path, SimTime t,
+                                   LoadMemo* memo) const;
+
   [[nodiscard]] Rng probe_rng(std::uint64_t kind, topo::HostId src,
                               topo::HostId dst, SimTime t) const;
 
