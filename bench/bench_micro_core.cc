@@ -1,6 +1,9 @@
 // Microbenchmarks of the analysis layer (google-benchmark).
 #include <benchmark/benchmark.h>
 
+#include <utility>
+#include <vector>
+
 #include "bench_gbench_report.h"
 
 #include "core/alternate.h"
@@ -9,6 +12,7 @@
 #include "meas/catalog.h"
 #include "stats/histogram.h"
 #include "stats/tdist.h"
+#include "stats/ttest.h"
 #include "util/rng.h"
 
 namespace pathsel {
@@ -86,6 +90,28 @@ void BM_StudentTQuantile(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StudentTQuantile);
+
+// One verdict per call over 199 fixed estimate pairs, dof 2..200 like the
+// quantile loop above and observed t spread over [0, 4), so the two
+// benchmarks' per-call times compare directly.
+void BM_WelchVerdict(benchmark::State& state) {
+  std::vector<std::pair<stats::MeanEstimate, stats::MeanEstimate>> cases;
+  Rng rng{11};
+  for (int v = 2; v <= 200; ++v) {
+    const stats::MeanEstimate alternate{.mean = 10.0, .var_of_mean = 0.5,
+                                        .dof_denom = 0.5 / v};
+    const stats::MeanEstimate def{.mean = 10.0 + rng.uniform(0.0, 4.0),
+                                  .var_of_mean = 0.5, .dof_denom = 0.5 / v};
+    cases.emplace_back(def, alternate);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        stats::welch_verdict(cases[i].first, cases[i].second, 0.95));
+    i = i + 1 < cases.size() ? i + 1 : 0;
+  }
+}
+BENCHMARK(BM_WelchVerdict);
 
 }  // namespace
 }  // namespace pathsel

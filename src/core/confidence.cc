@@ -14,12 +14,6 @@ namespace {
 // bit-identical for every thread count (the tallies are integer sums).
 constexpr std::size_t kChunk = 256;
 
-stats::TTestResult pair_ttest(const ResultColumns& results, std::size_t i,
-                              double confidence) {
-  return stats::welch_ttest(results.default_estimate(i),
-                            results.alternate_estimate(i), confidence);
-}
-
 }  // namespace
 
 SignificanceTally classify_significance(const ResultColumns& results,
@@ -43,7 +37,8 @@ Result<SignificanceTally> classify_significance_checked(
   tally.pairs = results.size();
   if (results.empty()) return tally;
 
-  // Per-chunk counts of {better, worse, indeterminate, zero}.
+  // Per-chunk counts indexed by SignificanceClass: {better, worse,
+  // indeterminate, zero}.
   ThreadPool& pool = ThreadPool::shared(resolve_thread_count(threads));
   std::vector<std::array<std::size_t, 4>> counts(
       ThreadPool::chunk_count(results.size(), kChunk));
@@ -52,12 +47,8 @@ Result<SignificanceTally> classify_significance_checked(
       [&](std::size_t begin, std::size_t end, std::size_t chunk) {
         std::array<std::size_t, 4> local{};
         for (std::size_t i = begin; i < end; ++i) {
-          switch (pair_ttest(results, i, confidence).verdict) {
-            case stats::Significance::kBetter: ++local[0]; break;
-            case stats::Significance::kWorse: ++local[1]; break;
-            case stats::Significance::kIndeterminate: ++local[2]; break;
-            case stats::Significance::kZero: ++local[3]; break;
-          }
+          ++local[static_cast<std::size_t>(
+              classify_pair(results, i, confidence))];
         }
         counts[chunk] = local;
       },
@@ -84,7 +75,8 @@ Result<SignificanceTally> classify_significance_checked(
 
 SignificanceClass classify_pair(const ResultColumns& results, std::size_t i,
                                 double confidence) {
-  switch (pair_ttest(results, i, confidence).verdict) {
+  switch (stats::welch_verdict(results.default_estimate(i),
+                               results.alternate_estimate(i), confidence)) {
     case stats::Significance::kBetter:
       return SignificanceClass::kBetter;
     case stats::Significance::kWorse:
@@ -138,7 +130,9 @@ Result<std::vector<CiPoint>> confidence_cdf_checked(
         std::vector<CiPoint> local;
         local.reserve(end - begin);
         for (std::size_t i = begin; i < end; ++i) {
-          const auto t = pair_ttest(results, i, confidence);
+          const auto t = stats::welch_ttest(results.default_estimate(i),
+                                            results.alternate_estimate(i),
+                                            confidence);
           local.push_back(CiPoint{t.difference, 0.0, t.half_width});
         }
         return local;

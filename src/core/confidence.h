@@ -48,11 +48,13 @@ struct SignificanceTally {
 
 /// The verdict annotate_significance() writes for one pair — exposed so the
 /// serve engine can re-classify just the rows an incremental update touched
-/// and land on exactly the bytes a full annotate sweep would produce.
+/// and land on exactly the bytes a full annotate sweep would produce.  It is
+/// stats::welch_verdict, so it equals welch_ttest's verdict without paying
+/// for the quantile; the tallies count it too.
 [[nodiscard]] SignificanceClass classify_pair(const ResultColumns& results,
                                               std::size_t i, double confidence);
 
-/// Fills the significance column with the per-pair welch_ttest verdicts the
+/// Fills the significance column with the per-pair classify_pair verdicts the
 /// tallies above count (same confidence, same chunking — bit-identical for
 /// every thread count).  Serialized files then carry the classification, so
 /// a --results-in consumer can re-tally without the estimate sweeps.

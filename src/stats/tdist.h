@@ -4,8 +4,11 @@
 //   (a_bar - b_bar) +- t[.975; v] * s
 // (Jain, "The Art of Computer Systems Performance Analysis").  We implement
 // the t CDF through the regularized incomplete beta function (evaluated with
-// the Lentz continued fraction) and invert it by bisection; this is accurate
-// to ~1e-10 over the ranges we use and has no external dependencies.
+// the Lentz continued fraction, relative tolerance 3e-14) and invert it by
+// bisection, which stops once its bracket is below 1e-12 * (1 + |t|).  No
+// external dependencies.  Significance verdicts need no quantile: they come
+// from one CDF evaluation (stats/ttest.h welch_verdict); only CI half-widths
+// pay for the bisection.
 #pragma once
 
 namespace pathsel::stats {

@@ -411,6 +411,42 @@ TEST(ServeRobustness, RejectionsAreExplainedAndLeaveServedBytesUntouched) {
   EXPECT_EQ(c.snapshots_published, 1u);
 }
 
+TEST(ServeRobustness, HugeAcceptedRttFlushesAndReplays) {
+  // 1e300 is finite and non-negative, so submit accepts it; the edge's
+  // variance then overflows and its pairs become indeterminate, not an
+  // abort inside the t distribution with the record already journaled.
+  const meas::Dataset ds = mesh_dataset();
+  const std::string dir = ::testing::TempDir() + "/serve_huge_rtt_jdir";
+  const std::vector<EdgeUpdate> updates{update(0, 1, 1e300)};
+
+  std::string before;
+  {
+    ServeOptions options = base_options();
+    options.journal_dir = dir;
+    Result<std::unique_ptr<ServeEngine>> created =
+        ServeEngine::create(ds, options);
+    ASSERT_TRUE(created.is_ok()) << created.status().to_string();
+    ASSERT_TRUE(created.value()->submit(updates[0]).is_ok());
+    ASSERT_TRUE(created.value()->flush().is_ok());
+    before = served_bytes(*created.value());
+    const BestResponse best = created.value()->query_best(
+        core::Metric::kRtt, topo::HostId{0}, topo::HostId{1}, 0);
+    ASSERT_EQ(best.kind, BestResponse::Kind::kOk);
+    EXPECT_EQ(best.significance, core::SignificanceClass::kIndeterminate);
+  }
+  EXPECT_EQ(before,
+            core::serialize_result_columns(batch_reference(ds, updates)));
+
+  ServeOptions options = base_options();
+  options.journal_dir = dir;
+  options.resume = true;
+  Result<std::unique_ptr<ServeEngine>> resumed =
+      ServeEngine::create(ds, options);
+  ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
+  EXPECT_EQ(resumed.value()->counters().updates_replayed, 1u);
+  EXPECT_EQ(served_bytes(*resumed.value()), before);
+}
+
 TEST(ServeRobustness, OverloadShedsTheOldestUpdatesDeterministically) {
   const meas::Dataset ds = mesh_dataset();
   ServeOptions options = base_options();
