@@ -60,7 +60,7 @@ void run() {
                       Table::pct(c.coverage()),
                       std::to_string(c.usable_edges)});
 
-    const auto& results = result.value().results;
+    const auto& results = result.value().columns;
     const auto cdf = core::improvement_cdf(results);
     const auto tally = core::classify_significance(results, 0.95);
     degradation.add_row({label, std::to_string(results.size()),

@@ -4,6 +4,7 @@
 
 #include "core/alternate.h"
 #include "core/figures.h"
+#include "core/result_columns.h"
 
 namespace pathsel {
 namespace {
@@ -22,7 +23,8 @@ void run() {
     core::BuildOptions opt;
     opt.min_samples = bench::scaled_min_samples();
     const auto table = core::PathTable::build(catalog.by_name(name), opt);
-    const auto results = core::analyze_alternate_paths(table, {});
+    const auto results = core::from_pairs(
+        core::analyze_alternate_paths(table, {}), core::Metric::kRtt);
     const auto cdf = core::ratio_cdf(results);
     series.push_back(bench::cdf_series(cdf, name));
     summary.add_row({name, Table::pct(cdf.fraction_above(1.0)),

@@ -4,6 +4,7 @@
 
 #include "core/alternate.h"
 #include "core/figures.h"
+#include "core/result_columns.h"
 
 namespace pathsel {
 namespace {
@@ -25,11 +26,15 @@ void run() {
     const auto table = core::PathTable::build(catalog.by_name(name), opt);
     core::AnalyzerOptions analyze;
     analyze.metric = core::Metric::kLoss;
-    const auto results = core::analyze_alternate_paths(table, analyze);
+    const auto results = core::from_pairs(
+        core::analyze_alternate_paths(table, analyze), analyze.metric);
     const auto cdf = core::improvement_cdf(results);
     std::size_t lossless = 0;
-    for (const auto& r : results) {
-      if (r.default_value == 0.0 && r.alternate_value == 0.0) ++lossless;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      if (results.default_value[i] == 0.0 &&
+          results.alternate_value[i] == 0.0) {
+        ++lossless;
+      }
     }
     series.push_back(bench::cdf_series(cdf, name));
     summary.add_row({name, std::to_string(results.size()),

@@ -6,6 +6,7 @@
 #include "core/alternate.h"
 #include "core/figures.h"
 #include "core/median.h"
+#include "core/result_columns.h"
 #include "stats/ks.h"
 
 namespace pathsel {
@@ -25,7 +26,8 @@ void run() {
 
   core::AnalyzerOptions mean_opt;
   mean_opt.max_intermediate_hosts = 1;
-  const auto means = core::analyze_alternate_paths(table, mean_opt);
+  const auto means = core::from_pairs(
+      core::analyze_alternate_paths(table, mean_opt), mean_opt.metric);
   const auto medians = core::analyze_median_alternates(table);
 
   stats::EmpiricalCdf mean_cdf = core::improvement_cdf(means);

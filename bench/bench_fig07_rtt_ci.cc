@@ -4,6 +4,7 @@
 
 #include "core/alternate.h"
 #include "core/confidence.h"
+#include "core/result_columns.h"
 
 namespace pathsel {
 namespace {
@@ -18,7 +19,8 @@ void run() {
   core::BuildOptions opt;
   opt.min_samples = bench::scaled_min_samples();
   const auto table = core::PathTable::build(catalog.uw3(), opt);
-  const auto results = core::analyze_alternate_paths(table, {});
+  const auto results = core::from_pairs(
+      core::analyze_alternate_paths(table, {}), core::Metric::kRtt);
   const auto points = core::confidence_cdf(results);
 
   std::printf("# Figure 7: difference,fraction,ci_lo,ci_hi (every 8th point)\n");

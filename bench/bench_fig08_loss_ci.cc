@@ -3,6 +3,7 @@
 
 #include "core/alternate.h"
 #include "core/confidence.h"
+#include "core/result_columns.h"
 
 namespace pathsel {
 namespace {
@@ -19,7 +20,8 @@ void run() {
   const auto table = core::PathTable::build(catalog.uw3(), opt);
   core::AnalyzerOptions analyze;
   analyze.metric = core::Metric::kLoss;
-  const auto results = core::analyze_alternate_paths(table, analyze);
+  const auto results = core::from_pairs(
+      core::analyze_alternate_paths(table, analyze), analyze.metric);
   const auto points = core::confidence_cdf(results);
 
   std::printf("# Figure 8: difference,fraction,ci_lo,ci_hi (every 8th point)\n");

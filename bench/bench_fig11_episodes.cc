@@ -7,6 +7,7 @@
 #include "core/alternate.h"
 #include "core/episodes.h"
 #include "core/figures.h"
+#include "core/result_columns.h"
 
 namespace pathsel {
 namespace {
@@ -21,7 +22,8 @@ void run() {
   core::BuildOptions opt;
   opt.min_samples = bench::scaled_min_samples();
   const auto uw4b_table = core::PathTable::build(catalog.uw4b(), opt);
-  const auto uw4b_results = core::analyze_alternate_paths(uw4b_table, {});
+  const auto uw4b_results = core::from_pairs(
+      core::analyze_alternate_paths(uw4b_table, {}), core::Metric::kRtt);
   const auto uw4b_cdf = core::improvement_cdf(uw4b_results);
 
   const auto episodes = core::analyze_episodes(catalog.uw4a(), {});

@@ -3,6 +3,7 @@
 #include "bench_util.h"
 
 #include "core/as_analysis.h"
+#include "core/result_columns.h"
 
 namespace pathsel {
 namespace {
@@ -17,7 +18,8 @@ void run() {
   core::BuildOptions opt;
   opt.min_samples = bench::scaled_min_samples();
   const auto table = core::PathTable::build(catalog.uw1(), opt);
-  const auto results = core::analyze_alternate_paths(table, {});
+  const auto results = core::from_pairs(
+      core::analyze_alternate_paths(table, {}), core::Metric::kRtt);
   const auto apps = core::as_appearances(table, results);
 
   std::printf("# Figure 14: as_id,default_count,alternate_count\n");

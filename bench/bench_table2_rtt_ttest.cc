@@ -4,6 +4,7 @@
 
 #include "core/alternate.h"
 #include "core/confidence.h"
+#include "core/result_columns.h"
 
 namespace pathsel {
 namespace {
@@ -21,7 +22,8 @@ void run() {
     core::BuildOptions opt;
     opt.min_samples = bench::scaled_min_samples();
     const auto ptable = core::PathTable::build(catalog.by_name(name), opt);
-    const auto results = core::analyze_alternate_paths(ptable, {});
+    const auto results = core::from_pairs(
+        core::analyze_alternate_paths(ptable, {}), core::Metric::kRtt);
     const auto tally = core::classify_significance(results);
     table.add_row({name, Table::pct(tally.better),
                    Table::pct(tally.indeterminate), Table::pct(tally.worse)});

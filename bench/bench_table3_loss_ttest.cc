@@ -4,6 +4,7 @@
 
 #include "core/alternate.h"
 #include "core/confidence.h"
+#include "core/result_columns.h"
 
 namespace pathsel {
 namespace {
@@ -24,7 +25,8 @@ void run() {
     const auto ptable = core::PathTable::build(catalog.by_name(name), opt);
     core::AnalyzerOptions analyze;
     analyze.metric = core::Metric::kLoss;
-    const auto results = core::analyze_alternate_paths(ptable, analyze);
+    const auto results = core::from_pairs(
+        core::analyze_alternate_paths(ptable, analyze), analyze.metric);
     const auto tally = core::classify_significance(results);
     table.add_row({name, Table::pct(tally.better),
                    Table::pct(tally.indeterminate), Table::pct(tally.zero),

@@ -7,6 +7,7 @@
 #include "core/confidence.h"
 #include "core/figures.h"
 #include "core/path_table.h"
+#include "core/result_columns.h"
 #include "meas/catalog.h"
 #include "util/table.h"
 
@@ -28,7 +29,8 @@ int main() {
               table.edges().size());
 
   // Figure 1 flavor: round-trip time.
-  const auto rtt = core::analyze_alternate_paths(table, {});
+  const core::ResultColumns rtt = core::from_pairs(
+      core::analyze_alternate_paths(table, {}), core::Metric::kRtt);
   const auto rtt_cdf = core::improvement_cdf(rtt);
   Table fig1{"RTT alternates (Figure 1 flavor)"};
   fig1.set_header({"pairs", "% better", "% gain >= 20ms", "median gain"});
@@ -41,7 +43,8 @@ int main() {
   // Figure 3 flavor: loss rate.
   core::AnalyzerOptions loss_opt;
   loss_opt.metric = core::Metric::kLoss;
-  const auto loss = core::analyze_alternate_paths(table, loss_opt);
+  const core::ResultColumns loss = core::from_pairs(
+      core::analyze_alternate_paths(table, loss_opt), core::Metric::kLoss);
   const auto loss_cdf = core::improvement_cdf(loss);
   Table fig3{"loss alternates (Figure 3 flavor)"};
   fig3.set_header({"pairs", "% better", "% gain >= 5pp"});

@@ -58,6 +58,10 @@ enum class Kernel {
   kSearch,
 };
 
+/// One pair's best alternate, as the sweep emits it.  This is the sweep's
+/// output record only: every consumer reads ResultColumns (from_pairs
+/// transposes a sweep's vector once), which also holds the only definitions
+/// of the paper's x axes, improvement(i) and ratio(i).
 struct PairResult {
   topo::HostId a;
   topo::HostId b;
@@ -68,15 +72,6 @@ struct PairResult {
   /// Uncertainty estimates (meaningful for kRtt and kLoss).
   stats::MeanEstimate default_estimate;
   stats::MeanEstimate alternate_estimate;
-
-  /// Positive when the alternate is better (the paper's x axes).
-  [[nodiscard]] double improvement() const noexcept {
-    return default_value - alternate_value;
-  }
-  /// default / alternate, >1 when the alternate is better (Figure 2).
-  [[nodiscard]] double ratio() const noexcept {
-    return alternate_value > 0.0 ? default_value / alternate_value : 1.0;
-  }
 };
 
 struct AnalyzerOptions {

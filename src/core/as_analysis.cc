@@ -1,13 +1,14 @@
 #include "core/as_analysis.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
 
 namespace pathsel::core {
 
 std::vector<AsAppearance> as_appearances(const PathTable& table,
-                                         std::span<const PairResult> results) {
+                                         const ResultColumns& results) {
   std::unordered_map<topo::AsId, AsAppearance> acc;
 
   for (const PathEdge& e : table.edges()) {
@@ -19,13 +20,15 @@ std::vector<AsAppearance> as_appearances(const PathTable& table,
     }
   }
 
-  for (const PairResult& r : results) {
-    // Hosts along the alternate: a, via..., b; collect the AS sets of the
-    // constituent edges.
+  for (std::size_t r = 0; r < results.size(); ++r) {
+    // Hosts along the alternate: src, via..., dst; collect the AS sets of
+    // the constituent edges.
     std::vector<topo::HostId> chain;
-    chain.push_back(r.a);
-    chain.insert(chain.end(), r.via.begin(), r.via.end());
-    chain.push_back(r.b);
+    chain.push_back(topo::HostId{results.src[r]});
+    for (const std::int32_t h : results.via_of(r)) {
+      chain.push_back(topo::HostId{h});
+    }
+    chain.push_back(topo::HostId{results.dst[r]});
     std::unordered_set<topo::AsId> seen;
     for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
       const PathEdge* e = table.find(chain[i], chain[i + 1]);

@@ -11,6 +11,7 @@
 
 #include "core/alternate.h"
 #include "core/path_table.h"
+#include "core/result_columns.h"
 
 namespace pathsel::core {
 
@@ -22,6 +23,6 @@ struct AsAppearance {
 
 /// `results` must come from analyze_alternate_paths over the same table.
 [[nodiscard]] std::vector<AsAppearance> as_appearances(
-    const PathTable& table, std::span<const PairResult> results);
+    const PathTable& table, const ResultColumns& results);
 
 }  // namespace pathsel::core

@@ -24,12 +24,6 @@ SignificanceTally classify_significance(const ResultColumns& results,
   return tally.value();
 }
 
-SignificanceTally classify_significance(std::span<const PairResult> results,
-                                        double confidence, int threads) {
-  return classify_significance(from_pairs(results, Metric::kRtt), confidence,
-                               threads);
-}
-
 Result<SignificanceTally> classify_significance_checked(
     const ResultColumns& results, double confidence, int threads,
     const CancelToken* cancel) {
@@ -64,13 +58,6 @@ Result<SignificanceTally> classify_significance_checked(
   tally.indeterminate = static_cast<double>(total[2]) / n;
   tally.zero = static_cast<double>(total[3]) / n;
   return tally;
-}
-
-Result<SignificanceTally> classify_significance_checked(
-    std::span<const PairResult> results, double confidence, int threads,
-    const CancelToken* cancel) {
-  return classify_significance_checked(from_pairs(results, Metric::kRtt),
-                                       confidence, threads, cancel);
 }
 
 SignificanceClass classify_pair(const ResultColumns& results, std::size_t i,
@@ -114,12 +101,6 @@ std::vector<CiPoint> confidence_cdf(const ResultColumns& results,
   return std::move(points.value());
 }
 
-std::vector<CiPoint> confidence_cdf(std::span<const PairResult> results,
-                                    double confidence, int threads) {
-  return confidence_cdf(from_pairs(results, Metric::kRtt), confidence,
-                        threads);
-}
-
 Result<std::vector<CiPoint>> confidence_cdf_checked(
     const ResultColumns& results, double confidence, int threads,
     const CancelToken* cancel) {
@@ -149,13 +130,6 @@ Result<std::vector<CiPoint>> confidence_cdf_checked(
         static_cast<double>(i + 1) / static_cast<double>(points.size());
   }
   return points;
-}
-
-Result<std::vector<CiPoint>> confidence_cdf_checked(
-    std::span<const PairResult> results, double confidence, int threads,
-    const CancelToken* cancel) {
-  return confidence_cdf_checked(from_pairs(results, Metric::kRtt), confidence,
-                                threads, cancel);
 }
 
 }  // namespace pathsel::core

@@ -8,7 +8,6 @@
 // "zero" class for pairs that saw no losses at all on either path).
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -27,24 +26,16 @@ struct SignificanceTally {
 };
 
 /// `threads` <= 0 means util::default_thread_count(); 1 forces the serial
-/// path.  Both sweeps are bit-identical for every thread count.  The
-/// columnar overloads are the implementation; the PairResult spans delegate
-/// through from_pairs so one code path serves both (and the pre-refactor
-/// goldens pin the columnar port).
+/// path.  Both sweeps are bit-identical for every thread count.  A caller
+/// holding a sweep's PairResult vector transposes it once with from_pairs.
 [[nodiscard]] SignificanceTally classify_significance(
     const ResultColumns& results, double confidence = 0.95, int threads = 0);
-[[nodiscard]] SignificanceTally classify_significance(
-    std::span<const PairResult> results, double confidence = 0.95,
-    int threads = 0);
 
 /// As classify_significance(), but polls `cancel` before every chunk and
 /// returns its status (kDeadlineExceeded or kCancelled) when tripped.
 [[nodiscard]] Result<SignificanceTally> classify_significance_checked(
     const ResultColumns& results, double confidence = 0.95, int threads = 0,
     const CancelToken* cancel = nullptr);
-[[nodiscard]] Result<SignificanceTally> classify_significance_checked(
-    std::span<const PairResult> results, double confidence = 0.95,
-    int threads = 0, const CancelToken* cancel = nullptr);
 
 /// The verdict annotate_significance() writes for one pair — exposed so the
 /// serve engine can re-classify just the rows an incremental update touched
@@ -74,16 +65,10 @@ struct CiPoint {
 /// Points sorted by difference (the CDF), each with its own half-width.
 [[nodiscard]] std::vector<CiPoint> confidence_cdf(
     const ResultColumns& results, double confidence = 0.95, int threads = 0);
-[[nodiscard]] std::vector<CiPoint> confidence_cdf(
-    std::span<const PairResult> results, double confidence = 0.95,
-    int threads = 0);
 
 /// As confidence_cdf(), but cancellable; partial CDFs are discarded.
 [[nodiscard]] Result<std::vector<CiPoint>> confidence_cdf_checked(
     const ResultColumns& results, double confidence = 0.95, int threads = 0,
     const CancelToken* cancel = nullptr);
-[[nodiscard]] Result<std::vector<CiPoint>> confidence_cdf_checked(
-    std::span<const PairResult> results, double confidence = 0.95,
-    int threads = 0, const CancelToken* cancel = nullptr);
 
 }  // namespace pathsel::core

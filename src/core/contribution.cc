@@ -10,10 +10,12 @@ namespace pathsel::core {
 
 namespace {
 
-double mean_improvement(std::span<const PairResult> results) {
+double mean_improvement(const ResultColumns& results) {
   if (results.empty()) return 0.0;
   double total = 0.0;
-  for (const auto& r : results) total += r.improvement();
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    total += results.improvement(i);
+  }
   return total / static_cast<double>(results.size());
 }
 
@@ -27,7 +29,8 @@ TopHostsResult remove_top_hosts(const PathTable& table, Metric metric,
   options.threads = threads;
 
   TopHostsResult out;
-  out.full_results = analyze_alternate_paths(table, options);
+  out.full_results =
+      from_pairs(analyze_alternate_paths(table, options), metric);
 
   PathTable current = table.without_hosts({});
   for (int round = 0; round < count; ++round) {
@@ -37,7 +40,7 @@ TopHostsResult remove_top_hosts(const PathTable& table, Metric metric,
       const topo::HostId removal[] = {candidate};
       const PathTable reduced = current.without_hosts(removal);
       const double mean = mean_improvement(
-          analyze_alternate_paths(reduced, options));
+          from_pairs(analyze_alternate_paths(reduced, options), metric));
       if (mean < best_mean) {
         best_mean = mean;
         best_host = candidate;
@@ -48,7 +51,8 @@ TopHostsResult remove_top_hosts(const PathTable& table, Metric metric,
     current = current.without_hosts(removal);
     out.removed.push_back(best_host);
   }
-  out.reduced_results = analyze_alternate_paths(current, options);
+  out.reduced_results =
+      from_pairs(analyze_alternate_paths(current, options), metric);
   return out;
 }
 

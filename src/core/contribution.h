@@ -14,13 +14,14 @@
 
 #include "core/alternate.h"
 #include "core/path_table.h"
+#include "core/result_columns.h"
 
 namespace pathsel::core {
 
 struct TopHostsResult {
-  std::vector<topo::HostId> removed;       // in greedy removal order
-  std::vector<PairResult> full_results;    // all hosts
-  std::vector<PairResult> reduced_results; // after removal
+  std::vector<topo::HostId> removed;  // in greedy removal order
+  ResultColumns full_results;         // all hosts
+  ResultColumns reduced_results;      // after removal
 };
 
 /// Greedy removal of `count` hosts minimizing the mean improvement of the

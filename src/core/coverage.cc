@@ -84,22 +84,10 @@ Result<DegradedAnalysis> analyze_with_coverage(const meas::Dataset& dataset,
   Result<std::vector<PairResult>> swept =
       analyze_alternate_paths_checked(table.value(), analyze);
   if (!swept.is_ok()) return swept.status();
-  out.results = std::move(swept.value());
-  out.coverage.analyzable_edges = out.results.size();
+  out.columns = from_pairs(swept.value(), analyze.metric);
+  out.coverage.analyzable_edges = out.columns.size();
   out.coverage.disconnected_edges =
       out.coverage.usable_edges - out.coverage.analyzable_edges;
-  return out;
-}
-
-Result<DegradedColumnsAnalysis> analyze_columns_with_coverage(
-    const meas::Dataset& dataset, const BuildOptions& build,
-    const AnalyzerOptions& analyze) {
-  Result<DegradedAnalysis> swept =
-      analyze_with_coverage(dataset, build, analyze);
-  if (!swept.is_ok()) return swept.status();
-  DegradedColumnsAnalysis out;
-  out.columns = from_pairs(swept.value().results, analyze.metric);
-  out.coverage = swept.value().coverage;
   return out;
 }
 

@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstddef>
-#include <vector>
 
 #include "core/alternate.h"
 #include "core/path_table.h"
@@ -53,8 +52,10 @@ struct CoverageSummary {
 [[nodiscard]] CoverageSummary summarize_coverage(const meas::Dataset& dataset,
                                                  const PathTable& table);
 
+/// The sweep's results, transposed into columns tagged with the analyzer's
+/// metric, and the coverage that backed them.
 struct DegradedAnalysis {
-  std::vector<PairResult> results;
+  ResultColumns columns;
   CoverageSummary coverage;
 };
 
@@ -67,18 +68,6 @@ struct DegradedAnalysis {
 /// token set on either options struct propagates: cancellation surfaces as
 /// kDeadlineExceeded/kCancelled instead of aborting.
 [[nodiscard]] Result<DegradedAnalysis> analyze_with_coverage(
-    const meas::Dataset& dataset, const BuildOptions& build = {},
-    const AnalyzerOptions& analyze = {});
-
-struct DegradedColumnsAnalysis {
-  ResultColumns columns;
-  CoverageSummary coverage;
-};
-
-/// analyze_with_coverage with the sweep's PairResults transposed into the
-/// columnar results core (tagged with the analyzer's metric) — the shape the
-/// post-processing layer and the --results-out interchange consume.
-[[nodiscard]] Result<DegradedColumnsAnalysis> analyze_columns_with_coverage(
     const meas::Dataset& dataset, const BuildOptions& build = {},
     const AnalyzerOptions& analyze = {});
 

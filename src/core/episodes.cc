@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "core/result_columns.h"
 #include "stats/summary.h"
 #include "util/expect.h"
 
@@ -46,13 +47,14 @@ Result<EpisodeAnalysis> analyze_episodes_checked(
     Result<std::vector<PairResult>> swept =
         analyze_alternate_paths_checked(table, analyze);
     if (!swept.is_ok()) return swept.status();
-    const std::vector<PairResult>& results = swept.value();
+    const ResultColumns results = from_pairs(swept.value(), options.metric);
     if (results.empty()) continue;
     ++out.episodes_analyzed;
-    for (const auto& r : results) {
-      const double diff = r.improvement();
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const double diff = results.improvement(i);
       out.unaveraged.add(diff);
-      per_pair[{r.a, r.b}].add(diff);
+      per_pair[{topo::HostId{results.src[i]}, topo::HostId{results.dst[i]}}]
+          .add(diff);
       ++out.pair_episode_points;
     }
   }

@@ -54,19 +54,9 @@ stats::EmpiricalCdf improvement_cdf(const ResultColumns& results,
                    [&](std::size_t i) { return results.improvement(i); });
 }
 
-stats::EmpiricalCdf improvement_cdf(std::span<const PairResult> results,
-                                    int threads) {
-  return improvement_cdf(from_pairs(results, Metric::kRtt), threads);
-}
-
 stats::EmpiricalCdf ratio_cdf(const ResultColumns& results, int threads) {
   return sweep_cdf(results.size(), threads,
                    [&](std::size_t i) { return results.ratio(i); });
-}
-
-stats::EmpiricalCdf ratio_cdf(std::span<const PairResult> results,
-                              int threads) {
-  return ratio_cdf(from_pairs(results, Metric::kRtt), threads);
 }
 
 stats::EmpiricalCdf bandwidth_improvement_cdf(
@@ -85,10 +75,6 @@ double fraction_improved(const ResultColumns& results, int threads) {
   return sweep_fraction_improved(
       results.size(), threads,
       [&](std::size_t i) { return results.improvement(i); });
-}
-
-double fraction_improved(std::span<const PairResult> results, int threads) {
-  return fraction_improved(from_pairs(results, Metric::kRtt), threads);
 }
 
 double fraction_improved(std::span<const BandwidthPairResult> results,

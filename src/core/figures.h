@@ -20,18 +20,14 @@
 
 namespace pathsel::core {
 
-// The columnar overloads are the implementation; the PairResult spans
-// delegate through from_pairs, so every caller exercises the same sweep and
-// the pre-refactor goldens pin the columnar port byte for byte.
+// RTT and loss results are read as ResultColumns only: a caller holding a
+// sweep's PairResult vector transposes it once with from_pairs and its real
+// metric.  Bandwidth keeps its own record, BandwidthPairResult.
 
 [[nodiscard]] stats::EmpiricalCdf improvement_cdf(const ResultColumns& results,
                                                   int threads = 0);
-[[nodiscard]] stats::EmpiricalCdf improvement_cdf(
-    std::span<const PairResult> results, int threads = 0);
 
 [[nodiscard]] stats::EmpiricalCdf ratio_cdf(const ResultColumns& results,
-                                            int threads = 0);
-[[nodiscard]] stats::EmpiricalCdf ratio_cdf(std::span<const PairResult> results,
                                             int threads = 0);
 
 [[nodiscard]] stats::EmpiricalCdf bandwidth_improvement_cdf(
@@ -42,8 +38,6 @@ namespace pathsel::core {
 
 /// Fraction of pairs for which the best alternate is strictly better.
 [[nodiscard]] double fraction_improved(const ResultColumns& results,
-                                       int threads = 0);
-[[nodiscard]] double fraction_improved(std::span<const PairResult> results,
                                        int threads = 0);
 [[nodiscard]] double fraction_improved(
     std::span<const BandwidthPairResult> results, int threads = 0);

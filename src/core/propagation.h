@@ -14,6 +14,7 @@
 
 #include "core/alternate.h"
 #include "core/path_table.h"
+#include "core/result_columns.h"
 
 namespace pathsel::core {
 
@@ -25,9 +26,9 @@ struct PropagationPoint {
 
 struct PropagationAnalysis {
   /// Alternates chosen (and judged) by propagation delay — Figure 15.
-  std::vector<PairResult> propagation_results;
+  ResultColumns propagation_results;
   /// Alternates chosen by mean RTT — the baseline CDF overlaid in Figure 15.
-  std::vector<PairResult> rtt_results;
+  ResultColumns rtt_results;
   /// Per-pair decomposition of the mean-RTT alternates — Figure 16.
   std::vector<PropagationPoint> scatter;
   std::array<std::size_t, 6> group_counts{};

@@ -1,21 +1,21 @@
 // Columnar (struct-of-arrays) results core.
 //
-// Every consumer of the Table-1/Fig-1 pipeline — figure CDFs, significance
-// classification, confidence CDFs, coverage accounting, the campaign report
-// writers — used to iterate std::vector<PairResult> (array-of-structs).
-// That layout blocks SIMD post-processing, cheap snapshot sharing for a
-// long-running path-selection service, and compact interchange between
-// scenario-matrix workers.  ResultColumns is the columnar replacement: one
-// parallel column per PairResult field (src/dst, direct/alternate metric
-// value, mean/variance/dof columns for both estimates, relay, hop count,
-// significance class) plus a flattened relay-sequence column, tagged with
-// the metric the sweep ran — one column set per metric.
+// ResultColumns is the one result type every consumer reads once a sweep
+// has returned: figure CDFs, significance classification, confidence CDFs,
+// coverage accounting, the AS/propagation/time-of-day/top-hosts analyses,
+// the campaign report writers, the serve engine and the matrix cells.  It
+// holds one parallel column per PairResult field (src/dst, direct/alternate
+// metric value, mean/variance/dof columns for both estimates, relay, hop
+// count, significance class) plus a flattened relay-sequence column, tagged
+// with the metric the sweep ran — one column set per metric.  The layout
+// suits SIMD post-processing, cheap snapshot sharing in the serve engine and
+// compact interchange between scenario-matrix workers, and its improvement()
+// and ratio() are the only definitions of the paper's x axes.
 //
-// Sweeps still *produce* PairResults (the engines' native shape); everything
-// after a sweep reads columns.  from_pairs()/to_pairs() convert losslessly —
-// the round-trip reproduces every field bit for bit, which the differential
-// test harness (tests/core/result_columns_test.cc) locks in together with
-// byte-identical figure/table/CLI output before and after the port.
+// Sweeps still *emit* PairResults (the engines' per-pair output record);
+// from_pairs() transposes them once, with the sweep's real metric.
+// to_pairs() is its inverse — the round-trip reproduces every field bit for
+// bit, which tests/core/result_columns_test.cc locks in.
 //
 // On disk the columns use a versioned little-endian binary format:
 //

@@ -55,7 +55,8 @@ Result<std::vector<TimeOfDayBin>> analyze_by_time_of_day_checked(
     Result<std::vector<PairResult>> swept =
         analyze_alternate_paths_checked(table.value(), analyze);
     if (!swept.is_ok()) return swept.status();
-    out.push_back(TimeOfDayBin{bin.label, std::move(swept.value())});
+    out.push_back(
+        TimeOfDayBin{bin.label, from_pairs(swept.value(), options.metric)});
   }
   return out;
 }

@@ -12,13 +12,14 @@
 #include <vector>
 
 #include "core/alternate.h"
+#include "core/result_columns.h"
 #include "meas/dataset.h"
 
 namespace pathsel::core {
 
 struct TimeOfDayBin {
   std::string label;
-  std::vector<PairResult> results;
+  ResultColumns results;  // tagged with options.metric
 };
 
 struct TimeOfDayOptions {

@@ -195,12 +195,12 @@ Status analyze_cell(const CellContext& ctx, const CellSpec& cell,
   }
   analyze.threads = ctx.threads;
   analyze.cancel = ctx.cancel;
-  auto result = core::analyze_columns_with_coverage(ds, build, analyze);
+  auto result = core::analyze_with_coverage(ds, build, analyze);
   if (!result.is_ok()) {
     return infrastructure_failure(result.status()) ? result.status()
                                                    : degrade(result.status());
   }
-  core::DegradedColumnsAnalysis& analysis = result.value();
+  core::DegradedAnalysis& analysis = result.value();
   summary.hosts = analysis.coverage.hosts;
   summary.usable_edges = analysis.coverage.usable_edges;
   summary.coverage = analysis.coverage.coverage();

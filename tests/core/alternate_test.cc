@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/result_columns.h"
 #include "test_util.h"
 
 namespace pathsel::core {
@@ -23,20 +24,21 @@ PathTable triangle_table() {
 }
 
 TEST(Alternate, FindsObviousDetour) {
-  const auto results =
-      analyze_alternate_paths(triangle_table(), AnalyzerOptions{});
+  const ResultColumns results = from_pairs(
+      analyze_alternate_paths(triangle_table(), AnalyzerOptions{}),
+      Metric::kRtt);
   // All three pairs have alternates (the triangle is 2-connected).
   ASSERT_EQ(results.size(), 3u);
-  const auto* r01 = &results[0];
-  for (const auto& r : results) {
-    if (r.a == topo::HostId{0} && r.b == topo::HostId{1}) r01 = &r;
+  std::size_t r01 = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (results.src[i] == 0 && results.dst[i] == 1) r01 = i;
   }
-  EXPECT_DOUBLE_EQ(r01->default_value, 100.0);
-  EXPECT_DOUBLE_EQ(r01->alternate_value, 60.0);
-  ASSERT_EQ(r01->via.size(), 1u);
-  EXPECT_EQ(r01->via[0], topo::HostId{2});
-  EXPECT_DOUBLE_EQ(r01->improvement(), 40.0);
-  EXPECT_NEAR(r01->ratio(), 100.0 / 60.0, 1e-12);
+  EXPECT_DOUBLE_EQ(results.default_value[r01], 100.0);
+  EXPECT_DOUBLE_EQ(results.alternate_value[r01], 60.0);
+  ASSERT_EQ(results.hop_count[r01], 1);
+  EXPECT_EQ(results.via_of(r01)[0], 2);
+  EXPECT_DOUBLE_EQ(results.improvement(r01), 40.0);
+  EXPECT_NEAR(results.ratio(r01), 100.0 / 60.0, 1e-12);
 }
 
 TEST(Alternate, DetourWorseForGoodPairs) {
@@ -46,7 +48,7 @@ TEST(Alternate, DetourWorseForGoodPairs) {
     if (r.a == topo::HostId{0} && r.b == topo::HostId{2}) {
       // Alternate 0-1-2 costs 130; direct is 30.
       EXPECT_DOUBLE_EQ(r.alternate_value, 130.0);
-      EXPECT_LT(r.improvement(), 0.0);
+      EXPECT_GT(r.alternate_value, r.default_value);
     }
   }
 }
@@ -143,7 +145,7 @@ TEST(Alternate, ZeroLossEdgesComposeToZero) {
   for (const auto& r : analyze_alternate_paths(table, opt)) {
     if (r.a == topo::HostId{0} && r.b == topo::HostId{1}) {
       EXPECT_DOUBLE_EQ(r.alternate_value, 0.0);
-      EXPECT_GT(r.improvement(), 0.0);
+      EXPECT_LT(r.alternate_value, r.default_value);
     }
   }
 }

@@ -4,6 +4,7 @@
 
 #include "core/alternate.h"
 #include "core/path_table.h"
+#include "core/result_columns.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -112,11 +113,14 @@ TEST_P(AnalyzerSweep, LossAlternateAtLeastMaxLeg) {
 
 TEST_P(AnalyzerSweep, RatioAndImprovementAgreeOnSign) {
   const auto table = random_table(GetParam(), 10, 0.8);
-  for (const auto& r : analyze_alternate_paths(table, {})) {
-    if (r.improvement() > 0.0) {
-      EXPECT_GT(r.ratio(), 1.0);
-    } else if (r.improvement() < 0.0) {
-      EXPECT_LT(r.ratio(), 1.0);
+  const ResultColumns results =
+      from_pairs(analyze_alternate_paths(table, {}), Metric::kRtt);
+  ASSERT_FALSE(results.empty());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (results.improvement(i) > 0.0) {
+      EXPECT_GT(results.ratio(i), 1.0);
+    } else if (results.improvement(i) < 0.0) {
+      EXPECT_LT(results.ratio(i), 1.0);
     }
   }
 }

@@ -33,8 +33,9 @@ PathTable as_table() {
 
 TEST(AsAnalysis, CountsDefaultAppearances) {
   const auto table = as_table();
-  const auto results = analyze_alternate_paths(table, AnalyzerOptions{});
-  const auto apps = as_appearances(table, results);
+  const auto apps = as_appearances(
+      table, from_pairs(analyze_alternate_paths(table, AnalyzerOptions{}),
+                        Metric::kRtt));
   auto find = [&apps](int as) -> const AsAppearance* {
     for (const auto& a : apps) {
       if (a.as == topo::AsId{as}) return &a;
@@ -51,8 +52,9 @@ TEST(AsAnalysis, CountsDefaultAppearances) {
 
 TEST(AsAnalysis, CountsAlternateAppearances) {
   const auto table = as_table();
-  const auto results = analyze_alternate_paths(table, AnalyzerOptions{});
-  const auto apps = as_appearances(table, results);
+  const auto apps = as_appearances(
+      table, from_pairs(analyze_alternate_paths(table, AnalyzerOptions{}),
+                        Metric::kRtt));
   auto find = [&apps](int as) -> const AsAppearance* {
     for (const auto& a : apps) {
       if (a.as == topo::AsId{as}) return &a;
@@ -70,8 +72,9 @@ TEST(AsAnalysis, CountsAlternateAppearances) {
 
 TEST(AsAnalysis, SortedByAsId) {
   const auto table = as_table();
-  const auto results = analyze_alternate_paths(table, AnalyzerOptions{});
-  const auto apps = as_appearances(table, results);
+  const auto apps = as_appearances(
+      table, from_pairs(analyze_alternate_paths(table, AnalyzerOptions{}),
+                        Metric::kRtt));
   for (std::size_t i = 1; i < apps.size(); ++i) {
     EXPECT_LT(apps[i - 1].as, apps[i].as);
   }

@@ -16,8 +16,9 @@ using test::add_invocation;
 using test::add_invocations;
 using test::make_dataset;
 
-std::vector<PairResult> rtt_results(const PathTable& table) {
-  return analyze_alternate_paths(table, AnalyzerOptions{});
+ResultColumns rtt_results(const PathTable& table) {
+  return from_pairs(analyze_alternate_paths(table, AnalyzerOptions{}),
+                    Metric::kRtt);
 }
 
 TEST(Confidence, TallyFractionsSumToOne) {
@@ -43,7 +44,7 @@ TEST(Confidence, ClearWinnerClassifiedBetter) {
     add_invocation(ds, 2, 1, {30.0 + (i % 3), 30.0, 30.0});
   }
   const auto table = PathTable::build(ds, test::min_samples(1));
-  const auto results = rtt_results(table);
+  const auto results = analyze_alternate_paths(table, AnalyzerOptions{});
   for (const auto& r : results) {
     const auto t = stats::welch_ttest(r.default_estimate, r.alternate_estimate);
     if (r.a == topo::HostId{0} && r.b == topo::HostId{1}) {
@@ -78,7 +79,8 @@ TEST(Confidence, LossZeroClass) {
   const auto table = PathTable::build(ds, test::min_samples(1));
   AnalyzerOptions opt;
   opt.metric = Metric::kLoss;
-  const auto tally = classify_significance(analyze_alternate_paths(table, opt));
+  const auto tally = classify_significance(
+      from_pairs(analyze_alternate_paths(table, opt), opt.metric));
   EXPECT_DOUBLE_EQ(tally.zero, 1.0);
 }
 
@@ -191,9 +193,9 @@ TEST(Confidence, VerdictsMatchTTestOnCatalogDatasets) {
 }
 
 TEST(Confidence, EmptyInputHandled) {
-  const auto tally = classify_significance(std::span<const PairResult>{});
+  const auto tally = classify_significance(ResultColumns{});
   EXPECT_EQ(tally.pairs, 0u);
-  EXPECT_TRUE(confidence_cdf(std::span<const PairResult>{}).empty());
+  EXPECT_TRUE(confidence_cdf(ResultColumns{}).empty());
 }
 
 }  // namespace

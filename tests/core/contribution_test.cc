@@ -61,10 +61,8 @@ TEST(Contribution, GreedyRemovalFindsMagicRelay) {
 
 TEST(Contribution, RemovalShiftsCdfLeft) {
   const auto result = remove_top_hosts(star_table(), Metric::kRtt, 1);
-  const double before =
-      fraction_improved(std::span<const PairResult>(result.full_results));
-  const double after =
-      fraction_improved(std::span<const PairResult>(result.reduced_results));
+  const double before = fraction_improved(result.full_results);
+  const double after = fraction_improved(result.reduced_results);
   // Six of the ten pairs (those among hosts 0..3) had the fast relay.
   EXPECT_NEAR(before, 0.6, 0.01);
   EXPECT_LT(after, 0.1);  // gone after removal
@@ -84,10 +82,8 @@ TEST(Contribution, RemovingFromRobustTableChangesLittle) {
   }
   const auto table = PathTable::build(ds, test::min_samples(1));
   const auto result = remove_top_hosts(table, Metric::kRtt, 1);
-  const double before =
-      fraction_improved(std::span<const PairResult>(result.full_results));
-  const double after =
-      fraction_improved(std::span<const PairResult>(result.reduced_results));
+  const double before = fraction_improved(result.full_results);
+  const double after = fraction_improved(result.reduced_results);
   EXPECT_GT(before, 0.4);
   EXPECT_GT(after, 0.4);
   EXPECT_NEAR(before, after, 0.15);
@@ -97,6 +93,12 @@ TEST(Contribution, ZeroRemovalKeepsTable) {
   const auto result = remove_top_hosts(star_table(), Metric::kRtt, 0);
   EXPECT_TRUE(result.removed.empty());
   EXPECT_EQ(result.full_results.size(), result.reduced_results.size());
+}
+
+TEST(Contribution, RemovalSetsCarryTheAnalyzerMetric) {
+  const auto result = remove_top_hosts(star_table(), Metric::kLoss, 1);
+  EXPECT_EQ(result.full_results.metric, Metric::kLoss);
+  EXPECT_EQ(result.reduced_results.metric, Metric::kLoss);
 }
 
 TEST(Contribution, NegativeCountAborts) {

@@ -53,7 +53,7 @@ TEST(Coverage, AnalyzeFillsDegradationSplit) {
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   const DegradedAnalysis& analysis = result.value();
   // All three triangle edges have a two-hop alternate.
-  EXPECT_EQ(analysis.results.size(), 3u);
+  EXPECT_EQ(analysis.columns.size(), 3u);
   EXPECT_EQ(analysis.coverage.analyzable_edges, 3u);
   EXPECT_EQ(analysis.coverage.disconnected_edges, 0u);
 }
@@ -120,9 +120,9 @@ TEST(Coverage, SingleSampleLossEdgesAnalyzeWithoutAborting) {
   opts.metric = Metric::kLoss;
   const auto result = analyze_with_coverage(ds, test::min_samples(1), opts);
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
-  EXPECT_EQ(result.value().results.size(), 3u);
-  for (const auto& pair : result.value().results) {
-    EXPECT_GE(pair.alternate_value, 0.0);
+  EXPECT_EQ(result.value().columns.size(), 3u);
+  for (const double alternate : result.value().columns.alternate_value) {
+    EXPECT_GE(alternate, 0.0);
   }
 }
 

@@ -14,6 +14,10 @@ PairResult pair(double def, double alt) {
   return r;
 }
 
+ResultColumns columns(const std::vector<PairResult>& pairs) {
+  return from_pairs(pairs, Metric::kRtt);
+}
+
 BandwidthPairResult bw_pair(double def, double alt) {
   BandwidthPairResult r;
   r.default_kBps = def;
@@ -22,15 +26,13 @@ BandwidthPairResult bw_pair(double def, double alt) {
 }
 
 TEST(Figures, ImprovementCdfSign) {
-  const std::vector<PairResult> results{pair(100, 60), pair(50, 70)};
-  const auto cdf = improvement_cdf(results);
+  const auto cdf = improvement_cdf(columns({pair(100, 60), pair(50, 70)}));
   EXPECT_DOUBLE_EQ(cdf.fraction_above(0.0), 0.5);
   EXPECT_DOUBLE_EQ(cdf.value_at_fraction(1.0), 40.0);
 }
 
 TEST(Figures, RatioCdf) {
-  const std::vector<PairResult> results{pair(100, 50), pair(60, 60)};
-  const auto cdf = ratio_cdf(results);
+  const auto cdf = ratio_cdf(columns({pair(100, 50), pair(60, 60)}));
   EXPECT_DOUBLE_EQ(cdf.value_at_fraction(1.0), 2.0);
   EXPECT_DOUBLE_EQ(cdf.fraction_above(1.0), 0.5);
 }
@@ -50,27 +52,25 @@ TEST(Figures, BandwidthRatioIsAltOverDefault) {
 }
 
 TEST(Figures, FractionImproved) {
-  const std::vector<PairResult> results{pair(100, 60), pair(50, 70),
-                                        pair(10, 10)};
-  EXPECT_NEAR(fraction_improved(std::span<const PairResult>(results)),
-              1.0 / 3.0, 1e-12);
+  const ResultColumns results =
+      columns({pair(100, 60), pair(50, 70), pair(10, 10)});
+  EXPECT_NEAR(fraction_improved(results), 1.0 / 3.0, 1e-12);
 }
 
 TEST(Figures, FractionImprovedBandwidth) {
   const std::vector<BandwidthPairResult> results{bw_pair(100, 300),
                                                  bw_pair(100, 90)};
-  EXPECT_DOUBLE_EQ(
-      fraction_improved(std::span<const BandwidthPairResult>(results)), 0.5);
+  EXPECT_DOUBLE_EQ(fraction_improved(results), 0.5);
 }
 
 TEST(Figures, EmptyInputs) {
-  EXPECT_DOUBLE_EQ(fraction_improved(std::span<const PairResult>{}), 0.0);
-  EXPECT_TRUE(improvement_cdf(std::span<const PairResult>{}).empty());
+  EXPECT_DOUBLE_EQ(fraction_improved(ResultColumns{}), 0.0);
+  EXPECT_TRUE(improvement_cdf(ResultColumns{}).empty());
 }
 
 TEST(Figures, LossRatioGuardsZeroDenominator) {
-  PairResult r = pair(0.05, 0.0);
-  EXPECT_DOUBLE_EQ(r.ratio(), 1.0);  // alternate == 0: ratio defined as 1
+  // alternate == 0: ratio defined as 1
+  EXPECT_DOUBLE_EQ(columns({pair(0.05, 0.0)}).ratio(0), 1.0);
 }
 
 }  // namespace

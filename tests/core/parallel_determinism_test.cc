@@ -127,7 +127,8 @@ TEST(ParallelDeterminism, ConfidenceSweepsMatchSerial) {
   const auto table = build_table(1);
   core::AnalyzerOptions opt;
   opt.threads = 1;
-  const auto results = core::analyze_alternate_paths(table, opt);
+  const auto results =
+      core::from_pairs(core::analyze_alternate_paths(table, opt), opt.metric);
 
   const auto serial_tally = core::classify_significance(results, 0.95, 1);
   const auto threaded_tally = core::classify_significance(results, 0.95, 8);
@@ -151,7 +152,8 @@ TEST(ParallelDeterminism, FigureCdfsMatchSerial) {
   const auto table = build_table(1);
   core::AnalyzerOptions opt;
   opt.threads = 1;
-  const auto results = core::analyze_alternate_paths(table, opt);
+  const auto results =
+      core::from_pairs(core::analyze_alternate_paths(table, opt), opt.metric);
 
   const auto serial_cdf = core::improvement_cdf(results, 1);
   const auto threaded_cdf = core::improvement_cdf(results, 8);
@@ -160,8 +162,15 @@ TEST(ParallelDeterminism, FigureCdfsMatchSerial) {
   const auto tv = threaded_cdf.sorted_values();
   for (std::size_t i = 0; i < sv.size(); ++i) EXPECT_EQ(sv[i], tv[i]);
 
-  EXPECT_EQ(core::fraction_improved(std::span<const core::PairResult>{results}, 1),
-            core::fraction_improved(std::span<const core::PairResult>{results}, 8));
+  const auto serial_ratio = core::ratio_cdf(results, 1);
+  const auto threaded_ratio = core::ratio_cdf(results, 8);
+  ASSERT_EQ(serial_ratio.size(), threaded_ratio.size());
+  const auto sr = serial_ratio.sorted_values();
+  const auto tr = threaded_ratio.sorted_values();
+  for (std::size_t i = 0; i < sr.size(); ++i) EXPECT_EQ(sr[i], tr[i]);
+
+  EXPECT_EQ(core::fraction_improved(results, 1),
+            core::fraction_improved(results, 8));
 }
 
 }  // namespace

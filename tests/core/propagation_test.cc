@@ -51,6 +51,12 @@ TEST(Propagation, AnalysisPopulatesAllParts) {
   EXPECT_EQ(total, analysis.scatter.size());
 }
 
+TEST(Propagation, SetsCarryTheirAnalyzerMetric) {
+  const auto analysis = analyze_propagation(queueing_table());
+  EXPECT_EQ(analysis.rtt_results.metric, Metric::kRtt);
+  EXPECT_EQ(analysis.propagation_results.metric, Metric::kPropagation);
+}
+
 TEST(Propagation, DetectsCongestionAvoidance) {
   const auto analysis = analyze_propagation(queueing_table());
   for (const auto& p : analysis.scatter) {
@@ -70,11 +76,12 @@ TEST(Propagation, PropagationMetricShowsSmallerGains) {
   const auto analysis = analyze_propagation(queueing_table());
   double max_rtt_gain = 0.0;
   double max_prop_gain = 0.0;
-  for (const auto& r : analysis.rtt_results) {
-    max_rtt_gain = std::max(max_rtt_gain, r.improvement());
+  for (std::size_t i = 0; i < analysis.rtt_results.size(); ++i) {
+    max_rtt_gain = std::max(max_rtt_gain, analysis.rtt_results.improvement(i));
   }
-  for (const auto& r : analysis.propagation_results) {
-    max_prop_gain = std::max(max_prop_gain, r.improvement());
+  for (std::size_t i = 0; i < analysis.propagation_results.size(); ++i) {
+    max_prop_gain =
+        std::max(max_prop_gain, analysis.propagation_results.improvement(i));
   }
   EXPECT_GT(max_rtt_gain, max_prop_gain);
 }

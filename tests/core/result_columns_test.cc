@@ -1,10 +1,11 @@
 // Differential/golden equivalence harness for the columnar results core.
 //
-// The columnar refactor promises to be invisible: pairs -> columns -> pairs
-// reproduces every PairResult field bit for bit, the figure/confidence
-// sweeps give bit-identical answers whether they read the AoS vector or the
-// columns, serialize -> parse -> serialize is byte-stable, and every
-// malformed binary file is rejected with an explanatory Status.  This suite
+// The columnar results core promises to be lossless: pairs -> columns ->
+// pairs reproduces every PairResult field bit for bit, the figure and
+// confidence sweeps over the columns are thread-count invariant,
+// analyze_with_coverage hands back exactly the transposed checked sweep,
+// serialize -> parse -> serialize is byte-stable, and every malformed binary
+// file is rejected with an explanatory Status.  This suite
 // locks each promise against seeded random corpora spanning sizes, metrics,
 // D2-degraded datasets and kNoRelay edges, at 1, 4 and 8 worker threads —
 // the same discipline as dense_kernel_diff_test.cc.
@@ -131,8 +132,12 @@ TEST(ResultColumns, ColumnsMirrorPairAccessors) {
   const auto pairs = random_pairs(64, 42);
   const ResultColumns columns = from_pairs(pairs, Metric::kRtt);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    expect_same_bits(columns.improvement(i), pairs[i].improvement());
-    expect_same_bits(columns.ratio(i), pairs[i].ratio());
+    expect_same_bits(columns.improvement(i),
+                     pairs[i].default_value - pairs[i].alternate_value);
+    expect_same_bits(columns.ratio(i),
+                     pairs[i].alternate_value > 0.0
+                         ? pairs[i].default_value / pairs[i].alternate_value
+                         : 1.0);
     EXPECT_EQ(columns.relay[i],
               pairs[i].via.empty() ? kNoRelay : pairs[i].via.front().value());
     EXPECT_EQ(columns.hop_count[i],
@@ -178,61 +183,7 @@ TEST(ResultColumns, SignificanceColumnSurvivesTheRoundTrip) {
   EXPECT_EQ(parsed.value().front().significance, columns.significance);
 }
 
-// --- the differential layer: AoS and columnar sweeps must agree in bits ---
-
-TEST(ResultColumns, FigureSweepsMatchPairSweeps) {
-  std::uint64_t seed = 3301;
-  for (const std::size_t n : {0u, 5u, 300u, 1111u}) {
-    SCOPED_TRACE(testing::Message() << "corpus size " << n);
-    const auto pairs = random_pairs(n, seed++);
-    const ResultColumns columns = from_pairs(pairs, Metric::kRtt);
-    const std::span<const PairResult> span{pairs};
-    for (const int threads : {1, 4, 8}) {
-      SCOPED_TRACE(testing::Message() << "threads " << threads);
-      const auto cdf_pairs = improvement_cdf(span, threads);
-      const auto cdf_cols = improvement_cdf(columns, threads);
-      ASSERT_EQ(cdf_pairs.size(), cdf_cols.size());
-      for (std::size_t i = 0; i < cdf_pairs.size(); ++i) {
-        expect_same_bits(cdf_pairs.sorted_values()[i],
-                         cdf_cols.sorted_values()[i]);
-      }
-      const auto ratio_pairs = ratio_cdf(span, threads);
-      const auto ratio_cols = ratio_cdf(columns, threads);
-      ASSERT_EQ(ratio_pairs.size(), ratio_cols.size());
-      for (std::size_t i = 0; i < ratio_pairs.size(); ++i) {
-        expect_same_bits(ratio_pairs.sorted_values()[i],
-                         ratio_cols.sorted_values()[i]);
-      }
-      expect_same_bits(fraction_improved(span, threads),
-                       fraction_improved(columns, threads));
-    }
-  }
-}
-
-TEST(ResultColumns, ConfidenceSweepsMatchPairSweeps) {
-  const auto pairs = random_pairs(600, 5501);
-  const ResultColumns columns = from_pairs(pairs, Metric::kRtt);
-  const std::span<const PairResult> span{pairs};
-  for (const int threads : {1, 4, 8}) {
-    SCOPED_TRACE(testing::Message() << "threads " << threads);
-    const auto tally_pairs = classify_significance(span, 0.95, threads);
-    const auto tally_cols = classify_significance(columns, 0.95, threads);
-    EXPECT_EQ(tally_pairs.pairs, tally_cols.pairs);
-    expect_same_bits(tally_pairs.better, tally_cols.better);
-    expect_same_bits(tally_pairs.worse, tally_cols.worse);
-    expect_same_bits(tally_pairs.indeterminate, tally_cols.indeterminate);
-    expect_same_bits(tally_pairs.zero, tally_cols.zero);
-
-    const auto ci_pairs = confidence_cdf(span, 0.95, threads);
-    const auto ci_cols = confidence_cdf(columns, 0.95, threads);
-    ASSERT_EQ(ci_pairs.size(), ci_cols.size());
-    for (std::size_t i = 0; i < ci_pairs.size(); ++i) {
-      expect_same_bits(ci_pairs[i].difference, ci_cols[i].difference);
-      expect_same_bits(ci_pairs[i].fraction, ci_cols[i].fraction);
-      expect_same_bits(ci_pairs[i].half_width, ci_cols[i].half_width);
-    }
-  }
-}
+// --- the sweeps over the columns: thread-count invariant, in bits ---
 
 TEST(ResultColumns, ThreadCountInvariance) {
   const ResultColumns columns = from_pairs(random_pairs(900, 8801), Metric::kRtt);
@@ -283,26 +234,37 @@ TEST(ResultColumns, AnnotateAgreesWithTally) {
 
 // --- real sweeps: analyzer output through the columns, degraded included ---
 
-TEST(ResultColumns, AnalyzeColumnsMatchesAnalyzeWithCoverage) {
-  auto ds = make_dataset(4);
+TEST(ResultColumns, AnalyzeWithCoverageMatchesCheckedSweep) {
+  // A complete 4-mesh plus a pendant edge 4-5 that has no alternate.
+  auto ds = make_dataset(6);
   add_invocations(ds, 0, 1, 100.0, 3);
   add_invocations(ds, 0, 2, 20.0, 3);
   add_invocations(ds, 1, 2, 20.0, 3);
   add_invocations(ds, 0, 3, 50.0, 3);
   add_invocations(ds, 1, 3, 40.0, 3);
   add_invocations(ds, 2, 3, 30.0, 3);
-  const auto aos = analyze_with_coverage(ds, min_samples(2));
-  const auto cols = analyze_columns_with_coverage(ds, min_samples(2));
-  ASSERT_TRUE(aos.is_ok());
-  ASSERT_TRUE(cols.is_ok());
-  EXPECT_EQ(cols.value().columns.metric, Metric::kRtt);
-  expect_pairs_identical(aos.value().results, to_pairs(cols.value().columns));
-  EXPECT_EQ(aos.value().coverage.covered_pairs,
-            cols.value().coverage.covered_pairs);
-  EXPECT_EQ(aos.value().coverage.analyzable_edges,
-            cols.value().coverage.analyzable_edges);
-  EXPECT_EQ(aos.value().coverage.disconnected_edges,
-            cols.value().coverage.disconnected_edges);
+  add_invocations(ds, 4, 5, 10.0, 3);
+  const PathTable table = PathTable::build(ds, min_samples(2));
+  for (const Metric metric : {Metric::kRtt, Metric::kLoss}) {
+    SCOPED_TRACE(metric_name(metric));
+    AnalyzerOptions analyze;
+    analyze.metric = metric;
+    const auto degraded = analyze_with_coverage(ds, min_samples(2), analyze);
+    const auto swept = analyze_alternate_paths_checked(table, analyze);
+    ASSERT_TRUE(degraded.is_ok()) << degraded.status().to_string();
+    ASSERT_TRUE(swept.is_ok());
+    const ResultColumns& columns = degraded.value().columns;
+    const ResultColumns expected = from_pairs(swept.value(), metric);
+    EXPECT_EQ(columns.metric, metric);
+    EXPECT_EQ(serialize_result_columns({&columns, 1}),
+              serialize_result_columns({&expected, 1}));
+
+    const CoverageSummary& coverage = degraded.value().coverage;
+    EXPECT_EQ(coverage.covered_pairs, 7u);
+    EXPECT_EQ(coverage.usable_edges, 7u);
+    EXPECT_EQ(coverage.analyzable_edges, 6u);
+    EXPECT_EQ(coverage.disconnected_edges, 1u);
+  }
 }
 
 TEST(ResultColumns, DegradedDatasetRoundTripsThroughTheBinaryFormat) {
@@ -314,7 +276,7 @@ TEST(ResultColumns, DegradedDatasetRoundTripsThroughTheBinaryFormat) {
   cfg.fault_seed = 11;
   meas::Catalog catalog{cfg};
   const auto swept =
-      analyze_columns_with_coverage(catalog.by_name("D2"), min_samples(2));
+      analyze_with_coverage(catalog.by_name("D2"), min_samples(2));
   ASSERT_TRUE(swept.is_ok()) << swept.status().to_string();
   const ResultColumns& columns = swept.value().columns;
   ASSERT_GT(columns.size(), 0u);

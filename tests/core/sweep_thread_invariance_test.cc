@@ -11,6 +11,7 @@
 #include "core/episodes.h"
 #include "core/overlay.h"
 #include "core/path_table.h"
+#include "core/result_columns.h"
 #include "core/timeofday.h"
 #include "meas/collector.h"
 #include "sim/network.h"
@@ -65,25 +66,11 @@ const meas::Dataset& episode_dataset() {
   return dataset;
 }
 
-void expect_identical_results(const std::vector<PairResult>& serial,
-                              const std::vector<PairResult>& threaded) {
-  ASSERT_EQ(serial.size(), threaded.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    const auto& s = serial[i];
-    const auto& t = threaded[i];
-    EXPECT_EQ(s.a, t.a);
-    EXPECT_EQ(s.b, t.b);
-    EXPECT_EQ(s.default_value, t.default_value);
-    EXPECT_EQ(s.alternate_value, t.alternate_value);
-    EXPECT_EQ(s.via, t.via);
-    EXPECT_EQ(s.default_estimate.mean, t.default_estimate.mean);
-    EXPECT_EQ(s.default_estimate.var_of_mean, t.default_estimate.var_of_mean);
-    EXPECT_EQ(s.default_estimate.dof_denom, t.default_estimate.dof_denom);
-    EXPECT_EQ(s.alternate_estimate.mean, t.alternate_estimate.mean);
-    EXPECT_EQ(s.alternate_estimate.var_of_mean,
-              t.alternate_estimate.var_of_mean);
-    EXPECT_EQ(s.alternate_estimate.dof_denom, t.alternate_estimate.dof_denom);
-  }
+// Every column, bit for bit (the serialized image is the columns' bytes).
+void expect_identical_results(const ResultColumns& serial,
+                              const ResultColumns& threaded) {
+  EXPECT_EQ(serialize_result_columns({&serial, 1}),
+            serialize_result_columns({&threaded, 1}));
 }
 
 void expect_identical_cdfs(const stats::EmpiricalCdf& a,

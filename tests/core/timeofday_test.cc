@@ -46,9 +46,10 @@ TEST(TimeOfDay, PeakWindowShowsLargerImprovement) {
   opt.min_samples = 1;
   const auto bins = analyze_by_time_of_day(tod_dataset(), opt);
   auto improvement_for = [](const TimeOfDayBin& bin) {
-    for (const auto& r : bin.results) {
-      if (r.a == topo::HostId{0} && r.b == topo::HostId{1}) {
-        return r.improvement();
+    const ResultColumns& results = bin.results;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      if (results.src[i] == 0 && results.dst[i] == 1) {
+        return results.improvement(i);
       }
     }
     return 0.0;
@@ -94,6 +95,15 @@ TEST(TimeOfDay, LossMetricSupported) {
   opt.min_samples = 1;
   const auto bins = analyze_by_time_of_day(tod_dataset(), opt);
   EXPECT_EQ(bins.size(), 5u);
+}
+
+TEST(TimeOfDay, BinsCarryTheAnalyzerMetric) {
+  TimeOfDayOptions opt;
+  opt.metric = Metric::kLoss;
+  opt.min_samples = 1;
+  for (const auto& bin : analyze_by_time_of_day(tod_dataset(), opt)) {
+    EXPECT_EQ(bin.results.metric, Metric::kLoss) << bin.label;
+  }
 }
 
 }  // namespace

@@ -93,7 +93,7 @@ TEST(FaultResilience, FaultedCampaignCompletesWithCoverage) {
   std::size_t failures = 0;
   for (const std::size_t n : c.failures_by_reason) failures += n;
   EXPECT_GT(failures, 0u);
-  EXPECT_FALSE(result.value().results.empty());
+  EXPECT_FALSE(result.value().columns.empty());
 }
 
 TEST(FaultResilience, RetryRecordsAttemptsAndReasons) {
@@ -147,17 +147,14 @@ TEST(FaultResilience, AnalysisIsThreadCountInvariantUnderFaults) {
   const auto eight = core::analyze_with_coverage(cat.uw3(), build, wide);
   ASSERT_TRUE(one.is_ok());
   ASSERT_TRUE(eight.is_ok());
-  const auto& r1 = one.value().results;
-  const auto& r8 = eight.value().results;
-  ASSERT_EQ(r1.size(), r8.size());
+  const core::ResultColumns& r1 = one.value().columns;
+  const core::ResultColumns& r8 = eight.value().columns;
   ASSERT_FALSE(r1.empty());
-  for (std::size_t i = 0; i < r1.size(); ++i) {
-    EXPECT_EQ(r1[i].a, r8[i].a);
-    EXPECT_EQ(r1[i].b, r8[i].b);
-    EXPECT_EQ(r1[i].default_value, r8[i].default_value);  // bit-identical
-    EXPECT_EQ(r1[i].alternate_value, r8[i].alternate_value);
-    EXPECT_EQ(r1[i].via, r8[i].via);
-  }
+  EXPECT_EQ(r1.src, r8.src);
+  EXPECT_EQ(r1.dst, r8.dst);
+  EXPECT_EQ(r1.default_value, r8.default_value);  // bit-identical
+  EXPECT_EQ(r1.alternate_value, r8.alternate_value);
+  EXPECT_EQ(r1.via, r8.via);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "core/figures.h"
 #include "core/path_table.h"
 #include "core/propagation.h"
+#include "core/result_columns.h"
 #include "meas/catalog.h"
 
 namespace pathsel {
@@ -28,15 +29,19 @@ class PaperResultsTest : public ::testing::Test {
     opt.keep_samples = keep;
     return core::PathTable::build(ds, opt);
   }
+
+  static core::ResultColumns sweep(const core::PathTable& table,
+                                   const core::AnalyzerOptions& opt = {}) {
+    return core::from_pairs(core::analyze_alternate_paths(table, opt),
+                            opt.metric);
+  }
 };
 
 TEST_F(PaperResultsTest, SignificantFractionHasBetterRttAlternate) {
   // Paper §5: 30-55 percent of paths have a lower-RTT alternate.
   for (const char* name : {"UW3", "D2"}) {
     const auto table = table_for(catalog().by_name(name), 8);
-    const auto results = core::analyze_alternate_paths(table, {});
-    const double frac =
-        core::fraction_improved(std::span<const core::PairResult>(results));
+    const double frac = core::fraction_improved(sweep(table));
     EXPECT_GT(frac, 0.20) << name;
     EXPECT_LT(frac, 0.70) << name;
   }
@@ -50,9 +55,7 @@ TEST_F(PaperResultsTest, ManyPathsHaveBetterLossAlternate) {
   const auto table = table_for(catalog().uw3(), 8);
   core::AnalyzerOptions opt;
   opt.metric = core::Metric::kLoss;
-  const auto results = core::analyze_alternate_paths(table, opt);
-  const double frac =
-      core::fraction_improved(std::span<const core::PairResult>(results));
+  const double frac = core::fraction_improved(sweep(table, opt));
   EXPECT_GT(frac, 0.30);
 }
 
@@ -63,16 +66,14 @@ TEST_F(PaperResultsTest, BandwidthAlternatesCommon) {
   const auto results =
       core::analyze_bandwidth(table, core::LossComposition::kOptimistic);
   ASSERT_GT(results.size(), 30u);
-  const double frac = core::fraction_improved(
-      std::span<const core::BandwidthPairResult>(results));
+  const double frac = core::fraction_improved(results);
   EXPECT_GT(frac, 0.4);
 }
 
 TEST_F(PaperResultsTest, TTestTalliesMatchTable2Shape) {
   // Table 2: better 20-32%, indeterminate 32-41%, worse 29-48%.
   const auto table = table_for(catalog().uw3(), 8);
-  const auto results = core::analyze_alternate_paths(table, {});
-  const auto tally = core::classify_significance(results);
+  const auto tally = core::classify_significance(sweep(table));
   EXPECT_GT(tally.better, 0.10);
   EXPECT_LT(tally.better, 0.50);
   EXPECT_GT(tally.indeterminate, 0.15);
@@ -104,9 +105,8 @@ TEST_F(PaperResultsTest, D2ShowsStrongerLossImprovements) {
   // improvements (>= 5 percentage points) than the 1998-99 UW datasets.
   core::AnalyzerOptions opt;
   opt.metric = core::Metric::kLoss;
-  const auto d2 = core::analyze_alternate_paths(table_for(catalog().d2(), 5), opt);
-  const auto uw3 =
-      core::analyze_alternate_paths(table_for(catalog().uw3(), 8), opt);
+  const auto d2 = sweep(table_for(catalog().d2(), 5), opt);
+  const auto uw3 = sweep(table_for(catalog().uw3(), 8), opt);
   const double d2_large = core::improvement_cdf(d2).fraction_above(0.05);
   const double uw3_large = core::improvement_cdf(uw3).fraction_above(0.05);
   EXPECT_GT(d2_large, uw3_large);
@@ -116,17 +116,15 @@ TEST_F(PaperResultsTest, D2ShowsStrongerLossImprovements) {
 TEST_F(PaperResultsTest, RelativeRttImprovementTail) {
   // Figure 2: a visible fraction of pairs sees >= 1.5x better latency.
   const auto table = table_for(catalog().uw3(), 8);
-  const auto results = core::analyze_alternate_paths(table, {});
-  const auto ratios = core::ratio_cdf(results);
+  const auto ratios = core::ratio_cdf(sweep(table));
   EXPECT_GT(ratios.fraction_above(1.25), 0.02);
 }
 
 TEST_F(PaperResultsTest, TransOceanicLatencyGapDisappearsInRatio) {
   // Figures 1 vs 2: D2 (world) shows larger absolute improvements than
   // D2-NA, but the relative curves come together.
-  const auto d2 = core::analyze_alternate_paths(table_for(catalog().d2(), 5), {});
-  const auto na =
-      core::analyze_alternate_paths(table_for(catalog().d2_na(), 5), {});
+  const auto d2 = sweep(table_for(catalog().d2(), 5));
+  const auto na = sweep(table_for(catalog().d2_na(), 5));
   const double d2_abs = core::improvement_cdf(d2).value_at_fraction(0.95);
   const double na_abs = core::improvement_cdf(na).value_at_fraction(0.95);
   const double d2_rel = core::ratio_cdf(d2).value_at_fraction(0.95);

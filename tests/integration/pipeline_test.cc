@@ -12,6 +12,7 @@
 #include "core/figures.h"
 #include "core/median.h"
 #include "core/path_table.h"
+#include "core/result_columns.h"
 #include "core/propagation.h"
 #include "core/timeofday.h"
 #include "meas/catalog.h"
@@ -91,14 +92,14 @@ TEST_F(PipelineTest, LossValuesInUnitRange) {
 
 TEST_F(PipelineTest, SignificanceTallyConsistent) {
   const auto table = uw3_table();
-  const auto results = core::analyze_alternate_paths(table, {});
+  const auto results = core::from_pairs(
+      core::analyze_alternate_paths(table, {}), core::Metric::kRtt);
   const auto tally = core::classify_significance(results);
   EXPECT_EQ(tally.pairs, results.size());
   EXPECT_NEAR(tally.better + tally.worse + tally.indeterminate + tally.zero,
               1.0, 1e-9);
   // Significant fractions are a subset of raw fractions.
-  const double raw_better =
-      core::fraction_improved(std::span<const core::PairResult>(results));
+  const double raw_better = core::fraction_improved(results);
   EXPECT_LE(tally.better, raw_better + 1e-9);
 }
 
@@ -160,8 +161,9 @@ TEST_F(PipelineTest, ContributionNormalization) {
 
 TEST_F(PipelineTest, AsAppearancesCoverDefaultPaths) {
   const auto table = uw3_table();
-  const auto results = core::analyze_alternate_paths(table, {});
-  const auto apps = core::as_appearances(table, results);
+  const auto apps = core::as_appearances(
+      table, core::from_pairs(core::analyze_alternate_paths(table, {}),
+                              core::Metric::kRtt));
   EXPECT_GT(apps.size(), 10u);
   std::size_t default_total = 0;
   for (const auto& a : apps) default_total += a.default_count;

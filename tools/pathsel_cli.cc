@@ -825,9 +825,9 @@ int cmd_analyze(const Options& o) {
   analyze.kernel = kernel;
   analyze.simd = static_cast<core::SimdMode>(o.simd);
 
-  auto result = core::analyze_columns_with_coverage(ds, build, analyze);
+  auto result = core::analyze_with_coverage(ds, build, analyze);
   if (!result.is_ok()) return exit_with(result.status());
-  core::DegradedColumnsAnalysis& analysis = result.value();
+  core::DegradedAnalysis& analysis = result.value();
   std::printf("path graph: %zu measured paths over %zu hosts\n",
               analysis.coverage.usable_edges, analysis.coverage.hosts);
   if (o.has(&Options::results_out)) {
