@@ -31,13 +31,13 @@ PropagationAnalysis analyze_propagation(const PathTable& table) {
 
   AnalyzerOptions rtt_options;
   rtt_options.metric = Metric::kRtt;
-  out.rtt_results =
-      from_pairs(analyze_alternate_paths(table, rtt_options), Metric::kRtt);
+  out.rtt_results = from_pairs(analyze_alternate_paths(table, rtt_options),
+                               rtt_options.metric);
 
   AnalyzerOptions prop_options;
   prop_options.metric = Metric::kPropagation;
   out.propagation_results = from_pairs(
-      analyze_alternate_paths(table, prop_options), Metric::kPropagation);
+      analyze_alternate_paths(table, prop_options), prop_options.metric);
 
   // Decompose the mean-RTT alternates: the propagation of the chosen
   // alternate is the sum of its constituent edges' 10th-percentile RTTs.
