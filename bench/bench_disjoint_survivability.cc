@@ -53,7 +53,7 @@ void run() {
       "(disjointness, not raw quality, buys availability)");
 
   meas::Catalog catalog = bench::make_catalog();
-  const meas::Dataset& ds = catalog.uw3();
+  const meas::Dataset& ds = catalog.by_name("UW3");
   const sim::Network& net = catalog.world98();
   const Duration trace = catalog.spec("UW3").config.duration;
 

@@ -40,7 +40,7 @@ void run() {
     cfg.scale = bench::bench_scale();
     cfg.fault_intensity = intensity;
     meas::Catalog catalog{cfg};
-    const meas::Dataset& ds = catalog.uw3();
+    const meas::Dataset& ds = catalog.by_name("UW3");
 
     core::BuildOptions build;
     build.min_samples = bench::scaled_min_samples();

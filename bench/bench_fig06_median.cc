@@ -22,7 +22,7 @@ void run() {
   core::BuildOptions opt;
   opt.min_samples = bench::scaled_min_samples();
   opt.keep_samples = true;
-  const auto table = core::PathTable::build(catalog.d2_na(), opt);
+  const auto table = core::PathTable::build(catalog.by_name("D2-NA"), opt);
 
   core::AnalyzerOptions mean_opt;
   mean_opt.max_intermediate_hosts = 1;

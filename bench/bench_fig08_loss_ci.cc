@@ -17,7 +17,7 @@ void run() {
 
   core::BuildOptions opt;
   opt.min_samples = bench::scaled_min_samples();
-  const auto table = core::PathTable::build(catalog.uw3(), opt);
+  const auto table = core::PathTable::build(catalog.by_name("UW3"), opt);
   core::AnalyzerOptions analyze;
   analyze.metric = core::Metric::kLoss;
   const auto results = core::from_pairs(

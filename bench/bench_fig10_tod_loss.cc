@@ -17,7 +17,7 @@ void run() {
   core::TimeOfDayOptions opt;
   opt.metric = core::Metric::kLoss;
   opt.min_samples = bench::scaled_min_samples(6);
-  const auto bins = core::analyze_by_time_of_day(catalog.uw3(), opt);
+  const auto bins = core::analyze_by_time_of_day(catalog.by_name("UW3"), opt);
 
   std::vector<Series> series;
   Table summary{"Figure 10 summary"};

@@ -21,12 +21,12 @@ void run() {
 
   core::BuildOptions opt;
   opt.min_samples = bench::scaled_min_samples();
-  const auto uw4b_table = core::PathTable::build(catalog.uw4b(), opt);
+  const auto uw4b_table = core::PathTable::build(catalog.by_name("UW4-B"), opt);
   const auto uw4b_results = core::from_pairs(
       core::analyze_alternate_paths(uw4b_table, {}), core::Metric::kRtt);
   const auto uw4b_cdf = core::improvement_cdf(uw4b_results);
 
-  const auto episodes = core::analyze_episodes(catalog.uw4a(), {});
+  const auto episodes = core::analyze_episodes(catalog.by_name("UW4-A"), {});
 
   bench::emit_series("Figure 11: averaging-timescale comparison",
                {bench::cdf_series(uw4b_cdf, "UW4-B"),

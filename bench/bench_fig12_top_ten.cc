@@ -18,7 +18,7 @@ void run() {
 
   core::BuildOptions opt;
   opt.min_samples = bench::scaled_min_samples();
-  const auto table = core::PathTable::build(catalog.uw3(), opt);
+  const auto table = core::PathTable::build(catalog.by_name("UW3"), opt);
   const auto result = core::remove_top_hosts(table, core::Metric::kRtt, 10);
 
   const auto full_cdf = core::improvement_cdf(result.full_results);

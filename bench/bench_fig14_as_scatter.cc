@@ -17,7 +17,7 @@ void run() {
 
   core::BuildOptions opt;
   opt.min_samples = bench::scaled_min_samples();
-  const auto table = core::PathTable::build(catalog.uw1(), opt);
+  const auto table = core::PathTable::build(catalog.by_name("UW1"), opt);
   const auto results = core::from_pairs(
       core::analyze_alternate_paths(table, {}), core::Metric::kRtt);
   const auto apps = core::as_appearances(table, results);

@@ -18,7 +18,7 @@ void run() {
   core::BuildOptions opt;
   opt.min_samples = bench::scaled_min_samples();
   opt.keep_samples = true;
-  const auto table = core::PathTable::build(catalog.uw3(), opt);
+  const auto table = core::PathTable::build(catalog.by_name("UW3"), opt);
   const auto analysis = core::analyze_propagation(table);
 
   const auto rtt_cdf = core::improvement_cdf(analysis.rtt_results);

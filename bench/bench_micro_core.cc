@@ -20,7 +20,7 @@ namespace {
 
 const meas::Dataset& small_uw3() {
   static meas::Catalog catalog{meas::CatalogConfig{.seed = 7, .scale = 0.05}};
-  return catalog.uw3();
+  return catalog.by_name("UW3");
 }
 
 void BM_PathTableBuild(benchmark::State& state) {

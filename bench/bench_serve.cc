@@ -58,7 +58,7 @@ void run() {
       "instead of O(N^3) and reads stay lock-free");
 
   meas::Catalog catalog = bench::make_catalog();
-  const meas::Dataset& ds = catalog.uw3();
+  const meas::Dataset& ds = catalog.by_name("UW3");
 
   serve::ServeOptions options;
   options.build.min_samples = bench::scaled_min_samples();

@@ -19,7 +19,7 @@ void run() {
   core::BuildOptions opt;
   opt.min_samples = bench::scaled_min_samples();
   opt.keep_samples = true;
-  const auto table = core::PathTable::build(catalog.uw3(), opt);
+  const auto table = core::PathTable::build(catalog.by_name("UW3"), opt);
   const auto results = core::triangulate_propagation(table);
   const auto cdf = core::triangulation_accuracy_cdf(results);
 

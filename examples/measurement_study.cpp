@@ -18,7 +18,7 @@ int main() {
   cfg.seed = 2042;
   cfg.scale = 0.25;  // a quarter-length trace keeps this example fast
   meas::Catalog catalog{cfg};
-  const meas::Dataset& uw3 = catalog.uw3();
+  const meas::Dataset& uw3 = catalog.by_name("UW3");
   std::printf("dataset %s: %zu hosts, %zu completed measurements\n",
               uw3.name.c_str(), uw3.hosts.size(), uw3.completed_count());
 

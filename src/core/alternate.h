@@ -93,12 +93,6 @@ struct AnalyzerOptions {
   /// Instruction-set path for the dense kernel (see SimdMode).  kAuto defers
   /// to PATHSEL_SIMD, then to runtime CPU detection.
   SimdMode simd = SimdMode::kAuto;
-  /// Memory budget for the dense kernel's O(N²) working set (weight matrix +
-  /// best + via planes), consulted by the Kernel::kAuto heuristic:
-  /// dense_kernel_memory_bytes(hosts) above this budget keeps the sweep on
-  /// the O(N)-memory search.  Kernel::kDense overrides the budget (explicit
-  /// opt-in).  Default: kDenseDefaultMemoryBudget.
-  std::size_t dense_memory_budget_bytes = 0;  // 0: kDenseDefaultMemoryBudget
 };
 
 /// Computes the best alternate for every measured pair.  Pairs whose removal

@@ -95,17 +95,8 @@ Status annotate_significance(ResultColumns& results, double confidence,
 
 std::vector<CiPoint> confidence_cdf(const ResultColumns& results,
                                     double confidence, int threads) {
-  Result<std::vector<CiPoint>> points =
-      confidence_cdf_checked(results, confidence, threads);
-  PATHSEL_EXPECT(points.is_ok(), "confidence CDF sweep cancelled");
-  return std::move(points.value());
-}
-
-Result<std::vector<CiPoint>> confidence_cdf_checked(
-    const ResultColumns& results, double confidence, int threads,
-    const CancelToken* cancel) {
   ThreadPool& pool = ThreadPool::shared(resolve_thread_count(threads));
-  Result<std::vector<CiPoint>> mapped = pool.map_chunks<CiPoint>(
+  std::vector<CiPoint> points = pool.map_chunks<CiPoint>(
       results.size(), kChunk,
       [&](std::size_t begin, std::size_t end, std::size_t) {
         std::vector<CiPoint> local;
@@ -117,10 +108,7 @@ Result<std::vector<CiPoint>> confidence_cdf_checked(
           local.push_back(CiPoint{t.difference, 0.0, t.half_width});
         }
         return local;
-      },
-      cancel);
-  if (!mapped.is_ok()) return mapped.status();
-  std::vector<CiPoint> points = std::move(mapped.value());
+      });
   std::sort(points.begin(), points.end(),
             [](const CiPoint& x, const CiPoint& y) {
               return x.difference < y.difference;

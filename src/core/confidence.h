@@ -66,9 +66,4 @@ struct CiPoint {
 [[nodiscard]] std::vector<CiPoint> confidence_cdf(
     const ResultColumns& results, double confidence = 0.95, int threads = 0);
 
-/// As confidence_cdf(), but cancellable; partial CDFs are discarded.
-[[nodiscard]] Result<std::vector<CiPoint>> confidence_cdf_checked(
-    const ResultColumns& results, double confidence = 0.95, int threads = 0,
-    const CancelToken* cancel = nullptr);
-
 }  // namespace pathsel::core

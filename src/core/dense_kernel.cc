@@ -202,11 +202,10 @@ bool dense_kernel_applicable(std::size_t hosts, std::size_t edges,
     case Kernel::kAuto:
       break;
   }
-  if (hosts < kDenseMinHosts || hosts > kDenseMaxHosts) return false;
-  const std::size_t budget = options.dense_memory_budget_bytes != 0
-                                 ? options.dense_memory_budget_bytes
-                                 : kDenseDefaultMemoryBudget;
-  if (dense_kernel_memory_bytes(hosts) > budget) return false;
+  if (hosts < kDenseMinHosts) return false;
+  if (dense_kernel_memory_bytes(hosts) > kDenseDefaultMemoryBudget) {
+    return false;
+  }
   const double search_cost = 2.0 * static_cast<double>(edges) *
                              static_cast<double>(edges);
   const double kernel_cost = static_cast<double>(hosts) *

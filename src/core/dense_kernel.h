@@ -123,15 +123,11 @@ struct MinPlusSquare {
                                            const AnalyzerOptions& options);
 
 /// Auto-selection guards: below kDenseMinHosts the matrix setup dominates;
-/// above the memory budget (AnalyzerOptions::dense_memory_budget_bytes,
-/// kDenseDefaultMemoryBudget when 0) the O(N²) footprint is not worth
-/// trading for the search's O(N) memory; kDenseMaxHosts is the hard ceiling
-/// regardless of budget (via indices are int32, and beyond it even the
-/// weight matrix build is prohibitive).  The default budget admits meshes
-/// to ~14k hosts (dense_kernel_memory_bytes(14650) ≈ 4.0 GiB) — the old
-/// fixed 8192-host cap is gone.
+/// above kDenseDefaultMemoryBudget the O(N²) footprint is not worth trading
+/// for the search's O(N) memory.  The budget admits meshes to ~14.6k hosts
+/// (dense_kernel_memory_bytes(14650) ≈ 4.0 GiB), far inside the int32 range
+/// of the via plane.  Kernel::kDense bypasses the budget (explicit opt-in).
 inline constexpr std::size_t kDenseMinHosts = 32;
-inline constexpr std::size_t kDenseMaxHosts = 65536;
 inline constexpr std::size_t kDenseDefaultMemoryBudget =
     std::size_t{4} << 30;  // 4 GiB
 inline constexpr double kDenseCostRatio = 8.0;

@@ -10,14 +10,6 @@ namespace pathsel::core {
 
 EpisodeAnalysis analyze_episodes(const meas::Dataset& dataset,
                                  const EpisodeOptions& options) {
-  Result<EpisodeAnalysis> out = analyze_episodes_checked(dataset, options);
-  PATHSEL_EXPECT(out.is_ok(), "episode analysis cancelled; use "
-                              "analyze_episodes_checked for cancellable runs");
-  return std::move(out.value());
-}
-
-Result<EpisodeAnalysis> analyze_episodes_checked(
-    const meas::Dataset& dataset, const EpisodeOptions& options) {
   PATHSEL_EXPECT(dataset.episode_count > 0,
                  "episode analysis requires an episode-mesh dataset");
   EpisodeAnalysis out;
@@ -26,28 +18,19 @@ Result<EpisodeAnalysis> analyze_episodes_checked(
   std::map<std::pair<topo::HostId, topo::HostId>, stats::Summary> per_pair;
 
   for (std::int32_t ep = 0; ep < dataset.episode_count; ++ep) {
-    if (options.cancel != nullptr && options.cancel->cancelled()) {
-      return options.cancel->status();
-    }
     BuildOptions build;
     build.min_samples = 1;
     build.threads = options.threads;
-    build.cancel = options.cancel;
     build.filter = [ep](const meas::Measurement& m) { return m.episode == ep; };
-    Result<PathTable> built = PathTable::build_checked(dataset, build);
-    if (!built.is_ok()) return built.status();
-    const PathTable& table = built.value();
+    const PathTable table = PathTable::build(dataset, build);
     if (table.edges().empty()) continue;
 
     AnalyzerOptions analyze;
     analyze.metric = options.metric;
     analyze.max_intermediate_hosts = options.max_intermediate_hosts;
     analyze.threads = options.threads;
-    analyze.cancel = options.cancel;
-    Result<std::vector<PairResult>> swept =
-        analyze_alternate_paths_checked(table, analyze);
-    if (!swept.is_ok()) return swept.status();
-    const ResultColumns results = from_pairs(swept.value(), options.metric);
+    const ResultColumns results =
+        from_pairs(analyze_alternate_paths(table, analyze), options.metric);
     if (results.empty()) continue;
     ++out.episodes_analyzed;
     for (std::size_t i = 0; i < results.size(); ++i) {

@@ -26,18 +26,10 @@ struct EpisodeOptions {
   int max_intermediate_hosts = 0;
   /// Executor count for the per-episode build/sweep; <= 0 means the default.
   int threads = 0;
-  /// Optional cancellation; polled between episodes and inside each
-  /// episode's build/sweep.  Only the _checked entry point honours it.
-  const CancelToken* cancel = nullptr;
 };
 
 /// Requires a dataset collected with Discipline::kEpisodeFullMesh.
 [[nodiscard]] EpisodeAnalysis analyze_episodes(
-    const meas::Dataset& dataset, const EpisodeOptions& options = {});
-
-/// As analyze_episodes(), but a tripped options.cancel surfaces as a Status
-/// (kDeadlineExceeded or kCancelled); partial CDFs are discarded.
-[[nodiscard]] Result<EpisodeAnalysis> analyze_episodes_checked(
     const meas::Dataset& dataset, const EpisodeOptions& options = {});
 
 }  // namespace pathsel::core

@@ -2,7 +2,6 @@
 
 #include "core/dense_kernel.h"
 #include "util/atomic_io.h"
-#include "util/bench_report.h"
 #include "util/codec.h"
 
 namespace pathsel::core {
@@ -27,23 +26,6 @@ Status parse_error(std::string message) {
 bool valid_significance(std::int8_t v) noexcept {
   return v >= static_cast<std::int8_t>(SignificanceClass::kUnclassified) &&
          v <= static_cast<std::int8_t>(SignificanceClass::kZero);
-}
-
-// ---- JSON helpers --------------------------------------------------------
-
-template <typename T, typename AppendFn>
-void append_json_array(std::string& out, const std::vector<T>& values,
-                       AppendFn&& append_value) {
-  out.push_back('[');
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ", ";
-    append_value(out, values[i]);
-  }
-  out.push_back(']');
-}
-
-void append_json_i64(std::string& out, long long v) {
-  out += std::to_string(v);
 }
 
 }  // namespace
@@ -331,66 +313,6 @@ Result<std::vector<ResultColumns>> read_result_columns(
                          path + ": " + parsed.status().message());
   }
   return parsed;
-}
-
-std::string result_columns_to_json(const ResultColumns& columns, int indent) {
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  const auto append_i32s = [](std::string& o, std::int32_t v) {
-    append_json_i64(o, v);
-  };
-  const auto append_f64s = [](std::string& o, double v) {
-    json_append_double(o, v);
-  };
-  std::string out;
-  out += "{\n" + pad + "  \"type\": \"result_columns\",\n";
-  out += pad + "  \"schema_version\": " +
-         std::to_string(kResultColumnsVersion) + ",\n";
-  out += pad + "  \"metric\": ";
-  json_append_escaped(out, metric_name(columns.metric));
-  out += ",\n" + pad + "  \"pairs\": " + std::to_string(columns.size()) +
-         ",\n" + pad + "  \"columns\": {\n";
-  bool first = true;
-  const auto column = [&](std::string_view name, auto&& append_array) {
-    if (!first) out += ",\n";
-    first = false;
-    out += pad + "    ";
-    json_append_escaped(out, name);
-    out += ": ";
-    append_array();
-  };
-  column("src", [&] { append_json_array(out, columns.src, append_i32s); });
-  column("dst", [&] { append_json_array(out, columns.dst, append_i32s); });
-  column("relay", [&] { append_json_array(out, columns.relay, append_i32s); });
-  column("hop_count",
-         [&] { append_json_array(out, columns.hop_count, append_i32s); });
-  column("significance", [&] {
-    append_json_array(out, columns.significance,
-                      [](std::string& o, std::int8_t v) {
-                        append_json_i64(o, v);
-                      });
-  });
-  column("default_value",
-         [&] { append_json_array(out, columns.default_value, append_f64s); });
-  column("alternate_value", [&] {
-    append_json_array(out, columns.alternate_value, append_f64s);
-  });
-  column("default_mean",
-         [&] { append_json_array(out, columns.default_mean, append_f64s); });
-  column("default_var",
-         [&] { append_json_array(out, columns.default_var, append_f64s); });
-  column("default_dof_denom", [&] {
-    append_json_array(out, columns.default_dof_denom, append_f64s);
-  });
-  column("alternate_mean",
-         [&] { append_json_array(out, columns.alternate_mean, append_f64s); });
-  column("alternate_var",
-         [&] { append_json_array(out, columns.alternate_var, append_f64s); });
-  column("alternate_dof_denom", [&] {
-    append_json_array(out, columns.alternate_dof_denom, append_f64s);
-  });
-  column("via", [&] { append_json_array(out, columns.via, append_i32s); });
-  out += "\n" + pad + "  }\n" + pad + "}";
-  return out;
 }
 
 }  // namespace pathsel::core

@@ -173,10 +173,4 @@ inline constexpr std::uint32_t kResultColumnsVersion = 1;
 [[nodiscard]] Result<std::vector<ResultColumns>> read_result_columns(
     const std::string& path);
 
-/// JSON rendering on the bench_report schema conventions: fixed key order,
-/// shortest-round-trip doubles (equal values always produce equal bytes),
-/// columns as parallel arrays.
-[[nodiscard]] std::string result_columns_to_json(const ResultColumns& columns,
-                                                 int indent = 0);
-
 }  // namespace pathsel::core

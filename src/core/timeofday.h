@@ -29,19 +29,11 @@ struct TimeOfDayOptions {
   int max_intermediate_hosts = 0;
   /// Executor count for the per-bin build/sweep; <= 0 means the default.
   int threads = 0;
-  /// Optional cancellation; polled between bins and inside each bin's
-  /// build/sweep.  Only the _checked entry point honours it.
-  const CancelToken* cancel = nullptr;
 };
 
 /// Returns bins in the paper's order: weekend, 0000-0600, 0600-1200,
 /// 1200-1800, 1800-2400 (weekdays).
 [[nodiscard]] std::vector<TimeOfDayBin> analyze_by_time_of_day(
-    const meas::Dataset& dataset, const TimeOfDayOptions& options = {});
-
-/// As analyze_by_time_of_day(), but a tripped options.cancel surfaces as a
-/// Status (kDeadlineExceeded or kCancelled); partial bins are discarded.
-[[nodiscard]] Result<std::vector<TimeOfDayBin>> analyze_by_time_of_day_checked(
     const meas::Dataset& dataset, const TimeOfDayOptions& options = {});
 
 }  // namespace pathsel::core

@@ -129,8 +129,8 @@ Status write_artifact(const CellContext& ctx, CellSummary& summary,
 // The analysis half of a cell.  Data-shaped failures mark the summary
 // degraded and return ok; infrastructure failures propagate.
 Status analyze_cell(const CellContext& ctx, const CellSpec& cell,
-                    const meas::Dataset& ds, const std::string& cell_dir,
-                    const std::string& cell_rel_dir, CellSummary& summary) {
+                    const meas::Dataset& ds, const std::string& cell_rel_dir,
+                    CellSummary& summary) {
   auto degrade = [&summary](const Status& status) {
     summary.ok = false;
     summary.error = status.to_string();
@@ -181,7 +181,7 @@ Status analyze_cell(const CellContext& ctx, const CellSpec& cell,
     std::string tsv = "# disjoint alternates: dataset=" + cell.dataset +
                       " mode=" + core::to_string(opt.mode) +
                       " k=" + std::to_string(opt.k) + " metric=" +
-                      metric_label(cell.metric) + " min_samples=" +
+                      core::metric_name(cell.metric) + " min_samples=" +
                       std::to_string(summary.min_samples) + "\n";
     tsv += core::render_disjoint_rows(results, '\t');
     return write_artifact(ctx, summary, cell_rel_dir + "/disjoint.tsv", tsv);
@@ -222,7 +222,6 @@ Status analyze_cell(const CellContext& ctx, const CellSpec& cell,
   if (!annotated.is_ok()) return annotated;
   const std::string psrc = core::serialize_result_columns(
       std::span<const core::ResultColumns>{&analysis.columns, 1});
-  (void)cell_dir;
   return write_artifact(ctx, summary, cell_rel_dir + "/results.psrc", psrc);
 }
 
@@ -408,7 +407,7 @@ Result<CellOutcome> run_cell(const CellContext& ctx, const CellSpec& cell) {
   summary.index = cell.index;
   summary.dataset = cell.dataset;
   summary.fault = cell.fault;
-  summary.metric = metric_label(cell.metric);
+  summary.metric = core::metric_name(cell.metric);
   summary.policy = cell.policy.label();
   summary.min_samples = effective_min_samples(*ctx.grid, cell);
   summary.seed = cell.seed;
@@ -426,7 +425,7 @@ Result<CellOutcome> run_cell(const CellContext& ctx, const CellSpec& cell) {
   {
     const ScopedTimer analyze_timer{"matrix.analyze"};
     const Status analyzed =
-        analyze_cell(ctx, cell, ds.value(), cell_dir, cell_rel_dir, summary);
+        analyze_cell(ctx, cell, ds.value(), cell_rel_dir, summary);
     if (!analyzed.is_ok()) return analyzed;
   }
 

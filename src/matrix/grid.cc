@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/result_columns.h"
 #include "meas/catalog.h"
 #include "meas/checkpoint.h"
 #include "util/atomic_io.h"
@@ -110,10 +111,6 @@ std::string PolicySpec::label() const {
       return "disjoint:" + std::to_string(k);
   }
   return "?";
-}
-
-const char* metric_label(core::Metric metric) noexcept {
-  return metric == core::Metric::kLoss ? "loss" : "rtt";
 }
 
 Result<GridConfig> parse_grid(std::string_view text) {
@@ -294,7 +291,7 @@ Result<GridConfig> parse_grid(std::string_view text) {
         std::pair{"metrics",
                   as_labels(grid.metrics,
                             [](core::Metric m) {
-                              return std::string{metric_label(m)};
+                              return std::string{core::metric_name(m)};
                             })},
         std::pair{"policies", as_labels(grid.policies,
                                         [](const PolicySpec& p) {
@@ -337,7 +334,9 @@ std::string canonical_grid(const GridConfig& grid) {
   for (const double f : grid.faults) vs.push_back(codec::to_text(f));
   section("faults", vs);
   vs.clear();
-  for (const core::Metric m : grid.metrics) vs.emplace_back(metric_label(m));
+  for (const core::Metric m : grid.metrics) {
+    vs.emplace_back(core::metric_name(m));
+  }
   section("metrics", vs);
   vs.clear();
   for (const PolicySpec& p : grid.policies) vs.push_back(p.label());
@@ -396,7 +395,7 @@ int effective_min_samples(const GridConfig& grid, const CellSpec& cell) {
 
 std::string cell_label(const CellSpec& cell) {
   return cell.dataset + " fault=" + codec::to_text(cell.fault) + " " +
-         metric_label(cell.metric) + " " + cell.policy.label() +
+         core::metric_name(cell.metric) + " " + cell.policy.label() +
          " ms=" + std::to_string(cell.min_samples) +
          " seed=" + std::to_string(cell.seed);
 }

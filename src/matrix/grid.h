@@ -132,9 +132,6 @@ struct CellSpec {
 [[nodiscard]] int effective_min_samples(const GridConfig& grid,
                                         const CellSpec& cell);
 
-/// "rtt" / "loss" for the two metrics a grid can request.
-[[nodiscard]] const char* metric_label(core::Metric metric) noexcept;
-
 /// Compact human-readable cell identity, e.g.
 /// "UW3 fault=0.15 loss disjoint:2 ms=0 seed=1999".
 [[nodiscard]] std::string cell_label(const CellSpec& cell);

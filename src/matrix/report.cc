@@ -6,6 +6,7 @@
 #include <functional>
 #include <sstream>
 
+#include "core/result_columns.h"
 #include "util/codec.h"
 #include "util/table.h"
 
@@ -143,7 +144,7 @@ std::string render_matrix_report(const GridConfig& grid,
   std::vector<std::string> metric_order;
   metric_order.reserve(grid.metrics.size());
   for (const core::Metric m : grid.metrics) {
-    metric_order.push_back(metric_label(m));
+    metric_order.push_back(core::metric_name(m));
   }
   std::vector<std::string> policy_order;
   policy_order.reserve(grid.policies.size());

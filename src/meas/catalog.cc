@@ -274,57 +274,14 @@ const std::vector<topo::HostId>& Catalog::uw4_hosts() {
   return uw4_hosts_;
 }
 
-const Dataset& Catalog::d2() {
-  if (!d2_) d2_ = collect_primary(spec("D2"));
-  return *d2_;
-}
-
-const Dataset& Catalog::d2_na() {
-  if (!d2_na_) d2_na_ = subset(d2(), "D2-NA", spec("D2-NA").hosts);
-  return *d2_na_;
-}
-
-const Dataset& Catalog::n2() {
-  if (!n2_) n2_ = collect_primary(spec("N2"));
-  return *n2_;
-}
-
-const Dataset& Catalog::n2_na() {
-  if (!n2_na_) n2_na_ = subset(n2(), "N2-NA", spec("N2-NA").hosts);
-  return *n2_na_;
-}
-
-const Dataset& Catalog::uw1() {
-  if (!uw1_) uw1_ = collect_primary(spec("UW1"));
-  return *uw1_;
-}
-
-const Dataset& Catalog::uw3() {
-  if (!uw3_) uw3_ = collect_primary(spec("UW3"));
-  return *uw3_;
-}
-
-const Dataset& Catalog::uw4a() {
-  if (!uw4a_) uw4a_ = collect_primary(spec("UW4-A"));
-  return *uw4a_;
-}
-
-const Dataset& Catalog::uw4b() {
-  if (!uw4b_) uw4b_ = collect_primary(spec("UW4-B"));
-  return *uw4b_;
-}
-
 const Dataset& Catalog::by_name(std::string_view name) {
-  if (name == "D2") return d2();
-  if (name == "D2-NA") return d2_na();
-  if (name == "N2") return n2();
-  if (name == "N2-NA") return n2_na();
-  if (name == "UW1") return uw1();
-  if (name == "UW3") return uw3();
-  if (name == "UW4-A") return uw4a();
-  if (name == "UW4-B") return uw4b();
-  PATHSEL_EXPECT(false, "unknown dataset name");
-  return d2();  // unreachable
+  if (const auto it = datasets_.find(name); it != datasets_.end()) {
+    return it->second;
+  }
+  const DatasetSpec s = spec(name);
+  Dataset ds = s.parent.empty() ? collect_primary(s)
+                                : subset(by_name(s.parent), s.name, s.hosts);
+  return datasets_.emplace(s.name, std::move(ds)).first->second;
 }
 
 }  // namespace pathsel::meas

@@ -15,8 +15,9 @@
 // full-size datasets.
 #pragma once
 
+#include <map>
 #include <memory>
-#include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -94,26 +95,21 @@ class Catalog {
   /// the standard 2-retry policy), and computes the checkpoint fingerprint.
   [[nodiscard]] MaterializedSpec materialize(const DatasetSpec& spec);
 
-  // The datasets (lazily collected, cached).
-  [[nodiscard]] const Dataset& d2();
-  [[nodiscard]] const Dataset& d2_na();
-  [[nodiscard]] const Dataset& n2();
-  [[nodiscard]] const Dataset& n2_na();
-  [[nodiscard]] const Dataset& uw1();
-  [[nodiscard]] const Dataset& uw3();
-  [[nodiscard]] const Dataset& uw4a();
-  [[nodiscard]] const Dataset& uw4b();
-
-  /// Lookup by the paper's dataset names ("D2", "D2-NA", "N2", "N2-NA",
-  /// "UW1", "UW3", "UW4-A", "UW4-B").  Aborts on unknown names.
+  /// The dataset with one of the paper's names ("D2", "D2-NA", "N2",
+  /// "N2-NA", "UW1", "UW3", "UW4-A", "UW4-B"), collected on first use and
+  /// cached; a derived dataset is filtered from its (cached) parent.  The
+  /// reference stays valid for the catalog's lifetime.  Aborts on unknown
+  /// names.
   [[nodiscard]] const Dataset& by_name(std::string_view name);
+  /// Same as by_name("UW3"); perfbench/serve.cc still calls it.
+  [[nodiscard]] const Dataset& uw3() { return by_name("UW3"); }
 
   /// Restriction of a dataset to measurements between the given hosts.
   [[nodiscard]] static Dataset subset(const Dataset& parent, std::string name,
                                       const std::vector<topo::HostId>& keep);
 
  private:
-  /// Collects a primary spec with no controls (the cached-getter path).
+  /// Collects a primary spec with no controls (the by_name path).
   [[nodiscard]] Dataset collect_primary(const DatasetSpec& spec);
   /// The 15 UW4 hosts: a fixed shuffle of the UW3 host set.
   [[nodiscard]] const std::vector<topo::HostId>& uw4_hosts();
@@ -125,14 +121,7 @@ class Catalog {
   CatalogConfig config_;
   std::unique_ptr<sim::Network> world95_;
   std::unique_ptr<sim::Network> world98_;
-  std::optional<Dataset> d2_;
-  std::optional<Dataset> d2_na_;
-  std::optional<Dataset> n2_;
-  std::optional<Dataset> n2_na_;
-  std::optional<Dataset> uw1_;
-  std::optional<Dataset> uw3_;
-  std::optional<Dataset> uw4a_;
-  std::optional<Dataset> uw4b_;
+  std::map<std::string, Dataset, std::less<>> datasets_;  // by name
   std::vector<topo::HostId> uw4_hosts_;
 };
 

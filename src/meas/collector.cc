@@ -43,9 +43,8 @@ void record_probe_outcome(FailureReason reason, std::uint64_t n = 1) {
 // never depend on the thread count.
 constexpr std::size_t kProbeChunk = 512;
 
-// Fires later: the same total order sim::EventQueue imposed when the
-// collector scheduled closures, so the typed-event loop dispatches in
-// exactly the historical order (byte-identical datasets).
+// Fires later: ascending (t, seq), the campaign's one event order.  Datasets
+// and checkpoints depend on it, so it must not change.
 struct FiresLater {
   bool operator()(const CampaignEvent& a, const CampaignEvent& b) const noexcept {
     if (a.t != b.t) return b.t < a.t;
@@ -145,8 +144,8 @@ class Campaign {
   };
 
   // --- typed-event heap ------------------------------------------------------
-  // Seq is allocated per push, exactly as sim::EventQueue allocated it per
-  // schedule call, so equal-time events keep their scheduling order.
+  // Seq is allocated per push, so equal-time events keep their scheduling
+  // order.
 
   void push_event(CampaignEvent ev) {
     ev.seq = next_seq_++;

@@ -91,9 +91,8 @@ struct CollectorConfig {
 
 /// One pending campaign event.  Events fire in ascending (t, seq) order; seq
 /// is allocated at scheduling time, so equal-time events fire in scheduling
-/// order — the same total order sim::EventQueue imposes on the closures the
-/// collector used to schedule.  Every field is plain data so checkpoints can
-/// round-trip the pending set through text.
+/// order.  Every field is plain data so checkpoints can round-trip the
+/// pending set through text.
 enum class CampaignEventKind : std::uint8_t {
   kServerProbe = 0,   // UW1 per-server fire; a = server index into hosts
   kNextPair = 1,      // exponential-pair scheduler fire

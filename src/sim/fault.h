@@ -147,8 +147,8 @@ class FaultPlan {
 /// down flags track the routing-visible state and rebuilds the IGP/BGP
 /// tables at each routing epoch, so measurements resolve their paths the way
 /// a (slowly converging) routing system would have.  Queries must arrive in
-/// non-decreasing time order — exactly what an EventQueue-driven campaign
-/// produces.
+/// non-decreasing time order — exactly what a campaign's (t, seq) event
+/// order produces.
 class FaultInjector {
  public:
   FaultInjector(const Network& network, const FaultPlan& plan);

@@ -1,9 +1,6 @@
 #include "sim/link_model.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "util/expect.h"
 
 namespace pathsel::sim {
 
@@ -19,13 +16,6 @@ double LinkModel::mean_queueing_delay_ms(const topo::Link& link,
                            ? config_.exchange_burst_multiplier
                            : config_.burst_multiplier;
   return service_time_ms(link) * burst * u / (1.0 - u);
-}
-
-double LinkModel::sample_crossing_ms(const topo::Link& link, double utilization,
-                                     Rng& rng) const {
-  const double mean_q = mean_queueing_delay_ms(link, utilization);
-  const double queue = mean_q > 0.0 ? rng.exponential(mean_q) : 0.0;
-  return link.prop_delay_ms + queue + config_.router_processing_ms;
 }
 
 double LinkModel::loss_probability(const topo::Link& link,

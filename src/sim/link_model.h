@@ -11,7 +11,6 @@
 #pragma once
 
 #include "topo/topology.h"
-#include "util/rng.h"
 
 namespace pathsel::sim {
 
@@ -38,11 +37,6 @@ class LinkModel {
   /// Mean one-way queueing delay at utilization u, milliseconds.
   [[nodiscard]] double mean_queueing_delay_ms(const topo::Link& link,
                                               double utilization) const noexcept;
-
-  /// Samples the one-way delay of a single crossing: propagation + an
-  /// exponentially distributed queueing term + router processing.
-  [[nodiscard]] double sample_crossing_ms(const topo::Link& link,
-                                          double utilization, Rng& rng) const;
 
   /// Probability that a single crossing drops the packet.
   [[nodiscard]] double loss_probability(const topo::Link& link,

@@ -75,11 +75,6 @@ double Rng::lognormal(double mu, double sigma) noexcept {
   return std::exp(normal(mu, sigma));
 }
 
-double Rng::pareto(double xm, double alpha) noexcept {
-  PATHSEL_EXPECT(xm > 0 && alpha > 0, "pareto requires positive parameters");
-  return xm / std::pow(1.0 - uniform(), 1.0 / alpha);
-}
-
 std::size_t Rng::index(std::size_t size) noexcept {
   PATHSEL_EXPECT(size > 0, "index requires a non-empty range");
   return static_cast<std::size_t>(uniform_u64(size));

@@ -56,9 +56,6 @@ class Rng {
   /// Log-normal: exp(N(mu, sigma)).
   [[nodiscard]] double lognormal(double mu, double sigma) noexcept;
 
-  /// Pareto with scale xm > 0 and shape alpha > 0 (heavy-tailed sizes).
-  [[nodiscard]] double pareto(double xm, double alpha) noexcept;
-
   /// Picks a uniformly random element index of a non-empty range size.
   [[nodiscard]] std::size_t index(std::size_t size) noexcept;
 

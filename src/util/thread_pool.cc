@@ -6,6 +6,7 @@
 #include <exception>
 #include <memory>
 
+#include "util/codec.h"
 #include "util/expect.h"
 #include "util/metrics.h"
 
@@ -34,9 +35,10 @@ unsigned hardware_thread_count() noexcept {
 }
 
 unsigned default_thread_count() noexcept {
+  // 4096 is the bound analyze --threads and serve --threads enforce.
   if (const char* env = std::getenv("PATHSEL_THREADS")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<unsigned>(n);
+    unsigned n = 0;
+    if (codec::parse_int(env, n) && n >= 1 && n <= 4096) return n;
   }
   return hardware_thread_count();
 }

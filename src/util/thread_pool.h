@@ -32,8 +32,8 @@ namespace pathsel {
 /// Worker threads available on this machine; always >= 1.
 [[nodiscard]] unsigned hardware_thread_count() noexcept;
 
-/// The PATHSEL_THREADS environment override if set and positive, else
-/// hardware_thread_count().
+/// The PATHSEL_THREADS environment override if it is a whole number in
+/// 1..4096, else hardware_thread_count().
 [[nodiscard]] unsigned default_thread_count() noexcept;
 
 /// Maps an options-style thread knob to an executor count: values <= 0 mean

@@ -355,9 +355,8 @@ TEST(DenseApplicable, AutoComparesCostEstimates) {
   EXPECT_TRUE(dense_kernel_applicable(64, 64 * 63 / 2, o));
   // Sparse 1000-host mesh (E = N): search is far cheaper than N^3.
   EXPECT_FALSE(dense_kernel_applicable(1000, 1000, o));
-  // Above the ceiling the O(N^2) footprint rules the kernel out.
-  EXPECT_FALSE(dense_kernel_applicable(kDenseMaxHosts + 1,
-                                       kDenseMaxHosts * 1000, o));
+  // Above the memory budget the O(N^2) footprint rules the kernel out.
+  EXPECT_FALSE(dense_kernel_applicable(65'537, std::size_t{65'537} * 1000, o));
 }
 
 TEST(DenseKernel, CancellationSurfacesStatus) {

@@ -261,24 +261,16 @@ TEST(DenseKernelSimd, AutoAdmitsHostsAboveTheOldCapWithinBudget) {
   const std::size_t hosts = 10'000;
   const std::size_t edges = hosts * (hosts - 1) / 4;  // half density
   EXPECT_TRUE(dense_kernel_applicable(hosts, edges, o));
-  // A tighter explicit budget rules the same sweep out.
-  o.dense_memory_budget_bytes = std::size_t{1} << 30;  // 1 GiB
-  EXPECT_FALSE(dense_kernel_applicable(hosts, edges, o));
+  // The budget decides between 14,650 hosts (≈ 4.29e9 B) and 14,700 hosts
+  // (≈ 4.32e9 B), both complete meshes far past the cost ratio.
+  const auto mesh_edges = [](std::size_t n) { return n * (n - 1) / 2; };
+  ASSERT_LE(dense_kernel_memory_bytes(14'650), kDenseDefaultMemoryBudget);
+  ASSERT_GT(dense_kernel_memory_bytes(14'700), kDenseDefaultMemoryBudget);
+  EXPECT_TRUE(dense_kernel_applicable(14'650, mesh_edges(14'650), o));
+  EXPECT_FALSE(dense_kernel_applicable(14'700, mesh_edges(14'700), o));
   // Forcing the kernel overrides the budget — explicit opt-in.
   o.kernel = Kernel::kDense;
-  EXPECT_TRUE(dense_kernel_applicable(hosts, edges, o));
-}
-
-TEST(DenseKernelSimd, HardHostCeilingHoldsRegardlessOfBudget) {
-  AnalyzerOptions o;
-  o.max_intermediate_hosts = 1;
-  o.dense_memory_budget_bytes = ~std::size_t{0};  // unlimited
-  const std::size_t hosts = kDenseMaxHosts + 1;
-  EXPECT_FALSE(dense_kernel_applicable(hosts, hosts * 1000, o));
-  // Just inside the ceiling the ceiling itself no longer vetoes: with an
-  // unlimited budget and overwhelming search cost the kernel is picked.
-  EXPECT_TRUE(dense_kernel_applicable(kDenseMaxHosts,
-                                      kDenseMaxHosts * 20'000, o));
+  EXPECT_TRUE(dense_kernel_applicable(14'700, mesh_edges(14'700), o));
 }
 
 }  // namespace

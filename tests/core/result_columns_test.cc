@@ -396,20 +396,5 @@ TEST(ResultColumns, RejectsStructuralLies) {
   expect_rejected(bad_class, "significance class out of range");
 }
 
-TEST(ResultColumns, JsonRenderingIsDeterministic) {
-  const ResultColumns columns = from_pairs(random_pairs(6, 123), Metric::kLoss);
-  const std::string a = result_columns_to_json(columns);
-  const std::string b = result_columns_to_json(columns);
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a.find("\"type\": \"result_columns\""), std::string::npos);
-  EXPECT_NE(a.find("\"metric\": \"loss\""), std::string::npos);
-  EXPECT_NE(a.find("\"pairs\": 6"), std::string::npos);
-  for (const char* key :
-       {"\"src\"", "\"dst\"", "\"relay\"", "\"hop_count\"", "\"significance\"",
-        "\"default_value\"", "\"alternate_value\"", "\"via\""}) {
-    EXPECT_NE(a.find(key), std::string::npos) << key;
-  }
-}
-
 }  // namespace
 }  // namespace pathsel::core

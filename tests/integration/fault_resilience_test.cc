@@ -64,13 +64,14 @@ TEST(FaultResilience, ZeroIntensityCatalogMatchesLegacy) {
                                               .scale = 0.01,
                                               .fault_intensity = 0.0,
                                               .fault_seed = 77}};
-  EXPECT_EQ(serialized(plain.uw3()), serialized(faultless.uw3()));
+  EXPECT_EQ(serialized(plain.by_name("UW3")),
+            serialized(faultless.by_name("UW3")));
 }
 
 TEST(FaultResilience, FaultedCampaignCompletesWithCoverage) {
   meas::Catalog cat{meas::CatalogConfig{
       .seed = 1999, .scale = 0.01, .fault_intensity = 0.3}};
-  const auto& ds = cat.uw3();
+  const auto& ds = cat.by_name("UW3");
   EXPECT_GT(ds.completed_count(), 0u);
 
   std::size_t recorded_failures = 0;
@@ -126,12 +127,12 @@ TEST(FaultResilience, FaultSeedDeterminesTheCampaign) {
       .seed = 1999, .scale = 0.01, .fault_intensity = 0.2, .fault_seed = 5};
   meas::Catalog a{base};
   meas::Catalog b{base};
-  EXPECT_EQ(serialized(a.uw3()), serialized(b.uw3()));
+  EXPECT_EQ(serialized(a.by_name("UW3")), serialized(b.by_name("UW3")));
 
   meas::CatalogConfig reseeded = base;
   reseeded.fault_seed = 6;
   meas::Catalog c{reseeded};
-  EXPECT_NE(serialized(a.uw3()), serialized(c.uw3()));
+  EXPECT_NE(serialized(a.by_name("UW3")), serialized(c.by_name("UW3")));
 }
 
 TEST(FaultResilience, AnalysisIsThreadCountInvariantUnderFaults) {
@@ -143,8 +144,9 @@ TEST(FaultResilience, AnalysisIsThreadCountInvariantUnderFaults) {
   serial.threads = 1;
   core::AnalyzerOptions wide;
   wide.threads = 8;
-  const auto one = core::analyze_with_coverage(cat.uw3(), build, serial);
-  const auto eight = core::analyze_with_coverage(cat.uw3(), build, wide);
+  const meas::Dataset& uw3 = cat.by_name("UW3");
+  const auto one = core::analyze_with_coverage(uw3, build, serial);
+  const auto eight = core::analyze_with_coverage(uw3, build, wide);
   ASSERT_TRUE(one.is_ok());
   ASSERT_TRUE(eight.is_ok());
   const core::ResultColumns& r1 = one.value().columns;

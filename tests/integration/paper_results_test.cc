@@ -52,7 +52,7 @@ TEST_F(PaperResultsTest, ManyPathsHaveBetterLossAlternate) {
   // sampling-limited: at this reduced scale (12% of the trace) many truly
   // lossy defaults measure zero losses and cannot be beaten, so the band
   // here is loose; the full-scale run reaches ~0.77 (see EXPERIMENTS.md).
-  const auto table = table_for(catalog().uw3(), 8);
+  const auto table = table_for(catalog().by_name("UW3"), 8);
   core::AnalyzerOptions opt;
   opt.metric = core::Metric::kLoss;
   const double frac = core::fraction_improved(sweep(table, opt));
@@ -62,7 +62,7 @@ TEST_F(PaperResultsTest, ManyPathsHaveBetterLossAlternate) {
 TEST_F(PaperResultsTest, BandwidthAlternatesCommon) {
   // Paper §5: 70-80 percent of N2 paths have a higher-bandwidth one-hop
   // alternate (optimistic composition; scaled datasets run lower).
-  const auto table = table_for(catalog().n2(), 5);
+  const auto table = table_for(catalog().by_name("N2"), 5);
   const auto results =
       core::analyze_bandwidth(table, core::LossComposition::kOptimistic);
   ASSERT_GT(results.size(), 30u);
@@ -72,7 +72,7 @@ TEST_F(PaperResultsTest, BandwidthAlternatesCommon) {
 
 TEST_F(PaperResultsTest, TTestTalliesMatchTable2Shape) {
   // Table 2: better 20-32%, indeterminate 32-41%, worse 29-48%.
-  const auto table = table_for(catalog().uw3(), 8);
+  const auto table = table_for(catalog().by_name("UW3"), 8);
   const auto tally = core::classify_significance(sweep(table));
   EXPECT_GT(tally.better, 0.10);
   EXPECT_LT(tally.better, 0.50);
@@ -83,7 +83,7 @@ TEST_F(PaperResultsTest, TTestTalliesMatchTable2Shape) {
 TEST_F(PaperResultsTest, SomeAlternatesWinByAvoidingCongestion) {
   // §7.2 / Figure 16: group 6 (alternate wins despite longer propagation)
   // must be populated, and more than its mirror group 3.
-  const auto table = table_for(catalog().uw3(), 8, /*keep=*/true);
+  const auto table = table_for(catalog().by_name("UW3"), 8, /*keep=*/true);
   const auto analysis = core::analyze_propagation(table);
   EXPECT_GT(analysis.group_counts[5], 0u);                          // group 6
   EXPECT_GE(analysis.group_counts[5], analysis.group_counts[2]);    // vs 3
@@ -92,7 +92,7 @@ TEST_F(PaperResultsTest, SomeAlternatesWinByAvoidingCongestion) {
 TEST_F(PaperResultsTest, PropagationGainsSmallerThanRttGains) {
   // §7.2 / Figure 15: the improvement magnitude shrinks when only
   // propagation delay is considered.
-  const auto table = table_for(catalog().uw3(), 8, /*keep=*/true);
+  const auto table = table_for(catalog().by_name("UW3"), 8, /*keep=*/true);
   const auto analysis = core::analyze_propagation(table);
   const auto rtt_cdf = core::improvement_cdf(analysis.rtt_results);
   const auto prop_cdf = core::improvement_cdf(analysis.propagation_results);
@@ -105,8 +105,8 @@ TEST_F(PaperResultsTest, D2ShowsStrongerLossImprovements) {
   // improvements (>= 5 percentage points) than the 1998-99 UW datasets.
   core::AnalyzerOptions opt;
   opt.metric = core::Metric::kLoss;
-  const auto d2 = sweep(table_for(catalog().d2(), 5), opt);
-  const auto uw3 = sweep(table_for(catalog().uw3(), 8), opt);
+  const auto d2 = sweep(table_for(catalog().by_name("D2"), 5), opt);
+  const auto uw3 = sweep(table_for(catalog().by_name("UW3"), 8), opt);
   const double d2_large = core::improvement_cdf(d2).fraction_above(0.05);
   const double uw3_large = core::improvement_cdf(uw3).fraction_above(0.05);
   EXPECT_GT(d2_large, uw3_large);
@@ -115,7 +115,7 @@ TEST_F(PaperResultsTest, D2ShowsStrongerLossImprovements) {
 
 TEST_F(PaperResultsTest, RelativeRttImprovementTail) {
   // Figure 2: a visible fraction of pairs sees >= 1.5x better latency.
-  const auto table = table_for(catalog().uw3(), 8);
+  const auto table = table_for(catalog().by_name("UW3"), 8);
   const auto ratios = core::ratio_cdf(sweep(table));
   EXPECT_GT(ratios.fraction_above(1.25), 0.02);
 }
@@ -123,8 +123,8 @@ TEST_F(PaperResultsTest, RelativeRttImprovementTail) {
 TEST_F(PaperResultsTest, TransOceanicLatencyGapDisappearsInRatio) {
   // Figures 1 vs 2: D2 (world) shows larger absolute improvements than
   // D2-NA, but the relative curves come together.
-  const auto d2 = sweep(table_for(catalog().d2(), 5));
-  const auto na = sweep(table_for(catalog().d2_na(), 5));
+  const auto d2 = sweep(table_for(catalog().by_name("D2"), 5));
+  const auto na = sweep(table_for(catalog().by_name("D2-NA"), 5));
   const double d2_abs = core::improvement_cdf(d2).value_at_fraction(0.95);
   const double na_abs = core::improvement_cdf(na).value_at_fraction(0.95);
   const double d2_rel = core::ratio_cdf(d2).value_at_fraction(0.95);

@@ -31,12 +31,12 @@ class PipelineTest : public ::testing::Test {
     core::BuildOptions opt;
     opt.min_samples = 5;
     opt.keep_samples = true;
-    return core::PathTable::build(catalog().uw3(), opt);
+    return core::PathTable::build(catalog().by_name("UW3"), opt);
   }
 };
 
 TEST_F(PipelineTest, DatasetsNonEmptyAndCovered) {
-  const auto& uw3 = catalog().uw3();
+  const auto& uw3 = catalog().by_name("UW3");
   EXPECT_GT(uw3.completed_count(), 1000u);
   EXPECT_GT(uw3.covered_paths(), uw3.potential_paths() / 2);
 }
@@ -106,7 +106,7 @@ TEST_F(PipelineTest, SignificanceTallyConsistent) {
 TEST_F(PipelineTest, BandwidthAnalysisBrackets) {
   core::BuildOptions opt;
   opt.min_samples = 3;
-  const auto table = core::PathTable::build(catalog().n2(), opt);
+  const auto table = core::PathTable::build(catalog().by_name("N2"), opt);
   const auto optimistic =
       core::analyze_bandwidth(table, core::LossComposition::kOptimistic);
   const auto pessimistic =
@@ -123,7 +123,7 @@ TEST_F(PipelineTest, BandwidthAnalysisBrackets) {
 TEST_F(PipelineTest, TimeOfDayBinsCoverData) {
   core::TimeOfDayOptions opt;
   opt.min_samples = 1;
-  const auto bins = core::analyze_by_time_of_day(catalog().uw3(), opt);
+  const auto bins = core::analyze_by_time_of_day(catalog().by_name("UW3"), opt);
   ASSERT_EQ(bins.size(), 5u);
   std::size_t total = 0;
   for (const auto& bin : bins) total += bin.results.size();
@@ -131,7 +131,7 @@ TEST_F(PipelineTest, TimeOfDayBinsCoverData) {
 }
 
 TEST_F(PipelineTest, EpisodesAnalyzeUw4a) {
-  const auto analysis = core::analyze_episodes(catalog().uw4a(), {});
+  const auto analysis = core::analyze_episodes(catalog().by_name("UW4-A"), {});
   EXPECT_GT(analysis.episodes_analyzed, 5u);
   EXPECT_GT(analysis.unaveraged.size(), analysis.pair_averaged.size());
   // Unaveraged tails are at least as broad as pair-averaged tails.

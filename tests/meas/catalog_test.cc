@@ -15,34 +15,34 @@ CatalogConfig tiny() {
 
 TEST(Catalog, TableOneHostCounts) {
   Catalog cat{tiny()};
-  EXPECT_EQ(cat.d2().hosts.size(), 33u);
-  EXPECT_EQ(cat.d2_na().hosts.size(), 22u);
-  EXPECT_EQ(cat.n2().hosts.size(), 31u);
-  EXPECT_EQ(cat.n2_na().hosts.size(), 20u);
-  EXPECT_EQ(cat.uw1().hosts.size(), 36u);
-  EXPECT_EQ(cat.uw3().hosts.size(), 39u);
-  EXPECT_EQ(cat.uw4a().hosts.size(), 15u);
-  EXPECT_EQ(cat.uw4b().hosts.size(), 15u);
+  EXPECT_EQ(cat.by_name("D2").hosts.size(), 33u);
+  EXPECT_EQ(cat.by_name("D2-NA").hosts.size(), 22u);
+  EXPECT_EQ(cat.by_name("N2").hosts.size(), 31u);
+  EXPECT_EQ(cat.by_name("N2-NA").hosts.size(), 20u);
+  EXPECT_EQ(cat.by_name("UW1").hosts.size(), 36u);
+  EXPECT_EQ(cat.by_name("UW3").hosts.size(), 39u);
+  EXPECT_EQ(cat.by_name("UW4-A").hosts.size(), 15u);
+  EXPECT_EQ(cat.by_name("UW4-B").hosts.size(), 15u);
 }
 
 TEST(Catalog, DatasetKinds) {
   Catalog cat{tiny()};
-  EXPECT_EQ(cat.d2().kind, MeasurementKind::kTraceroute);
-  EXPECT_EQ(cat.n2().kind, MeasurementKind::kTcpTransfer);
-  EXPECT_EQ(cat.uw3().kind, MeasurementKind::kTraceroute);
+  EXPECT_EQ(cat.by_name("D2").kind, MeasurementKind::kTraceroute);
+  EXPECT_EQ(cat.by_name("N2").kind, MeasurementKind::kTcpTransfer);
+  EXPECT_EQ(cat.by_name("UW3").kind, MeasurementKind::kTraceroute);
 }
 
 TEST(Catalog, D2UsesFirstSampleLossHeuristic) {
   Catalog cat{tiny()};
-  EXPECT_TRUE(cat.d2().first_sample_loss_only);
-  EXPECT_TRUE(cat.d2_na().first_sample_loss_only);
-  EXPECT_FALSE(cat.uw3().first_sample_loss_only);
+  EXPECT_TRUE(cat.by_name("D2").first_sample_loss_only);
+  EXPECT_TRUE(cat.by_name("D2-NA").first_sample_loss_only);
+  EXPECT_FALSE(cat.by_name("UW3").first_sample_loss_only);
 }
 
 TEST(Catalog, SubsetsAreActualSubsets) {
   Catalog cat{tiny()};
-  const auto& d2 = cat.d2();
-  const auto& na = cat.d2_na();
+  const auto& d2 = cat.by_name("D2");
+  const auto& na = cat.by_name("D2-NA");
   const std::set<topo::HostId> parent_hosts{d2.hosts.begin(), d2.hosts.end()};
   for (const auto h : na.hosts) {
     EXPECT_TRUE(parent_hosts.contains(h));
@@ -61,7 +61,7 @@ TEST(Catalog, SubsetsAreActualSubsets) {
 TEST(Catalog, D2HasInternationalHosts) {
   Catalog cat{tiny()};
   int intl = 0;
-  for (const auto h : cat.d2().hosts) {
+  for (const auto h : cat.by_name("D2").hosts) {
     if (cat.world95().topology().host(h).region !=
         topo::Region::kNorthAmerica) {
       ++intl;
@@ -72,31 +72,31 @@ TEST(Catalog, D2HasInternationalHosts) {
 
 TEST(Catalog, Uw3HostsAreNotRateLimited) {
   Catalog cat{tiny()};
-  for (const auto h : cat.uw3().hosts) {
+  for (const auto h : cat.by_name("UW3").hosts) {
     EXPECT_FALSE(cat.world98().topology().host(h).icmp_rate_limited);
   }
 }
 
 TEST(Catalog, Uw4HostsDrawnFromUw3) {
   Catalog cat{tiny()};
-  const auto& uw3 = cat.uw3().hosts;
+  const auto& uw3 = cat.by_name("UW3").hosts;
   const std::set<topo::HostId> pool{uw3.begin(), uw3.end()};
-  for (const auto h : cat.uw4a().hosts) {
+  for (const auto h : cat.by_name("UW4-A").hosts) {
     EXPECT_TRUE(pool.contains(h));
   }
-  EXPECT_EQ(cat.uw4a().hosts, cat.uw4b().hosts);
+  EXPECT_EQ(cat.by_name("UW4-A").hosts, cat.by_name("UW4-B").hosts);
 }
 
 TEST(Catalog, Uw4aHasEpisodes) {
   Catalog cat{tiny()};
-  EXPECT_GT(cat.uw4a().episode_count, 0);
-  EXPECT_EQ(cat.uw4b().episode_count, 0);
+  EXPECT_GT(cat.by_name("UW4-A").episode_count, 0);
+  EXPECT_EQ(cat.by_name("UW4-B").episode_count, 0);
 }
 
 TEST(Catalog, ScaledDurations) {
   Catalog cat{tiny()};
-  EXPECT_NEAR(cat.uw3().duration.total_days(), 7.0 * 0.02, 1e-6);
-  EXPECT_NEAR(cat.d2().duration.total_days(), 48.0 * 0.02, 1e-6);
+  EXPECT_NEAR(cat.by_name("UW3").duration.total_days(), 7.0 * 0.02, 1e-6);
+  EXPECT_NEAR(cat.by_name("D2").duration.total_days(), 48.0 * 0.02, 1e-6);
 }
 
 TEST(Catalog, ByNameRoundTrip) {
@@ -114,8 +114,8 @@ TEST(Catalog, ByNameRoundTrip) {
 TEST(Catalog, DeterministicAcrossInstances) {
   Catalog a{tiny()};
   Catalog b{tiny()};
-  const auto& da = a.uw3();
-  const auto& db = b.uw3();
+  const auto& da = a.by_name("UW3");
+  const auto& db = b.by_name("UW3");
   ASSERT_EQ(da.measurements.size(), db.measurements.size());
   for (std::size_t i = 0; i < std::min<std::size_t>(100, da.measurements.size());
        ++i) {
@@ -126,8 +126,12 @@ TEST(Catalog, DeterministicAcrossInstances) {
 
 TEST(Catalog, DatasetsCached) {
   Catalog cat{tiny()};
-  const Dataset* first = &cat.uw3();
-  EXPECT_EQ(first, &cat.uw3());
+  const Dataset* first = &cat.by_name("UW3");
+  EXPECT_EQ(first, &cat.by_name("UW3"));
+  // A derived dataset is cached too, and later entries move no earlier one.
+  const Dataset* na = &cat.by_name("N2-NA");
+  EXPECT_EQ(na, &cat.by_name("N2-NA"));
+  EXPECT_EQ(first, &cat.by_name("UW3"));
 }
 
 TEST(Catalog, WorldsDiffer) {

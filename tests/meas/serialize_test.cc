@@ -127,7 +127,7 @@ TEST(Serialize, RejectsUnknownKind) {
 
 TEST(Serialize, CatalogDatasetRoundTripsExactly) {
   meas::Catalog catalog{meas::CatalogConfig{.seed = 5, .scale = 0.02}};
-  const Dataset& original = catalog.uw4a();
+  const Dataset& original = catalog.by_name("UW4-A");
   std::stringstream ss;
   write_dataset(ss, original);
   const auto loaded = read_dataset(ss);

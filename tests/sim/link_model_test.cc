@@ -93,27 +93,5 @@ TEST(LinkModel, LossCappedAtHalf) {
             0.5);
 }
 
-TEST(LinkModel, SampleCrossingIncludesPropagationFloor) {
-  const LinkModel m{LinkModelConfig{}};
-  const auto l = make_link(45.0, topo::LinkKind::kTransit);
-  Rng rng{1};
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_GE(m.sample_crossing_ms(l, 0.5, rng),
-              l.prop_delay_ms + m.config().router_processing_ms);
-  }
-}
-
-TEST(LinkModel, SampleCrossingMeanTracksModel) {
-  const LinkModel m{LinkModelConfig{}};
-  const auto l = make_link(1.5, topo::LinkKind::kTransit);  // T1: big queues
-  Rng rng{2};
-  double total = 0.0;
-  constexpr int kN = 20000;
-  for (int i = 0; i < kN; ++i) total += m.sample_crossing_ms(l, 0.8, rng);
-  const double expected = l.prop_delay_ms + m.config().router_processing_ms +
-                          m.mean_queueing_delay_ms(l, 0.8);
-  EXPECT_NEAR(total / kN, expected, expected * 0.05);
-}
-
 }  // namespace
 }  // namespace pathsel::sim

@@ -139,13 +139,6 @@ TEST(Rng, LognormalMedian) {
   EXPECT_NEAR(xs[25000], std::exp(1.0), 0.05);
 }
 
-TEST(Rng, ParetoBoundedBelowByScale) {
-  Rng rng{41};
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_GE(rng.pareto(2.0, 1.5), 2.0);
-  }
-}
-
 TEST(Rng, IndexWithinRange) {
   Rng rng{43};
   for (int i = 0; i < 1000; ++i) EXPECT_LT(rng.index(7), 7u);

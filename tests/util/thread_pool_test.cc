@@ -26,8 +26,13 @@ TEST(ThreadPool, EnvOverridesDefaultThreadCount) {
   ASSERT_EQ(setenv("PATHSEL_THREADS", "3", 1), 0);
   EXPECT_EQ(default_thread_count(), 3u);
   EXPECT_EQ(resolve_thread_count(0), 3u);
-  ASSERT_EQ(setenv("PATHSEL_THREADS", "garbage", 1), 0);
-  EXPECT_EQ(default_thread_count(), hardware_thread_count());
+  // Anything but a whole number in 1..4096 falls back to the hardware count;
+  // 4294967296 used to wrap to 0 and abort the pool's reserve(0u - 1).
+  for (const char* bad :
+       {"garbage", "4294967296", "100000", "12abc", "0", "-3"}) {
+    ASSERT_EQ(setenv("PATHSEL_THREADS", bad, 1), 0);
+    EXPECT_EQ(default_thread_count(), hardware_thread_count()) << bad;
+  }
   ASSERT_EQ(unsetenv("PATHSEL_THREADS"), 0);
 }
 
