@@ -12,6 +12,7 @@
 #include "core/confidence.h"
 #include "core/coverage.h"
 #include "core/figures.h"
+#include "util/expect.h"
 
 namespace pathsel {
 namespace {
@@ -44,7 +45,7 @@ void run() {
 
     core::BuildOptions build;
     build.min_samples = bench::scaled_min_samples();
-    const auto result = core::analyze_with_coverage(ds, build, {});
+    auto result = core::analyze_with_coverage(ds, build, {});
     const std::string label = Table::pct(intensity);
     if (!result.is_ok()) {
       // Graceful degradation all the way down: an intensity that wipes out
@@ -60,9 +61,11 @@ void run() {
                       Table::pct(c.coverage()),
                       std::to_string(c.usable_edges)});
 
-    const auto& results = result.value().columns;
+    auto& results = result.value().columns;
     const auto cdf = core::improvement_cdf(results);
-    const auto tally = core::classify_significance(results, 0.95);
+    PATHSEL_EXPECT(core::annotate_significance(results).is_ok(),
+                   "uncancellable significance sweep failed");
+    const auto tally = core::tally_significance(results);
     degradation.add_row({label, std::to_string(results.size()),
                          Table::pct(cdf.fraction_above(0.0)),
                          Table::pct(tally.better), Table::pct(tally.worse),

@@ -5,6 +5,7 @@
 #include "core/alternate.h"
 #include "core/confidence.h"
 #include "core/result_columns.h"
+#include "util/expect.h"
 
 namespace pathsel {
 namespace {
@@ -22,9 +23,11 @@ void run() {
     core::BuildOptions opt;
     opt.min_samples = bench::scaled_min_samples();
     const auto ptable = core::PathTable::build(catalog.by_name(name), opt);
-    const auto results = core::from_pairs(
-        core::analyze_alternate_paths(ptable, {}), core::Metric::kRtt);
-    const auto tally = core::classify_significance(results);
+    auto results = core::from_pairs(core::analyze_alternate_paths(ptable, {}),
+                                    core::Metric::kRtt);
+    PATHSEL_EXPECT(core::annotate_significance(results).is_ok(),
+                   "uncancellable significance sweep failed");
+    const auto tally = core::tally_significance(results);
     table.add_row({name, Table::pct(tally.better),
                    Table::pct(tally.indeterminate), Table::pct(tally.worse)});
   }

@@ -5,6 +5,7 @@
 #include "core/alternate.h"
 #include "core/confidence.h"
 #include "core/result_columns.h"
+#include "util/expect.h"
 
 namespace pathsel {
 namespace {
@@ -25,9 +26,11 @@ void run() {
     const auto ptable = core::PathTable::build(catalog.by_name(name), opt);
     core::AnalyzerOptions analyze;
     analyze.metric = core::Metric::kLoss;
-    const auto results = core::from_pairs(
+    auto results = core::from_pairs(
         core::analyze_alternate_paths(ptable, analyze), analyze.metric);
-    const auto tally = core::classify_significance(results);
+    PATHSEL_EXPECT(core::annotate_significance(results).is_ok(),
+                   "uncancellable significance sweep failed");
+    const auto tally = core::tally_significance(results);
     table.add_row({name, Table::pct(tally.better),
                    Table::pct(tally.indeterminate), Table::pct(tally.zero),
                    Table::pct(tally.worse)});

@@ -29,7 +29,7 @@ int main() {
               table.edges().size());
 
   // Figure 1 flavor: round-trip time.
-  const core::ResultColumns rtt = core::from_pairs(
+  core::ResultColumns rtt = core::from_pairs(
       core::analyze_alternate_paths(table, {}), core::Metric::kRtt);
   const auto rtt_cdf = core::improvement_cdf(rtt);
   Table fig1{"RTT alternates (Figure 1 flavor)"};
@@ -54,7 +54,8 @@ int main() {
   fig3.print(std::cout);
 
   // Table 2 flavor: is the RTT difference statistically significant?
-  const auto tally = core::classify_significance(rtt);
+  if (!core::annotate_significance(rtt).is_ok()) return 1;
+  const auto tally = core::tally_significance(rtt);
   Table table2{"95% significance (Table 2 flavor)"};
   table2.set_header({"better", "indeterminate", "worse"});
   table2.add_row({Table::pct(tally.better), Table::pct(tally.indeterminate),

@@ -10,55 +10,11 @@ namespace pathsel::core {
 
 namespace {
 
-// Fixed chunking; per-chunk outputs merge in index order, so both sweeps are
-// bit-identical for every thread count (the tallies are integer sums).
+// Fixed chunking; per-chunk outputs merge in index order, so every sweep is
+// bit-identical for every thread count.
 constexpr std::size_t kChunk = 256;
 
 }  // namespace
-
-SignificanceTally classify_significance(const ResultColumns& results,
-                                        double confidence, int threads) {
-  Result<SignificanceTally> tally =
-      classify_significance_checked(results, confidence, threads);
-  PATHSEL_EXPECT(tally.is_ok(), "significance sweep cancelled");
-  return tally.value();
-}
-
-Result<SignificanceTally> classify_significance_checked(
-    const ResultColumns& results, double confidence, int threads,
-    const CancelToken* cancel) {
-  SignificanceTally tally;
-  tally.pairs = results.size();
-  if (results.empty()) return tally;
-
-  // Per-chunk counts indexed by SignificanceClass: {better, worse,
-  // indeterminate, zero}.
-  ThreadPool& pool = ThreadPool::shared(resolve_thread_count(threads));
-  std::vector<std::array<std::size_t, 4>> counts(
-      ThreadPool::chunk_count(results.size(), kChunk));
-  const Status status = pool.parallel_for(
-      results.size(), kChunk,
-      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        std::array<std::size_t, 4> local{};
-        for (std::size_t i = begin; i < end; ++i) {
-          ++local[static_cast<std::size_t>(
-              classify_pair(results, i, confidence))];
-        }
-        counts[chunk] = local;
-      },
-      cancel);
-  if (!status.is_ok()) return status;
-  std::array<std::size_t, 4> total{};
-  for (const auto& c : counts) {
-    for (std::size_t i = 0; i < total.size(); ++i) total[i] += c[i];
-  }
-  const auto n = static_cast<double>(results.size());
-  tally.better = static_cast<double>(total[0]) / n;
-  tally.worse = static_cast<double>(total[1]) / n;
-  tally.indeterminate = static_cast<double>(total[2]) / n;
-  tally.zero = static_cast<double>(total[3]) / n;
-  return tally;
-}
 
 SignificanceClass classify_pair(const ResultColumns& results, std::size_t i,
                                 double confidence) {
@@ -91,6 +47,24 @@ Status annotate_significance(ResultColumns& results, double confidence,
         }
       },
       cancel);
+}
+
+SignificanceTally tally_significance(const ResultColumns& results) {
+  SignificanceTally tally;
+  tally.pairs = results.size();
+  if (results.empty()) return tally;
+  // Counts indexed by SignificanceClass: {better, worse, indeterminate, zero}.
+  std::array<std::size_t, 4> total{};
+  for (const std::int8_t verdict : results.significance) {
+    PATHSEL_EXPECT(verdict >= 0, "tally of an unannotated significance column");
+    ++total[static_cast<std::size_t>(verdict)];
+  }
+  const auto n = static_cast<double>(results.size());
+  tally.better = static_cast<double>(total[0]) / n;
+  tally.worse = static_cast<double>(total[1]) / n;
+  tally.indeterminate = static_cast<double>(total[2]) / n;
+  tally.zero = static_cast<double>(total[3]) / n;
+  return tally;
 }
 
 std::vector<CiPoint> confidence_cdf(const ResultColumns& results,

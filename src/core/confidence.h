@@ -25,18 +25,6 @@ struct SignificanceTally {
   double zero = 0.0;           // loss-rate only
 };
 
-/// `threads` <= 0 means util::default_thread_count(); 1 forces the serial
-/// path.  Both sweeps are bit-identical for every thread count.  A caller
-/// holding a sweep's PairResult vector transposes it once with from_pairs.
-[[nodiscard]] SignificanceTally classify_significance(
-    const ResultColumns& results, double confidence = 0.95, int threads = 0);
-
-/// As classify_significance(), but polls `cancel` before every chunk and
-/// returns its status (kDeadlineExceeded or kCancelled) when tripped.
-[[nodiscard]] Result<SignificanceTally> classify_significance_checked(
-    const ResultColumns& results, double confidence = 0.95, int threads = 0,
-    const CancelToken* cancel = nullptr);
-
 /// The verdict annotate_significance() writes for one pair — exposed so the
 /// serve engine can re-classify just the rows an incremental update touched
 /// and land on exactly the bytes a full annotate sweep would produce.  It is
@@ -45,14 +33,19 @@ struct SignificanceTally {
 [[nodiscard]] SignificanceClass classify_pair(const ResultColumns& results,
                                               std::size_t i, double confidence);
 
-/// Fills the significance column with the per-pair classify_pair verdicts the
-/// tallies above count (same confidence, same chunking — bit-identical for
-/// every thread count).  Serialized files then carry the classification, so
-/// a --results-in consumer can re-tally without the estimate sweeps.
+/// Fills the significance column with the per-pair classify_pair verdicts
+/// (fixed chunking, so bit-identical for every thread count).  `threads` <= 0
+/// means util::default_thread_count(); 1 forces the serial path.  Serialized
+/// results files then carry the classification.
 [[nodiscard]] Status annotate_significance(ResultColumns& results,
                                            double confidence = 0.95,
                                            int threads = 0,
                                            const CancelToken* cancel = nullptr);
+
+/// Tables 2/3's fractions, counted from an annotated significance column.
+/// Every row must carry a verdict: a kUnclassified row aborts.
+[[nodiscard]] SignificanceTally tally_significance(
+    const ResultColumns& results);
 
 /// One point of the Figure 7/8 plot: the pair's mean difference, its
 /// cumulative fraction, and the CI half-width to draw as an error bar.

@@ -154,9 +154,6 @@ Status analyze_cell(const CellContext& ctx, const CellSpec& cell,
     summary.hosts = cov.hosts;
     summary.usable_edges = cov.usable_edges;
     summary.coverage = cov.coverage();
-    const Status valid =
-        core::validate_disjoint_k(cell.policy.k, table.hosts().size());
-    if (!valid.is_ok()) return degrade(valid);
     core::DisjointOptions opt;
     opt.metric = cell.metric;
     opt.k = cell.policy.k;
@@ -207,19 +204,15 @@ Status analyze_cell(const CellContext& ctx, const CellSpec& cell,
   summary.pairs = analysis.columns.size();
   const auto cdf = core::improvement_cdf(analysis.columns, ctx.threads);
   summary.better = cdf.fraction_above(0.0);
-  const auto tally = core::classify_significance_checked(
-      analysis.columns, 0.95, ctx.threads, ctx.cancel);
-  if (!tally.is_ok()) {
-    return infrastructure_failure(tally.status()) ? tally.status()
-                                                  : degrade(tally.status());
-  }
-  summary.has_sig = true;
-  summary.sig_better = tally.value().better;
-  summary.sig_indeterminate = tally.value().indeterminate;
-  summary.sig_worse = tally.value().worse;
   const Status annotated = core::annotate_significance(
       analysis.columns, 0.95, ctx.threads, ctx.cancel);
   if (!annotated.is_ok()) return annotated;
+  const core::SignificanceTally tally =
+      core::tally_significance(analysis.columns);
+  summary.has_sig = true;
+  summary.sig_better = tally.better;
+  summary.sig_indeterminate = tally.indeterminate;
+  summary.sig_worse = tally.worse;
   const std::string psrc = core::serialize_result_columns(
       std::span<const core::ResultColumns>{&analysis.columns, 1});
   return write_artifact(ctx, summary, cell_rel_dir + "/results.psrc", psrc);

@@ -146,14 +146,16 @@ bool parse_row(Tokens& ls, std::string_view line, MeasurementKind kind,
   return true;
 }
 
-// Parses a dataset from the lines `read_line(std::string_view&)` yields, in
-// the order and with the line breaks std::getline would give.
+// Parses a dataset from the lines `read_line(std::string_view& line, bool&
+// newline)` yields, in the order and with the line breaks std::getline would
+// give; `newline` says whether a '\n' ended the line.
 template <typename NextLine>
 std::optional<Dataset> parse_dataset(NextLine&& read_line, std::string* error) {
   ScopedTimer timer{"meas.dataset.read"};
   std::uint64_t bytes = 0;  // line bytes plus one newline each
+  bool newline = true;      // whether the last line read ended with '\n'
   auto next_line = [&](std::string_view& l) {
-    if (!read_line(l)) return false;
+    if (!read_line(l, newline)) return false;
     bytes += l.size() + 1;
     return true;
   };
@@ -275,6 +277,12 @@ std::optional<Dataset> parse_dataset(NextLine&& read_line, std::string* error) {
          "reason (file mixes fault-aware and legacy rows)");
     return std::nullopt;
   }
+  // Every writer ends every line with '\n', so a last line without one is a
+  // file torn mid-line, whose final token may be a prefix of its value.
+  if (!newline) {
+    fail(error, "torn file: last line has no newline");
+    return std::nullopt;
+  }
   MetricsRegistry& metrics = MetricsRegistry::global();
   metrics.count("meas.dataset.records_read", ds.measurements.size());
   metrics.count("meas.dataset.bytes_read", bytes);
@@ -286,7 +294,12 @@ std::optional<Dataset> parse_dataset_text(std::string_view text,
                                           std::string* error) {
   codec::Lines lines{text};
   return parse_dataset(
-      [&lines](std::string_view& line) { return lines.next(line); }, error);
+      [&lines, text](std::string_view& line, bool& newline) {
+        if (!lines.next(line)) return false;
+        newline = line.data() + line.size() != text.data() + text.size();
+        return true;
+      },
+      error);
 }
 
 }  // namespace
@@ -356,9 +369,10 @@ void write_dataset(std::ostream& os, const Dataset& dataset) {
 std::optional<Dataset> read_dataset(std::istream& is, std::string* error) {
   std::string buf;
   return parse_dataset(
-      [&is, &buf](std::string_view& line) {
+      [&is, &buf](std::string_view& line, bool& newline) {
         if (!std::getline(is, buf)) return false;
         line = buf;
+        newline = !is.eof();
         return true;
       },
       error);

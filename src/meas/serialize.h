@@ -31,7 +31,10 @@
 // The reader validates everything it parses — host ids must be declared in
 // the hosts line, RTTs/rates must be finite and in range, counts must be
 // sane — and rejects trailing garbage; a malformed or truncated file yields
-// an error, never a crash or a partially filled dataset.
+// an error, never a crash or a partially filled dataset.  Every line,
+// the last included, ends with '\n': a file whose last line lacks it was
+// torn mid-line and is rejected, so a prefix parses only if it ends on a
+// line boundary at or after the hosts line.
 #pragma once
 
 #include <cstdint>

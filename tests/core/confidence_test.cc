@@ -21,6 +21,11 @@ ResultColumns rtt_results(const PathTable& table) {
                     Metric::kRtt);
 }
 
+SignificanceTally annotated_tally(ResultColumns cols) {
+  EXPECT_TRUE(annotate_significance(cols).is_ok());
+  return tally_significance(cols);
+}
+
 TEST(Confidence, TallyFractionsSumToOne) {
   auto ds = make_dataset(4);
   add_invocations(ds, 0, 1, 100.0, 10);
@@ -29,7 +34,7 @@ TEST(Confidence, TallyFractionsSumToOne) {
   add_invocations(ds, 0, 3, 80.0, 10);
   add_invocations(ds, 3, 1, 80.0, 10);
   const auto table = PathTable::build(ds, test::min_samples(1));
-  const auto tally = classify_significance(rtt_results(table));
+  const auto tally = annotated_tally(rtt_results(table));
   EXPECT_GT(tally.pairs, 0u);
   EXPECT_NEAR(tally.better + tally.worse + tally.indeterminate + tally.zero,
               1.0, 1e-12);
@@ -67,7 +72,7 @@ TEST(Confidence, NoisyTieIndeterminate) {
                               30.0 + rng.normal(0, 20)});
   }
   const auto table = PathTable::build(ds, test::min_samples(1));
-  const auto tally = classify_significance(rtt_results(table));
+  const auto tally = annotated_tally(rtt_results(table));
   EXPECT_GT(tally.indeterminate, 0.0);
 }
 
@@ -79,7 +84,7 @@ TEST(Confidence, LossZeroClass) {
   const auto table = PathTable::build(ds, test::min_samples(1));
   AnalyzerOptions opt;
   opt.metric = Metric::kLoss;
-  const auto tally = classify_significance(
+  const auto tally = annotated_tally(
       from_pairs(analyze_alternate_paths(table, opt), opt.metric));
   EXPECT_DOUBLE_EQ(tally.zero, 1.0);
 }
@@ -113,7 +118,7 @@ SignificanceClass reference_class(const ResultColumns& cols, std::size_t i,
           .verdict);
 }
 
-// annotate_significance's column, classify_pair and the tallies all equal the
+// annotate_significance's column, classify_pair and the tally all equal the
 // welch_ttest verdict on every row; returns how many rows were compared.
 std::size_t expect_verdicts_match_ttest(ResultColumns cols, double confidence,
                                         const std::string& label) {
@@ -126,7 +131,7 @@ std::size_t expect_verdicts_match_ttest(ResultColumns cols, double confidence,
     EXPECT_EQ(classify_pair(cols, i, confidence), ref) << label << " row " << i;
     ++want[static_cast<std::size_t>(ref)];
   }
-  const SignificanceTally tally = classify_significance(cols, confidence, 2);
+  const SignificanceTally tally = tally_significance(cols);
   if (!cols.empty()) {
     const auto n = static_cast<double>(cols.size());
     EXPECT_EQ(tally.better, static_cast<double>(want[0]) / n) << label;
@@ -193,7 +198,7 @@ TEST(Confidence, VerdictsMatchTTestOnCatalogDatasets) {
 }
 
 TEST(Confidence, EmptyInputHandled) {
-  const auto tally = classify_significance(ResultColumns{});
+  const auto tally = tally_significance(ResultColumns{});
   EXPECT_EQ(tally.pairs, 0u);
   EXPECT_TRUE(confidence_cdf(ResultColumns{}).empty());
 }

@@ -188,7 +188,6 @@ TEST(ResultColumns, SignificanceColumnSurvivesTheRoundTrip) {
 TEST(ResultColumns, ThreadCountInvariance) {
   const ResultColumns columns = from_pairs(random_pairs(900, 8801), Metric::kRtt);
   const auto cdf1 = improvement_cdf(columns, 1);
-  const auto tally1 = classify_significance(columns, 0.95, 1);
   ResultColumns annotated1 = columns;
   ASSERT_TRUE(annotate_significance(annotated1, 0.95, 1).is_ok());
   for (const int threads : {4, 8}) {
@@ -198,11 +197,6 @@ TEST(ResultColumns, ThreadCountInvariance) {
     for (std::size_t i = 0; i < cdf_t.size(); ++i) {
       expect_same_bits(cdf1.sorted_values()[i], cdf_t.sorted_values()[i]);
     }
-    const auto tally_t = classify_significance(columns, 0.95, threads);
-    expect_same_bits(tally1.better, tally_t.better);
-    expect_same_bits(tally1.worse, tally_t.worse);
-    expect_same_bits(tally1.indeterminate, tally_t.indeterminate);
-    expect_same_bits(tally1.zero, tally_t.zero);
     ResultColumns annotated_t = columns;
     ASSERT_TRUE(annotate_significance(annotated_t, 0.95, threads).is_ok());
     EXPECT_EQ(annotated1.significance, annotated_t.significance);
@@ -211,8 +205,8 @@ TEST(ResultColumns, ThreadCountInvariance) {
 
 TEST(ResultColumns, AnnotateAgreesWithTally) {
   ResultColumns columns = from_pairs(random_pairs(400, 6201), Metric::kLoss);
-  const auto tally = classify_significance(columns, 0.95, 1);
   ASSERT_TRUE(annotate_significance(columns, 0.95, 1).is_ok());
+  const auto tally = tally_significance(columns);
   std::size_t better = 0, worse = 0, indet = 0, zero = 0;
   for (const std::int8_t s : columns.significance) {
     switch (static_cast<SignificanceClass>(s)) {
@@ -313,13 +307,6 @@ TEST(ResultColumns, RejectsMalformedInput) {
   const std::string good = serialize_result_columns({&columns, 1});
   ASSERT_TRUE(parse_result_columns(good).is_ok());
 
-  expect_rejected("", "empty input");
-  expect_rejected(std::string_view{good}.substr(0, 8), "header-only prefix");
-  for (const std::size_t cut :
-       {std::size_t{15}, std::size_t{16}, std::size_t{40}, good.size() - 1}) {
-    expect_rejected(std::string_view{good}.substr(0, cut), "truncated file");
-  }
-
   std::string bad_magic = good;
   bad_magic[0] = 'X';
   expect_rejected(bad_magic, "bad magic");
@@ -334,10 +321,6 @@ TEST(ResultColumns, RejectsMalformedInput) {
     EXPECT_NE(parsed.status().message().find("version"), std::string::npos)
         << parsed.status().message();
   }
-
-  std::string flipped = good;
-  flipped[good.size() / 2] = static_cast<char>(flipped[good.size() / 2] ^ 0x10);
-  expect_rejected(flipped, "payload corruption is caught by the CRC");
 
   std::string absurd = good;
   // Pair count (u64 after magic+version+set count+metric, offset 16) claims
@@ -357,6 +340,29 @@ TEST(ResultColumns, RejectsMalformedInput) {
   bad_metric[12] = static_cast<char>(9);
   fix_crc(bad_metric);
   expect_rejected(bad_metric, "unknown metric tag");
+}
+
+// A freshly written two-set file, next to FormatFuzz's psrc golden: it
+// parses whole, and no strict prefix does.
+std::string two_set_file() {
+  const auto pairs = random_pairs(4, 7);
+  const ResultColumns sets[] = {from_pairs(pairs, Metric::kRtt),
+                                from_pairs(pairs, Metric::kLoss)};
+  return serialize_result_columns(sets);
+}
+
+TEST(ResultColumnsFuzz, CleanParseSanityCheck) {
+  const auto parsed = parse_result_columns(two_set_file());
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  ASSERT_EQ(parsed.value().size(), 2u);
+}
+
+TEST(ResultColumnsFuzz, EveryTruncationIsRejectedCleanly) {
+  const std::string good = two_set_file();
+  for (std::size_t len = 0; len < good.size(); ++len) {
+    SCOPED_TRACE(testing::Message() << "truncation to " << len << " bytes");
+    expect_rejected(std::string_view{good}.substr(0, len), "strict prefix");
+  }
 }
 
 TEST(ResultColumns, RejectsStructuralLies) {

@@ -73,7 +73,9 @@ TEST_F(PaperResultsTest, BandwidthAlternatesCommon) {
 TEST_F(PaperResultsTest, TTestTalliesMatchTable2Shape) {
   // Table 2: better 20-32%, indeterminate 32-41%, worse 29-48%.
   const auto table = table_for(catalog().by_name("UW3"), 8);
-  const auto tally = core::classify_significance(sweep(table));
+  core::ResultColumns results = sweep(table);
+  ASSERT_TRUE(core::annotate_significance(results).is_ok());
+  const auto tally = core::tally_significance(results);
   EXPECT_GT(tally.better, 0.10);
   EXPECT_LT(tally.better, 0.50);
   EXPECT_GT(tally.indeterminate, 0.15);

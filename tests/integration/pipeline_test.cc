@@ -92,9 +92,10 @@ TEST_F(PipelineTest, LossValuesInUnitRange) {
 
 TEST_F(PipelineTest, SignificanceTallyConsistent) {
   const auto table = uw3_table();
-  const auto results = core::from_pairs(
-      core::analyze_alternate_paths(table, {}), core::Metric::kRtt);
-  const auto tally = core::classify_significance(results);
+  auto results = core::from_pairs(core::analyze_alternate_paths(table, {}),
+                                  core::Metric::kRtt);
+  ASSERT_TRUE(core::annotate_significance(results).is_ok());
+  const auto tally = core::tally_significance(results);
   EXPECT_EQ(tally.pairs, results.size());
   EXPECT_NEAR(tally.better + tally.worse + tally.indeterminate + tally.zero,
               1.0, 1e-9);

@@ -1,12 +1,12 @@
-// Fuzz/property tests for the scenario-grid parser.
+// Property tests for the scenario-grid parser.
 //
-// The parser's contract mirrors the binary results reader's: NO input —
-// malformed key, empty axis, duplicate cell, absurd cross product,
-// truncated file, random garbage — may crash it or trip UB; every rejection
-// is a clean kInvalidArgument whose message names the offending line.  On
-// top of the rejection catalogue this suite pins the identities the engine
-// builds on: canonical round-trip stability, fingerprint sensitivity to
-// every axis, and the fixed cell-expansion order.
+// Every rejection — malformed key, empty axis, duplicate cell, absurd cross
+// product — is a clean kInvalidArgument whose message names the offending
+// line (FormatFuzz, in integration/format_fuzz_test.cc, runs the truncation,
+// corruption and garbage attacks).  On top of the rejection catalogue this
+// suite pins the identities the engine builds on: canonical round-trip
+// stability, fingerprint sensitivity to every axis, and the fixed
+// cell-expansion order.
 #include "matrix/grid.h"
 
 #include <string>
@@ -14,27 +14,12 @@
 
 #include <gtest/gtest.h>
 
-#include "util/rng.h"
+#include "test_util.h"
 
 namespace pathsel::matrix {
 namespace {
 
-constexpr char kFullGrid[] =
-    "# exercise every section\n"
-    "name = full\n"
-    "scale = 0.25\n"
-    "[datasets]\n"
-    "values = UW3, D2\n"
-    "[faults]\n"
-    "values = 0, 0.15\n"
-    "[metrics]\n"
-    "values = rtt, loss\n"
-    "[policies]\n"
-    "values = one-hop, one-hop/dense, multi-hop, disjoint:2\n"
-    "[samples]\n"
-    "values = 0, 5\n"
-    "[seeds]\n"
-    "values = 1999, 7\n";
+using test::kFullGrid;
 
 void expect_rejected(const std::string& text, const char* why) {
   const Result<GridConfig> parsed = parse_grid(text);
@@ -133,52 +118,6 @@ TEST(GridParse, AbsurdCrossProductIsRejectedUpFront) {
       "[seeds]\nvalues = 1, 2, 3, 4, 5\n"
       "[faults]\nvalues = 0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8\n";
   expect_rejected(text, "cross product beyond kMaxGridCells");
-}
-
-TEST(GridParse, EveryTruncationIsCleanlyHandled) {
-  const std::string full{kFullGrid};
-  for (std::size_t len = 0; len < full.size(); ++len) {
-    const std::string cut = full.substr(0, len);
-    const Result<GridConfig> parsed = parse_grid(cut);
-    // A prefix that happens to end on a complete, valid line may parse; the
-    // contract is only "no crash, and failures are kInvalidArgument".
-    if (!parsed.is_ok()) {
-      EXPECT_EQ(parsed.status().code(), ErrorCode::kInvalidArgument)
-          << "truncation at " << len;
-    }
-  }
-}
-
-TEST(GridParse, RandomGarbageNeverCrashes) {
-  Rng rng{20260808};
-  for (int round = 0; round < 200; ++round) {
-    std::string junk;
-    const std::size_t len = static_cast<std::size_t>(rng.uniform_int(0, 399));
-    for (std::size_t i = 0; i < len; ++i) {
-      junk += static_cast<char>(rng.uniform_int(0, 255));
-    }
-    const Result<GridConfig> parsed = parse_grid(junk);
-    if (!parsed.is_ok()) {
-      EXPECT_EQ(parsed.status().code(), ErrorCode::kInvalidArgument);
-    }
-  }
-}
-
-TEST(GridParse, MutatedRealGridNeverCrashes) {
-  const std::string full{kFullGrid};
-  Rng rng{42};
-  for (int round = 0; round < 500; ++round) {
-    std::string mutated = full;
-    const int edits = static_cast<int>(rng.uniform_int(1, 4));
-    for (int e = 0; e < edits; ++e) {
-      const std::size_t pos = rng.index(mutated.size());
-      mutated[pos] = static_cast<char>(rng.uniform_int(0, 255));
-    }
-    const Result<GridConfig> parsed = parse_grid(mutated);
-    if (!parsed.is_ok()) {
-      EXPECT_EQ(parsed.status().code(), ErrorCode::kInvalidArgument);
-    }
-  }
 }
 
 TEST(GridIdentity, FingerprintSeesEveryAxis) {

@@ -156,30 +156,6 @@ TEST(MatrixCellSummary, SubnormalsRoundTrip) {
   EXPECT_EQ(serialize_cell_summary(parsed.value()), bytes);
 }
 
-TEST(MatrixCellSummary, EveryBitFlipIsRejected) {
-  const std::string good = serialize_cell_summary(sample_summary());
-  for (std::size_t byte = 0; byte < good.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string corrupt = good;
-      corrupt[byte] = static_cast<char>(corrupt[byte] ^ (1 << bit));
-      const Result<CellSummary> parsed = parse_cell_summary(corrupt);
-      ASSERT_FALSE(parsed.is_ok())
-          << "flip bit " << bit << " of byte " << byte << " was accepted";
-      EXPECT_EQ(parsed.status().code(), ErrorCode::kParseError);
-    }
-  }
-}
-
-TEST(MatrixCellSummary, EveryTruncationIsRejected) {
-  const std::string good = serialize_cell_summary(sample_summary());
-  for (std::size_t len = 0; len < good.size(); ++len) {
-    const Result<CellSummary> parsed =
-        parse_cell_summary(good.substr(0, len));
-    ASSERT_FALSE(parsed.is_ok()) << "truncation to " << len << " accepted";
-    EXPECT_EQ(parsed.status().code(), ErrorCode::kParseError);
-  }
-}
-
 TEST(MatrixCellSummary, TrailingGarbageIsRejected) {
   std::string padded = serialize_cell_summary(sample_summary());
   // Valid summary followed by junk: the trailing-crc scan must not be

@@ -1,4 +1,4 @@
-// Shared test fixtures: hand-built datasets and topologies.
+// Shared test fixtures: hand-built datasets, topologies and a scenario grid.
 #pragma once
 
 #include <initializer_list>
@@ -70,6 +70,24 @@ inline void add_transfer(meas::Dataset& ds, int src, int dst, double bw_kBps,
   m.tcp_loss_rate = loss;
   ds.measurements.push_back(std::move(m));
 }
+
+/// A scenario grid that sets every key and section, 256 cells.
+inline constexpr char kFullGrid[] =
+    "# exercise every section\n"
+    "name = full\n"
+    "scale = 0.25\n"
+    "[datasets]\n"
+    "values = UW3, D2\n"
+    "[faults]\n"
+    "values = 0, 0.15\n"
+    "[metrics]\n"
+    "values = rtt, loss\n"
+    "[policies]\n"
+    "values = one-hop, one-hop/dense, multi-hop, disjoint:2\n"
+    "[samples]\n"
+    "values = 0, 5\n"
+    "[seeds]\n"
+    "values = 1999, 7\n";
 
 /// A two-AS topology: AS0 (provider, two routers in SEA/NYC) and AS1 (stub,
 /// one router in CHI), with hosts on every router.

@@ -445,11 +445,6 @@ int write_disjoint_report(const std::string& out_dir, const std::string& name,
     return exit_code_for(built.status());
   }
   const core::PathTable& table = built.value();
-  const Status valid = core::validate_disjoint_k(k, table.hosts().size());
-  if (!valid.is_ok()) {
-    std::fprintf(stderr, "%s: %s\n", name.c_str(), valid.to_string().c_str());
-    return exit_code_for(valid);
-  }
   core::DisjointOptions opt;
   opt.k = k;
   opt.cancel = &g_cancel;
@@ -664,16 +659,17 @@ void print_coverage(const core::CoverageSummary& c) {
 
 // The post-sweep half of `analyze` — everything after the sweep reads the
 // columnar results, whether they came from this process's sweep (fused run)
-// or a --results-in file (split run).  Prints the `pairs analyzed:` line
-// onward; coverage is nullptr for split runs (it summarizes the dataset,
-// which a results file deliberately does not carry).
-int run_post_processing(const core::ResultColumns& columns, int threads,
+// or a --results-in file (split run).  It annotates the significance column
+// itself, so a file's stored verdicts are recomputed, not trusted.  Prints
+// the `pairs analyzed:` line onward; coverage is nullptr for split runs (it
+// summarizes the dataset, which a results file deliberately does not carry).
+int run_post_processing(core::ResultColumns& columns, int threads,
                         const core::CoverageSummary* coverage, bool csv) {
   const auto cdf = core::improvement_cdf(columns, threads);
-  const auto tally_checked =
-      core::classify_significance_checked(columns, 0.95, threads, &g_cancel);
-  if (!tally_checked.is_ok()) return exit_with(tally_checked.status());
-  const core::SignificanceTally& tally = tally_checked.value();
+  const Status annotated =
+      core::annotate_significance(columns, 0.95, threads, &g_cancel);
+  if (!annotated.is_ok()) return exit_with(annotated);
+  const core::SignificanceTally tally = core::tally_significance(columns);
   std::printf("pairs analyzed: %zu\n", columns.size());
   std::printf("better alternate exists: %.0f%%\n",
               100.0 * cdf.fraction_above(0.0));
@@ -719,7 +715,7 @@ int cmd_analyze(const Options& o) {
   build.cancel = &g_cancel;
 
   if (o.has(&Options::results_in)) {
-    const auto sets = core::read_result_columns(o.results_in);
+    auto sets = core::read_result_columns(o.results_in);
     if (!sets.is_ok()) return exit_with(sets.status());
     if (sets.value().size() != 1) {
       std::fprintf(stderr,
@@ -774,8 +770,6 @@ int cmd_analyze(const Options& o) {
     opt.mode = static_cast<core::DisjointMode>(o.disjoint_mode);
     opt.threads = threads;
     opt.cancel = &g_cancel;
-    const Status valid = core::validate_disjoint_k(opt.k, table.hosts().size());
-    if (!valid.is_ok()) return exit_with(valid);
     const auto swept = core::compute_disjoint_alternates(table, opt);
     if (!swept.is_ok()) return exit_with(swept.status());
     const std::vector<core::PairDisjointResult>& results = swept.value();
