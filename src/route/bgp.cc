@@ -1,7 +1,5 @@
 #include "route/bgp.h"
 
-#include <algorithm>
-
 #include "util/expect.h"
 #include "util/metrics.h"
 
@@ -30,61 +28,51 @@ bool better(const RouteEntry& candidate, const RouteEntry& current,
 
 }  // namespace
 
-namespace {
-
-std::uint64_t session_key(topo::AsId a, topo::AsId b) {
-  const auto lo = static_cast<std::uint32_t>(std::min(a, b).value());
-  const auto hi = static_cast<std::uint32_t>(std::max(a, b).value());
-  return (static_cast<std::uint64_t>(lo) << 32) | hi;
-}
-
-}  // namespace
-
-BgpTables::BgpTables(const topo::Topology& topology) : topo_{&topology} {
-  const std::size_t n = topology.as_count();
+BgpTables::BgpTables(const topo::Topology& topology)
+    : topo_{&topology},
+      as_count_{topology.as_count()},
+      live_sessions_(as_count_ * as_count_, 0),
+      table_(as_count_ * as_count_),
+      computed_{std::make_unique<std::once_flag[]>(as_count_)} {
   // A BGP session is live only while at least one physical link between the
   // two ASes is up.
   for (const auto& l : topology.links()) {
     if (l.kind == topo::LinkKind::kIntraAs || l.down) continue;
-    live_sessions_.insert(session_key(topology.router(l.a).as,
-                                      topology.router(l.b).as));
+    const std::size_t a = topology.router(l.a).as.index();
+    const std::size_t b = topology.router(l.b).as.index();
+    live_sessions_[a * as_count_ + b] = 1;
+    live_sessions_[b * as_count_ + a] = 1;
   }
-  table_.assign(n * n, RouteEntry{});
-  {
-    const ScopedTimer timer{"route.bgp.table_build"};
-    for (std::size_t d = 0; d < n; ++d) {
-      compute_for_destination(topo::AsId{static_cast<std::int32_t>(d)});
-    }
-  }
-  MetricsRegistry& m = MetricsRegistry::global();
-  m.count("route.bgp.table_builds");
-  m.count("route.bgp.destinations_computed", n);
+  MetricsRegistry::global().count("route.bgp.table_builds");
 }
 
-bool BgpTables::session_up(topo::AsId a, topo::AsId b) const {
-  return live_sessions_.contains(session_key(a, b));
-}
-
-RouteEntry& BgpTables::entry(topo::AsId at, topo::AsId dest) {
-  return table_[at.index() * topo_->as_count() + dest.index()];
+const RouteEntry* BgpTables::column(topo::AsId dest) const {
+  PATHSEL_EXPECT(dest.index() < as_count_, "BGP route: unknown AS");
+  std::call_once(computed_[dest.index()],
+                 [this, dest] { compute_for_destination(dest); });
+  return table_.data() + dest.index() * as_count_;
 }
 
 const RouteEntry& BgpTables::route(topo::AsId at, topo::AsId dest) const {
-  PATHSEL_EXPECT(at.index() < topo_->as_count() &&
-                     dest.index() < topo_->as_count(),
-                 "BGP route: unknown AS");
-  return table_[at.index() * topo_->as_count() + dest.index()];
+  PATHSEL_EXPECT(at.index() < as_count_, "BGP route: unknown AS");
+  return column(dest)[at.index()];
 }
 
-void BgpTables::compute_for_destination(topo::AsId dest) {
+void BgpTables::compute_for_destination(topo::AsId dest) const {
+  const ScopedTimer timer{"route.bgp.table_build"};
+  MetricsRegistry::global().count("route.bgp.destinations_computed");
   const auto& ases = topo_->ases();
+  RouteEntry* col = table_.data() + dest.index() * as_count_;
+  const auto entry = [col](topo::AsId at) -> RouteEntry& {
+    return col[at.index()];
+  };
 
   // Phase 1: customer routes.  An AS has a customer route iff it can reach
   // the destination by a chain of provider->customer edges (every hop
   // descends).  The customer/provider digraph is acyclic, so iterating to a
   // fixed point terminates; sweeps are bounded by the longest descending
   // chain.
-  entry(dest, dest) = RouteEntry{RouteClass::kCustomer, 0, dest};
+  entry(dest) = RouteEntry{RouteClass::kCustomer, 0, dest};
   bool changed = true;
   while (changed) {
     changed = false;
@@ -92,12 +80,12 @@ void BgpTables::compute_for_destination(topo::AsId dest) {
       if (as.id == dest) continue;
       for (const topo::AsId customer : as.customers) {
         if (!session_up(as.id, customer)) continue;
-        const RouteEntry& via = entry(customer, dest);
+        const RouteEntry& via = entry(customer);
         if (via.cls != RouteClass::kCustomer && customer != dest) continue;
         if (via.cls == RouteClass::kNone) continue;
         const RouteEntry candidate{RouteClass::kCustomer, via.path_length + 1,
                                    customer};
-        RouteEntry& mine = entry(as.id, dest);
+        RouteEntry& mine = entry(as.id);
         // Within phase 1 everything is customer-class; preference reduces to
         // length then id.
         if (better(candidate, mine, topo::AsId{})) {
@@ -113,10 +101,10 @@ void BgpTables::compute_for_destination(topo::AsId dest) {
   // single pass suffices.
   for (const auto& as : ases) {
     if (as.id == dest) continue;
-    RouteEntry& mine = entry(as.id, dest);
+    RouteEntry& mine = entry(as.id);
     for (const topo::AsId peer : as.peers) {
       if (!session_up(as.id, peer)) continue;
-      const RouteEntry& via = entry(peer, dest);
+      const RouteEntry& via = entry(peer);
       const bool exportable =
           peer == dest || via.cls == RouteClass::kCustomer;
       if (!exportable || via.cls == RouteClass::kNone) continue;
@@ -133,10 +121,10 @@ void BgpTables::compute_for_destination(topo::AsId dest) {
     changed = false;
     for (const auto& as : ases) {
       if (as.id == dest) continue;
-      RouteEntry& mine = entry(as.id, dest);
+      RouteEntry& mine = entry(as.id);
       for (const topo::AsId provider : as.providers) {
         if (!session_up(as.id, provider)) continue;
-        const RouteEntry& via = entry(provider, dest);
+        const RouteEntry& via = entry(provider);
         if (via.cls == RouteClass::kNone && provider != dest) continue;
         const int via_len = provider == dest ? 0 : via.path_length;
         const RouteEntry candidate{RouteClass::kProvider, via_len + 1, provider};
@@ -151,15 +139,16 @@ void BgpTables::compute_for_destination(topo::AsId dest) {
 
 std::vector<topo::AsId> BgpTables::as_path(topo::AsId from,
                                            topo::AsId dest) const {
+  PATHSEL_EXPECT(from.index() < as_count_, "BGP route: unknown AS");
+  const RouteEntry* col = column(dest);
   std::vector<topo::AsId> path;
   topo::AsId cursor = from;
   path.push_back(cursor);
   while (cursor != dest) {
-    const RouteEntry& r = route(cursor, dest);
+    const RouteEntry& r = col[cursor.index()];
     if (r.cls == RouteClass::kNone) return {};
     cursor = r.next_hop;
-    PATHSEL_EXPECT(path.size() <= topo_->as_count(),
-                   "BGP path reconstruction loop");
+    PATHSEL_EXPECT(path.size() <= as_count_, "BGP path reconstruction loop");
     path.push_back(cursor);
   }
   return path;

@@ -9,9 +9,24 @@
 // provider routes only to customers.  The customer/provider digraph produced
 // by the generator is acyclic (strict tiers), so a Bellman-Ford sweep to a
 // fixed point computes the unique stable routing.
+//
+// Columns on demand.  Each destination's routes are an independent fixed
+// point, so the tables compute destination d's column (every AS's route
+// toward d) the first time route() or as_path() asks for d, and never
+// again.  The column's contents do not depend on which destinations were
+// asked for before it, so the routes are the same whatever the query order.
+// A fault epoch that probes a few destinations pays for those few.  The
+// live-session set is captured at construction: links failed or repaired
+// afterwards do not change the tables, but the topology's AS relations must
+// stay as they were, and the topology must outlive the tables.
+//
+// Concurrency.  The const queries may be called from several threads at
+// once; a per-destination std::call_once makes the first-use fill race-free.
 #pragma once
 
-#include <unordered_set>
+#include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "topo/topology.h"
@@ -47,14 +62,23 @@ class BgpTables {
   [[nodiscard]] bool stubs_fully_connected() const;
 
  private:
-  void compute_for_destination(topo::AsId dest);
+  /// Destination `dest`'s column, indexed by AS; computed on first use.
+  [[nodiscard]] const RouteEntry* column(topo::AsId dest) const;
+  /// Fills column `dest`, reading and writing no other column.
+  void compute_for_destination(topo::AsId dest) const;
 
-  [[nodiscard]] RouteEntry& entry(topo::AsId at, topo::AsId dest);
-  [[nodiscard]] bool session_up(topo::AsId a, topo::AsId b) const;
+  [[nodiscard]] bool session_up(topo::AsId a, topo::AsId b) const {
+    return live_sessions_[a.index() * as_count_ + b.index()] != 0;
+  }
 
   const topo::Topology* topo_;
-  std::unordered_set<std::uint64_t> live_sessions_;  // AS pairs with a live link
-  std::vector<RouteEntry> table_;  // as_count x as_count, row = at, col = dest
+  std::size_t as_count_;
+  // as_count x as_count, symmetric: 1 where a live link joins the two ASes.
+  std::vector<std::uint8_t> live_sessions_;
+  // as_count x as_count, one column per destination: [dest * n + at].
+  // Written only inside the column's call_once.
+  mutable std::vector<RouteEntry> table_;
+  std::unique_ptr<std::once_flag[]> computed_;  // one flag per destination
 };
 
 }  // namespace pathsel::route

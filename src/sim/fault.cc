@@ -224,10 +224,11 @@ FaultInjector::FaultInjector(const Network& network, const FaultPlan& plan)
   }
   plan_->apply_routed_state(topo_, start);
   rebuild();
-  rebuilds_ = 0;  // the initial build is not an epoch change
 }
 
 void FaultInjector::advance_to(SimTime t) {
+  PATHSEL_EXPECT(!(t < now_), "fault injector: time went backwards");
+  now_ = t;
   const auto& transitions = plan_->routing_transitions();
   bool crossed = false;
   while (next_transition_ < transitions.size() &&
@@ -238,18 +239,19 @@ void FaultInjector::advance_to(SimTime t) {
   if (crossed) {
     plan_->apply_routed_state(topo_, t);
     rebuild();
+    // The constructor's initial build is not an epoch change; only these are.
+    ++rebuilds_;
+    MetricsRegistry::global().count("sim.fault.routing_rebuilds");
   }
 }
 
 void FaultInjector::rebuild() {
-  MetricsRegistry::global().count("sim.fault.routing_rebuilds");
   const ScopedTimer timer{"sim.fault.rebuild"};
   igp_ = std::make_unique<route::IgpTables>(topo_);
   bgp_ = std::make_unique<route::BgpTables>(topo_);
   resolver_ = std::make_unique<route::PathResolver>(topo_, *igp_, *bgp_,
                                                     net_->config().egress);
   cache_.clear();
-  ++rebuilds_;
 }
 
 const route::RouterPath& FaultInjector::effective_path(topo::HostId src,

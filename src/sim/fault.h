@@ -146,15 +146,16 @@ class FaultPlan {
 /// Replays a FaultPlan against a Network: maintains a topology copy whose
 /// down flags track the routing-visible state and rebuilds the IGP/BGP
 /// tables at each routing epoch, so measurements resolve their paths the way
-/// a (slowly converging) routing system would have.  Queries must arrive in
-/// non-decreasing time order — exactly what a campaign's (t, seq) event
-/// order produces.
+/// a (slowly converging) routing system would have.  The BGP tables compute
+/// a destination's routes only when an epoch's paths first need them
+/// (route/bgp.h).  Queries must arrive in non-decreasing time order —
+/// exactly what a campaign's (t, seq) event order produces.
 class FaultInjector {
  public:
   FaultInjector(const Network& network, const FaultPlan& plan);
 
-  /// Advances routing state to time t (non-decreasing across calls);
-  /// rebuilds tables when t crosses a routing transition.
+  /// Advances routing state to time t; rebuilds tables when t crosses a
+  /// routing transition.  Aborts if t is earlier than a previous call's.
   void advance_to(SimTime t);
 
   /// Policy-routed path under the current routing state; invalid (and
@@ -167,7 +168,8 @@ class FaultInjector {
   /// though routing still selects it — the pre-convergence blackhole.
   [[nodiscard]] bool blackholed(const route::RouterPath& path, SimTime t) const;
 
-  /// Routing-table rebuilds performed so far (tests and benches).
+  /// Routing-table rebuilds performed so far (tests and benches): one per
+  /// epoch change, as counted by sim.fault.routing_rebuilds.
   [[nodiscard]] std::size_t rebuild_count() const noexcept { return rebuilds_; }
 
   /// The inter-transition epoch routing currently sits in: the index of the
@@ -187,6 +189,7 @@ class FaultInjector {
   std::unique_ptr<route::BgpTables> bgp_;
   std::unique_ptr<route::PathResolver> resolver_;
   std::unordered_map<std::uint64_t, route::RouterPath> cache_;
+  SimTime now_ = SimTime::start();  // latest time advance_to was given
   std::size_t next_transition_ = 0;
   std::size_t rebuilds_ = 0;
 };

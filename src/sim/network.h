@@ -1,7 +1,8 @@
 // The simulated network: topology + routing + load, answering probes.
 //
 // Network is the facade the measurement layer talks to.  It owns the
-// topology and precomputed routing state and exposes the two measurement
+// topology and routing state (IGP tables precomputed, BGP routes computed
+// per destination on first use) and exposes the two measurement
 // primitives the paper's datasets were collected with: a traceroute-style
 // probe (three RTT samples to the target plus the forward AS path) and a
 // TCP bulk transfer (npd/tcpanaly-style, yielding achieved bandwidth and the

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <thread>
+
 #include "topo/generator.h"
+#include "util/metrics.h"
 
 namespace pathsel::route {
 namespace {
@@ -184,6 +188,67 @@ TEST(Bgp, ResearchNetworkCarriesOnlyCustomerTraffic) {
   }
   for (const topo::AsId member : t.as_at(research).customers) {
     EXPECT_NE(bgp.route(member, research).cls, RouteClass::kNone);
+  }
+}
+
+std::uint64_t counter(std::string_view name) {
+  const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
+  for (const auto& [key, value] : snap.counters) {
+    if (key == name) return value;
+  }
+  return 0;
+}
+
+TEST(Bgp, OneAsPathComputesOneDestination) {
+  Harness h;
+  MetricsRegistry::global().enable();
+  const BgpTables bgp{h.t};
+  const std::uint64_t before = counter("route.bgp.destinations_computed");
+  EXPECT_EQ(bgp.as_path(h.s0, h.s1).size(), 6u);
+  EXPECT_EQ(counter("route.bgp.destinations_computed"), before + 1);
+  (void)bgp.as_path(h.r0, h.s1);  // same destination: already computed
+  EXPECT_EQ(counter("route.bgp.destinations_computed"), before + 1);
+}
+
+TEST(Bgp, ConcurrentReaders) {
+  topo::GeneratorConfig cfg;
+  cfg.seed = 79;
+  cfg.backbone_count = 4;
+  cfg.regional_count = 8;
+  cfg.stub_count = 20;
+  const topo::Topology t = generate_topology(cfg);
+  const std::size_t n = t.as_count();
+  const auto id = [](std::size_t i) {
+    return topo::AsId{static_cast<std::int32_t>(i)};
+  };
+  const BgpTables serial{t};
+  const BgpTables shared{t};
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<RouteEntry>> seen(kThreads);
+  std::vector<std::thread> readers;
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    // Each reader starts at a different destination, so first uses collide.
+    readers.emplace_back([&, k] {
+      seen[k].resize(n * n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t d = (i + k * n / kThreads) % n;
+        for (std::size_t at = 0; at < n; ++at) {
+          seen[k][d * n + at] = shared.route(id(at), id(d));
+        }
+      }
+    });
+  }
+  for (auto& r : readers) r.join();
+  for (std::size_t d = 0; d < n; ++d) {
+    for (std::size_t at = 0; at < n; ++at) {
+      const RouteEntry& want = serial.route(id(at), id(d));
+      for (std::size_t k = 0; k < kThreads; ++k) {
+        const RouteEntry& got = seen[k][d * n + at];
+        EXPECT_EQ(got.cls, want.cls);
+        EXPECT_EQ(got.path_length, want.path_length);
+        EXPECT_EQ(got.next_hop, want.next_hop);
+      }
+    }
   }
 }
 

@@ -159,6 +159,33 @@ TEST_P(PolicySweep, EveryInterAsHopHasRelationship) {
   }
 }
 
+// Destination columns are computed on first use; the order of first uses
+// must not change any route, including with sessions down.
+TEST_P(PolicySweep, RoutesIndependentOfQueryOrder) {
+  topo::Topology t = make(GetParam());
+  std::size_t inter_as = 0;
+  for (const auto& l : t.links()) {
+    if (l.kind == topo::LinkKind::kIntraAs) continue;
+    if (inter_as++ % 4 == 0) t.set_link_down(l.id, true);
+  }
+  const BgpTables ascending{t};
+  const BgpTables reverse{t};
+  const auto n = static_cast<std::int32_t>(t.as_count());
+  for (std::int32_t d = 0; d < n; ++d) {
+    (void)ascending.route(topo::AsId{0}, topo::AsId{d});
+    (void)reverse.route(topo::AsId{0}, topo::AsId{n - 1 - d});
+  }
+  for (const auto& at : t.ases()) {
+    for (const auto& dest : t.ases()) {
+      const RouteEntry& a = ascending.route(at.id, dest.id);
+      const RouteEntry& b = reverse.route(at.id, dest.id);
+      EXPECT_EQ(a.cls, b.cls);
+      EXPECT_EQ(a.path_length, b.path_length);
+      EXPECT_EQ(a.next_hop, b.next_hop);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PolicySweep,
                          ::testing::Values(101, 202, 303, 404, 505, 606, 707,
                                            808, 909, 1010));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "topo/generator.h"
+#include "util/metrics.h"
 
 namespace pathsel::sim {
 namespace {
@@ -185,6 +186,38 @@ TEST(FaultInjector, RebuildsOnlyWhenCrossingTransitions) {
   EXPECT_LE(after_all, plan.routing_transitions().size());
   inj.advance_to(SimTime::start() + Duration::days(7));
   EXPECT_EQ(inj.rebuild_count(), after_all);  // idempotent at the same time
+}
+
+TEST(FaultInjector, RebuildCounterCountsOnlyEpochChanges) {
+  const Network net{small_topology(), NetworkConfig{}};
+  FaultConfig cfg;
+  cfg.link_flap_fraction = 1.0;
+  const FaultPlan plan{cfg, net.topology(), Duration::days(7)};
+  const auto rebuilds = [] {
+    for (const auto& [key, value] :
+         MetricsRegistry::global().snapshot().counters) {
+      if (key == "sim.fault.routing_rebuilds") return value;
+    }
+    return std::uint64_t{0};
+  };
+  MetricsRegistry::global().enable();
+  const std::uint64_t before = rebuilds();
+  FaultInjector inj{net, plan};
+  EXPECT_EQ(rebuilds(), before);  // the initial build is not an epoch change
+  inj.advance_to(SimTime::start() + Duration::days(7));
+  ASSERT_GT(inj.rebuild_count(), 0u);
+  EXPECT_EQ(rebuilds() - before, inj.rebuild_count());
+}
+
+TEST(FaultInjectorDeathTest, TimeMustNotGoBackwards) {
+  const Network net{small_topology(), NetworkConfig{}};
+  FaultConfig cfg;
+  cfg.link_flap_fraction = 1.0;
+  const FaultPlan plan{cfg, net.topology(), Duration::days(7)};
+  FaultInjector inj{net, plan};
+  inj.advance_to(SimTime::start() + Duration::days(2));
+  EXPECT_DEATH(inj.advance_to(SimTime::start() + Duration::days(1)),
+               "time went backwards");
 }
 
 TEST(FaultInjector, AvoidsLinksRoutingKnowsAreDown) {
