@@ -7,6 +7,7 @@
 #include "bench_gbench_report.h"
 
 #include "core/alternate.h"
+#include "core/disjoint.h"
 #include "core/median.h"
 #include "core/path_table.h"
 #include "meas/catalog.h"
@@ -66,6 +67,30 @@ void BM_OneHopAnalysis(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OneHopAnalysis);
+
+// One k = 2 disjoint sweep over every pair of the UW3 table, serially;
+// args: mode (0 link, 1 node) and metric (0 rtt, 1 loss).
+void BM_DisjointSweep(benchmark::State& state) {
+  core::BuildOptions opt;
+  opt.min_samples = 5;
+  const auto table = core::PathTable::build(small_uw3(), opt);
+  core::DisjointOptions disjoint;
+  disjoint.k = 2;
+  disjoint.threads = 1;
+  disjoint.mode = state.range(0) == 0 ? core::DisjointMode::kLinkDisjoint
+                                      : core::DisjointMode::kNodeDisjoint;
+  disjoint.metric = state.range(1) == 0 ? core::Metric::kRtt
+                                        : core::Metric::kLoss;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::compute_disjoint_alternates(table, disjoint));
+  }
+  state.counters["hosts"] = static_cast<double>(table.hosts().size());
+  state.counters["pairs"] = static_cast<double>(table.edges().size());
+}
+BENCHMARK(BM_DisjointSweep)
+    ->ArgNames({"node", "loss"})
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_HistogramConvolve(benchmark::State& state) {
   const auto bins = static_cast<std::size_t>(state.range(0));

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 
@@ -15,268 +15,233 @@ namespace pathsel::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr std::uint32_t kNoEdge = std::numeric_limits<std::uint32_t>::max();
 
-// One capacity-1 segment of the transformed graph: either a measured
-// overlay edge (edge != nullptr) or a node-splitting arc (edge == nullptr,
-// weight 0) in the node-disjoint variant.  `state` tracks which direction
-// the flow currently uses: 0 unused, +1 from->to, -1 to->from.  The
-// residual graph derives from it: an unused undirected segment offers both
-// directions at +weight (a directed one only from->to); a used segment
-// offers only the reverse of its used direction at -weight — the Bhandari
-// interlacing arc.  Node-mode segments are directed: an undirected encoding
-// would let a path run entry(b) -> exit(a) backwards through the split
-// gadget and bypass the capacity-1 node constraint.
-struct Segment {
-  std::size_t from = 0;
-  std::size_t to = 0;
-  double weight = 0.0;
-  const PathEdge* edge = nullptr;
-  int state = 0;
-  bool directed = false;
-};
+// The measured mesh, built once per sweep and shared read-only by every
+// pair: a dense hosts x hosts matrix of edge indices (table.edges() order,
+// kNoEdge where unmeasured) and each edge's additive weight.
+struct Mesh {
+  std::size_t hosts = 0;
+  std::vector<std::uint32_t> edge_at;
+  std::vector<double> weight;
 
-// The per-pair working graph.  Node numbering: in link-disjoint mode, node
-// i is host index i.  In node-disjoint mode every host splits into an entry
-// node 2i and an exit node 2i+1 joined by a zero-weight segment, so a
-// second path through the same intermediate host must either cancel the
-// first or be rejected.
-struct FlowGraph {
-  std::size_t nodes = 0;
-  std::vector<Segment> segments;
-  // Residual adjacency as indices into `segments` with a direction flag
-  // (+1: traverse from->to, -1: to->from), rebuilt per Bellman-Ford round
-  // from the segment states.  Kept as a flat arc list sorted by (tail,
-  // head) so relaxation order — and therefore every tie-break — is a pure
-  // function of the graph, never of thread scheduling.
-  struct Arc {
-    std::size_t tail = 0;
-    std::size_t head = 0;
-    double weight = 0.0;
-    std::size_t segment = 0;
-    int direction = 0;
-  };
-  std::vector<Arc> arcs;
-
-  void rebuild_arcs() {
-    arcs.clear();
-    arcs.reserve(segments.size() * 2);
-    for (std::size_t s = 0; s < segments.size(); ++s) {
-      const Segment& seg = segments[s];
-      if (seg.state == 0) {
-        arcs.push_back({seg.from, seg.to, seg.weight, s, +1});
-        if (!seg.directed) {
-          arcs.push_back({seg.to, seg.from, seg.weight, s, -1});
-        }
-      } else if (seg.state > 0) {
-        arcs.push_back({seg.to, seg.from, -seg.weight, s, -1});
-      } else {
-        arcs.push_back({seg.from, seg.to, -seg.weight, s, +1});
-      }
-    }
-    std::sort(arcs.begin(), arcs.end(), [](const Arc& a, const Arc& b) {
-      if (a.tail != b.tail) return a.tail < b.tail;
-      if (a.head != b.head) return a.head < b.head;
-      return a.segment < b.segment;
-    });
+  [[nodiscard]] std::uint32_t edge(std::size_t u, std::size_t v) const {
+    return edge_at[u * hosts + v];
   }
 };
 
-// Bellman-Ford from src over the residual arcs (weights go negative after
-// reversal, so Dijkstra does not apply).  Fixed ascending arc order with
-// strict-< relaxation keeps the parent forest — and hence every equal-cost
-// tie — deterministic.  Residual graphs of successive shortest paths have
-// no negative cycles, so at most `nodes` rounds settle.
-bool bellman_ford(const FlowGraph& g, std::size_t src, std::size_t dst,
-                  std::vector<double>& dist, std::vector<std::size_t>& parent_arc) {
-  dist.assign(g.nodes, kInf);
-  parent_arc.assign(g.nodes, std::numeric_limits<std::size_t>::max());
-  dist[src] = 0.0;
-  for (std::size_t round = 0; round < g.nodes; ++round) {
-    bool improved = false;
-    for (std::size_t a = 0; a < g.arcs.size(); ++a) {
-      const FlowGraph::Arc& arc = g.arcs[a];
-      if (dist[arc.tail] == kInf) continue;
-      const double nd = dist[arc.tail] + arc.weight;
-      if (nd < dist[arc.head]) {
-        dist[arc.head] = nd;
-        parent_arc[arc.head] = a;
-        improved = true;
-      }
-    }
-    if (!improved) break;
+Mesh build_mesh(const PathTable& table, Metric metric) {
+  Mesh mesh;
+  mesh.hosts = table.hosts().size();
+  mesh.edge_at.assign(mesh.hosts * mesh.hosts, kNoEdge);
+  mesh.weight.reserve(table.edges().size());
+  for (const PathEdge& e : table.edges()) {
+    const std::size_t ia = table.host_index(e.a);
+    const std::size_t ib = table.host_index(e.b);
+    const auto index = static_cast<std::uint32_t>(mesh.weight.size());
+    mesh.edge_at[ia * mesh.hosts + ib] = index;
+    mesh.edge_at[ib * mesh.hosts + ia] = index;
+    mesh.weight.push_back(edge_weight(e, metric));
   }
-  return dist[dst] != kInf;
+  return mesh;
 }
 
-// Applies one augmenting path to the segment states: a residual arc over an
-// unused segment claims it in the traversed direction; one over a used
-// segment is the interlacing step and cancels it.
-void augment(FlowGraph& g, std::size_t src, std::size_t dst,
-             const std::vector<std::size_t>& parent_arc) {
-  std::size_t cursor = dst;
-  while (cursor != src) {
-    const FlowGraph::Arc& arc = g.arcs[parent_arc[cursor]];
-    Segment& seg = g.segments[arc.segment];
-    seg.state = seg.state == 0 ? arc.direction : 0;
-    cursor = arc.tail;
-  }
-}
+// Direction of a traversal u -> v as stored in Pair::flow.
+std::int8_t direction(std::size_t u, std::size_t v) { return u < v ? 1 : -1; }
 
-// Decomposes the used segment set into disjoint paths src -> dst.  Every
-// intermediate node has balanced in/out degree and src has out-degree equal
-// to the path count, so repeatedly walking from src — always taking the
-// smallest-index unconsumed outgoing segment — peels off one path at a time
-// deterministically.
-std::vector<std::vector<std::size_t>> decompose(FlowGraph& g, std::size_t src,
-                                                std::size_t dst) {
-  // Outgoing used segments per node, ascending head index.
-  struct Out {
-    std::size_t head;
-    std::size_t segment;
-  };
-  std::vector<std::vector<Out>> out(g.nodes);
-  for (std::size_t s = 0; s < g.segments.size(); ++s) {
-    const Segment& seg = g.segments[s];
-    if (seg.state > 0) out[seg.from].push_back({seg.to, s});
-    if (seg.state < 0) out[seg.to].push_back({seg.from, s});
-  }
-  for (auto& v : out) {
-    std::sort(v.begin(), v.end(), [](const Out& a, const Out& b) {
-      if (a.head != b.head) return a.head < b.head;
-      return a.segment < b.segment;
-    });
-  }
-  std::vector<std::vector<std::size_t>> paths;
-  while (!out[src].empty()) {
-    std::vector<std::size_t> nodes;
-    nodes.push_back(src);
-    std::size_t cursor = src;
-    while (cursor != dst) {
-      PATHSEL_EXPECT(!out[cursor].empty(),
-                     "disjoint decomposition: unbalanced flow");
-      const Out next = out[cursor].front();
-      out[cursor].erase(out[cursor].begin());
-      cursor = next.head;
-      nodes.push_back(cursor);
-    }
-    paths.push_back(std::move(nodes));
-  }
-  return paths;
-}
-
-struct PairScratch {
-  FlowGraph graph;
+// One pair's state over the shared mesh.  flow[e] is 0 while edge e is
+// unused, and otherwise the direction() a path crosses it in.  Node numbering
+// is the host index in link-disjoint mode; in node-disjoint mode host i splits
+// into an entry node 2i and an exit node 2i+1, joined by a zero-weight arc
+// that split[i] marks used, so a second path through the same relay must
+// cancel the first or be rejected.  src and dst never split: paths leave
+// src's exit node and arrive at dst's entry node.
+struct Pair {
+  const Mesh* mesh = nullptr;
+  bool split_nodes = false;
+  std::uint32_t direct = kNoEdge;
+  std::size_t src_host = 0;
+  std::size_t dst_host = 0;
+  std::vector<std::int8_t> flow;
+  std::vector<std::int8_t> split;
+  std::vector<double> potential;
   std::vector<double> dist;
-  std::vector<std::size_t> parent_arc;
+  std::vector<std::size_t> parent;
+  std::vector<char> settled;
+
+  [[nodiscard]] std::size_t nodes() const {
+    return split_nodes ? 2 * mesh->hosts : mesh->hosts;
+  }
+  [[nodiscard]] std::size_t host(std::size_t node) const {
+    return split_nodes ? node / 2 : node;
+  }
+  [[nodiscard]] std::size_t src() const {
+    return split_nodes ? 2 * src_host + 1 : src_host;
+  }
+  [[nodiscard]] std::size_t dst() const {
+    return split_nodes ? 2 * dst_host : dst_host;
+  }
+  // The node of host v that residual arcs out of `node` lead to: the
+  // opposite half (entry <-> exit) in node-disjoint mode.
+  [[nodiscard]] std::size_t target(std::size_t node, std::size_t v) const {
+    return split_nodes ? 2 * v + (node % 2 == 0 ? 1 : 0) : v;
+  }
+
+  // Weight of the residual arc from `node` to target(node, v), or kInf when
+  // the residual graph has none.  An unused edge offers +w; a used one offers
+  // only the reverse of its flow at -w, the Bhandari interlacing arc.  In
+  // node-disjoint mode forward arcs leave exit nodes and reverse arcs leave
+  // entry nodes, and the split arc runs entry -> exit while unused and
+  // exit -> entry while used.  A used edge offers no forward arc the other
+  // way, in node-disjoint mode too: flow along it would only add a cycle of
+  // weight 2w >= 0, which no optimum needs.
+  [[nodiscard]] double arc(std::size_t node, std::size_t v) const {
+    const std::size_t u = host(node);
+    const bool exit_side = !split_nodes || node % 2 == 1;
+    const bool entry_side = !split_nodes || node % 2 == 0;
+    if (u == v) {
+      if (!split_nodes || u == src_host || u == dst_host) return kInf;
+      return (split[u] != 0) == exit_side ? 0.0 : kInf;
+    }
+    const std::uint32_t e = mesh->edge(u, v);
+    if (e == kNoEdge || e == direct) return kInf;
+    if (flow[e] == 0) return exit_side ? mesh->weight[e] : kInf;
+    if (flow[e] == direction(v, u) && entry_side) return -mesh->weight[e];
+    return kInf;
+  }
 };
 
-// Builds the per-pair flow graph: all measured edges except the direct one,
-// optionally with node splitting.  Node ids are host indices (link mode) or
-// 2*host(+1) entry/exit pairs (node mode); src/dst never split.
-void build_graph(const PathTable& table, const PathEdge& direct,
-                 DisjointMode mode, Metric metric, FlowGraph& g,
-                 std::size_t& src, std::size_t& dst) {
-  const std::size_t n = table.hosts().size();
-  const std::size_t ia = table.host_index(direct.a);
-  const std::size_t ib = table.host_index(direct.b);
-  g.segments.clear();
-  if (mode == DisjointMode::kLinkDisjoint) {
-    g.nodes = n;
-    src = ia;
-    dst = ib;
-    for (const PathEdge& e : table.edges()) {
-      if (&e == &direct) continue;
-      g.segments.push_back({table.host_index(e.a), table.host_index(e.b),
-                            edge_weight(e, metric), &e, 0, false});
+// One Suurballe round: dense Dijkstra from src on reduced costs
+// w + potential(u) - potential(v), clamped at 0 where rounding makes them
+// negative.  It settles the unsettled node of smallest distance (ties: the
+// smallest node), scans neighbours in ascending host index and relaxes with
+// strict <, so every equal-cost tie is a pure function of the mesh.  It stops
+// once dst settles and raises each potential by min(dist, dist(dst)), which
+// keeps every residual arc's reduced cost >= 0 for the next round.
+bool shortest_path(Pair& p) {
+  const std::size_t nodes = p.nodes();
+  const std::size_t dst = p.dst();
+  p.dist.assign(nodes, kInf);
+  p.settled.assign(nodes, 0);
+  p.dist[p.src()] = 0.0;
+  while (true) {
+    std::size_t x = nodes;
+    for (std::size_t y = 0; y < nodes; ++y) {
+      if (p.settled[y] == 0 && (x == nodes || p.dist[y] < p.dist[x])) x = y;
     }
-  } else {
-    // Entry node 2i, exit node 2i+1; the zero-weight directed splitting
-    // segment entry -> exit carries at most one path through each
-    // intermediate host.  src and dst stay unsplit (every path shares the
-    // endpoints by definition): paths leave from src's exit node and arrive
-    // at dst's entry node, and the unused opposite halves are harmless dead
-    // nodes.  Each measured edge becomes two directed segments, one per
-    // traversal direction — opposite-direction reuse by two different
-    // paths is already impossible through the endpoint splits.
-    g.nodes = 2 * n;
-    src = 2 * ia + 1;
-    dst = 2 * ib;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == ia || i == ib) continue;
-      g.segments.push_back({2 * i, 2 * i + 1, 0.0, nullptr, 0, true});
-    }
-    for (const PathEdge& e : table.edges()) {
-      if (&e == &direct) continue;
-      const std::size_t ea = table.host_index(e.a);
-      const std::size_t eb = table.host_index(e.b);
-      const double w = edge_weight(e, metric);
-      g.segments.push_back({2 * ea + 1, 2 * eb, w, &e, 0, true});
-      g.segments.push_back({2 * eb + 1, 2 * ea, w, &e, 0, true});
+    if (x == nodes || p.dist[x] == kInf) return false;
+    p.settled[x] = 1;
+    if (x == dst) break;
+    for (std::size_t v = 0; v < p.mesh->hosts; ++v) {
+      const double w = p.arc(x, v);
+      const std::size_t y = p.target(x, v);
+      if (w == kInf || p.settled[y] != 0) continue;
+      const double reduced =
+          std::max(0.0, w + p.potential[x] - p.potential[y]);
+      const double nd = p.dist[x] + reduced;
+      if (nd < p.dist[y]) {
+        p.dist[y] = nd;
+        p.parent[y] = x;
+      }
     }
   }
-  g.rebuild_arcs();
+  for (std::size_t y = 0; y < nodes; ++y) {
+    p.potential[y] += std::min(p.dist[y], p.dist[dst]);
+  }
+  return true;
 }
 
-// Maps a decomposed node walk back to hosts, skipping split-node
-// duplicates, and composes the metric along its measured edges.
-DisjointPath finish_path(const PathTable& table, DisjointMode mode,
-                         Metric metric, const std::vector<std::size_t>& walk) {
-  std::vector<std::size_t> host_indices;
-  for (const std::size_t node : walk) {
-    const std::size_t host =
-        mode == DisjointMode::kLinkDisjoint ? node : node / 2;
-    if (host_indices.empty() || host_indices.back() != host) {
-      host_indices.push_back(host);
+// Applies the path just found: a forward arc claims its edge in the
+// traversed direction, an interlacing arc cancels the flow it reverses, and
+// a split arc toggles its relay.
+void augment(Pair& p) {
+  for (std::size_t y = p.dst(); y != p.src(); y = p.parent[y]) {
+    const std::size_t u = p.host(p.parent[y]);
+    const std::size_t v = p.host(y);
+    if (u == v) {
+      p.split[u] ^= 1;
+      continue;
     }
+    std::int8_t& f = p.flow[p.mesh->edge(u, v)];
+    f = f == 0 ? direction(u, v) : 0;
   }
+}
+
+// Peels the flow into host walks src -> dst.  Every relay has balanced flow
+// and src sends one unit per path, so walking from src — always along the
+// smallest-index host the flow still leaves towards — consumes one path at
+// a time deterministically.
+std::vector<std::vector<std::size_t>> decompose(Pair& p) {
+  std::vector<std::vector<std::size_t>> walks;
+  while (true) {
+    std::vector<std::size_t> walk{p.src_host};
+    while (walk.back() != p.dst_host) {
+      const std::size_t u = walk.back();
+      std::size_t v = 0;
+      for (; v < p.mesh->hosts; ++v) {
+        const std::uint32_t e = p.mesh->edge(u, v);
+        if (e != kNoEdge && p.flow[e] == direction(u, v)) break;
+      }
+      if (v == p.mesh->hosts) {
+        PATHSEL_EXPECT(walk.size() == 1,
+                       "disjoint decomposition: unbalanced flow");
+        return walks;
+      }
+      p.flow[p.mesh->edge(u, v)] = 0;
+      walk.push_back(v);
+    }
+    walks.push_back(std::move(walk));
+  }
+}
+
+// Maps a host walk to its relays and composes the metric along its edges.
+DisjointPath finish_path(const PathTable& table, const Mesh& mesh,
+                         Metric metric, const std::vector<std::size_t>& walk) {
   DisjointPath out;
   std::vector<const PathEdge*> edges;
-  edges.reserve(host_indices.size() - 1);
-  for (std::size_t i = 0; i + 1 < host_indices.size(); ++i) {
-    const PathEdge* e = table.find(table.hosts()[host_indices[i]],
-                                   table.hosts()[host_indices[i + 1]]);
-    PATHSEL_EXPECT(e != nullptr, "disjoint path crosses an unmeasured edge");
-    edges.push_back(e);
+  edges.reserve(walk.size() - 1);
+  for (std::size_t i = 0; i + 1 < walk.size(); ++i) {
+    edges.push_back(&table.edges()[mesh.edge(walk[i], walk[i + 1])]);
   }
-  for (std::size_t i = 1; i + 1 < host_indices.size(); ++i) {
-    out.via.push_back(table.hosts()[host_indices[i]]);
+  for (std::size_t i = 1; i + 1 < walk.size(); ++i) {
+    out.via.push_back(table.hosts()[walk[i]]);
   }
   out.value = compose_metric(edges, metric);
   return out;
 }
 
-PairDisjointResult analyze_pair(const PathTable& table, const PathEdge& direct,
-                                const DisjointOptions& options,
-                                PairScratch& scratch) {
+// Successive shortest paths (Suurballe/Bhandari) for the pair whose direct
+// edge is table.edges()[direct]; `p` is scratch reused across pairs.
+PairDisjointResult analyze_pair(const PathTable& table, const Mesh& mesh,
+                                std::size_t direct,
+                                const DisjointOptions& options, Pair& p) {
+  const PathEdge& edge = table.edges()[direct];
   PairDisjointResult result;
-  result.a = direct.a;
-  result.b = direct.b;
-  result.default_value = edge_metric_value(direct, options.metric);
+  result.a = edge.a;
+  result.b = edge.b;
+  result.default_value = edge_metric_value(edge, options.metric);
   result.requested_k = options.k;
 
-  std::size_t src = 0;
-  std::size_t dst = 0;
-  build_graph(table, direct, options.mode, options.metric, scratch.graph, src,
-              dst);
+  p.mesh = &mesh;
+  p.split_nodes = options.mode == DisjointMode::kNodeDisjoint;
+  p.direct = static_cast<std::uint32_t>(direct);
+  p.src_host = table.host_index(edge.a);
+  p.dst_host = table.host_index(edge.b);
+  p.flow.assign(mesh.weight.size(), 0);
+  p.split.assign(mesh.hosts, 0);
+  p.potential.assign(p.nodes(), 0.0);  // every weight is >= 0
+  p.parent.resize(p.nodes());
 
   for (int j = 0; j < options.k; ++j) {
-    if (!bellman_ford(scratch.graph, src, dst, scratch.dist,
-                      scratch.parent_arc)) {
-      break;  // the mesh holds no further disjoint path — a data limit
-    }
-    augment(scratch.graph, src, dst, scratch.parent_arc);
-    scratch.graph.rebuild_arcs();
+    if (!shortest_path(p)) break;  // the mesh holds no further disjoint path
+    augment(p);
   }
 
-  for (const Segment& seg : scratch.graph.segments) {
-    if (seg.state != 0 && seg.edge != nullptr) {
-      result.total_weight += seg.weight;
-    }
+  for (std::size_t e = 0; e < mesh.weight.size(); ++e) {
+    if (p.flow[e] != 0) result.total_weight += mesh.weight[e];
   }
-  for (const std::vector<std::size_t>& walk :
-       decompose(scratch.graph, src, dst)) {
-    result.paths.push_back(
-        finish_path(table, options.mode, options.metric, walk));
+  for (const std::vector<std::size_t>& walk : decompose(p)) {
+    result.paths.push_back(finish_path(table, mesh, options.metric, walk));
   }
   std::sort(result.paths.begin(), result.paths.end(),
             [](const DisjointPath& x, const DisjointPath& y) {
@@ -319,6 +284,7 @@ Result<std::vector<PairDisjointResult>> compute_disjoint_alternates(
   std::vector<PairDisjointResult> results;
   {
     const ScopedTimer timer{"core.disjoint.sweep"};
+    const Mesh mesh = build_mesh(table, options.metric);
     // Chunk size is fixed so chunk boundaries — and therefore the merged
     // output — do not depend on the thread count.
     constexpr std::size_t kChunk = 16;
@@ -327,12 +293,11 @@ Result<std::vector<PairDisjointResult>> compute_disjoint_alternates(
         pool.map_chunks<PairDisjointResult>(
             table.edges().size(), kChunk,
             [&](std::size_t begin, std::size_t end, std::size_t) {
-              PairScratch scratch;
+              Pair scratch;
               std::vector<PairDisjointResult> local;
               local.reserve(end - begin);
               for (std::size_t i = begin; i < end; ++i) {
-                local.push_back(
-                    analyze_pair(table, table.edges()[i], options, scratch));
+                local.push_back(analyze_pair(table, mesh, i, options, scratch));
               }
               return local;
             },
@@ -367,8 +332,11 @@ Result<PairDisjointResult> compute_disjoint_for_pair(
   if (options.cancel != nullptr && options.cancel->cancelled()) {
     return options.cancel->status();
   }
-  PairScratch scratch;
-  PairDisjointResult result = analyze_pair(table, direct, options, scratch);
+  Pair scratch;
+  PairDisjointResult result =
+      analyze_pair(table, build_mesh(table, options.metric),
+                   static_cast<std::size_t>(&direct - table.edges().data()),
+                   options, scratch);
   if (options.cancel != nullptr && options.cancel->cancelled()) {
     return options.cancel->status();
   }

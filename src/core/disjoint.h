@@ -10,21 +10,28 @@
 // kernel and the reference search share (core/alternate.h edge_weight:
 // RTT/propagation add, loss composes in -log(1-p) space).
 //
-// Algorithm: Bhandari's successive-shortest-paths formulation of Suurballe.
-// Each undirected overlay edge becomes an arc pair; after each shortest path
-// is found, its arcs are removed and their reverses negated, so the next
-// Bellman-Ford iteration can "cancel" a previously used edge (the
-// interlacing step).  After j iterations the surviving arc set decomposes
-// into exactly j pairwise disjoint paths whose total weight is minimal over
-// all sets of j disjoint paths — the classic min-cost-flow guarantee, which
-// the differential test suite checks against brute-force enumeration.
+// Algorithm: Suurballe's, in Bhandari's successive-shortest-paths form.  A
+// sweep builds one residual mesh from the table (a dense hosts x hosts
+// matrix of edge indices plus the edge weights) and shares it read-only;
+// each pair keeps only its flow, one signed byte per edge, and a potential
+// per node.  An unused edge offers arcs both ways at +w; a used one offers
+// only the reverse of its flow at -w, so a later path can "cancel" it (the
+// interlacing step).  Each augmentation is one dense Dijkstra on the
+// reduced costs w + pi(u) - pi(v), which the potentials keep >= 0.  After j
+// augmentations the used edges decompose into exactly j pairwise disjoint
+// paths whose total weight is minimal over all sets of j disjoint paths —
+// the classic min-cost-flow guarantee, which the differential test suite
+// checks against brute-force enumeration and a Bellman-Ford oracle.
 //
-// Determinism: Bellman-Ford relaxes arcs in ascending (from, to) order with
-// strict-< improvement, path decomposition always follows the
-// smallest-index surviving arc, and the per-pair sweep runs on the shared
-// ThreadPool in fixed-size chunks merged in index order — results are
-// bit-identical for every thread count (same convention as the alternate
-// sweep and the dense kernel).
+// Determinism: Dijkstra settles the unsettled node of smallest distance
+// (ties: smallest node), scans neighbours in ascending host index, relaxes
+// with strict < and clamps a rounding-negative reduced cost to 0; path
+// decomposition always follows the smallest-index host the flow leaves
+// towards; and the per-pair sweep runs on the shared ThreadPool in
+// fixed-size chunks merged in index order — results are bit-identical for
+// every thread count (same convention as the alternate sweep and the dense
+// kernel).  Where several disjoint sets share the minimal total weight, this
+// rule picks one of them; found_k and total_weight do not depend on it.
 #pragma once
 
 #include <span>

@@ -1,10 +1,12 @@
 // Suurballe/Bhandari k-disjoint alternates: differential tests against
-// brute-force path enumeration, degenerate graphs, and the determinism /
-// thread-invariance contract.
+// brute-force path enumeration and a Bellman-Ford oracle, degenerate graphs,
+// and the determinism / thread-invariance / point-query contracts.
 #include "core/disjoint.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <random>
 #include <string_view>
@@ -12,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/alternate.h"
+#include "meas/catalog.h"
 #include "test_util.h"
 #include "util/metrics.h"
 
@@ -222,6 +225,291 @@ std::size_t check_against_brute_force(const PathTable& table, Metric metric,
 }
 
 // ---------------------------------------------------------------------------
+// Bellman-Ford oracle: successive shortest paths without potentials.  Each
+// round rebuilds the residual arc list from the segment states, sorts it by
+// (tail, head, segment) and relaxes it with strict < for up to `nodes`
+// rounds, which tolerates the negative interlacing arcs directly.  Node mode
+// splits every relay i into entry 2i -> exit 2i+1 and turns each measured
+// edge into two independent directed segments.  It shares no code with the
+// library's Dijkstra solver beyond edge_weight and compose_metric.
+
+constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+struct OracleSegment {
+  std::size_t from = 0;
+  std::size_t to = 0;
+  double weight = 0.0;
+  std::size_t edge = kNone;  // index into table.edges(); kNone for a split
+  int state = 0;             // 0 unused, +1 used from->to, -1 to->from
+  bool directed = false;
+};
+
+struct OracleArc {
+  std::size_t tail = 0;
+  std::size_t head = 0;
+  double weight = 0.0;
+  std::size_t segment = 0;
+  int direction = 0;
+};
+
+std::vector<OracleArc> residual_arcs(const std::vector<OracleSegment>& segs) {
+  std::vector<OracleArc> arcs;
+  for (std::size_t s = 0; s < segs.size(); ++s) {
+    const OracleSegment& seg = segs[s];
+    if (seg.state == 0) {
+      arcs.push_back({seg.from, seg.to, seg.weight, s, +1});
+      if (!seg.directed) arcs.push_back({seg.to, seg.from, seg.weight, s, -1});
+    } else if (seg.state > 0) {
+      arcs.push_back({seg.to, seg.from, -seg.weight, s, -1});
+    } else {
+      arcs.push_back({seg.from, seg.to, -seg.weight, s, +1});
+    }
+  }
+  std::sort(arcs.begin(), arcs.end(),
+            [](const OracleArc& a, const OracleArc& b) {
+              if (a.tail != b.tail) return a.tail < b.tail;
+              if (a.head != b.head) return a.head < b.head;
+              return a.segment < b.segment;
+            });
+  return arcs;
+}
+
+bool bellman_ford(const std::vector<OracleArc>& arcs, std::size_t nodes,
+                  std::size_t src, std::size_t dst,
+                  std::vector<std::size_t>& parent_arc) {
+  std::vector<double> dist(nodes, kInf);
+  parent_arc.assign(nodes, kNone);
+  dist[src] = 0.0;
+  for (std::size_t round = 0; round < nodes; ++round) {
+    bool improved = false;
+    for (std::size_t a = 0; a < arcs.size(); ++a) {
+      if (dist[arcs[a].tail] == kInf) continue;
+      const double nd = dist[arcs[a].tail] + arcs[a].weight;
+      if (nd < dist[arcs[a].head]) {
+        dist[arcs[a].head] = nd;
+        parent_arc[arcs[a].head] = a;
+        improved = true;
+      }
+    }
+    if (!improved) break;
+  }
+  return dist[dst] != kInf;
+}
+
+// The oracle's answer for the pair whose direct edge is table.edges()[direct],
+// in the library's result shape: paths peeled from src along the
+// smallest-(head, segment) used segment, sorted best-first.
+PairDisjointResult oracle_pair(const PathTable& table, std::size_t direct,
+                               const DisjointOptions& options) {
+  const PathEdge& edge = table.edges()[direct];
+  const bool split = options.mode == DisjointMode::kNodeDisjoint;
+  const std::size_t n = table.hosts().size();
+  const std::size_t ia = table.host_index(edge.a);
+  const std::size_t ib = table.host_index(edge.b);
+  const std::size_t nodes = split ? 2 * n : n;
+  const std::size_t src = split ? 2 * ia + 1 : ia;
+  const std::size_t dst = split ? 2 * ib : ib;
+  std::vector<OracleSegment> segs;
+  for (std::size_t i = 0; split && i < n; ++i) {
+    if (i != ia && i != ib) {
+      segs.push_back({2 * i, 2 * i + 1, 0.0, kNone, 0, true});
+    }
+  }
+  for (std::size_t e = 0; e < table.edges().size(); ++e) {
+    if (e == direct) continue;
+    const std::size_t ea = table.host_index(table.edges()[e].a);
+    const std::size_t eb = table.host_index(table.edges()[e].b);
+    const double w = edge_weight(table.edges()[e], options.metric);
+    if (split) {
+      segs.push_back({2 * ea + 1, 2 * eb, w, e, 0, true});
+      segs.push_back({2 * eb + 1, 2 * ea, w, e, 0, true});
+    } else {
+      segs.push_back({ea, eb, w, e, 0, false});
+    }
+  }
+
+  std::vector<std::size_t> parent_arc;
+  for (int j = 0; j < options.k; ++j) {
+    const std::vector<OracleArc> arcs = residual_arcs(segs);
+    if (!bellman_ford(arcs, nodes, src, dst, parent_arc)) break;
+    for (std::size_t at = dst; at != src;) {
+      const OracleArc& arc = arcs[parent_arc[at]];
+      OracleSegment& seg = segs[arc.segment];
+      seg.state = seg.state == 0 ? arc.direction : 0;
+      at = arc.tail;
+    }
+  }
+
+  PairDisjointResult result;
+  result.a = edge.a;
+  result.b = edge.b;
+  result.default_value = edge_metric_value(edge, options.metric);
+  result.requested_k = options.k;
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> out(nodes);
+  for (std::size_t s = 0; s < segs.size(); ++s) {
+    const OracleSegment& seg = segs[s];
+    if (seg.state != 0 && seg.edge != kNone) result.total_weight += seg.weight;
+    if (seg.state > 0) out[seg.from].push_back({seg.to, s});
+    if (seg.state < 0) out[seg.to].push_back({seg.from, s});
+  }
+  for (auto& heads : out) std::sort(heads.begin(), heads.end());
+  while (!out[src].empty()) {
+    std::vector<std::size_t> hosts{ia};
+    for (std::size_t at = src; at != dst;) {
+      if (out[at].empty()) {
+        ADD_FAILURE() << "oracle: unbalanced flow";
+        return result;
+      }
+      const std::size_t next = out[at].front().first;
+      out[at].erase(out[at].begin());
+      at = next;
+      const std::size_t host = split ? at / 2 : at;
+      if (hosts.back() != host) hosts.push_back(host);
+    }
+    DisjointPath path;
+    std::vector<const PathEdge*> edges;
+    for (std::size_t i = 0; i + 1 < hosts.size(); ++i) {
+      edges.push_back(table.find(table.hosts()[hosts[i]],
+                                 table.hosts()[hosts[i + 1]]));
+      if (i > 0) path.via.push_back(table.hosts()[hosts[i]]);
+    }
+    path.value = compose_metric(edges, options.metric);
+    result.paths.push_back(std::move(path));
+  }
+  std::sort(result.paths.begin(), result.paths.end(),
+            [](const DisjointPath& x, const DisjointPath& y) {
+              if (x.value != y.value) return x.value < y.value;
+              return x.via < y.via;
+            });
+  return result;
+}
+
+// Tie-heavy mesh: RTTs are small integers, so equal-cost path sets are common
+// and their sums exact.  About half the edges lose nothing and weigh exactly
+// 0 under Metric::kLoss; every lossy edge loses one sample of a distinct
+// number of invocations, so non-zero loss weights never tie by accident.
+meas::Dataset tie_heavy_dataset(int hosts, double edge_prob,
+                                std::uint64_t seed) {
+  auto ds = make_dataset(hosts);
+  std::mt19937_64 rng{seed};
+  std::uniform_real_distribution<double> uniform{0.0, 1.0};
+  int lossy_edges = 0;
+  for (int a = 0; a < hosts; ++a) {
+    for (int b = a + 1; b < hosts; ++b) {
+      if (uniform(rng) >= edge_prob) continue;
+      const double rtt = 1.0 + static_cast<double>(rng() % 4);
+      const bool lossy = uniform(rng) < 0.5;
+      const int invocations = lossy ? 2 + lossy_edges++ : 2;
+      for (int i = 0; i < invocations; ++i) {
+        add_invocation(ds, a, b,
+                       (lossy && i == 0)
+                           ? std::initializer_list<double>{-1.0, rtt, rtt}
+                           : std::initializer_list<double>{rtt, rtt, rtt});
+      }
+    }
+  }
+  return ds;
+}
+
+// Number of mutually disjoint `target`-subsets of `paths` whose total weight
+// is within rounding of the minimum; 1 means the optimum is unique, and
+// `best` then holds its path indices.
+std::size_t optimal_subsets(const std::vector<RefPath>& paths,
+                            DisjointMode mode, std::size_t src,
+                            std::size_t dst, std::size_t target,
+                            std::vector<std::size_t>& best) {
+  const double optimum = best_subset(paths, mode, src, dst, target);
+  if (optimum == kInf) return 0;
+  const double tolerance = 1e-12 * std::max(1.0, optimum);
+  std::size_t count = 0;
+  std::vector<std::size_t> chosen;
+  auto rec = [&](auto&& self, std::size_t from, double weight) -> void {
+    if (weight > optimum + tolerance) return;
+    if (chosen.size() == target) {
+      if (++count == 1) best = chosen;
+      return;
+    }
+    for (std::size_t i = from; i < paths.size(); ++i) {
+      bool ok = true;
+      for (const std::size_t c : chosen) {
+        ok = ok && compatible(paths[i], paths[c], mode, src, dst);
+      }
+      if (!ok) continue;
+      chosen.push_back(i);
+      self(self, i + 1, weight + paths[i].weight);
+      chosen.pop_back();
+    }
+  };
+  rec(rec, 0, 0.0);
+  return count;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+struct OracleTally {
+  std::size_t compared = 0;  // pairs whose found_k and total_weight matched
+  std::size_t unique = 0;    // ... whose optimal path set is unique
+  std::size_t tied = 0;      // ... with several optimal path sets
+};
+
+// Solver vs oracle on every pair of `table`: equal found_k and bit-equal
+// total_weight always, and bit-equal paths wherever brute force shows the
+// optimal path set is unique.  Pairs with too many simple paths to
+// enumerate count as neither unique nor tied.
+void check_against_oracle(const PathTable& table, Metric metric,
+                          DisjointMode mode, int k, OracleTally& tally) {
+  DisjointOptions options;
+  options.metric = metric;
+  options.mode = mode;
+  options.k = k;
+  options.threads = 1;
+  const auto swept = compute_disjoint_alternates(table, options);
+  ASSERT_TRUE(swept.is_ok()) << swept.status().to_string();
+  for (std::size_t i = 0; i < table.edges().size(); ++i) {
+    const PairDisjointResult& got = swept.value()[i];
+    const PairDisjointResult want = oracle_pair(table, i, options);
+    const std::string where = "pair " + std::to_string(got.a.value()) + "-" +
+                              std::to_string(got.b.value()) + " k=" +
+                              std::to_string(k) + " " + to_string(mode);
+    EXPECT_EQ(got.found_k(), want.found_k()) << where;
+    EXPECT_EQ(bits(got.total_weight), bits(want.total_weight)) << where;
+    ++tally.compared;
+
+    const std::size_t src = table.host_index(got.a);
+    const std::size_t dst = table.host_index(got.b);
+    std::vector<RefPath> all;
+    enumerate_paths(table, i, metric, src, dst, all);
+    if (want.found_k() == 0 || all.size() > 200) continue;
+    std::vector<std::size_t> best;
+    if (optimal_subsets(all, mode, src, dst,
+                        static_cast<std::size_t>(want.found_k()), best) != 1) {
+      ++tally.tied;
+      continue;
+    }
+    ++tally.unique;
+    std::vector<std::vector<topo::HostId>> expect_via;
+    for (const std::size_t b : best) {
+      std::vector<topo::HostId> via;
+      for (std::size_t h = 1; h + 1 < all[b].nodes.size(); ++h) {
+        via.push_back(table.hosts()[all[b].nodes[h]]);
+      }
+      expect_via.push_back(std::move(via));
+    }
+    std::vector<std::vector<topo::HostId>> got_via;
+    for (const DisjointPath& path : got.paths) got_via.push_back(path.via);
+    std::sort(expect_via.begin(), expect_via.end());
+    std::sort(got_via.begin(), got_via.end());
+    EXPECT_EQ(got_via, expect_via) << where;
+    EXPECT_EQ(got.paths.size(), want.paths.size()) << where;
+    if (got.paths.size() != want.paths.size()) continue;
+    for (std::size_t p = 0; p < got.paths.size(); ++p) {
+      EXPECT_EQ(bits(got.paths[p].value), bits(want.paths[p].value)) << where;
+      EXPECT_EQ(got.paths[p].via, want.paths[p].via) << where;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 
 TEST(Disjoint, ValidateKRejectsOutOfRange) {
   EXPECT_FALSE(validate_disjoint_k(0, 10).is_ok());
@@ -423,6 +711,77 @@ TEST(DisjointDifferential, LossValueComposes) {
   EXPECT_DOUBLE_EQ(r->default_value, l);
   ASSERT_EQ(r->found_k(), 1);
   EXPECT_NEAR(r->paths[0].value, 1.0 - (1.0 - l) * (1.0 - l), 1e-12);
+}
+
+TEST(DisjointOracle, IntegerRttTiesMatchBellmanFord) {
+  OracleTally tally;
+  for (const std::uint64_t seed : {41u, 42u, 43u, 44u}) {
+    const auto table =
+        PathTable::build(tie_heavy_dataset(8, 0.5, seed), test::min_samples(1));
+    for (const DisjointMode mode :
+         {DisjointMode::kLinkDisjoint, DisjointMode::kNodeDisjoint}) {
+      for (const int k : {1, 2, 3}) {
+        check_against_oracle(table, Metric::kRtt, mode, k, tally);
+      }
+    }
+  }
+  // Neither half may be vacuous: unique optima to compare paths on, and
+  // ties for the solvers to break differently.
+  EXPECT_GT(tally.compared, 300u);
+  EXPECT_GT(tally.unique, 200u);
+  EXPECT_GT(tally.tied, 50u);
+}
+
+TEST(DisjointOracle, ZeroLossEdgesMatchBellmanFord) {
+  OracleTally tally;
+  for (const std::uint64_t seed : {51u, 52u, 53u, 54u}) {
+    const auto table =
+        PathTable::build(tie_heavy_dataset(8, 0.5, seed), test::min_samples(1));
+    for (const DisjointMode mode :
+         {DisjointMode::kLinkDisjoint, DisjointMode::kNodeDisjoint}) {
+      for (const int k : {1, 2, 3}) {
+        check_against_oracle(table, Metric::kLoss, mode, k, tally);
+      }
+    }
+  }
+  EXPECT_GT(tally.compared, 300u);
+  EXPECT_GT(tally.unique, 200u);
+  EXPECT_GT(tally.tied, 50u);
+}
+
+TEST(DisjointPointQuery, MatchesSweepRowForEveryCatalogPair) {
+  // compute_disjoint_for_pair promises the sweep's computation bit for bit;
+  // check every pair of a catalog table in both modes and both metrics.
+  meas::Catalog catalog{meas::CatalogConfig{.seed = 1999, .scale = 0.05}};
+  const PathTable table =
+      PathTable::build(catalog.by_name("UW3"), test::min_samples(5));
+  ASSERT_GT(table.edges().size(), 100u);
+  for (const Metric metric : {Metric::kRtt, Metric::kLoss}) {
+    for (const DisjointMode mode :
+         {DisjointMode::kLinkDisjoint, DisjointMode::kNodeDisjoint}) {
+      const DisjointOptions options{.metric = metric, .k = 2, .mode = mode};
+      const auto swept = compute_disjoint_alternates(table, options);
+      ASSERT_TRUE(swept.is_ok()) << swept.status().to_string();
+      ASSERT_EQ(swept.value().size(), table.edges().size());
+      for (std::size_t i = 0; i < table.edges().size(); ++i) {
+        const auto point =
+            compute_disjoint_for_pair(table, table.edges()[i], options);
+        ASSERT_TRUE(point.is_ok()) << point.status().to_string();
+        const PairDisjointResult& x = swept.value()[i];
+        const PairDisjointResult& y = point.value();
+        EXPECT_EQ(x.a, y.a);
+        EXPECT_EQ(x.b, y.b);
+        EXPECT_EQ(x.requested_k, y.requested_k);
+        EXPECT_EQ(bits(x.default_value), bits(y.default_value));
+        EXPECT_EQ(bits(x.total_weight), bits(y.total_weight));
+        ASSERT_EQ(x.paths.size(), y.paths.size());
+        for (std::size_t p = 0; p < x.paths.size(); ++p) {
+          EXPECT_EQ(bits(x.paths[p].value), bits(y.paths[p].value));
+          EXPECT_EQ(x.paths[p].via, y.paths[p].via);
+        }
+      }
+    }
+  }
 }
 
 TEST(DisjointThreadInvariance, BitIdenticalAcrossThreadCounts) {
