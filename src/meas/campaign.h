@@ -5,8 +5,8 @@
 //
 //  - checkpointing: with a checkpoint directory configured, each in-flight
 //    dataset is snapshotted at a simulated-time cadence through
-//    meas::CheckpointStore (atomic writes, alternating generations, CRC'd
-//    manifest);
+//    meas::CheckpointStore (atomic writes, alternating self-CRC'd
+//    generations);
 //  - resume: with `resume` set, finished outputs are kept and the
 //    interrupted dataset continues from its newest valid checkpoint — the
 //    resumed campaign produces byte-identical outputs to an uninterrupted

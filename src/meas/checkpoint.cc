@@ -1,6 +1,5 @@
 #include "meas/checkpoint.h"
 
-#include <algorithm>
 #include <array>
 #include <filesystem>
 #include <limits>
@@ -8,13 +7,12 @@
 #include "meas/serialize.h"
 #include "util/atomic_io.h"
 #include "util/codec.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace pathsel::meas {
 
 namespace {
-
-constexpr char kManifestHeader[] = "pathsel-manifest v1";
 
 // Hard caps against adversarial counts in a corrupt file.
 constexpr std::size_t kMaxPending = 50'000'000;
@@ -31,8 +29,8 @@ Status corrupt(const std::string& what) {
   return Status::error(ErrorCode::kParseError, "corrupt checkpoint: " + what);
 }
 
-/// The payload of checkpoint or MANIFEST text: everything before its
-/// trailing decimal "crc <n>" line, which must match.
+/// The payload of checkpoint text: everything before its trailing decimal
+/// "crc <n>" line, which must match.
 Result<std::string_view> payload_of(std::string_view text) {
   const std::optional<std::string_view> payload =
       codec::unseal_text(text, codec::CrcRadix::kDecimal);
@@ -53,58 +51,11 @@ std::string sanitize_filename(const std::string& dataset) {
   return out;
 }
 
-struct ManifestEntry {
-  std::string dataset;
-  std::string file;
-  std::uint32_t crc = 0;
-  std::uint64_t size = 0;
-};
-
-std::string serialize_manifest(const std::vector<ManifestEntry>& entries) {
-  std::string out = kManifestHeader;
-  out += '\n';
-  for (const ManifestEntry& e : entries) {
-    codec::append_line(out, "entry", e.dataset, e.file, e.crc, e.size);
-  }
-  codec::seal_text(out, codec::CrcRadix::kDecimal);
-  return out;
-}
-
-Result<std::vector<ManifestEntry>> parse_manifest(std::string_view text) {
-  const Result<std::string_view> payload = payload_of(text);
-  if (!payload.is_ok()) return payload.status();
-  codec::Lines lines{payload.value()};
-  std::string_view line;
-  if (!lines.next(line) || line != kManifestHeader) {
-    return corrupt("missing manifest header");
-  }
-  std::vector<ManifestEntry> entries;
-  while (lines.next(line)) {
-    if (line.empty()) continue;
-    codec::Tokens ls{line};
-    ManifestEntry e;
-    const std::string_view key = ls.next();
-    e.dataset = ls.next();
-    e.file = ls.next();
-    if (key != "entry" || e.file.empty() || !ls.next_int(e.crc) ||
-        !ls.next_int(e.size) || !ls.next().empty()) {
-      return corrupt("malformed manifest entry: " + std::string{line});
-    }
-    entries.push_back(std::move(e));
-  }
-  return entries;
-}
-
-/// Reads the manifest, falling back to MANIFEST.prev when the current one is
-/// missing or corrupt.  An empty result means no readable manifest exists.
-std::vector<ManifestEntry> read_manifest_entries(const std::string& dir) {
-  for (const char* name : {"MANIFEST", "MANIFEST.prev"}) {
-    const Result<std::string> text = read_file(dir + "/" + name);
-    if (!text.is_ok()) continue;
-    Result<std::vector<ManifestEntry>> entries = parse_manifest(text.value());
-    if (entries.is_ok()) return std::move(entries.value());
-  }
-  return {};
+/// The one place a generation file's name is spelled: <name>.ckpt.<g>.
+std::string generation_file(const std::string& dir, const std::string& dataset,
+                            int generation) {
+  return dir + "/" + sanitize_filename(dataset) + ".ckpt." +
+         std::to_string(generation);
 }
 
 }  // namespace
@@ -325,9 +276,8 @@ CheckpointLoad load_newest_checkpoint(const std::string& dir,
                                       MeasurementKind kind,
                                       std::uint64_t fingerprint) {
   CheckpointLoad out;
-  const std::string base = dir + "/" + sanitize_filename(dataset) + ".ckpt.";
   for (const int generation : {0, 1}) {
-    const std::string path = base + std::to_string(generation);
+    const std::string path = generation_file(dir, dataset, generation);
     std::error_code ec;
     if (!std::filesystem::exists(path, ec)) continue;
     const Result<std::string> text = read_file(path);
@@ -345,91 +295,39 @@ CheckpointLoad load_newest_checkpoint(const std::string& dir,
     const bool newer =
         !out.checkpoint.has_value() || out.checkpoint->now < cp.now ||
         (out.checkpoint->now == cp.now && out.checkpoint->next_seq < cp.next_seq);
-    if (newer) out.checkpoint = std::move(cp);
+    if (newer) {
+      out.checkpoint = std::move(cp);
+      out.generation = generation;
+    }
   }
   return out;
 }
 
 std::string CheckpointStore::generation_path(const std::string& dataset,
                                              int generation) const {
-  return dir_ + "/" + sanitize_filename(dataset) + ".ckpt." +
-         std::to_string(generation);
-}
-
-std::string CheckpointStore::manifest_path() const {
-  return dir_ + "/MANIFEST";
+  return generation_file(dir_, dataset, generation);
 }
 
 Status CheckpointStore::save(const CampaignCheckpoint& cp,
                              MeasurementKind kind, std::uint64_t fingerprint) {
+  const ScopedTimer timer{"meas.checkpoint.save"};
   const Status made = ensure_directory(dir_);
   if (!made.is_ok()) return made;
 
-  // First save for this dataset: continue alternating from whatever
-  // generation currently holds the newest valid checkpoint.
-  int* next = nullptr;
-  for (auto& [name, generation] : next_generation_) {
-    if (name == cp.dataset_name) next = &generation;
-  }
-  if (next == nullptr) {
-    int start = 0;
-    SimTime newest = SimTime::start();
-    bool found = false;
-    for (const int generation : {0, 1}) {
-      const std::string path = generation_path(cp.dataset_name, generation);
-      const Result<std::string> text = read_file(path);
-      if (!text.is_ok()) continue;
-      const Result<CampaignCheckpoint> parsed =
-          parse_checkpoint(text.value(), kind, fingerprint);
-      if (!parsed.is_ok()) continue;
-      if (!found || newest < parsed.value().now) {
-        newest = parsed.value().now;
-        start = 1 - generation;
-        found = true;
-      }
-    }
-    next_generation_.emplace_back(cp.dataset_name, start);
-    next = &next_generation_.back().second;
+  // First save for this dataset: continue alternating away from whichever
+  // generation holds the newest valid checkpoint, by load's own rule.
+  auto [next, first_save] = next_generation_.try_emplace(cp.dataset_name, 0);
+  if (first_save) {
+    const CheckpointLoad newest =
+        load_newest_checkpoint(dir_, cp.dataset_name, kind, fingerprint);
+    if (newest.checkpoint.has_value()) next->second = 1 - newest.generation;
   }
 
-  const std::string path = generation_path(cp.dataset_name, *next);
-  const std::string contents = serialize_checkpoint(cp, kind, fingerprint);
-  const Status wrote = write_file_atomic(path, contents);
-  if (!wrote.is_ok()) return wrote;
-  *next = 1 - *next;
-
-  // Manifest: preserve the previous one, then record the new entry.  The
-  // manifest is advisory (discovery + cross-file integrity); the checkpoint
-  // files are self-validating, so a crash between the file write and the
-  // manifest write costs nothing on resume.
-  const Result<std::string> old_manifest = read_file(manifest_path());
-  if (old_manifest.is_ok()) {
-    const Status kept =
-        write_file_atomic(dir_ + "/MANIFEST.prev", old_manifest.value());
-    if (!kept.is_ok()) return kept;
-  }
-  std::vector<ManifestEntry> entries = read_manifest_entries(dir_);
-  const std::string file =
-      sanitize_filename(cp.dataset_name) + ".ckpt." +
-      std::to_string(1 - *next);  // the generation just written
-  ManifestEntry entry;
-  entry.dataset = cp.dataset_name;
-  entry.file = file;
-  entry.crc = crc32(contents);
-  entry.size = contents.size();
-  bool replaced = false;
-  for (ManifestEntry& e : entries) {
-    if (e.dataset == entry.dataset) {
-      e = entry;
-      replaced = true;
-    }
-  }
-  if (!replaced) entries.push_back(entry);
-  std::sort(entries.begin(), entries.end(),
-            [](const ManifestEntry& a, const ManifestEntry& b) {
-              return a.dataset < b.dataset;
-            });
-  return write_file_atomic(manifest_path(), serialize_manifest(entries));
+  const Status wrote =
+      write_file_atomic(generation_path(cp.dataset_name, next->second),
+                        serialize_checkpoint(cp, kind, fingerprint));
+  if (wrote.is_ok()) next->second = 1 - next->second;
+  return wrote;
 }
 
 }  // namespace pathsel::meas

@@ -3,7 +3,7 @@
 // A measurement campaign killed mid-run must resume to a byte-identical
 // dataset, and the checkpoint directory is written by the very process the
 // crash kills — so every file here assumes it can be torn at any byte.
-// Three layers of defense:
+// Two layers of defense:
 //
 //  1. Every write is atomic (util/atomic_io: tmp + fsync + rename), so a
 //     crash leaves the previous complete file, never a prefix.
@@ -11,16 +11,15 @@
 //     dataset alternates between two generation files (<name>.ckpt.0/.1):
 //     if the newest generation is torn or corrupt, the previous one is still
 //     a complete, older checkpoint — resume loses one interval, not the run.
-//  3. A manifest (MANIFEST, with MANIFEST.prev as fallback) lists every
-//     entry with its CRC and size under a manifest-wide CRC, catching
-//     cross-file tampering and serving discovery.
 //
+// A checkpoint directory holds nothing but those generation files.
 // A checkpoint is bound to its campaign by a fingerprint over the collector
 // configuration and host list; resuming against a different configuration is
 // rejected instead of silently producing a spliced dataset.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -66,6 +65,7 @@ inline constexpr char kCheckpointHeader[] = "pathsel-checkpoint v1";
 /// Outcome of scanning a checkpoint directory for one dataset.
 struct CheckpointLoad {
   std::optional<CampaignCheckpoint> checkpoint;  // newest valid, if any
+  int generation = -1;  // the generation file `checkpoint` came from
   /// Human-readable reasons for every candidate file that existed but was
   /// rejected (torn, corrupt, wrong fingerprint) — surfaced so an operator
   /// sees that a generation was discarded.
@@ -81,29 +81,27 @@ struct CheckpointLoad {
     std::uint64_t fingerprint);
 
 /// Manages the checkpoint directory for one campaign: alternating
-/// generations per dataset plus the CRC'd manifest.
+/// generations per dataset.
 class CheckpointStore {
  public:
   explicit CheckpointStore(std::string dir) : dir_{std::move(dir)} {}
 
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
 
-  /// Writes `cp` to the dataset's next generation file and updates the
-  /// manifest (previous manifest preserved as MANIFEST.prev).  Creates the
-  /// directory on first use.
+  /// Writes `cp` to the dataset's next generation file, never the one holding
+  /// its newest valid checkpoint.  Creates the directory on first use.
   [[nodiscard]] Status save(const CampaignCheckpoint& cp, MeasurementKind kind,
                             std::uint64_t fingerprint);
 
-  /// Paths for tests and diagnostics.
+  /// Path of one generation file, for tests and diagnostics.
   [[nodiscard]] std::string generation_path(const std::string& dataset,
                                             int generation) const;
-  [[nodiscard]] std::string manifest_path() const;
 
  private:
   std::string dir_;
   // Next generation index per dataset; seeded from disk on first save so a
   // resumed process keeps alternating instead of clobbering the newest file.
-  std::vector<std::pair<std::string, int>> next_generation_;
+  std::map<std::string, int> next_generation_;
 };
 
 }  // namespace pathsel::meas

@@ -7,7 +7,7 @@
 //  1. write_file_atomic: write to `<path>.tmp`, fsync the file, rename over
 //     the destination, fsync the directory.  A crash at any instant leaves
 //     either the old complete file or the new complete file — never a mix.
-//  2. crc32: a checksum of the payload recorded in the manifest, so a file
+//  2. crc32: a checksum of the payload in the file's own trailer, so a file
 //     torn by other means (disk-full truncation, manual tampering, a torn
 //     tmp file left behind) is detected and discarded instead of parsed.
 //

@@ -14,12 +14,11 @@
 // it.  Each format decides when to check the envelope relative to its own
 // magic and version fields, so nothing here depends on which format calls.
 //
-// The text formats (.ds datasets and campaign checkpoints in meas/, the
-// checkpoint MANIFEST, matrix cell summaries and grids, serve trace and
-// update lines) share the text section below: a line cursor (Lines), a
-// tokenizer (Tokens), one whole-token parser per number type (parse_int,
-// parse_real), one field writer (append_text) and one crc trailer
-// (seal_text / unseal_text).
+// The text formats (.ds datasets and campaign checkpoints in meas/, matrix
+// cell summaries and grids, serve trace and update lines) share the text
+// section below: a line cursor (Lines), a tokenizer (Tokens), one
+// whole-token parser per number type (parse_int, parse_real), one field
+// writer (append_text) and one crc trailer (seal_text / unseal_text).
 //
 // Token language.  A line splits into tokens at the C locale's whitespace
 // (space, \t, \n, \v, \f, \r) and every token is parsed whole: empty text,

@@ -144,11 +144,6 @@ const Format kFormats[] = {
     {"grid", nullptr, Contract::kText, read_grid, ErrorCode::kInvalidArgument},
 };
 
-// The MANIFEST is no corpus: its parser is file-local to the checkpoint
-// store and advisory (a bad one is rebuilt, never trusted), and
-// Checkpoint.TruncatedManifestNeitherBlocksResumeNorPersists covers it.
-const char* const kNotACorpus[] = {"manifest.txt"};
-
 std::string golden_dir() {
   return std::string{PATHSEL_GOLDEN_DIR} + "/formats";
 }
@@ -271,8 +266,7 @@ TEST_P(FormatFuzz, RandomGarbage) {
 INSTANTIATE_TEST_SUITE_P(, FormatFuzz, ::testing::ValuesIn(kFormats));
 
 TEST_F(FormatFuzz, EveryGoldenIsACorpus) {
-  std::set<std::string> covered{std::begin(kNotACorpus),
-                                std::end(kNotACorpus)};
+  std::set<std::string> covered;
   for (const Format& f : kFormats) {
     if (f.golden != nullptr) covered.insert(f.golden);
   }

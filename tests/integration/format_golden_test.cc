@@ -1,7 +1,6 @@
 // Byte goldens for the on-disk formats: the binary PSRC (result columns),
 // PSJL (serve update journal) and PSSV (serve state snapshot), and the text
-// .ds dataset rows, campaign checkpoints, checkpoint MANIFEST and matrix cell
-// summaries.
+// .ds dataset rows, campaign checkpoints and matrix cell summaries.
 //
 // The fixtures are literal values with no analysis behind them, so neither
 // compiler nor floating-point choices can move the bytes.  Round-trip and
@@ -17,7 +16,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -32,7 +30,6 @@
 #include "meas/checkpoint.h"
 #include "meas/serialize.h"
 #include "serve/journal.h"
-#include "util/atomic_io.h"
 
 namespace pathsel {
 namespace {
@@ -396,39 +393,6 @@ TEST(FormatGolden, CheckpointBytes) {
   expect_same_measurements(got_rows, want_rows);
   EXPECT_TRUE(meas::serialize_checkpoint(got, meas::MeasurementKind::kTraceroute,
                                          kFingerprint) == golden);
-}
-
-// The MANIFEST of a checkpoint directory after saves for two datasets: one
-// `entry` line per dataset, sorted by name, under a decimal crc trailer.
-TEST(FormatGolden, CheckpointManifestBytes) {
-  const std::string dir = ::testing::TempDir() + "format_golden_manifest";
-  std::filesystem::remove_all(dir);
-  meas::CheckpointStore store{dir};
-  meas::CampaignCheckpoint cp = checkpoint_fixture();
-  cp.dataset_name = "UW4-A";
-  ASSERT_TRUE(
-      store.save(cp, meas::MeasurementKind::kTraceroute, kFingerprint).is_ok());
-  cp.dataset_name = "UW3";
-  ASSERT_TRUE(
-      store.save(cp, meas::MeasurementKind::kTraceroute, kFingerprint).is_ok());
-  const Result<std::string> manifest = read_file(store.manifest_path());
-  ASSERT_TRUE(manifest.is_ok()) << manifest.status().message();
-  const std::string golden = check_golden("manifest.txt", manifest.value());
-
-  // The reader side: a save on top of the golden keeps both entries, which
-  // it can only do by parsing them back.
-  ASSERT_TRUE(write_file_atomic(store.manifest_path(), golden).is_ok());
-  cp.dataset_name = "UW1";
-  ASSERT_TRUE(
-      store.save(cp, meas::MeasurementKind::kTraceroute, kFingerprint).is_ok());
-  const Result<std::string> grown = read_file(store.manifest_path());
-  ASSERT_TRUE(grown.is_ok());
-  for (const char* entry : {"\nentry UW1 UW1.ckpt.0 ",
-                            "\nentry UW3 UW3.ckpt.0 ",
-                            "\nentry UW4-A UW4-A.ckpt.0 "}) {
-    EXPECT_NE(grown.value().find(entry), std::string::npos) << entry;
-  }
-  std::filesystem::remove_all(dir);
 }
 
 // Cell summaries print fingerprints as 16 hex digits and doubles as %.17g:

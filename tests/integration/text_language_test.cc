@@ -1,4 +1,4 @@
-// Accept/reject table for the text readers: checkpoint and MANIFEST files,
+// Accept/reject table for the text readers: checkpoint files,
 // matrix cell summaries, serve update specs and trace budgets, and grid
 // fault values.  Each row is one input and whether its reader takes it.
 // The goldens in format_golden_test pin what the writers emit; this table
@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -33,7 +32,6 @@ constexpr std::uint64_t kFingerprint = 0x0123456789abcdefULL;
 enum class Reader {
   kCheckpointLine,   // replaces the checkpoint line with the row's key
   kCheckpointCrc,    // the checkpoint's trailer; "{}" is the payload crc
-  kManifestCrc,      // the MANIFEST's trailer; "{}" is the payload crc
   kCellSummaryLine,  // replaces the cell summary line with the row's key
   kUpdate,           // serve::parse_update
   kTraceBudget,      // BUDGET of "query disjoint rtt 2 0 1 BUDGET"
@@ -126,29 +124,6 @@ bool checkpoint_accepts(const std::string& text) {
       .is_ok();
 }
 
-// A MANIFEST is advisory, so its acceptance shows in the next save: an
-// accepted manifest's extra entry survives into the rewritten one.
-bool manifest_accepts(std::string_view pattern) {
-  const std::string dir = ::testing::TempDir() + "text_language_manifest";
-  std::filesystem::remove_all(dir);
-  meas::CheckpointStore store{dir};
-  const meas::CampaignCheckpoint cp = checkpoint_fixture();
-  EXPECT_TRUE(
-      store.save(cp, meas::MeasurementKind::kTraceroute, kFingerprint).is_ok());
-  const std::string payload =
-      std::string{payload_of(read_file(store.manifest_path()).value())} +
-      "entry ZZZ ZZZ.ckpt.0 1 2\n";
-  EXPECT_TRUE(write_file_atomic(store.manifest_path(),
-                                payload + trailer(pattern, crc32(payload)))
-                  .is_ok());
-  EXPECT_TRUE(
-      store.save(cp, meas::MeasurementKind::kTraceroute, kFingerprint).is_ok());
-  const bool kept = read_file(store.manifest_path()).value().find(
-                        "\nentry ZZZ ") != std::string::npos;
-  std::filesystem::remove_all(dir);
-  return kept;
-}
-
 bool trace_accepts_budget(const std::string& budget) {
   static const std::unique_ptr<serve::ServeEngine> engine = [] {
     meas::Dataset ds = test::make_dataset(4);
@@ -184,8 +159,6 @@ bool accepts(const Row& row) {
       return checkpoint_accepts(payload +
                                 trailer(row.input, crc32(payload)));
     }
-    case Reader::kManifestCrc:
-      return manifest_accepts(row.input);
     case Reader::kCellSummaryLine: {
       const std::string text =
           matrix::serialize_cell_summary(cell_summary_fixture());
@@ -206,7 +179,7 @@ bool accepts(const Row& row) {
 
 std::string describe(const Row& row) {
   static const char* const kNames[] = {
-      "checkpoint line", "checkpoint crc", "manifest crc", "cell summary line",
+      "checkpoint line", "checkpoint crc", "cell summary line",
       "update",          "trace budget",   "grid fault"};
   std::string shown;
   for (const char c : row.input) {
@@ -269,16 +242,12 @@ TEST(TextLanguage, ReaderOutcomeTable) {
       {R::kCheckpointLine, "next_seq +17", true},
       {R::kCheckpointLine, "next_seq 17\r", false},
 
-      // Checkpoint and MANIFEST crc trailers: only the canonical spelling,
-      // as in cell summaries (a sign or a leading zero was accepted).
+      // Checkpoint crc trailers: only the canonical spelling, as in cell
+      // summaries (a sign or a leading zero was accepted).
       {R::kCheckpointCrc, "crc {}", true},
       {R::kCheckpointCrc, "crc +{}", false},
       {R::kCheckpointCrc, "crc 0{}", false},
       {R::kCheckpointCrc, "crc {}x", false},
-      {R::kManifestCrc, "crc {}", true},
-      {R::kManifestCrc, "crc +{}", false},
-      {R::kManifestCrc, "crc 0{}", false},
-      {R::kManifestCrc, "crc {}x", false},
 
       // Cell summary fields: hex fingerprints and crcs in either case and
       // with strtoull's 0x prefix.

@@ -1,13 +1,15 @@
 // Crash-safety tests for the checkpoint format and store: self-CRC'd files,
-// torn/truncated/corrupt candidates discarded, alternating generations with
-// fallback, and an advisory manifest that survives its own corruption.  The
-// torn-checkpoint and truncated-manifest sweeps extend the adversarial-input
-// fuzz corpus (serialize_fuzz_test covers the dataset files themselves).
+// torn/truncated/corrupt candidates discarded, and alternating generations
+// with fallback, also across a reopened store.  The torn-checkpoint sweep
+// extends the adversarial-input fuzz corpus (serialize_fuzz_test covers the
+// dataset files themselves).
 #include "meas/checkpoint.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -150,14 +152,68 @@ TEST(Checkpoint, StoreAlternatesGenerations) {
                   .save(make_checkpoint(120000, 20),
                         MeasurementKind::kTraceroute, kFingerprint)
                   .is_ok());
-  EXPECT_TRUE(std::filesystem::exists(store.generation_path("UW3", 0)));
-  EXPECT_TRUE(std::filesystem::exists(store.generation_path("UW3", 1)));
+  // The directory is exactly the dataset's two generation files.
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator{dir}) {
+    files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"UW3.ckpt.0", "UW3.ckpt.1"}));
 
   const CheckpointLoad load = load_newest_checkpoint(
       dir, "UW3", MeasurementKind::kTraceroute, kFingerprint);
   ASSERT_TRUE(load.checkpoint.has_value());
   EXPECT_TRUE(load.discarded.empty());
   EXPECT_EQ(load.checkpoint->next_seq, 20u);
+  EXPECT_EQ(load.generation, 1);
+}
+
+// A reopened store (a resumed process) continues alternating away from the
+// newest valid generation, so its first save never overwrites the checkpoint
+// resume would load.  Equal simulated times are ordered by next_seq, exactly
+// as load_newest_checkpoint orders them.
+TEST(Checkpoint, ReopenedStoreNeverOverwritesTheNewestGeneration) {
+  struct Case {
+    const char* name;
+    std::vector<std::int64_t> saves_ms;  // `now` of each save before reopening
+    int newest;                          // the generation they leave newest
+  };
+  for (const Case& c : {Case{"reopen_newest1", {60000, 120000}, 1},
+                        Case{"reopen_newest0", {60000, 120000, 180000}, 0},
+                        Case{"reopen_tied_now", {60000, 60000}, 1}}) {
+    SCOPED_TRACE(c.name);
+    const std::string dir = fresh_dir(c.name);
+    CheckpointStore first{dir};
+    std::uint64_t seq = 0;
+    for (const std::int64_t now_ms : c.saves_ms) {
+      seq += 10;
+      ASSERT_TRUE(first
+                      .save(make_checkpoint(now_ms, seq),
+                            MeasurementKind::kTraceroute, kFingerprint)
+                      .is_ok());
+    }
+    const std::uint64_t newest_seq = seq;
+
+    CheckpointStore reopened{dir};
+    ASSERT_TRUE(reopened
+                    .save(make_checkpoint(c.saves_ms.back() + 60000, seq + 10),
+                          MeasurementKind::kTraceroute, kFingerprint)
+                    .is_ok());
+    const CheckpointLoad load = load_newest_checkpoint(
+        dir, "UW3", MeasurementKind::kTraceroute, kFingerprint);
+    ASSERT_TRUE(load.checkpoint.has_value());
+    EXPECT_EQ(load.generation, 1 - c.newest);
+    EXPECT_EQ(load.checkpoint->next_seq, seq + 10);
+
+    // The previous newest still loads from its own generation.
+    const Result<std::string> kept_text =
+        read_file(reopened.generation_path("UW3", c.newest));
+    ASSERT_TRUE(kept_text.is_ok());
+    const Result<CampaignCheckpoint> kept = parse_checkpoint(
+        kept_text.value(), MeasurementKind::kTraceroute, kFingerprint);
+    ASSERT_TRUE(kept.is_ok()) << kept.status().message();
+    EXPECT_EQ(kept.value().next_seq, newest_seq);
+  }
 }
 
 TEST(Checkpoint, TornNewestGenerationFallsBackToPrevious) {
@@ -231,56 +287,6 @@ TEST(Checkpoint, StaleFingerprintGenerationIsDiscarded) {
   EXPECT_FALSE(load.checkpoint.has_value());
   ASSERT_EQ(load.discarded.size(), 1u);
   EXPECT_NE(load.discarded[0].find("fingerprint"), std::string::npos);
-}
-
-// Manifest self-check helper: payload + trailing "crc <n>" line.
-bool manifest_is_valid(const std::string& path) {
-  std::ifstream is{path, std::ios::binary};
-  if (!is) return false;
-  const std::string text{std::istreambuf_iterator<char>{is},
-                         std::istreambuf_iterator<char>{}};
-  if (text.empty() || text.back() != '\n') return false;
-  const std::size_t line_start = text.find_last_of('\n', text.size() - 2);
-  if (line_start == std::string::npos) return false;
-  const std::string payload = text.substr(0, line_start + 1);
-  const std::string crc_line = text.substr(line_start + 1);
-  return crc_line == "crc " + std::to_string(crc32(payload)) + "\n";
-}
-
-// Fuzz corpus, truncated-manifest case: a torn or garbage MANIFEST never
-// blocks resume (the checkpoint files are self-validating) and the next
-// save writes a fresh valid manifest over it.
-TEST(Checkpoint, TruncatedManifestNeitherBlocksResumeNorPersists) {
-  const std::string dir = fresh_dir("manifest");
-  CheckpointStore store{dir};
-  ASSERT_TRUE(store
-                  .save(make_checkpoint(60000, 10),
-                        MeasurementKind::kTraceroute, kFingerprint)
-                  .is_ok());
-  ASSERT_TRUE(manifest_is_valid(store.manifest_path()));
-  const std::string manifest = [&] {
-    std::ifstream is{store.manifest_path(), std::ios::binary};
-    return std::string{std::istreambuf_iterator<char>{is},
-                       std::istreambuf_iterator<char>{}};
-  }();
-
-  for (const std::string& torn :
-       {std::string{}, manifest.substr(0, manifest.size() / 2),
-        std::string{"\x01\x02garbage"}}) {
-    write_raw(store.manifest_path(), torn);
-    // Resume still finds the self-validating checkpoint file.
-    const CheckpointLoad load = load_newest_checkpoint(
-        dir, "UW3", MeasurementKind::kTraceroute, kFingerprint);
-    ASSERT_TRUE(load.checkpoint.has_value());
-    EXPECT_EQ(load.checkpoint->next_seq, 10u);
-  }
-
-  // The next save repairs the manifest.
-  ASSERT_TRUE(store
-                  .save(make_checkpoint(120000, 20),
-                        MeasurementKind::kTraceroute, kFingerprint)
-                  .is_ok());
-  EXPECT_TRUE(manifest_is_valid(store.manifest_path()));
 }
 
 }  // namespace

@@ -23,8 +23,8 @@ case "$MODE" in
 esac
 TMP="$(mktemp -d)"
 failures=0
-# Keep the work dir when something failed: the checkpoint generations and
-# manifests in it are the post-mortem, and CI uploads them as artifacts.
+# Keep the work dir when something failed: the checkpoint generations in it
+# are the post-mortem, and CI uploads them as artifacts.
 cleanup() {
   if [[ "$failures" -eq 0 ]]; then
     rm -rf "$TMP"
