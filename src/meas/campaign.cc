@@ -72,7 +72,6 @@ CampaignReport run_campaign(const CampaignOptions& options) {
   Catalog catalog{options.catalog};
   const std::vector<std::string> names = expand_datasets(options.datasets);
   const bool checkpointing = !options.checkpoint_dir.empty();
-  CheckpointStore store{options.checkpoint_dir};
   std::size_t checkpoint_writes = 0;
   // Parents collected (or reloaded) this run, for subset derivation.
   std::unordered_map<std::string, Dataset> produced;
@@ -123,6 +122,9 @@ CampaignReport run_campaign(const CampaignOptions& options) {
         fold_fingerprint(mat.fingerprint,
                          static_cast<std::uint64_t>(options.disjoint_k)),
         options.extra_fingerprint);
+    // One store per collection, so the saved-row text it caches is freed
+    // when the collection ends.
+    CheckpointStore store{options.checkpoint_dir};
     CollectControls controls;
     controls.cancel = options.cancel;
     controls.threads = options.threads;
@@ -154,9 +156,9 @@ CampaignReport run_campaign(const CampaignOptions& options) {
       }
     }
 
-    Result<Dataset> collected = collect_resumable(
-        *mat.net, mat.hosts, mat.config, name, controls,
-        resume_from.has_value() ? &*resume_from : nullptr);
+    Result<Dataset> collected =
+        collect_resumable(*mat.net, mat.hosts, mat.config, name, controls,
+                          std::move(resume_from));
     if (!collected.is_ok()) {
       report.status = collected.status();
       const ErrorCode code = collected.status().code();

@@ -76,7 +76,7 @@ MaterializedSpec Catalog::materialize(const DatasetSpec& spec) {
 Dataset Catalog::collect_primary(const DatasetSpec& spec) {
   const MaterializedSpec mat = materialize(spec);
   Result<Dataset> result = collect_resumable(
-      *mat.net, mat.hosts, mat.config, mat.name, CollectControls{}, nullptr);
+      *mat.net, mat.hosts, mat.config, mat.name, CollectControls{});
   PATHSEL_EXPECT(result.is_ok(), "uncontrolled collection failed");
   return std::move(result.value());
 }

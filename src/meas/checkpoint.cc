@@ -3,6 +3,7 @@
 #include <array>
 #include <filesystem>
 #include <limits>
+#include <string_view>
 
 #include "meas/serialize.h"
 #include "util/atomic_io.h"
@@ -18,6 +19,12 @@ namespace {
 constexpr std::size_t kMaxPending = 50'000'000;
 constexpr std::size_t kMaxMeasurements = 500'000'000;
 constexpr std::size_t kMaxServerRngs = 1'000'000;
+
+// The row cache appends to its last chunk until it holds this many bytes.
+// One growing string would be re-allocated and copied each time it doubles,
+// which raised a faulted collection's peak RSS; a chunk per save would cost
+// one write() per save in a long campaign.
+constexpr std::size_t kRowChunkBytes = std::size_t{1} << 20;
 
 std::uint64_t mix(std::uint64_t& h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
@@ -56,6 +63,37 @@ std::string generation_file(const std::string& dir, const std::string& dataset,
                             int generation) {
   return dir + "/" + sanitize_filename(dataset) + ".ckpt." +
          std::to_string(generation);
+}
+
+/// Checkpoint text up to its measurement rows: the header, state, RNG and
+/// pending lines, then "measurements N".
+std::string serialize_head(const CampaignCheckpoint& cp, MeasurementKind kind,
+                           std::uint64_t fingerprint) {
+  using codec::append_line;
+  std::string out = kCheckpointHeader;
+  out += '\n';
+  append_line(out, "dataset", cp.dataset_name);
+  append_line(out, "kind",
+              kind == MeasurementKind::kTraceroute ? "traceroute" : "tcp");
+  append_line(out, "fingerprint", fingerprint);
+  append_line(out, "now_ms", cp.now.since_start().total_millis());
+  append_line(out, "next_seq", cp.next_seq);
+  append_line(out, "episodes", cp.episode_count);
+  append_line(out, "injector_epoch", cp.injector_epoch);
+  append_line(out, "rng", cp.rng_state[0], cp.rng_state[1], cp.rng_state[2],
+              cp.rng_state[3]);
+  append_line(out, "server_rngs", cp.server_rng_states.size());
+  for (const auto& s : cp.server_rng_states) {
+    append_line(out, "r", s[0], s[1], s[2], s[3]);
+  }
+  append_line(out, "pending", cp.pending.size());
+  for (const CampaignEvent& ev : cp.pending) {
+    append_line(out, "e", static_cast<int>(ev.kind),
+                ev.t.since_start().total_millis(), ev.seq, ev.a, ev.b,
+                ev.first.since_start().total_millis(), ev.episode, ev.tried);
+  }
+  append_line(out, "measurements", cp.measurements.size());
+  return out;
 }
 
 }  // namespace
@@ -109,30 +147,7 @@ std::uint64_t checkpoint_fingerprint(std::string_view dataset,
 std::string serialize_checkpoint(const CampaignCheckpoint& cp,
                                  MeasurementKind kind,
                                  std::uint64_t fingerprint) {
-  using codec::append_line;
-  std::string out = kCheckpointHeader;
-  out += '\n';
-  append_line(out, "dataset", cp.dataset_name);
-  append_line(out, "kind",
-              kind == MeasurementKind::kTraceroute ? "traceroute" : "tcp");
-  append_line(out, "fingerprint", fingerprint);
-  append_line(out, "now_ms", cp.now.since_start().total_millis());
-  append_line(out, "next_seq", cp.next_seq);
-  append_line(out, "episodes", cp.episode_count);
-  append_line(out, "injector_epoch", cp.injector_epoch);
-  append_line(out, "rng", cp.rng_state[0], cp.rng_state[1], cp.rng_state[2],
-              cp.rng_state[3]);
-  append_line(out, "server_rngs", cp.server_rng_states.size());
-  for (const auto& s : cp.server_rng_states) {
-    append_line(out, "r", s[0], s[1], s[2], s[3]);
-  }
-  append_line(out, "pending", cp.pending.size());
-  for (const CampaignEvent& ev : cp.pending) {
-    append_line(out, "e", static_cast<int>(ev.kind),
-                ev.t.since_start().total_millis(), ev.seq, ev.a, ev.b,
-                ev.first.since_start().total_millis(), ev.episode, ev.tried);
-  }
-  append_line(out, "measurements", cp.measurements.size());
+  std::string out = serialize_head(cp, kind, fingerprint);
   for (const Measurement& m : cp.measurements) {
     append_measurement(out, m, kind);
   }
@@ -323,11 +338,52 @@ Status CheckpointStore::save(const CampaignCheckpoint& cp,
     if (newest.checkpoint.has_value()) next->second = 1 - newest.generation;
   }
 
+  // Format only the rows appended since the last save of this dataset; the
+  // cached rows are reused as written and their CRC is folded in, not re-read.
+  RowCache& cache = rows_[cp.dataset_name];
+  if (!cache.extends(cp, kind, fingerprint)) {
+    cache = RowCache{};
+    cache.kind = kind;
+    cache.fingerprint = fingerprint;
+  }
+  if (cache.chunks.empty() || cache.chunks.back().size() >= kRowChunkBytes) {
+    cache.chunks.emplace_back();
+  }
+  std::string& chunk = cache.chunks.back();
+  const std::size_t cached_bytes = chunk.size();
+  for (std::size_t i = cache.count; i < cp.measurements.size(); ++i) {
+    append_measurement(chunk, cp.measurements[i], kind);
+  }
+  cache.crc = crc32(std::string_view{chunk}.substr(cached_bytes), cache.crc);
+  cache.bytes += chunk.size() - cached_bytes;
+  MetricsRegistry::global().count("meas.checkpoint.rows_formatted",
+                                  cp.measurements.size() - cache.count);
+  cache.count = cp.measurements.size();
+  if (cache.count != 0) cache.last = RowKey::of(cp.measurements.back());
+
+  const std::string head = serialize_head(cp, kind, fingerprint);
+  std::string trailer;
+  codec::append_trailer(
+      trailer, crc32_combine(crc32(head), cache.crc, cache.bytes),
+      codec::CrcRadix::kDecimal);
+  std::vector<std::string_view> parts{head};
+  parts.insert(parts.end(), cache.chunks.begin(), cache.chunks.end());
+  parts.push_back(trailer);
   const Status wrote =
-      write_file_atomic(generation_path(cp.dataset_name, next->second),
-                        serialize_checkpoint(cp, kind, fingerprint));
-  if (wrote.is_ok()) next->second = 1 - next->second;
+      write_file_atomic(generation_path(cp.dataset_name, next->second), parts);
+  if (!wrote.is_ok()) return wrote;
+  MetricsRegistry::global().count("meas.checkpoint.bytes_written",
+                                  head.size() + cache.bytes + trailer.size());
+  next->second = 1 - next->second;
   return wrote;
+}
+
+bool CheckpointStore::RowCache::extends(const CampaignCheckpoint& cp,
+                                        MeasurementKind cp_kind,
+                                        std::uint64_t cp_fingerprint) const {
+  return kind == cp_kind && fingerprint == cp_fingerprint &&
+         count <= cp.measurements.size() &&
+         (count == 0 || last == RowKey::of(cp.measurements[count - 1]));
 }
 
 }  // namespace pathsel::meas

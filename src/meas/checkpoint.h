@@ -16,6 +16,14 @@
 // A checkpoint is bound to its campaign by a fingerprint over the collector
 // configuration and host list; resuming against a different configuration is
 // rejected instead of silently producing a spliced dataset.
+//
+// A checkpoint holds every measurement collected so far, so re-formatting
+// them all at every save would make a campaign's save work grow with the
+// square of its length.  CheckpointStore instead keeps each dataset's row
+// text from its earlier saves, formats only the rows appended since, and
+// seals the file with crc32_combine of the head's and the cached rows'
+// CRCs, so no save re-reads the cached bytes.  The file's bytes are exactly
+// serialize_checkpoint's; only the work to produce them shrinks.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +89,8 @@ struct CheckpointLoad {
     std::uint64_t fingerprint);
 
 /// Manages the checkpoint directory for one campaign: alternating
-/// generations per dataset.
+/// generations per dataset, and per dataset the text of the measurement
+/// rows already saved, so each save formats only the rows added since.
 class CheckpointStore {
  public:
   explicit CheckpointStore(std::string dir) : dir_{std::move(dir)} {}
@@ -89,7 +98,15 @@ class CheckpointStore {
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
 
   /// Writes `cp` to the dataset's next generation file, never the one holding
-  /// its newest valid checkpoint.  Creates the directory on first use.
+  /// its newest valid checkpoint.  Creates the directory on first use.  The
+  /// bytes always equal serialize_checkpoint(cp, kind, fingerprint).
+  ///
+  /// Precondition for the row cache: between two saves of one dataset its
+  /// measurements only grow at the end; rows already saved stay as they
+  /// were.  The store formats only rows past the last save's count, and
+  /// starts over (formats every row) when the kind or fingerprint differs,
+  /// the count shrank, or the last saved row's (when, src, dst, episode) no
+  /// longer matches the row at that index.
   [[nodiscard]] Status save(const CampaignCheckpoint& cp, MeasurementKind kind,
                             std::uint64_t fingerprint);
 
@@ -98,10 +115,40 @@ class CheckpointStore {
                                             int generation) const;
 
  private:
+  /// Identifies a measurement row for the row cache's reset guard.
+  struct RowKey {
+    SimTime when;
+    topo::HostId src;
+    topo::HostId dst;
+    std::int32_t episode = -1;
+
+    [[nodiscard]] static RowKey of(const Measurement& m) {
+      return RowKey{m.when, m.src, m.dst, m.episode};
+    }
+    [[nodiscard]] bool operator==(const RowKey&) const = default;
+  };
+
+  /// The measurement rows one dataset's saves have formatted so far.
+  struct RowCache {
+    MeasurementKind kind = MeasurementKind::kTraceroute;
+    std::uint64_t fingerprint = 0;
+    std::vector<std::string> chunks;  // append_measurement rows [0, count)
+    std::size_t bytes = 0;            // total size of the chunks
+    std::size_t count = 0;
+    std::uint32_t crc = 0;  // crc32 of the chunks' concatenation
+    RowKey last{};          // key of row count - 1
+
+    /// Whether `cp` keeps these rows as its first `count` (see save()).
+    [[nodiscard]] bool extends(const CampaignCheckpoint& cp,
+                               MeasurementKind cp_kind,
+                               std::uint64_t cp_fingerprint) const;
+  };
+
   std::string dir_;
   // Next generation index per dataset; seeded from disk on first save so a
   // resumed process keeps alternating instead of clobbering the newest file.
   std::map<std::string, int> next_generation_;
+  std::map<std::string, RowCache> rows_;  // per dataset
 };
 
 }  // namespace pathsel::meas

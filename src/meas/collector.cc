@@ -94,12 +94,12 @@ class Campaign {
   }
 
   Result<Dataset> run(const CollectControls& controls,
-                      const CampaignCheckpoint* resume) {
+                      std::optional<CampaignCheckpoint> resume) {
     threads_ = controls.threads;
-    if (resume == nullptr) {
+    if (!resume.has_value()) {
       schedule_initial();
     } else {
-      const Status restored = restore(*resume);
+      const Status restored = restore(std::move(*resume));
       if (!restored.is_ok()) return restored;
     }
 
@@ -112,16 +112,14 @@ class Campaign {
     while (!heap_.empty() && !(end_ < heap_.front().t)) {
       if (controls.cancel != nullptr && controls.cancel->cancelled()) {
         if (controls.on_checkpoint != nullptr) {
-          resolve_pending();
-          const Status saved = controls.on_checkpoint(snapshot());
+          const Status saved = checkpoint(controls);
           if (!saved.is_ok()) return saved;
         }
         return controls.cancel->status();
       }
       dispatch(pop_event());
       if (checkpointing && !(now_ < next_checkpoint)) {
-        resolve_pending();
-        const Status saved = controls.on_checkpoint(snapshot());
+        const Status saved = checkpoint(controls);
         if (!saved.is_ok()) return saved;
         while (!(now_ < next_checkpoint)) {
           next_checkpoint = next_checkpoint + controls.checkpoint_interval;
@@ -237,6 +235,19 @@ class Campaign {
 
   // --- checkpoint ------------------------------------------------------------
 
+  // Resolves the recorded probes and hands on_checkpoint a snapshot.  The
+  // measurements are lent, not copied: moved into the snapshot for the call
+  // and back out after it.
+  [[nodiscard]] Status checkpoint(const CollectControls& controls) {
+    resolve_pending();
+    CampaignCheckpoint cp = snapshot();
+    cp.measurements = std::move(dataset_.measurements);
+    const Status saved = controls.on_checkpoint(cp);
+    dataset_.measurements = std::move(cp.measurements);
+    return saved;
+  }
+
+  // Everything but the measurements (see checkpoint()).
   [[nodiscard]] CampaignCheckpoint snapshot() const {
     CampaignCheckpoint cp;
     cp.dataset_name = dataset_.name;
@@ -254,11 +265,11 @@ class Campaign {
               [](const CampaignEvent& a, const CampaignEvent& b) {
                 return a.t != b.t ? a.t < b.t : a.seq < b.seq;
               });
-    cp.measurements = dataset_.measurements;
     return cp;
   }
 
-  [[nodiscard]] Status restore(const CampaignCheckpoint& cp) {
+  // Takes the checkpoint's measurements and pending events over.
+  [[nodiscard]] Status restore(CampaignCheckpoint&& cp) {
     auto mismatch = [](const std::string& what) {
       return Status::error(ErrorCode::kInvalidArgument,
                            "checkpoint does not match this campaign: " + what);
@@ -279,7 +290,7 @@ class Campaign {
     now_ = cp.now;
     next_seq_ = cp.next_seq;
     dataset_.episode_count = cp.episode_count;
-    dataset_.measurements = cp.measurements;
+    dataset_.measurements = std::move(cp.measurements);
     rng_.restore(cp.rng_state);
     server_rngs_.clear();
     for (const auto& state : cp.server_rng_states) {
@@ -287,7 +298,7 @@ class Campaign {
       r.restore(state);
       server_rngs_.push_back(r);
     }
-    heap_ = cp.pending;
+    heap_ = std::move(cp.pending);
     std::make_heap(heap_.begin(), heap_.end(), FiresLater{});
     if (injector_.has_value()) {
       // Routed state is a pure function of the inter-transition epoch, so
@@ -556,10 +567,10 @@ Result<Dataset> collect_resumable(const sim::Network& network,
                                   const CollectorConfig& config,
                                   std::string name,
                                   const CollectControls& controls,
-                                  const CampaignCheckpoint* resume) {
+                                  std::optional<CampaignCheckpoint> resume) {
   ScopedTimer timer{"meas.collect"};
   Campaign campaign{network, std::move(hosts), config, std::move(name)};
-  return campaign.run(controls, resume);
+  return campaign.run(controls, std::move(resume));
 }
 
 }  // namespace pathsel::meas

@@ -35,6 +35,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -141,7 +142,9 @@ struct CollectControls {
   /// time, so they are deterministic across runs.
   Duration checkpoint_interval{};
   /// Called with each snapshot (periodic and the final one on cancellation).
-  /// A non-ok return aborts the run with that status.  May be null.
+  /// A non-ok return aborts the run with that status.  May be null.  The
+  /// snapshot's measurements are the run's own, lent for the call: a caller
+  /// that keeps the snapshot past the call must copy it.
   std::function<Status(const CampaignCheckpoint&)> on_checkpoint;
   /// Executors resolving fault-free probes; 0 means default_thread_count().
   /// The dataset and every checkpoint are byte-identical at any value.
@@ -154,15 +157,16 @@ struct CollectControls {
                               const CollectorConfig& config, std::string name);
 
 /// collect() with cancellation, periodic checkpoints, and optional resume.
-/// `resume` (nullable) must come from a run with the same network, hosts,
+/// `resume` (optional) must come from a run with the same network, hosts,
 /// and config — meas/checkpoint fingerprints files to enforce this, and the
 /// collector cross-checks what it can (host/RNG-stream counts, the fault
 /// injector epoch) and fails with kInvalidArgument on mismatch.  A resumed run
-/// produces a byte-identical dataset to an uninterrupted one.
+/// produces a byte-identical dataset to an uninterrupted one.  The run takes
+/// the checkpoint over (move it in), so its measurements are never copied.
 [[nodiscard]] Result<Dataset> collect_resumable(
     const sim::Network& network, std::vector<topo::HostId> hosts,
     const CollectorConfig& config, std::string name,
     const CollectControls& controls,
-    const CampaignCheckpoint* resume = nullptr);
+    std::optional<CampaignCheckpoint> resume = std::nullopt);
 
 }  // namespace pathsel::meas

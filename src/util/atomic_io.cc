@@ -29,6 +29,28 @@ std::array<std::uint32_t, 256> make_crc_table() noexcept {
   return table;
 }
 
+// The product a(x) b(x) mod P(x) in the reflected bit order crc32 uses (bit
+// 31 is the x^0 coefficient).
+std::uint32_t mult_mod_p(std::uint32_t a, std::uint32_t b) noexcept {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1U << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) product ^= b;
+    b = (b & 1U) != 0 ? 0xEDB88320U ^ (b >> 1) : b >> 1;
+  }
+  return product;
+}
+
+// x^(2^k) mod P(x) for k = 0..31.
+std::array<std::uint32_t, 32> make_x2n_table() noexcept {
+  std::array<std::uint32_t, 32> table{};
+  std::uint32_t p = 1U << 30;  // x^1
+  for (std::uint32_t& entry : table) {
+    entry = p;
+    p = mult_mod_p(p, p);
+  }
+  return table;
+}
+
 Status io_error(const std::string& what, const std::string& path) {
   return Status::error(ErrorCode::kIoError,
                        what + " " + path + ": " + std::strerror(errno));
@@ -63,37 +85,59 @@ std::uint32_t crc32(std::string_view bytes, std::uint32_t prior) noexcept {
   return c ^ 0xFFFFFFFFU;
 }
 
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t len_b) noexcept {
+  // Appending len_b bytes multiplies a's register by x^(8 len_b); the
+  // conditioning of the two CRCs cancels, so the product xors with crc_b.
+  // x's multiplicative order mod P divides 2^32 - 1, so x^(2^k) repeats
+  // with period 32 in k and the table index wraps.
+  static const std::array<std::uint32_t, 32> x2n = make_x2n_table();
+  std::uint32_t shift = 1U << 31;  // x^0
+  for (std::size_t k = 3; len_b != 0; len_b >>= 1, ++k) {
+    if ((len_b & 1U) != 0) shift = mult_mod_p(x2n[k % x2n.size()], shift);
+  }
+  return mult_mod_p(shift, crc_a) ^ crc_b;
+}
+
 Status write_file_atomic(const std::string& path, std::string_view contents) {
+  return write_file_atomic(path,
+                           std::span<const std::string_view>{&contents, 1});
+}
+
+Status write_file_atomic(const std::string& path,
+                         std::span<const std::string_view> parts) {
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return io_error("cannot open", tmp);
 
-  const char* data = contents.data();
-  std::size_t left = contents.size();
   std::size_t written = 0;
-  while (left > 0) {
-    if (g_write_cap_bytes != 0 && written >= g_write_cap_bytes) {
-      errno = ENOSPC;  // injected disk-full (see set_write_file_cap_for_testing)
-      const Status s = io_error("cannot write", tmp);
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return s;
+  for (const std::string_view part : parts) {
+    const char* data = part.data();
+    std::size_t left = part.size();
+    while (left > 0) {
+      if (g_write_cap_bytes != 0 && written >= g_write_cap_bytes) {
+        errno = ENOSPC;  // injected disk-full (set_write_file_cap_for_testing)
+        const Status s = io_error("cannot write", tmp);
+        ::close(fd);
+        ::unlink(tmp.c_str());
+        return s;
+      }
+      std::size_t attempt = left;
+      if (g_write_cap_bytes != 0) {
+        attempt = std::min(attempt, g_write_cap_bytes - written);
+      }
+      const ssize_t n = ::write(fd, data, attempt);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        const Status s = io_error("cannot write", tmp);
+        ::close(fd);
+        ::unlink(tmp.c_str());
+        return s;
+      }
+      data += n;
+      left -= static_cast<std::size_t>(n);
+      written += static_cast<std::size_t>(n);
     }
-    std::size_t attempt = left;
-    if (g_write_cap_bytes != 0) {
-      attempt = std::min(attempt, g_write_cap_bytes - written);
-    }
-    const ssize_t n = ::write(fd, data, attempt);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const Status s = io_error("cannot write", tmp);
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return s;
-    }
-    data += n;
-    left -= static_cast<std::size_t>(n);
-    written += static_cast<std::size_t>(n);
   }
   if (::fsync(fd) != 0) {
     const Status s = io_error("cannot fsync", tmp);

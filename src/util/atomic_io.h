@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -29,11 +30,22 @@ namespace pathsel {
 [[nodiscard]] std::uint32_t crc32(std::string_view bytes,
                                   std::uint32_t prior = 0) noexcept;
 
+/// The CRC-32 of a + b from crc32(a), crc32(b) and b.size(), without reading
+/// either: crc32_combine(crc32(a), crc32(b), b.size()) == crc32(a + b).
+/// Costs O(log len_b) GF(2) polynomial products (zlib's x^(8 len) mod P).
+[[nodiscard]] std::uint32_t crc32_combine(std::uint32_t crc_a,
+                                          std::uint32_t crc_b,
+                                          std::uint64_t len_b) noexcept;
+
 /// Writes `contents` to `path` atomically: tmp file + fsync + rename +
 /// directory fsync.  On any failure the destination is untouched and the tmp
 /// file is removed (best effort).
 [[nodiscard]] Status write_file_atomic(const std::string& path,
                                        std::string_view contents);
+
+/// write_file_atomic of the concatenation of `parts`, without building it.
+[[nodiscard]] Status write_file_atomic(const std::string& path,
+                                       std::span<const std::string_view> parts);
 
 /// Reads a whole file; kIoError if it cannot be opened or read.
 [[nodiscard]] Result<std::string> read_file(const std::string& path);

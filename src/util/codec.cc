@@ -7,20 +7,6 @@
 
 namespace pathsel::codec {
 
-namespace {
-
-void append_trailer(std::string& out, std::uint32_t crc, CrcRadix radix) {
-  out += "crc ";
-  if (radix == CrcRadix::kHex) {
-    append_text(out, Hex{crc, 8});
-  } else {
-    append_text(out, crc);
-  }
-  out += '\n';
-}
-
-}  // namespace
-
 std::string Writer::seal() && {
   put_u32(crc32(bytes_));
   return std::move(bytes_);
@@ -69,6 +55,16 @@ void append_text(std::string& out, Hex v) {
   const auto len = static_cast<int>(r.ptr - buf);
   if (len < v.digits) out.append(static_cast<std::size_t>(v.digits - len), '0');
   out.append(buf, r.ptr);
+}
+
+void append_trailer(std::string& out, std::uint32_t crc, CrcRadix radix) {
+  out += "crc ";
+  if (radix == CrcRadix::kHex) {
+    append_text(out, Hex{crc, 8});
+  } else {
+    append_text(out, crc);
+  }
+  out += '\n';
 }
 
 void seal_text(std::string& text, CrcRadix radix) {

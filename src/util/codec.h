@@ -359,6 +359,10 @@ enum class CrcRadix { kDecimal, kHex };
 /// Appends the trailer line "crc <n>\n", where n is the crc32 of `text`.
 void seal_text(std::string& text, CrcRadix radix);
 
+/// Appends the trailer line seal_text would append to a payload whose crc32
+/// is `crc`, for a writer that keeps its payload in pieces.
+void append_trailer(std::string& out, std::uint32_t crc, CrcRadix radix);
+
 /// The payload of sealed text (everything before its last line), or nullopt
 /// unless the text ends in '\n' and its last line is exactly the trailer
 /// seal_text appends to that payload: a trailer spelled any other way, with

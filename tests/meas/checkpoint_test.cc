@@ -1,6 +1,7 @@
 // Crash-safety tests for the checkpoint format and store: self-CRC'd files,
-// torn/truncated/corrupt candidates discarded, and alternating generations
-// with fallback, also across a reopened store.  The torn-checkpoint sweep
+// torn/truncated/corrupt candidates discarded, alternating generations with
+// fallback, also across a reopened store, and a differential check of the
+// store's row cache against serialize_checkpoint.  The torn-checkpoint sweep
 // extends the adversarial-input fuzz corpus (serialize_fuzz_test covers the
 // dataset files themselves).
 #include "meas/checkpoint.h"
@@ -8,13 +9,16 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "test_util.h"
 #include "util/atomic_io.h"
+#include "util/metrics.h"
 
 namespace pathsel::meas {
 namespace {
@@ -287,6 +291,154 @@ TEST(Checkpoint, StaleFingerprintGenerationIsDiscarded) {
   EXPECT_FALSE(load.checkpoint.has_value());
   ASSERT_EQ(load.discarded.size(), 1u);
   EXPECT_NE(load.discarded[0].find("fingerprint"), std::string::npos);
+}
+
+// --- differential row-cache test -------------------------------------------
+
+std::uint64_t counter(std::string_view name) {
+  const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
+  for (const auto& [key, value] : snap.counters) {
+    if (key == name) return value;
+  }
+  return 0;
+}
+
+// Row i of a synthetic campaign: distinct (when, src, dst), and every fourth
+// row a retried failure.
+Measurement row(std::size_t i) {
+  const auto n = static_cast<std::int32_t>(i);
+  Measurement m;
+  m.when = SimTime::at(Duration::millis(1000 * n + 7));
+  m.src = topo::HostId{n % 3};
+  m.dst = topo::HostId{(n + 1) % 3};
+  m.completed = i % 4 != 3;
+  if (m.completed) {
+    for (std::size_t k = 0; k < m.samples.size(); ++k) {
+      m.samples[k].lost = (i + k) % 5 == 0;
+      m.samples[k].rtt_ms = 10.0 + 0.25 * static_cast<double>(i + k);
+    }
+    m.as_path = {topo::AsId{1}, topo::AsId{n % 7 + 2}};
+    m.bandwidth_kBps = 100.0 + static_cast<double>(i);
+    m.tcp_rtt_ms = 40.5;
+    m.tcp_loss_rate = 0.01 * static_cast<double>(i % 3);
+  } else {
+    m.failure = FailureReason::kEndpointDown;
+    m.attempts = 3;
+  }
+  return m;
+}
+
+// Saves checkpoints through one store and checks each generation file it
+// writes against serialize_checkpoint, and the rows each save formats.
+class StoreDifferential {
+ public:
+  explicit StoreDifferential(std::string dir)
+      : dir_{std::move(dir)}, store_{dir_} {
+    MetricsRegistry::global().enable();
+  }
+  ~StoreDifferential() { MetricsRegistry::global().enable(was_enabled_); }
+  StoreDifferential(const StoreDifferential&) = delete;
+  StoreDifferential& operator=(const StoreDifferential&) = delete;
+
+  // A new store on the same directory, as a resumed process opens it.
+  void reopen() { store_ = CheckpointStore{dir_}; }
+
+  // A checkpoint of `dataset` at save number `step`: the state, RNG and
+  // pending lines change with every step; the rows are row(0..count-1).
+  static CampaignCheckpoint at(const std::string& dataset, int step,
+                               std::size_t count) {
+    CampaignCheckpoint cp;
+    cp.dataset_name = dataset;
+    cp.now = SimTime::at(Duration::millis(60'000 * step));
+    cp.next_seq = 100 + static_cast<std::uint64_t>(step);
+    cp.episode_count = step;
+    cp.rng_state = {static_cast<std::uint64_t>(step), 2, 3, 4};
+    cp.injector_epoch = static_cast<std::uint64_t>(step % 3);
+    for (int e = 0; e < step % 3; ++e) {
+      CampaignEvent ev;
+      ev.t = cp.now + Duration::seconds(30 + e);
+      ev.seq = cp.next_seq - 1 - static_cast<std::uint64_t>(e);
+      ev.kind = CampaignEventKind::kRetry;
+      ev.a = e;
+      ev.b = e + 1;
+      ev.first = cp.now;
+      ev.tried = 1;
+      cp.pending.push_back(ev);
+    }
+    for (std::size_t i = 0; i < count; ++i) cp.measurements.push_back(row(i));
+    return cp;
+  }
+
+  void save(const CampaignCheckpoint& cp, MeasurementKind kind,
+            std::uint64_t fingerprint, std::uint64_t expect_formatted) {
+    SCOPED_TRACE(cp.dataset_name + " at now_ms " +
+                 std::to_string(cp.now.since_start().total_millis()));
+    const std::uint64_t rows_before = counter("meas.checkpoint.rows_formatted");
+    const std::uint64_t bytes_before =
+        counter("meas.checkpoint.bytes_written");
+    ASSERT_TRUE(store_.save(cp, kind, fingerprint).is_ok());
+    int& generation = next_generation_[cp.dataset_name];
+    const Result<std::string> written =
+        read_file(store_.generation_path(cp.dataset_name, generation));
+    generation = 1 - generation;
+    ASSERT_TRUE(written.is_ok()) << written.status().message();
+    EXPECT_TRUE(written.value() == serialize_checkpoint(cp, kind, fingerprint))
+        << "the saved file differs from serialize_checkpoint";
+    EXPECT_EQ(counter("meas.checkpoint.rows_formatted") - rows_before,
+              expect_formatted);
+    EXPECT_EQ(counter("meas.checkpoint.bytes_written") - bytes_before,
+              written.value().size());
+  }
+
+ private:
+  bool was_enabled_ = MetricsRegistry::global().enabled();
+  std::string dir_;
+  CheckpointStore store_;
+  std::map<std::string, int> next_generation_;  // as the store alternates
+};
+
+TEST(CheckpointStoreRows, EverySaveEqualsTheFullSerializer) {
+  constexpr auto kTrace = MeasurementKind::kTraceroute;
+  StoreDifferential d{fresh_dir("rows")};
+  int step = 0;
+  // Two datasets interleaved, each growing and also saved with no new rows.
+  d.save(d.at("UW3", ++step, 0), kTrace, kFingerprint, 0);
+  d.save(d.at("UW1", ++step, 3), kTrace, kFingerprint, 3);
+  d.save(d.at("UW3", ++step, 5), kTrace, kFingerprint, 5);
+  d.save(d.at("UW3", ++step, 5), kTrace, kFingerprint, 0);
+  d.save(d.at("UW1", ++step, 7), kTrace, kFingerprint, 4);
+  d.save(d.at("UW3", ++step, 12), kTrace, kFingerprint, 7);
+
+  // A shrinking count re-formats every row.
+  d.save(d.at("UW3", ++step, 9), kTrace, kFingerprint, 9);
+
+  // Same count, different last row: re-formats, then appends to the new rows.
+  CampaignCheckpoint edited = d.at("UW3", ++step, 9);
+  edited.measurements.back().when =
+      edited.measurements.back().when + Duration::millis(1);
+  d.save(edited, kTrace, kFingerprint, 9);
+  CampaignCheckpoint grown = d.at("UW3", ++step, 11);
+  grown.measurements[8] = edited.measurements.back();
+  d.save(grown, kTrace, kFingerprint, 2);
+
+  // A changed fingerprint or kind re-formats every row, and so does the
+  // change back.
+  d.save(d.at("UW3", ++step, 11), kTrace, kFingerprint + 1, 11);
+  d.save(d.at("UW3", ++step, 11), MeasurementKind::kTcpTransfer,
+         kFingerprint + 1, 11);
+  d.save(d.at("UW3", ++step, 13), kTrace, kFingerprint, 13);
+  d.save(d.at("UW1", ++step, 8), kTrace, kFingerprint, 1);
+
+  // A reopened store formats everything on its first save of each dataset.
+  d.reopen();
+  d.save(d.at("UW3", ++step, 14), kTrace, kFingerprint, 14);
+  d.save(d.at("UW1", ++step, 8), kTrace, kFingerprint, 8);
+  d.save(d.at("UW3", ++step, 20), kTrace, kFingerprint, 6);
+
+  // Megabytes of rows, so the cached text spans several chunks.
+  d.save(d.at("UW3", ++step, 25'000), kTrace, kFingerprint, 24'980);
+  d.save(d.at("UW3", ++step, 25'000), kTrace, kFingerprint, 0);
+  d.save(d.at("UW3", ++step, 50'001), kTrace, kFingerprint, 25'001);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -127,13 +128,13 @@ TEST(CollectorThreads, CheckpointSnapshotsIndependentOfThreadCount) {
     }
 
     const CollectorConfig cfg = config_for(c);
-    const Result<CampaignCheckpoint> middle = parse_checkpoint(
+    Result<CampaignCheckpoint> middle = parse_checkpoint(
         serial.checkpoints[serial.checkpoints.size() / 2], cfg.kind, 0);
     ASSERT_TRUE(middle.is_ok()) << middle.status().message();
     CollectControls controls;
     controls.threads = 4;
     const Result<Dataset> resumed = collect_resumable(
-        net, first_hosts(10), cfg, c.name, controls, &middle.value());
+        net, first_hosts(10), cfg, c.name, controls, std::move(middle.value()));
     ASSERT_TRUE(resumed.is_ok()) << resumed.status().message();
     EXPECT_TRUE(dataset_bytes(resumed.value()) == serial.bytes)
         << c.name << ": resume from a periodic snapshot differs";
@@ -177,7 +178,7 @@ TEST(CollectorThreads, CancelAtFourThreadsResumeAtOne) {
     resume_controls.threads = 1;
     const Result<Dataset> resumed =
         collect_resumable(net, first_hosts(10), cfg, c.name, resume_controls,
-                          &snapshots.back());
+                          std::move(snapshots.back()));
     ASSERT_TRUE(resumed.is_ok()) << resumed.status().message();
     EXPECT_TRUE(dataset_bytes(resumed.value()) == expected)
         << "resume after a cancel at " << deadline_s << " s differs";

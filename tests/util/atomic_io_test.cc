@@ -1,12 +1,18 @@
-// util/atomic_io unit tests: CRC-32 known-answer vectors and the
-// write_file_atomic failure contract — every failure path must surface as a
-// clean Status with the destination untouched and the tmp file removed.
+// util/atomic_io unit tests: CRC-32 known-answer vectors, crc32_combine
+// against the CRC of the whole buffer, and the write_file_atomic failure
+// contract — every failure path must surface as a clean Status with the
+// destination untouched and the tmp file removed.
 #include "util/atomic_io.h"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <array>
 #include <string>
+#include <string_view>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace pathsel {
 namespace {
@@ -49,6 +55,44 @@ TEST(AtomicIoCrc32, SensitiveToEveryByte) {
   }
   // Length-extension sensitivity: one appended NUL changes the checksum.
   EXPECT_NE(crc32(base + std::string(1, '\0')), reference);
+}
+
+TEST(AtomicIoCrc32, CombineMatchesTheWholeBuffer) {
+  Rng rng{25};
+  for (const std::size_t size :
+       {std::size_t{0}, std::size_t{1}, std::size_t{9}, std::size_t{4096},
+        std::size_t{65'537}, std::size_t{(3 << 20) + 5}}) {
+    std::string bytes(size, '\0');
+    for (char& c : bytes) c = static_cast<char>(rng.next_u64() & 0xFFU);
+    const std::string_view whole{bytes};
+    const std::uint32_t expected = crc32(whole);
+    // Both empty halves, then seeded random cuts.
+    std::vector<std::size_t> cuts{0, size};
+    for (int i = 0; i < 4 && size > 0; ++i) cuts.push_back(rng.index(size + 1));
+    for (const std::size_t cut : cuts) {
+      const std::string_view a = whole.substr(0, cut);
+      const std::string_view b = whole.substr(cut);
+      EXPECT_EQ(crc32_combine(crc32(a), crc32(b), b.size()), expected)
+          << size << " bytes split at " << cut;
+    }
+  }
+}
+
+TEST(AtomicIoCrc32, CombineIsAssociativeAtHugeLengths) {
+  // Lengths of 2^32 bytes and more exercise the wrap of the x^(2^k) table;
+  // splitting a + b + c either way must agree.
+  Rng rng{26};
+  for (const std::uint64_t len_b :
+       {std::uint64_t{1} << 32, (std::uint64_t{1} << 40) + 3,
+        ~std::uint64_t{0} >> 2}) {
+    const auto a = static_cast<std::uint32_t>(rng.next_u64());
+    const auto b = static_cast<std::uint32_t>(rng.next_u64());
+    const auto c = static_cast<std::uint32_t>(rng.next_u64());
+    const std::uint64_t len_c = rng.next_u64() >> 8;
+    EXPECT_EQ(crc32_combine(crc32_combine(a, b, len_b), c, len_c),
+              crc32_combine(a, crc32_combine(b, c, len_c), len_b + len_c))
+        << len_b;
+  }
 }
 
 TEST(AtomicIoWrite, RoundTripsAndReplacesAtomically) {
@@ -111,6 +155,27 @@ TEST(AtomicIoWrite, ShortWriteLeavesDestinationAndRemovesTmp) {
   // Under the cap the write succeeds again (the guard resets to unlimited,
   // but a small write under a live cap must also pass).
   ASSERT_TRUE(write_file_atomic(path, "ok").is_ok());
+}
+
+TEST(AtomicIoWrite, PartsWriteTheirConcatenation) {
+  const CapGuard guard;
+  const std::string path = ::testing::TempDir() + "/atomic_io_parts";
+  const std::array<std::string_view, 5> parts{"", "head\n", "", "rows\n",
+                                              "crc 1\n"};
+  ASSERT_TRUE(write_file_atomic(path, parts).is_ok());
+  Result<std::string> read = read_file(path);
+  ASSERT_TRUE(read.is_ok());
+  EXPECT_EQ(read.value(), "head\nrows\ncrc 1\n");
+
+  // A disk that fills inside a later part fails the whole write cleanly.
+  set_write_file_cap_for_testing(7);
+  ASSERT_FALSE(write_file_atomic(path, std::array<std::string_view, 2>{
+                                           "abcde", "fghij"})
+                   .is_ok());
+  read = read_file(path);
+  ASSERT_TRUE(read.is_ok());
+  EXPECT_EQ(read.value(), "head\nrows\ncrc 1\n");
+  EXPECT_FALSE(exists(path + ".tmp"));
 }
 
 TEST(AtomicIoWrite, EmptyContentsAreValid) {
