@@ -126,7 +126,7 @@ void run() {
   for (const double intensity : {0.0, 0.05, 0.15, 0.30}) {
     const sim::FaultPlan plan{
         sim::FaultConfig::at_intensity(intensity), net.topology(), trace};
-    const auto replayed = sim::replay_survivability(net, plan, specs, {});
+    const auto replayed = sim::replay_survivability(net, plan, specs);
     if (!replayed.is_ok()) {
       mean_table.add_row({Table::pct(intensity), "-", "-", "-", "-",
                           replayed.status().to_string()});

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <limits>
 
+#include "core/result_columns.h"
 #include "util/expect.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
@@ -369,6 +370,16 @@ std::string render_disjoint_rows(std::span<const PairDisjointResult> results,
     out += row;
   }
   return out;
+}
+
+std::string render_disjoint_header(const std::string& dataset,
+                                   const DisjointOptions& options,
+                                   int min_samples) {
+  return "# disjoint alternates: dataset=" + dataset +
+         " mode=" + to_string(options.mode) +
+         " k=" + std::to_string(options.k) +
+         " metric=" + metric_name(options.metric) +
+         " min_samples=" + std::to_string(min_samples) + "\n";
 }
 
 }  // namespace pathsel::core

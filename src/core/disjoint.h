@@ -133,4 +133,11 @@ compute_disjoint_alternates(const PathTable& table,
 [[nodiscard]] std::string render_disjoint_rows(
     std::span<const PairDisjointResult> results, char sep);
 
+/// The `# disjoint alternates: dataset=... mode=... k=... metric=...
+/// min_samples=...` line (newline included) that heads every
+/// `.disjoint.tsv` report, campaign and matrix cell alike.
+[[nodiscard]] std::string render_disjoint_header(const std::string& dataset,
+                                                 const DisjointOptions& options,
+                                                 int min_samples);
+
 }  // namespace pathsel::core

@@ -175,11 +175,8 @@ Status analyze_cell(const CellContext& ctx, const CellSpec& cell,
     const double n = results.empty() ? 1.0 : static_cast<double>(results.size());
     summary.better = static_cast<double>(beats) / n;
     summary.found_full = static_cast<double>(full) / n;
-    std::string tsv = "# disjoint alternates: dataset=" + cell.dataset +
-                      " mode=" + core::to_string(opt.mode) +
-                      " k=" + std::to_string(opt.k) + " metric=" +
-                      core::metric_name(cell.metric) + " min_samples=" +
-                      std::to_string(summary.min_samples) + "\n";
+    std::string tsv =
+        core::render_disjoint_header(cell.dataset, opt, summary.min_samples);
     tsv += core::render_disjoint_rows(results, '\t');
     return write_artifact(ctx, summary, cell_rel_dir + "/disjoint.tsv", tsv);
   }

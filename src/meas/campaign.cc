@@ -1,5 +1,6 @@
 #include "meas/campaign.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <unordered_map>
 #include <unordered_set>
@@ -30,8 +31,8 @@ std::vector<std::string> expand_datasets(
   std::unordered_set<std::string> want{requested.begin(), requested.end()};
   for (const std::string& name : requested) {
     // Derived datasets are filtered views of their parents.
-    if (name == "D2-NA") want.insert("D2");
-    if (name == "N2-NA") want.insert("N2");
+    const std::string_view parent = Catalog::parent_of(name);
+    if (!parent.empty()) want.emplace(parent);
   }
   std::vector<std::string> out;
   for (const std::string& name : all) {
@@ -73,10 +74,18 @@ CampaignReport run_campaign(const CampaignOptions& options) {
   const std::vector<std::string> names = expand_datasets(options.datasets);
   const bool checkpointing = !options.checkpoint_dir.empty();
   std::size_t checkpoint_writes = 0;
-  // Parents collected (or reloaded) this run, for subset derivation.
+  // Datasets collected this run that a later entry still derives a subset
+  // from; every other collection is dropped once it is written.
   std::unordered_map<std::string, Dataset> produced;
+  const auto derived_after = [&names](std::size_t i, std::string_view parent) {
+    return std::any_of(names.begin() + static_cast<std::ptrdiff_t>(i + 1),
+                       names.end(), [parent](const std::string& later) {
+                         return Catalog::parent_of(later) == parent;
+                       });
+  };
 
-  for (const std::string& name : names) {
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const std::string& name = names[i];
     if (options.cancel != nullptr && options.cancel->cancelled()) {
       report.status = options.cancel->status();
       return report;
@@ -111,6 +120,7 @@ CampaignReport run_campaign(const CampaignOptions& options) {
         return report;
       }
       report.completed.push_back(name);
+      if (!derived_after(i, spec.parent)) produced.erase(spec.parent);
       continue;
     }
 
@@ -173,7 +183,9 @@ CampaignReport run_campaign(const CampaignOptions& options) {
       return report;
     }
     report.completed.push_back(name);
-    produced.emplace(name, std::move(collected.value()));
+    if (derived_after(i, name)) {
+      produced.emplace(name, std::move(collected.value()));
+    }
   }
 
   return report;

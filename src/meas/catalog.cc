@@ -159,6 +159,12 @@ bool Catalog::is_dataset_name(std::string_view name) {
   return std::find(names.begin(), names.end(), name) != names.end();
 }
 
+std::string_view Catalog::parent_of(std::string_view name) {
+  if (name == "D2-NA") return "D2";
+  if (name == "N2-NA") return "N2";
+  return {};
+}
+
 DatasetSpec Catalog::spec(std::string_view name) {
   DatasetSpec s;
   s.name = name;
@@ -191,9 +197,10 @@ DatasetSpec Catalog::spec(std::string_view name) {
     s.config.availability.dead_fraction = 0.04;
     return s;
   }
-  if (name == "D2-NA" || name == "N2-NA") {
+  if (const std::string_view parent_name = parent_of(name);
+      !parent_name.empty()) {
     // The paper's restriction of D2/N2 to their North American hosts.
-    const DatasetSpec parent = spec(name == "D2-NA" ? "D2" : "N2");
+    const DatasetSpec parent = spec(parent_name);
     s.parent = parent.name;
     s.uses_world95 = true;
     s.config = parent.config;

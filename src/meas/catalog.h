@@ -89,6 +89,10 @@ class Catalog {
   /// dataset_names() / is_dataset_name() to validate user input first).
   [[nodiscard]] DatasetSpec spec(std::string_view name);
   [[nodiscard]] static bool is_dataset_name(std::string_view name);
+  /// The dataset a derived name filters ("D2" for "D2-NA", "N2" for
+  /// "N2-NA"); empty for a primary dataset.  spec(name).parent without
+  /// building a world.
+  [[nodiscard]] static std::string_view parent_of(std::string_view name);
 
   /// Prepares a primary (non-derived) spec for collection: resolves the
   /// world, builds the fault plan at the catalog's fault intensity (enabling

@@ -22,6 +22,15 @@ namespace {
   return ::access(path.c_str(), F_OK) == 0;
 }
 
+// Folds one update into its edge's running statistics: the probe counts
+// towards loss, and towards RTT only when it came back.  Journal replay and
+// live apply share it, so a recovered edge matches the one that crashed.
+void fold_update(core::PathEdge& edge, const EdgeUpdate& update) {
+  edge.loss.add(update.lost ? 1.0 : 0.0);
+  if (!update.lost) edge.rtt.add(update.rtt_ms);
+  ++edge.invocations;
+}
+
 }  // namespace
 
 std::uint64_t ServeEngine::compute_fingerprint(const meas::Dataset& dataset,
@@ -209,9 +218,7 @@ Status ServeEngine::recover_journal() {
               std::to_string(update.a.value()) + ", " +
               std::to_string(update.b.value()) + ")");
     }
-    e->loss.add(update.lost ? 1.0 : 0.0);
-    if (!update.lost) e->rtt.add(update.rtt_ms);
-    ++e->invocations;
+    fold_update(*e, update);
     ++expected;
     ++replayed;
   }
@@ -279,9 +286,7 @@ Status ServeEngine::apply_record(const EdgeUpdate& update) {
   }
   core::PathEdge* e = table_.find_mutable(update.a, update.b);
   PATHSEL_EXPECT(e != nullptr, "applied update passed submit validation");
-  e->loss.add(update.lost ? 1.0 : 0.0);
-  if (!update.lost) e->rtt.add(update.rtt_ms);
-  ++e->invocations;
+  fold_update(*e, update);
 
   const std::size_t n = w_rtt_.n;
   const std::size_t ia = table_.host_index(update.a);

@@ -1,11 +1,10 @@
 #include "sim/survivability.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <map>
 
 #include "util/expect.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 
 namespace pathsel::sim {
 
@@ -43,12 +42,6 @@ std::vector<SimTime> build_timeline(const FaultPlan& plan,
   return times;
 }
 
-std::uint64_t hop_key(topo::HostId u, topo::HostId v) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(u.value()))
-          << 32) |
-         static_cast<std::uint32_t>(v.value());
-}
-
 // Per-path (or per-group) accumulator across segments.
 struct RunningAvailability {
   Duration downtime{};
@@ -79,7 +72,7 @@ struct RunningAvailability {
 
 Result<std::vector<PairSurvivability>> replay_survivability(
     const Network& network, const FaultPlan& plan,
-    const std::vector<PairSpec>& pairs, const SurvivabilityOptions& options) {
+    const std::vector<PairSpec>& pairs, const CancelToken* cancel) {
   const Duration trace = plan.trace_duration();
   if (trace <= Duration{}) {
     return Status::error(
@@ -93,6 +86,11 @@ Result<std::vector<PairSurvivability>> replay_survivability(
         return Status::error(ErrorCode::kInvalidArgument,
                              "overlay path '" + p.label +
                                  "' has fewer than two hosts");
+      }
+      if (std::adjacent_find(p.hops.begin(), p.hops.end()) != p.hops.end()) {
+        return Status::error(ErrorCode::kInvalidArgument,
+                             "overlay path '" + p.label +
+                                 "' repeats a host in consecutive hops");
       }
     }
     for (const PathGroup& g : spec.groups) {
@@ -111,88 +109,81 @@ Result<std::vector<PairSurvivability>> replay_survivability(
   const SimTime end = SimTime::start() + trace;
 
   const std::uint64_t replay_start = wall_clock_ns();
+  const ScopedTimer timer{"sim.survivability.replay"};
+  // Each distinct directed hop across all pairs gets one index; path i is
+  // the run path_hops[path_begin[i], path_begin[i + 1]).
+  std::vector<std::pair<topo::HostId, topo::HostId>> hops;
+  std::map<std::pair<topo::HostId, topo::HostId>, std::size_t> hop_index;
+  std::vector<std::size_t> path_hops;
+  std::vector<std::size_t> path_begin{0};
+  std::size_t group_count = 0;
+  for (const PairSpec& spec : pairs) {
+    for (const OverlayPath& p : spec.paths) {
+      for (std::size_t h = 0; h + 1 < p.hops.size(); ++h) {
+        const std::pair hop{p.hops[h], p.hops[h + 1]};
+        const auto [it, added] = hop_index.try_emplace(hop, hops.size());
+        if (added) hops.push_back(hop);
+        path_hops.push_back(it->second);
+      }
+      path_begin.push_back(path_hops.size());
+    }
+    group_count += spec.groups.size();
+  }
+
+  std::vector<RunningAvailability> path_acc(path_begin.size() - 1);
+  std::vector<RunningAvailability> group_acc(group_count);
+  std::vector<char> hop_up(hops.size());
+  std::vector<char> path_up(path_acc.size());
+  FaultInjector injector{network, plan};
+  for (std::size_t s = 0; s < timeline.size(); ++s) {
+    if (cancel != nullptr && cancel->cancelled()) return cancel->status();
+    const SimTime t = timeline[s];
+    const Duration seg = (s + 1 < timeline.size() ? timeline[s + 1] : end) - t;
+    injector.advance_to(t);
+    for (std::size_t h = 0; h < hops.size(); ++h) {
+      const auto [u, v] = hops[h];
+      bool up = !plan.host_crashed(u, t) && !plan.host_crashed(v, t);
+      if (up) {
+        const route::RouterPath& rp = injector.effective_path(u, v);
+        up = rp.valid() && !injector.blackholed(rp, t);
+      }
+      hop_up[h] = up ? 1 : 0;
+    }
+    std::size_t path = 0;
+    std::size_t group = 0;
+    for (const PairSpec& spec : pairs) {
+      const std::size_t first = path;
+      for (; path < first + spec.paths.size(); ++path) {
+        bool up = true;
+        for (std::size_t i = path_begin[path]; i < path_begin[path + 1] && up;
+             ++i) {
+          up = hop_up[path_hops[i]] != 0;
+        }
+        path_up[path] = up ? 1 : 0;
+        path_acc[path].account(up, seg);
+      }
+      for (const PathGroup& g : spec.groups) {
+        const bool up =
+            std::any_of(g.members.begin(), g.members.end(),
+                        [&](std::size_t m) { return path_up[first + m] != 0; });
+        group_acc[group++].account(up, seg);
+      }
+    }
+  }
+
   std::vector<PairSurvivability> results;
-  {
-    const ScopedTimer timer{"sim.survivability.replay"};
-    // Fixed chunks keep the merged output independent of the thread count;
-    // each chunk walks the whole timeline once with its own injector, so
-    // per-pair results are a pure function of (plan, spec).
-    constexpr std::size_t kChunk = 8;
-    ThreadPool& pool = ThreadPool::shared(resolve_thread_count(options.threads));
-    Result<std::vector<PairSurvivability>> swept =
-        pool.map_chunks<PairSurvivability>(
-            pairs.size(), kChunk,
-            [&](std::size_t begin, std::size_t chunk_end, std::size_t) {
-              FaultInjector injector{network, plan};
-              std::vector<std::vector<RunningAvailability>> path_acc;
-              std::vector<std::vector<RunningAvailability>> group_acc;
-              for (std::size_t i = begin; i < chunk_end; ++i) {
-                path_acc.emplace_back(pairs[i].paths.size());
-                group_acc.emplace_back(pairs[i].groups.size());
-              }
-              std::unordered_map<std::uint64_t, bool> hop_up;
-              std::vector<char> path_state;
-              for (std::size_t s = 0; s < timeline.size(); ++s) {
-                const SimTime t = timeline[s];
-                const Duration seg =
-                    (s + 1 < timeline.size() ? timeline[s + 1] : end) - t;
-                injector.advance_to(t);
-                hop_up.clear();
-                for (std::size_t i = begin; i < chunk_end; ++i) {
-                  const PairSpec& spec = pairs[i];
-                  path_state.assign(spec.paths.size(), 0);
-                  for (std::size_t p = 0; p < spec.paths.size(); ++p) {
-                    bool up = true;
-                    const std::vector<topo::HostId>& hops = spec.paths[p].hops;
-                    for (std::size_t h = 0; h + 1 < hops.size() && up; ++h) {
-                      const std::uint64_t key = hop_key(hops[h], hops[h + 1]);
-                      auto it = hop_up.find(key);
-                      if (it == hop_up.end()) {
-                        bool hup = !plan.host_crashed(hops[h], t) &&
-                                   !plan.host_crashed(hops[h + 1], t);
-                        if (hup) {
-                          const route::RouterPath& rp =
-                              injector.effective_path(hops[h], hops[h + 1]);
-                          hup = rp.valid() && !injector.blackholed(rp, t);
-                        }
-                        it = hop_up.emplace(key, hup).first;
-                      }
-                      up = it->second;
-                    }
-                    path_state[p] = up ? 1 : 0;
-                    path_acc[i - begin][p].account(up, seg);
-                  }
-                  for (std::size_t g = 0; g < spec.groups.size(); ++g) {
-                    bool up = false;
-                    for (const std::size_t m : spec.groups[g].members) {
-                      if (path_state[m] != 0) {
-                        up = true;
-                        break;
-                      }
-                    }
-                    group_acc[i - begin][g].account(up, seg);
-                  }
-                }
-              }
-              std::vector<PairSurvivability> local;
-              local.reserve(chunk_end - begin);
-              for (std::size_t i = begin; i < chunk_end; ++i) {
-                PairSurvivability r;
-                for (std::size_t p = 0; p < pairs[i].paths.size(); ++p) {
-                  r.paths.push_back(path_acc[i - begin][p].finish(
-                      pairs[i].paths[p].label, trace));
-                }
-                for (std::size_t g = 0; g < pairs[i].groups.size(); ++g) {
-                  r.groups.push_back(group_acc[i - begin][g].finish(
-                      pairs[i].groups[g].label, trace));
-                }
-                local.push_back(std::move(r));
-              }
-              return local;
-            },
-            options.cancel);
-    if (!swept.is_ok()) return swept.status();
-    results = std::move(swept.value());
+  results.reserve(pairs.size());
+  std::size_t path = 0;
+  std::size_t group = 0;
+  for (const PairSpec& spec : pairs) {
+    PairSurvivability r;
+    for (const OverlayPath& p : spec.paths) {
+      r.paths.push_back(path_acc[path++].finish(p.label, trace));
+    }
+    for (const PathGroup& g : spec.groups) {
+      r.groups.push_back(group_acc[group++].finish(g.label, trace));
+    }
+    results.push_back(std::move(r));
   }
 
   MetricsRegistry& m = MetricsRegistry::global();

@@ -24,12 +24,15 @@
 // segment level, never by aggregating member availabilities (which would
 // overcount overlapping downtime).
 //
-// Determinism: pairs are replayed on the shared ThreadPool in fixed-size
-// chunks merged in index order; each chunk drives its own FaultInjector
-// monotonically through the shared segment timeline, so results are
-// bit-identical for every thread count.  Cancellation is polled between
-// chunks.  This layer deliberately knows nothing about core/ types: callers
-// hand it plain host sequences.
+// Determinism: one serial walk of the segment timeline drives a single
+// FaultInjector.  Each distinct directed hop across all pairs is evaluated
+// once per segment, and every path and group is then scored from those hop
+// states in pair order.  A hop's status at t depends only on the plan and
+// the injector's routing epoch, never on which other pairs share the walk,
+// so each pair's result is a pure function of (plan, spec): replaying a
+// pair alone gives the same bits as replaying it among others.
+// Cancellation is polled once per segment.  This layer deliberately knows
+// nothing about core/ types: callers hand it plain host sequences.
 #pragma once
 
 #include <string>
@@ -44,7 +47,8 @@
 namespace pathsel::sim {
 
 /// One overlay path to score: the full host sequence from source to
-/// destination (at least two hosts; the direct path is just {a, b}).
+/// destination (at least two hosts, no host twice in a row; the direct path
+/// is just {a, b}).
 struct OverlayPath {
   std::string label;
   std::vector<topo::HostId> hops;
@@ -77,23 +81,14 @@ struct PairSurvivability {
   std::vector<PathAvailability> groups;
 };
 
-struct SurvivabilityOptions {
-  /// Worker threads for the per-pair replay; <= 0 means
-  /// util::default_thread_count().  Results are bit-identical for every
-  /// thread count.
-  int threads = 0;
-  /// Optional cancellation; polled between replay chunks.
-  const CancelToken* cancel = nullptr;
-};
-
 /// Replays the plan against every pair's paths and groups.  The plan must
 /// carry a positive trace duration (construct zero-intensity plans with
 /// FaultPlan{FaultConfig::at_intensity(0), topo, duration} rather than
 /// FaultPlan{}); a windowless plan is kInvalidArgument.  A disabled plan
-/// yields availability 1.0 for every path routing can resolve at all.
+/// yields availability 1.0 for every path routing can resolve at all.  A
+/// tripped `cancel` token surfaces as its status, results discarded.
 [[nodiscard]] Result<std::vector<PairSurvivability>> replay_survivability(
     const Network& network, const FaultPlan& plan,
-    const std::vector<PairSpec>& pairs,
-    const SurvivabilityOptions& options = {});
+    const std::vector<PairSpec>& pairs, const CancelToken* cancel = nullptr);
 
 }  // namespace pathsel::sim

@@ -880,6 +880,20 @@ TEST(DisjointRender, RowsMatchPinnedGolden) {
   EXPECT_EQ(csv, swapped);
 }
 
+TEST(DisjointRender, HeaderMatchesPinnedGolden) {
+  // The campaign's and the matrix cells' .disjoint.tsv share this line.
+  EXPECT_EQ(render_disjoint_header("UW3", DisjointOptions{}, 30),
+            "# disjoint alternates: dataset=UW3 mode=link k=2 metric=rtt "
+            "min_samples=30\n");
+  DisjointOptions loss;
+  loss.metric = Metric::kLoss;
+  loss.k = 3;
+  loss.mode = DisjointMode::kNodeDisjoint;
+  EXPECT_EQ(render_disjoint_header("D2-NA", loss, 6),
+            "# disjoint alternates: dataset=D2-NA mode=node k=3 metric=loss "
+            "min_samples=6\n");
+}
+
 TEST(DisjointMetrics, CountersPopulated) {
   MetricsRegistry& m = MetricsRegistry::global();
   m.enable();

@@ -25,6 +25,15 @@ TEST(Catalog, TableOneHostCounts) {
   EXPECT_EQ(cat.by_name("UW4-B").hosts.size(), 15u);
 }
 
+TEST(Catalog, ParentOfMatchesSpec) {
+  Catalog cat{tiny()};
+  for (const std::string& name : Catalog::dataset_names()) {
+    EXPECT_EQ(Catalog::parent_of(name), cat.spec(name).parent) << name;
+  }
+  EXPECT_EQ(Catalog::parent_of("D2-NA"), "D2");
+  EXPECT_EQ(Catalog::parent_of("N2-NA"), "N2");
+}
+
 TEST(Catalog, DatasetKinds) {
   Catalog cat{tiny()};
   EXPECT_EQ(cat.by_name("D2").kind, MeasurementKind::kTraceroute);

@@ -1,6 +1,7 @@
 // Fault-survivability replay: segment-exact availability accounting,
 // cross-checked against dense time sampling, plus the zero-intensity
-// identity, spec validation, thread invariance and cancellation.
+// identity, spec validation, batching invariance, the one-rebuild-per-
+// transition walk and cancellation.
 #include "sim/survivability.h"
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "topo/generator.h"
+#include "util/metrics.h"
 
 namespace pathsel::sim {
 namespace {
@@ -123,7 +125,7 @@ TEST(Survivability, ZeroIntensityIsFullyAvailable) {
   ASSERT_FALSE(specs.empty());
   const FaultPlan plan{FaultConfig::at_intensity(0.0), net.topology(),
                        Duration::days(1)};
-  const auto replayed = replay_survivability(net, plan, specs, {});
+  const auto replayed = replay_survivability(net, plan, specs);
   ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();
   ASSERT_EQ(replayed.value().size(), specs.size());
   for (const PairSurvivability& pair : replayed.value()) {
@@ -144,7 +146,7 @@ TEST(Survivability, WindowlessPlanIsRejected) {
   const std::vector<PairSpec> specs = make_specs(net, 1);
   ASSERT_FALSE(specs.empty());
   const FaultPlan windowless;  // no trace duration to replay over
-  const auto replayed = replay_survivability(net, windowless, specs, {});
+  const auto replayed = replay_survivability(net, windowless, specs);
   ASSERT_FALSE(replayed.is_ok());
   EXPECT_EQ(replayed.status().code(), ErrorCode::kInvalidArgument);
 }
@@ -158,14 +160,21 @@ TEST(Survivability, MalformedSpecsAreRejected) {
 
   PairSpec one_hop;
   one_hop.paths.push_back({"stub", {a}});
-  const auto short_path = replay_survivability(net, plan, {one_hop}, {});
+  const auto short_path = replay_survivability(net, plan, {one_hop});
   ASSERT_FALSE(short_path.is_ok());
   EXPECT_EQ(short_path.status().code(), ErrorCode::kInvalidArgument);
+
+  // Every hop needs two distinct hosts.
+  PairSpec self_hop;
+  self_hop.paths.push_back({"loop", {a, b, b}});
+  const auto repeated = replay_survivability(net, plan, {self_hop});
+  ASSERT_FALSE(repeated.is_ok());
+  EXPECT_EQ(repeated.status().code(), ErrorCode::kInvalidArgument);
 
   PairSpec bad_member;
   bad_member.paths.push_back({"direct", {a, b}});
   bad_member.groups.push_back({"oops", {0, 7}});
-  const auto out_of_range = replay_survivability(net, plan, {bad_member}, {});
+  const auto out_of_range = replay_survivability(net, plan, {bad_member});
   ASSERT_FALSE(out_of_range.is_ok());
   EXPECT_EQ(out_of_range.status().code(), ErrorCode::kInvalidArgument);
 }
@@ -176,7 +185,7 @@ TEST(Survivability, FaultsProduceBoundedAvailability) {
   ASSERT_FALSE(specs.empty());
   const Duration trace = Duration::days(2);
   const FaultPlan plan{FaultConfig::at_intensity(1.0), net.topology(), trace};
-  const auto replayed = replay_survivability(net, plan, specs, {});
+  const auto replayed = replay_survivability(net, plan, specs);
   ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();
   double min_availability = 1.0;
   for (const PairSurvivability& pair : replayed.value()) {
@@ -209,7 +218,7 @@ TEST(Survivability, MatchesDenseTimeSampling) {
   ASSERT_FALSE(specs.empty());
   const Duration trace = Duration::days(1);
   const FaultPlan plan{FaultConfig::at_intensity(0.5), net.topology(), trace};
-  const auto replayed = replay_survivability(net, plan, specs, {});
+  const auto replayed = replay_survivability(net, plan, specs);
   ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();
 
   // 30 s grid: sampling error is at most one grid step per state boundary,
@@ -229,38 +238,77 @@ TEST(Survivability, MatchesDenseTimeSampling) {
   }
 }
 
-TEST(SurvivabilityThreadInvariance, BitIdenticalAcrossThreadCounts) {
+// Bitwise equality: determinism is the contract, not tolerance.
+void expect_same_bits(const PathAvailability& x, const PathAvailability& y) {
+  EXPECT_EQ(x.label, y.label);
+  EXPECT_EQ(x.availability, y.availability) << x.label;
+  EXPECT_EQ(x.downtime, y.downtime) << x.label;
+  EXPECT_EQ(x.outages, y.outages) << x.label;
+}
+
+// The replay shares one hop table across every pair it is given; a pair's
+// result must not depend on which other pairs shared it.
+TEST(SurvivabilityBatchingInvariance, EachPairAloneMatchesAllPairs) {
   const Network net = make_network();
   const std::vector<PairSpec> specs = make_specs(net, 12);
   ASSERT_GT(specs.size(), 8u);
   const FaultPlan plan{FaultConfig::at_intensity(0.5), net.topology(),
                        Duration::days(1)};
-  std::vector<std::vector<PairSurvivability>> runs;
-  for (const int threads : {1, 4, 8}) {
-    SurvivabilityOptions options;
-    options.threads = threads;
-    const auto replayed = replay_survivability(net, plan, specs, options);
-    ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();
-    runs.push_back(replayed.value());
-  }
-  for (std::size_t run = 1; run < runs.size(); ++run) {
-    ASSERT_EQ(runs[run].size(), runs[0].size());
-    for (std::size_t p = 0; p < runs[0].size(); ++p) {
-      const PairSurvivability& x = runs[0][p];
-      const PairSurvivability& y = runs[run][p];
-      ASSERT_EQ(x.paths.size(), y.paths.size());
-      for (std::size_t i = 0; i < x.paths.size(); ++i) {
-        // Bitwise equality: determinism is the contract, not tolerance.
-        EXPECT_EQ(x.paths[i].availability, y.paths[i].availability);
-        EXPECT_EQ(x.paths[i].outages, y.paths[i].outages);
-      }
-      ASSERT_EQ(x.groups.size(), y.groups.size());
-      for (std::size_t g = 0; g < x.groups.size(); ++g) {
-        EXPECT_EQ(x.groups[g].availability, y.groups[g].availability);
-        EXPECT_EQ(x.groups[g].outages, y.groups[g].outages);
-      }
+  const auto all = replay_survivability(net, plan, specs);
+  ASSERT_TRUE(all.is_ok()) << all.status().to_string();
+  ASSERT_EQ(all.value().size(), specs.size());
+  bool any_outage = false;
+  for (std::size_t p = 0; p < specs.size(); ++p) {
+    const auto alone = replay_survivability(net, plan, {specs[p]});
+    ASSERT_TRUE(alone.is_ok()) << alone.status().to_string();
+    ASSERT_EQ(alone.value().size(), 1u);
+    const PairSurvivability& x = all.value()[p];
+    const PairSurvivability& y = alone.value()[0];
+    ASSERT_EQ(x.paths.size(), y.paths.size());
+    for (std::size_t i = 0; i < x.paths.size(); ++i) {
+      expect_same_bits(x.paths[i], y.paths[i]);
+      any_outage = any_outage || x.paths[i].outages > 0;
+    }
+    ASSERT_EQ(x.groups.size(), y.groups.size());
+    for (std::size_t g = 0; g < x.groups.size(); ++g) {
+      expect_same_bits(x.groups[g], y.groups[g]);
     }
   }
+  EXPECT_TRUE(any_outage) << "the plan should take some path down";
+}
+
+// One walk of the timeline drives one injector, so a replay rebuilds the
+// routing tables exactly once per routing transition inside the trace.
+TEST(SurvivabilityRebuilds, OnePerRoutingTransitionInTrace) {
+  const Network net = make_network();
+  const std::vector<PairSpec> specs = make_specs(net, 12);
+  ASSERT_GT(specs.size(), 8u);
+  const Duration trace = Duration::days(1);
+  const FaultPlan plan{FaultConfig::at_intensity(0.5), net.topology(), trace};
+  const SimTime start = SimTime::start();
+  const std::vector<SimTime>& transitions = plan.routing_transitions();
+  const auto in_trace = static_cast<std::uint64_t>(
+      std::count_if(transitions.begin(), transitions.end(), [&](SimTime t) {
+        return start < t && t < start + trace;
+      }));
+  ASSERT_GT(in_trace, 0u);
+
+  const auto rebuilds = [] {
+    for (const auto& [key, value] :
+         MetricsRegistry::global().snapshot().counters) {
+      if (key == "sim.fault.routing_rebuilds") return value;
+    }
+    return std::uint64_t{0};
+  };
+  MetricsRegistry& metrics = MetricsRegistry::global();
+  const bool was_enabled = metrics.enabled();
+  metrics.enable();
+  const std::uint64_t before = rebuilds();
+  const auto replayed = replay_survivability(net, plan, specs);
+  const std::uint64_t after = rebuilds();
+  metrics.enable(was_enabled);
+  ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();
+  EXPECT_EQ(after - before, in_trace);
 }
 
 TEST(SurvivabilityCancel, TrippedTokenSurfacesStatus) {
@@ -271,9 +319,7 @@ TEST(SurvivabilityCancel, TrippedTokenSurfacesStatus) {
                        Duration::days(1)};
   CancelToken token;
   token.cancel();
-  SurvivabilityOptions options;
-  options.cancel = &token;
-  const auto replayed = replay_survivability(net, plan, specs, options);
+  const auto replayed = replay_survivability(net, plan, specs, &token);
   ASSERT_FALSE(replayed.is_ok());
   EXPECT_EQ(replayed.status().code(), ErrorCode::kCancelled);
 }

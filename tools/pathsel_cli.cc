@@ -454,11 +454,7 @@ int write_disjoint_report(const std::string& out_dir, const std::string& name,
                  swept.status().to_string().c_str());
     return exit_code_for(swept.status());
   }
-  std::string tsv;
-  tsv += "# disjoint alternates: dataset=" + name + " mode=" +
-         core::to_string(opt.mode) + " k=" + std::to_string(k) +
-         " metric=rtt min_samples=" + std::to_string(build.min_samples) +
-         "\n";
+  std::string tsv = core::render_disjoint_header(name, opt, build.min_samples);
   tsv += core::render_disjoint_rows(swept.value(), '\t');
   const std::string tsv_path = out_dir + "/" + name + ".disjoint.tsv";
   if (const Status wrote = write_file_atomic(tsv_path, tsv); !wrote.is_ok()) {
