@@ -62,11 +62,8 @@ Result<DegradedAnalysis> analyze_with_coverage(const meas::Dataset& dataset,
                          "dataset has fewer than two hosts");
   }
   if (dataset.kind == meas::MeasurementKind::kTcpTransfer) {
-    // TCP transfers carry no per-probe samples, so every alternate-path
-    // metric (all rtt/loss/propagation-based) would read empty summaries.
     return Status::error(ErrorCode::kInvalidArgument,
-                         "per-probe metrics need a traceroute dataset "
-                         "(use the bandwidth analysis for tcp)");
+                         kPerProbeNeedsTraceroute);
   }
   if (analyze.metric == Metric::kPropagation && !build.keep_samples) {
     return Status::error(ErrorCode::kInvalidArgument,

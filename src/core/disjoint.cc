@@ -252,6 +252,20 @@ PairDisjointResult analyze_pair(const PathTable& table, const Mesh& mesh,
   return result;
 }
 
+// What both entry points check before any work: k within the graph's
+// ceiling, and probe samples to weigh every edge with.
+Status check_inputs(const PathTable& table, int k) {
+  const Status valid = validate_disjoint_k(k, table.hosts().size());
+  if (!valid.is_ok()) return valid;
+  const auto edges = table.edges();
+  if (std::any_of(edges.begin(), edges.end(),
+                  [](const PathEdge& e) { return e.loss.empty(); })) {
+    return Status::error(ErrorCode::kInvalidArgument,
+                         kPerProbeNeedsTraceroute);
+  }
+  return Status::ok();
+}
+
 }  // namespace
 
 const char* to_string(DisjointMode mode) noexcept {
@@ -278,7 +292,7 @@ Status validate_disjoint_k(int k, std::size_t hosts) {
 
 Result<std::vector<PairDisjointResult>> compute_disjoint_alternates(
     const PathTable& table, const DisjointOptions& options) {
-  const Status valid = validate_disjoint_k(options.k, table.hosts().size());
+  const Status valid = check_inputs(table, options.k);
   if (!valid.is_ok()) return valid;
 
   const std::uint64_t sweep_start = wall_clock_ns();
@@ -328,7 +342,7 @@ Result<std::vector<PairDisjointResult>> compute_disjoint_alternates(
 Result<PairDisjointResult> compute_disjoint_for_pair(
     const PathTable& table, const PathEdge& direct,
     const DisjointOptions& options) {
-  const Status valid = validate_disjoint_k(options.k, table.hosts().size());
+  const Status valid = check_inputs(table, options.k);
   if (!valid.is_ok()) return valid;
   if (options.cancel != nullptr && options.cancel->cancelled()) {
     return options.cancel->status();

@@ -50,6 +50,12 @@ struct PathEdge {
   [[nodiscard]] double propagation_ms() const;
 };
 
+/// Why a per-probe analysis (rtt, loss, propagation) refuses a TCP dataset:
+/// its edges hold transfers, and every per-probe summary would be empty.
+inline constexpr const char* kPerProbeNeedsTraceroute =
+    "per-probe metrics need a traceroute dataset "
+    "(use the bandwidth analysis for tcp)";
+
 struct BuildOptions {
   /// Minimum completed measurements per (undirected) path; the paper uses 30.
   int min_samples = 30;

@@ -216,14 +216,16 @@ void FaultPlan::apply_routed_state(topo::Topology& topology, SimTime t) const {
 
 FaultInjector::FaultInjector(const Network& network, const FaultPlan& plan)
     : net_{&network}, plan_{&plan}, topo_{network.topology()} {
+  for (const topo::Link& l : topo_.links()) {
+    PATHSEL_EXPECT(!l.down, "fault injector: the network's links must be up");
+  }
   const SimTime start = SimTime::start();
   const auto& transitions = plan_->routing_transitions();
   while (next_transition_ < transitions.size() &&
          !(start < transitions[next_transition_])) {
     ++next_transition_;
   }
-  plan_->apply_routed_state(topo_, start);
-  rebuild();
+  enter_epoch(start);
 }
 
 void FaultInjector::advance_to(SimTime t) {
@@ -237,21 +239,124 @@ void FaultInjector::advance_to(SimTime t) {
     crossed = true;
   }
   if (crossed) {
-    plan_->apply_routed_state(topo_, t);
-    rebuild();
-    // The constructor's initial build is not an epoch change; only these are.
+    enter_epoch(t);
+    // The constructor's initial epoch is not an epoch change; only these are.
     ++rebuilds_;
     MetricsRegistry::global().count("sim.fault.routing_rebuilds");
   }
 }
 
-void FaultInjector::rebuild() {
-  const ScopedTimer timer{"sim.fault.rebuild"};
-  igp_ = std::make_unique<route::IgpTables>(topo_);
-  bgp_ = std::make_unique<route::BgpTables>(topo_);
-  resolver_ = std::make_unique<route::PathResolver>(topo_, *igp_, *bgp_,
-                                                    net_->config().egress);
-  cache_.clear();
+void FaultInjector::enter_epoch(SimTime t) {
+  plan_->apply_routed_state(topo_, t);
+  resolver_.reset();
+  igp_.reset();
+  bgp_.reset();
+  paths_.clear();
+  resolved_.clear();
+
+  // A session is down when every link joining its two ASes is routed down:
+  // collect the AS pairs of down inter-AS links, then strike each pair that
+  // still has a live link.
+  down_sessions_.clear();
+  const auto as_pair = [this](const topo::Link& l) {
+    const topo::AsId a = topo_.router(l.a).as;
+    const topo::AsId b = topo_.router(l.b).as;
+    return b < a ? std::pair{b, a} : std::pair{a, b};
+  };
+  for (const topo::Link& l : topo_.links()) {
+    if (l.down && l.kind != topo::LinkKind::kIntraAs) {
+      down_sessions_.push_back(as_pair(l));
+    }
+  }
+  if (down_sessions_.empty()) return;
+  std::sort(down_sessions_.begin(), down_sessions_.end());
+  down_sessions_.erase(
+      std::unique(down_sessions_.begin(), down_sessions_.end()),
+      down_sessions_.end());
+  std::vector<char> live(down_sessions_.size(), 0);
+  for (const topo::Link& l : topo_.links()) {
+    if (l.down || l.kind == topo::LinkKind::kIntraAs) continue;
+    const auto it = std::lower_bound(down_sessions_.begin(),
+                                     down_sessions_.end(), as_pair(l));
+    if (it != down_sessions_.end() && *it == as_pair(l)) {
+      live[static_cast<std::size_t>(it - down_sessions_.begin())] = 1;
+    }
+  }
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < down_sessions_.size(); ++i) {
+    if (live[i] == 0) down_sessions_[kept++] = down_sessions_[i];
+  }
+  down_sessions_.resize(kept);
+  unsettled_.resize(topo_.as_count());
+  for (std::vector<char>& row : unsettled_) row.clear();
+}
+
+const std::vector<char>& FaultInjector::unsettled(topo::AsId dest) {
+  std::vector<char>& row = unsettled_[dest.index()];
+  if (!row.empty()) return row;
+  row.assign(topo_.as_count(), 0);
+  const route::BgpTables& routes = net_->bgp();
+  std::vector<topo::AsId> frontier;
+  // dest's own route never moves, so it is never marked.
+  const auto mark = [&](topo::AsId as) {
+    if (as == dest || row[as.index()] != 0) return;
+    row[as.index()] = 1;
+    frontier.push_back(as);
+  };
+  for (const auto& [a, b] : down_sessions_) {
+    if (routes.route(a, dest).next_hop == b) mark(a);
+    if (routes.route(b, dest).next_hop == a) mark(b);
+  }
+  // A moved route reaches the AS's customers, which hear every route, and
+  // its providers and peers only when it was a customer route: the only
+  // kind exported to them, and one a failure never creates.
+  while (!frontier.empty()) {
+    const topo::AutonomousSystem& as = topo_.as_at(frontier.back());
+    frontier.pop_back();
+    for (const topo::AsId customer : as.customers) mark(customer);
+    if (routes.route(as.id, dest).cls == route::RouteClass::kCustomer) {
+      for (const topo::AsId provider : as.providers) mark(provider);
+      for (const topo::AsId peer : as.peers) mark(peer);
+    }
+  }
+  return row;
+}
+
+const route::BgpTables& FaultInjector::bgp() {
+  if (bgp_ == nullptr) {
+    const ScopedTimer timer{"sim.fault.rebuild"};
+    bgp_ = std::make_unique<route::BgpTables>(topo_);
+  }
+  return *bgp_;
+}
+
+const route::PathResolver& FaultInjector::resolver() {
+  if (resolver_ == nullptr) {
+    const route::BgpTables& routes = bgp();
+    const ScopedTimer timer{"sim.fault.rebuild"};
+    igp_ = std::make_unique<route::IgpTables>(topo_);
+    resolver_ = std::make_unique<route::PathResolver>(topo_, *igp_, routes,
+                                                      net_->config().egress);
+  }
+  return *resolver_;
+}
+
+bool FaultInjector::reusable(const route::RouterPath& path) {
+  for (const auto& hop : path.hops) {
+    if (topo_.link(hop.via).down) return false;
+  }
+  // With its links up, the path resolves to itself if its AS path does.
+  if (down_sessions_.empty()) return true;
+  const std::vector<topo::AsId>& ases = path.as_path;
+  const topo::AsId dest = ases.back();
+  const std::vector<char>& moved = unsettled(dest);
+  for (std::size_t i = 0; i + 1 < ases.size(); ++i) {
+    if (moved[ases[i].index()] != 0 &&
+        bgp().route(ases[i], dest).next_hop != ases[i + 1]) {
+      return false;
+    }
+  }
+  return true;
 }
 
 const route::RouterPath& FaultInjector::effective_path(topo::HostId src,
@@ -261,17 +366,22 @@ const route::RouterPath& FaultInjector::effective_path(topo::HostId src,
       (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src.value()))
        << 32) |
       static_cast<std::uint32_t>(dst.value());
-  auto it = cache_.find(key);
-  if (it == cache_.end()) {
+  const auto [it, added] = paths_.try_emplace(key, nullptr);
+  if (!added) return *it->second;
+
+  const route::RouterPath& fallback = net_->default_path(src, dst);
+  if (reusable(fallback)) {
+    MetricsRegistry::global().count("sim.fault.paths_reused");
+    it->second = &fallback;
+  } else {
     // Unlike Network::default_path, an unresolvable pair is a legitimate
-    // outcome here (the fault partitioned them) and is cached as an invalid
+    // outcome here (the fault partitioned them) and is kept as an invalid
     // path rather than treated as a programmer error.
-    it = cache_
-             .emplace(key, resolver_->resolve(topo_.host(src).attachment,
-                                              topo_.host(dst).attachment))
-             .first;
+    MetricsRegistry::global().count("sim.fault.paths_resolved");
+    it->second = &resolved_.emplace_back(resolver().resolve(
+        topo_.host(src).attachment, topo_.host(dst).attachment));
   }
-  return it->second;
+  return *it->second;
 }
 
 bool FaultInjector::blackholed(const route::RouterPath& path, SimTime t) const {

@@ -7,8 +7,8 @@
 // rate-limiting came in storms, and individual probes hung until the
 // five-minute timeout.  A FaultPlan schedules all of those events up front
 // from a single seed; a FaultInjector replays the plan against a Network,
-// re-resolving host paths as the routing system (belatedly) learns about
-// each failure and repair.
+// re-resolving the host paths a failure touches as the routing system
+// (belatedly) learns about each failure and repair.
 //
 // Determinism discipline: every fault stream forks from a per-entity seeded
 // generator (link index, fabric index, host index), so plans are
@@ -19,8 +19,10 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "route/bgp.h"
@@ -144,18 +146,37 @@ class FaultPlan {
 };
 
 /// Replays a FaultPlan against a Network: maintains a topology copy whose
-/// down flags track the routing-visible state and rebuilds the IGP/BGP
-/// tables at each routing epoch, so measurements resolve their paths the way
-/// a (slowly converging) routing system would have.  The BGP tables compute
-/// a destination's routes only when an epoch's paths first need them
-/// (route/bgp.h).  Queries must arrive in non-decreasing time order —
-/// exactly what a campaign's (t, seq) event order produces.
+/// down flags track the routing-visible state, so measurements resolve
+/// their paths the way a (slowly converging) routing system would have.
+///
+/// Path reuse.  Within an epoch, effective_path returns the Network's own
+/// default path whenever the epoch's tables would resolve the same one:
+/// when the path crosses no routed-down link and every AS along it keeps
+/// its BGP next hop toward the destination.  Only an AS whose route can
+/// feel a session the epoch has taken down (every link joining the two
+/// ASes routed down) needs the epoch's BGP tables to tell; the rest keep
+/// their Network route.  Only the pairs that fail the test resolve on the
+/// epoch's own tables.  Those tables are built the first time an epoch needs them,
+/// never eagerly at a transition, and their BGP tables compute a
+/// destination's routes only when asked for it (route/bgp.h).  DESIGN §8
+/// argues why reuse is exact; the full rebuild survives as the oracle of
+/// tests/sim/fault_reuse_test.cc.
+///
+/// Queries must arrive in non-decreasing time order — exactly what a
+/// campaign's (t, seq) event order produces.  Not thread-safe, and only
+/// the thread that owns the injector may call effective_path: it fills the
+/// Network's default-path cache (sim/network.h), which is not thread-safe
+/// either.  Faulted probes run inline on the collector's thread and the
+/// survivability replay is serial, so both comply.
 class FaultInjector {
  public:
+  /// The network's topology must have every link up: the epoch's down set
+  /// then only adds to it, which is what makes reuse exact.
   FaultInjector(const Network& network, const FaultPlan& plan);
 
-  /// Advances routing state to time t; rebuilds tables when t crosses a
-  /// routing transition.  Aborts if t is earlier than a previous call's.
+  /// Advances routing state to time t; when t crosses a routing transition,
+  /// enters the new epoch (dropping the old epoch's tables and paths).
+  /// Aborts if t is earlier than a previous call's.
   void advance_to(SimTime t);
 
   /// Policy-routed path under the current routing state; invalid (and
@@ -168,8 +189,9 @@ class FaultInjector {
   /// though routing still selects it — the pre-convergence blackhole.
   [[nodiscard]] bool blackholed(const route::RouterPath& path, SimTime t) const;
 
-  /// Routing-table rebuilds performed so far (tests and benches): one per
-  /// epoch change, as counted by sim.fault.routing_rebuilds.
+  /// Routing transitions crossed so far (tests and benches): one per epoch
+  /// change, as counted by sim.fault.routing_rebuilds, whether or not the
+  /// epoch went on to build its tables.
   [[nodiscard]] std::size_t rebuild_count() const noexcept { return rebuilds_; }
 
   /// The inter-transition epoch routing currently sits in: the index of the
@@ -180,15 +202,33 @@ class FaultInjector {
   [[nodiscard]] std::size_t epoch() const noexcept { return next_transition_; }
 
  private:
-  void rebuild();
+  /// Applies the routed state at t and drops everything the last epoch built.
+  void enter_epoch(SimTime t);
+  /// True when the epoch's tables would resolve `path`, a default path, to
+  /// itself.
+  [[nodiscard]] bool reusable(const route::RouterPath& path);
+  /// Per AS, 1 when its route toward `dest` may differ between the epoch's
+  /// BGP tables and the Network's: the ASes whose default route leaves over
+  /// a down session, and every AS their change can reach (DESIGN §8).
+  [[nodiscard]] const std::vector<char>& unsettled(topo::AsId dest);
+  /// The epoch's tables, each built on first need.
+  [[nodiscard]] const route::BgpTables& bgp();
+  [[nodiscard]] const route::PathResolver& resolver();
 
   const Network* net_;
   const FaultPlan* plan_;
   topo::Topology topo_;  // down flags track the routing-visible state
-  std::unique_ptr<route::IgpTables> igp_;
+  // The epoch's own tables; null until the epoch needs them.
   std::unique_ptr<route::BgpTables> bgp_;
+  std::unique_ptr<route::IgpTables> igp_;
   std::unique_ptr<route::PathResolver> resolver_;
-  std::unordered_map<std::uint64_t, route::RouterPath> cache_;
+  // AS pairs (lower id first) whose every joining link is routed down.
+  std::vector<std::pair<topo::AsId, topo::AsId>> down_sessions_;
+  // Per destination AS, this epoch's unsettled() row; empty until asked.
+  std::vector<std::vector<char>> unsettled_;
+  // Pair key -> the epoch's path: into the Network's cache or resolved_.
+  std::unordered_map<std::uint64_t, const route::RouterPath*> paths_;
+  std::deque<route::RouterPath> resolved_;  // stable addresses
   SimTime now_ = SimTime::start();  // latest time advance_to was given
   std::size_t next_transition_ = 0;
   std::size_t rebuilds_ = 0;

@@ -530,6 +530,30 @@ TEST(Disjoint, ComputeRejectsInvalidK) {
   EXPECT_EQ(swept.status().code(), ErrorCode::kInvalidArgument);
 }
 
+// A TCP table's edges hold transfers and no probe samples: the sweep and
+// the point query refuse it with analyze_with_coverage's error instead of
+// aborting on an empty summary.
+TEST(Disjoint, RejectsATcpTable) {
+  auto ds = make_dataset(4);
+  ds.kind = meas::MeasurementKind::kTcpTransfer;
+  for (const auto& [a, b] : {std::pair{0, 1}, {0, 2}, {2, 1}, {1, 3}, {3, 0}}) {
+    test::add_transfer(ds, a, b, 300.0, 40.0, 0.004);
+  }
+  const PathTable table = PathTable::build(ds, test::min_samples(1));
+  ASSERT_EQ(table.edges().size(), 5u);
+  for (const Metric metric : {Metric::kRtt, Metric::kLoss}) {
+    const DisjointOptions options{.metric = metric, .k = 2};
+    const auto swept = compute_disjoint_alternates(table, options);
+    ASSERT_FALSE(swept.is_ok());
+    EXPECT_EQ(swept.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(swept.status().message(), kPerProbeNeedsTraceroute);
+    const auto point =
+        compute_disjoint_for_pair(table, table.edges()[0], options);
+    ASSERT_FALSE(point.is_ok());
+    EXPECT_EQ(point.status().code(), ErrorCode::kInvalidArgument);
+  }
+}
+
 TEST(Disjoint, TriangleSingleAlternate) {
   const auto swept =
       compute_disjoint_alternates(triangle_table(), {.k = 1});

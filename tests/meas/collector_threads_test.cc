@@ -1,7 +1,8 @@
 // Thread-count invariance of collection.  A fault-free campaign records its
 // measurements on the event loop and resolves the probes in fixed chunks on
 // a thread pool; the dataset, every checkpoint snapshot and a cancel/resume
-// split must not depend on how many executors ran those chunks.
+// split must not depend on how many executors ran those chunks.  A faulted
+// campaign probes inline, and its bytes must not depend on the count either.
 #include <cstddef>
 #include <string>
 #include <string_view>
@@ -13,6 +14,7 @@
 #include "meas/checkpoint.h"
 #include "meas/collector.h"
 #include "meas/serialize.h"
+#include "sim/fault.h"
 #include "topo/generator.h"
 
 namespace pathsel::meas {
@@ -110,6 +112,36 @@ TEST(CollectorThreads, DatasetBytesIndependentOfThreadCount) {
     for (const int threads : kThreadCounts) {
       EXPECT_TRUE(collect_at(net, c, threads).bytes == serial.bytes)
           << c.name << " at " << threads << " threads";
+    }
+  }
+}
+
+// Faulted collection probes inline on the collector's thread, and its fault
+// injector reuses the Network's default paths, so the same bytes must come
+// out whatever the pool size the campaign was handed.
+TEST(CollectorThreads, FaultedDatasetBytesIndependentOfThreadCount) {
+  const sim::Network net = make_network();
+  for (const Case& c : kCases) {
+    CollectorConfig cfg = config_for(c);
+    const sim::FaultPlan plan{sim::FaultConfig::at_intensity(0.15, 7),
+                              net.topology(), cfg.duration};
+    ASSERT_FALSE(plan.routing_transitions().empty());
+    cfg.faults = &plan;
+    cfg.retry.max_retries = 2;
+    std::string serial;
+    for (const int threads : kThreadCounts) {
+      CollectControls controls;
+      controls.threads = threads;
+      const Result<Dataset> ds =
+          collect_resumable(net, first_hosts(10), cfg, c.name, controls);
+      ASSERT_TRUE(ds.is_ok()) << ds.status().message();
+      const std::string bytes = dataset_bytes(ds.value());
+      if (threads == 1) {
+        serial = bytes;
+        EXPECT_NE(bytes.find(" f "), std::string::npos)
+            << c.name << ": no attempt failed under the plan";
+      }
+      EXPECT_TRUE(bytes == serial) << c.name << " at " << threads << " threads";
     }
   }
 }

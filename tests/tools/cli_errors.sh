@@ -221,6 +221,20 @@ expect 0 "disjoint csv" -- \
 expect 2 "campaign non-numeric disjoint k" -- \
   campaign --out-dir "$TMP/camp" --disjoint banana
 
+# A TCP dataset has no per-probe samples to weigh a disjoint graph with:
+# the campaign skips its report with a note and still writes the traceroute
+# datasets' reports, and analyze refuses it as a data error.
+expect 0 "campaign disjoint over a tcp dataset" -- \
+  campaign --out-dir "$TMP/camp_tcp" --datasets N2,UW3 --scale 0.05 \
+  --disjoint 2
+if [[ -e "$TMP/camp_tcp/N2.disjoint.tsv" ||
+      ! -s "$TMP/camp_tcp/UW3.disjoint.tsv" ]]; then
+  echo "FAIL: campaign --disjoint wrote the wrong reports" >&2
+  failures=$((failures + 1))
+fi
+expect 1 "disjoint over a tcp dataset" -- \
+  analyze --in "$TMP/camp_tcp/N2.ds" --min-samples 3 --disjoint 2
+
 for threads in 1 4 8; do
   "$CLI" analyze --in "$TMP/uw3.ds" --min-samples 2 --disjoint 2 \
     --threads "$threads" > "$TMP/disjoint.t$threads" 2>/dev/null

@@ -426,13 +426,19 @@ std::size_t test_crash_after() {
 // written atomically next to the dataset output.  The min-samples floor
 // scales with the campaign's --scale (same convention as the bench suite's
 // scaled_min_samples) so a reduced-scale campaign still yields a populated
-// graph instead of filtering every edge.  Nonzero return is the process
-// exit code.
+// graph instead of filtering every edge.  A TCP dataset has no per-probe
+// samples to weigh the graph with, so it gets a note instead of a report.
+// Nonzero return is the process exit code.
 int write_disjoint_report(const std::string& out_dir, const std::string& name,
                           int k, double scale) {
   meas::Dataset ds;
   if (const int rc = load(out_dir + "/" + name + ".ds", ds); rc != kExitOk) {
     return rc;
+  }
+  if (ds.kind == meas::MeasurementKind::kTcpTransfer) {
+    std::printf("skipped %s.disjoint.tsv: %s\n", name.c_str(),
+                core::kPerProbeNeedsTraceroute);
+    return kExitOk;
   }
   core::BuildOptions build;
   build.min_samples =
