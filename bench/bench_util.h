@@ -19,6 +19,7 @@
 #include <span>
 #include <string>
 
+#include "core/path_table.h"
 #include "meas/catalog.h"
 #include "stats/cdf.h"
 #include "util/bench_report.h"
@@ -35,12 +36,10 @@ inline double bench_scale() {
   return 1.0;
 }
 
-/// The paper's 30-measurement threshold, scaled with the trace length so
-/// reduced-scale runs keep a usable edge set.
+/// The paper's 30-measurement threshold at the bench scale
+/// (core::scaled_min_samples).
 inline int scaled_min_samples(int full_scale_threshold = 30) {
-  const int scaled =
-      static_cast<int>(full_scale_threshold * bench_scale() + 0.5);
-  return scaled < 3 ? 3 : scaled;
+  return core::scaled_min_samples(full_scale_threshold, bench_scale());
 }
 
 inline meas::Catalog make_catalog() {

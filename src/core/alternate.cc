@@ -16,10 +16,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-struct Adjacency {
-  std::vector<std::vector<std::pair<std::size_t, const PathEdge*>>> out;
-};
-
 // Degraded-coverage runs (min_samples lowered after heavy fault loss) can
 // leave an edge with a single surviving sample; from_summary would abort on
 // it, so fall back to a zero-variance point estimate instead.
@@ -28,18 +24,6 @@ stats::MeanEstimate estimate_or_point(const stats::Summary& s) {
     return stats::MeanEstimate{.mean = s.empty() ? 0.0 : s.mean()};
   }
   return stats::MeanEstimate::from_summary(s);
-}
-
-Adjacency build_adjacency(const PathTable& table) {
-  Adjacency adj;
-  adj.out.resize(table.hosts().size());
-  for (const PathEdge& e : table.edges()) {
-    const std::size_t ia = table.host_index(e.a);
-    const std::size_t ib = table.host_index(e.b);
-    adj.out[ia].emplace_back(ib, &e);
-    adj.out[ib].emplace_back(ia, &e);
-  }
-  return adj;
 }
 
 }  // namespace
@@ -56,12 +40,15 @@ double edge_metric_value(const PathEdge& edge, Metric metric) {
   return 0.0;
 }
 
-double edge_weight(const PathEdge& edge, Metric metric) {
-  const double value = edge_metric_value(edge, metric);
+double metric_weight(double value, Metric metric) {
   if (metric == Metric::kLoss) {
     return -std::log(1.0 - std::min(value, kMaxComposableLoss));
   }
   return value;
+}
+
+double edge_weight(const PathEdge& edge, Metric metric) {
+  return metric_weight(edge_metric_value(edge, metric), metric);
 }
 
 double compose_metric(std::span<const PathEdge* const> edges, Metric metric) {
@@ -108,138 +95,126 @@ stats::MeanEstimate compose_estimate(std::span<const PathEdge* const> edges,
   return stats::MeanEstimate{};
 }
 
-namespace {
-
-struct SearchScratch {
-  std::vector<double> dist;
-  std::vector<std::pair<std::size_t, const PathEdge*>> parent;
-  // Bounded search keeps one dist/parent snapshot per Bellman-Ford round so
-  // reconstruction can honour the edge budget: a single final parent array
-  // would let a later-round improvement of an intermediate node splice an
-  // over-budget path into the walk (and report a value inconsistent with
-  // the computed distance).
-  std::vector<std::vector<double>> round_dist;
-  std::vector<std::vector<std::pair<std::size_t, const PathEdge*>>> round_parent;
-};
-
-// Unbounded shortest path avoiding `direct`; fills dist/parent.
-void dijkstra_avoiding(const Adjacency& adj, const PathEdge& direct,
-                       std::size_t src, std::size_t dst, Metric metric,
-                       SearchScratch& s) {
-  std::fill(s.dist.begin(), s.dist.end(), kInf);
-  s.dist[src] = 0.0;
-  using Entry = std::pair<double, std::size_t>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  heap.emplace(0.0, src);
-  while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
-    if (d > s.dist[u]) continue;
-    if (u == dst) break;
-    for (const auto& [v, edge] : adj.out[u]) {
-      if (edge == &direct) continue;  // the removed default edge
-      const double nd = d + edge_weight(*edge, metric);
-      if (nd < s.dist[v]) {
-        s.dist[v] = nd;
-        s.parent[v] = {u, edge};
-        heap.emplace(nd, v);
-      }
-    }
-  }
-}
-
-// Hop-bounded shortest path (at most max_edges edges) avoiding `direct`.
-// Dijkstra cannot enforce an edge budget, so run max_edges Bellman-Ford
-// rounds.  round_dist[r] holds the best <= r-edge distances; an entry
-// improved in round r extends a path settled by round r-1, and keeping every
-// round's snapshot lets the reconstruction below walk back without ever
-// crossing the budget.  Relaxations scan u in ascending index with a strict
-// `<`, so among equal-cost alternates the smallest intermediate host index
-// wins — the same tie-break rule the dense kernel implements.
-void bellman_bounded(const Adjacency& adj, const PathEdge& direct,
-                     std::size_t src, std::size_t max_edges, Metric metric,
-                     SearchScratch& s) {
-  const std::size_t n = adj.out.size();
-  s.round_dist.resize(max_edges + 1);
-  s.round_parent.resize(max_edges + 1);
-  s.round_dist[0].assign(n, kInf);
-  s.round_dist[0][src] = 0.0;
-  for (std::size_t round = 1; round <= max_edges; ++round) {
-    const auto& prev = s.round_dist[round - 1];
-    auto& cur = s.round_dist[round];
-    cur = prev;
-    s.round_parent[round].assign(n, {0, nullptr});
-    for (std::size_t u = 0; u < n; ++u) {
-      if (prev[u] == kInf) continue;
-      for (const auto& [v, edge] : adj.out[u]) {
-        if (edge == &direct) continue;
-        const double nd = prev[u] + edge_weight(*edge, metric);
-        if (nd < cur[v]) {
-          cur[v] = nd;
-          s.round_parent[round][v] = {u, edge};
+std::vector<std::size_t> shortest_path(const ArcGraph& graph,
+                                       std::size_t src, std::size_t dst,
+                                       std::size_t max_edges,
+                                       std::size_t skip) {
+  struct Parent {
+    std::size_t node = 0;
+    std::size_t edge = 0;
+  };
+  // Row r of dist/parent (n entries each) is Bellman-Ford round r's
+  // snapshot; Dijkstra uses row 0 alone.  A single final parent array would
+  // let a later-round improvement of an intermediate node splice an
+  // over-budget path into the walk-back (and report a value inconsistent
+  // with the distance).
+  const std::size_t n = graph.size();
+  std::vector<double> dist((max_edges + 1) * n, kInf);
+  std::vector<Parent> parent((max_edges + 1) * n);
+  dist[src] = 0.0;
+  std::vector<std::size_t> edges;
+  if (max_edges == 0) {
+    using Entry = std::pair<double, std::size_t>;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+    heap.emplace(0.0, src);
+    while (!heap.empty()) {
+      const auto [d, u] = heap.top();
+      heap.pop();
+      if (d > dist[u]) continue;
+      if (u == dst) break;
+      for (const Arc& arc : graph[u]) {
+        if (arc.edge == skip) continue;
+        const double nd = d + arc.weight;
+        if (nd < dist[arc.to]) {
+          dist[arc.to] = nd;
+          parent[arc.to] = {u, arc.edge};
+          heap.emplace(nd, arc.to);
         }
       }
     }
-  }
-}
-
-}  // namespace
-
-namespace {
-
-// The per-edge body of the sweep, independent of every other edge.  Returns
-// false when removing the direct edge disconnects the pair.
-bool analyze_one_pair(const PathTable& table, const Adjacency& adj,
-                      const PathEdge& direct, const AnalyzerOptions& options,
-                      SearchScratch& scratch, PairResult& out) {
-  const std::size_t src = table.host_index(direct.a);
-  const std::size_t dst = table.host_index(direct.b);
-
-  std::vector<const PathEdge*> path_edges;
-  std::vector<topo::HostId> via;
-  if (options.max_intermediate_hosts > 0) {
-    const std::size_t rounds =
-        static_cast<std::size_t>(options.max_intermediate_hosts) + 1;
-    bellman_bounded(adj, direct, src, rounds, options.metric, scratch);
-    if (scratch.round_dist[rounds][dst] == kInf) return false;  // disconnected
-
+    if (dist[dst] == kInf) return edges;
+    for (std::size_t cursor = dst; cursor != src; cursor = parent[cursor].node) {
+      edges.push_back(parent[cursor].edge);
+    }
+  } else {
+    // Dijkstra cannot enforce an edge budget, so run max_edges rounds: row r
+    // holds the best <= r-edge distances, and an entry improved in round r
+    // extends a path settled by round r-1.
+    for (std::size_t r = 1; r <= max_edges; ++r) {
+      const double* prev = &dist[(r - 1) * n];
+      double* cur = &dist[r * n];
+      std::copy(prev, prev + n, cur);
+      for (std::size_t u = 0; u < n; ++u) {
+        if (prev[u] == kInf) continue;
+        for (const Arc& arc : graph[u]) {
+          if (arc.edge == skip) continue;
+          const double nd = prev[u] + arc.weight;
+          if (nd < cur[arc.to]) {
+            cur[arc.to] = nd;
+            parent[r * n + arc.to] = {u, arc.edge};
+          }
+        }
+      }
+    }
+    if (dist[max_edges * n + dst] == kInf) return edges;
     // Walk back dst -> src within the edge budget.  An entry whose value
     // already existed in round r-1 was settled earlier (values only change
     // by strict improvement, so the comparison is exact); the first round
     // that differs is the one whose parent produced the final value, and its
     // predecessor is read from that round's snapshot at round r-1 — never
     // from a later improvement.
-    std::size_t r = rounds;
-    std::size_t cursor = dst;
-    while (cursor != src) {
-      while (r > 1 &&
-             scratch.round_dist[r - 1][cursor] == scratch.round_dist[r][cursor]) {
-        --r;
-      }
-      const auto& [prev, edge] = scratch.round_parent[r][cursor];
-      path_edges.push_back(edge);
-      if (prev != src) via.push_back(table.hosts()[prev]);
-      cursor = prev;
-      --r;
-    }
-  } else {
-    std::fill(scratch.parent.begin(), scratch.parent.end(),
-              std::make_pair(std::size_t{0},
-                             static_cast<const PathEdge*>(nullptr)));
-    dijkstra_avoiding(adj, direct, src, dst, options.metric, scratch);
-    if (scratch.dist[dst] == kInf) return false;  // no alternate path exists
-
-    // Reconstruct the edge sequence dst -> src.
-    std::size_t cursor = dst;
-    while (cursor != src) {
-      const auto& [prev, edge] = scratch.parent[cursor];
-      path_edges.push_back(edge);
-      if (prev != src) via.push_back(table.hosts()[prev]);
-      cursor = prev;
+    std::size_t r = max_edges;
+    for (std::size_t cursor = dst; cursor != src; --r) {
+      while (r > 1 && dist[(r - 1) * n + cursor] == dist[r * n + cursor]) --r;
+      edges.push_back(parent[r * n + cursor].edge);
+      cursor = parent[r * n + cursor].node;
     }
   }
-  std::reverse(path_edges.begin(), path_edges.end());
-  std::reverse(via.begin(), via.end());
+  std::reverse(edges.begin(), edges.end());
+  return edges;
+}
+
+namespace {
+
+// Both directions of every table edge, in table.edges() order, with the
+// edge's index as its id and its weight computed once per sweep.
+ArcGraph build_arc_graph(const PathTable& table, Metric metric) {
+  ArcGraph graph(table.hosts().size());
+  for (std::size_t i = 0; i < table.edges().size(); ++i) {
+    const PathEdge& e = table.edges()[i];
+    const std::size_t ia = table.host_index(e.a);
+    const std::size_t ib = table.host_index(e.b);
+    const double weight = edge_weight(e, metric);
+    graph[ia].push_back({ib, i, weight});
+    graph[ib].push_back({ia, i, weight});
+  }
+  return graph;
+}
+
+// The per-edge body of the sweep, independent of every other edge.  Returns
+// false when removing the direct edge disconnects the pair.
+bool analyze_one_pair(const PathTable& table, const ArcGraph& graph,
+                      std::size_t index, const AnalyzerOptions& options,
+                      PairResult& out) {
+  const PathEdge& direct = table.edges()[index];
+  const std::size_t budget =
+      options.max_intermediate_hosts > 0
+          ? static_cast<std::size_t>(options.max_intermediate_hosts) + 1
+          : 0;
+  const std::vector<std::size_t> ids =
+      shortest_path(graph, table.host_index(direct.a),
+                    table.host_index(direct.b), budget, index);
+  if (ids.empty()) return false;  // no alternate path exists
+
+  std::vector<const PathEdge*> path_edges;
+  std::vector<topo::HostId> via;
+  topo::HostId cursor = direct.a;
+  for (const std::size_t id : ids) {
+    const PathEdge& e = table.edges()[id];
+    if (cursor != direct.a) via.push_back(cursor);
+    path_edges.push_back(&e);
+    cursor = e.a == cursor ? e.b : e.a;
+  }
   finish_pair_result(direct, path_edges, std::move(via), options.metric, out);
   return true;
 }
@@ -290,8 +265,7 @@ Result<std::vector<PairResult>> analyze_alternate_paths_checked(
       if (!swept.is_ok()) return swept.status();
       results = std::move(swept.value());
     } else {
-      const Adjacency adj = build_adjacency(table);
-      const std::size_t n = table.hosts().size();
+      const ArcGraph graph = build_arc_graph(table, options.metric);
       const std::size_t edge_count = table.edges().size();
 
       // Chunk size is fixed so chunk boundaries — and therefore the merged
@@ -302,15 +276,11 @@ Result<std::vector<PairResult>> analyze_alternate_paths_checked(
       Result<std::vector<PairResult>> swept = pool.map_chunks<PairResult>(
           edge_count, kChunk,
           [&](std::size_t begin, std::size_t end, std::size_t) {
-            SearchScratch scratch;
-            scratch.dist.resize(n);
-            scratch.parent.resize(n);
             std::vector<PairResult> local;
             local.reserve(end - begin);
             for (std::size_t i = begin; i < end; ++i) {
               PairResult r;
-              if (analyze_one_pair(table, adj, table.edges()[i], options,
-                                   scratch, r)) {
+              if (analyze_one_pair(table, graph, i, options, r)) {
                 local.push_back(std::move(r));
               }
             }

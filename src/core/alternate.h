@@ -54,7 +54,8 @@ enum class Kernel {
   /// Force the dense min-plus kernel (core/dense_kernel.h).  Requires
   /// max_intermediate_hosts == 1; anything else aborts.
   kDense,
-  /// Force the per-pair Dijkstra / Bellman-Ford reference search.
+  /// Force the per-pair reference search (shortest_path(): Dijkstra, or
+  /// Bellman-Ford rounds under a hop bound).
   kSearch,
 };
 
@@ -113,11 +114,35 @@ inline constexpr double kMaxComposableLoss = 0.999;
 /// Metric value of an edge (the graph weight before any transform).
 [[nodiscard]] double edge_metric_value(const PathEdge& edge, Metric metric);
 
-/// Additive shortest-path weight of an edge: edge_metric_value() for RTT and
-/// propagation, -log(1 - min(p, kMaxComposableLoss)) for loss.  The per-pair
-/// search and the dense kernel both build their graphs through this one
-/// helper, so their edge weights can never diverge.
+/// Additive shortest-path weight of a metric value: the value for RTT and
+/// propagation, -log(1 - min(p, kMaxComposableLoss)) for loss.  Every search
+/// graph (per-pair search, dense kernel, overlay) is weighed by this rule.
+[[nodiscard]] double metric_weight(double value, Metric metric);
+
+/// metric_weight() of edge_metric_value().
 [[nodiscard]] double edge_weight(const PathEdge& edge, Metric metric);
+
+/// A directed search-graph arc: its head node, the id of the undirected edge
+/// it crosses and that edge's additive weight.
+struct Arc {
+  std::size_t to = 0;
+  std::size_t edge = 0;
+  double weight = 0.0;
+};
+
+/// Out-arcs per node, relaxed in list order with a strict `<`.
+using ArcGraph = std::vector<std::vector<Arc>>;
+
+/// The one hop-bounded shortest-path search (the per-pair sweep and the
+/// overlay both run it): the edge ids, from `src`, of the least-weight path
+/// to `dst` that avoids edge `skip` and has at most `max_edges` edges (0: no
+/// bound); empty when dst is unreachable.  Unbounded, Dijkstra.  Bounded,
+/// max_edges Bellman-Ford rounds over nodes in ascending index (ties go to
+/// the smallest intermediate index, as in the dense kernel), with per-round
+/// snapshots so the walk-back stays within the budget.
+[[nodiscard]] std::vector<std::size_t> shortest_path(
+    const ArcGraph& graph, std::size_t src, std::size_t dst,
+    std::size_t max_edges, std::size_t skip);
 
 /// Fills `out` from a reconstructed alternate path (edge sequence from a to
 /// b, intermediate hosts in `via`).  Shared by the search and dense kernels

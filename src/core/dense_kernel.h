@@ -9,16 +9,17 @@
 //   best[i][j] = min_k  w[i][k] + w[k][j],
 //
 // computed for all pairs simultaneously with a cache-blocked O(N³) kernel
-// instead of one O(E)-per-round Bellman-Ford per pair (O(E²) total, ~O(N⁴)
-// on dense meshes).  Missing edges and the diagonal carry +inf, which makes
-// the algebra self-policing: k = i and k = j contribute inf, so no relay
-// degenerates to an endpoint, and a two-edge relay path i–k–j can never
-// contain the direct edge i–j, so — unlike the general search — the direct
-// edge needs no explicit exclusion.
+// instead of one bounded shortest_path per pair (core/alternate.h: two
+// O(E) Bellman-Ford rounds, O(E²) total, ~O(N⁴) on dense meshes).  Missing
+// edges and the diagonal carry +inf, which makes the algebra self-policing:
+// k = i and k = j contribute inf, so no relay degenerates to an endpoint,
+// and a two-edge relay path i–k–j can never contain the direct edge i–j,
+// so — unlike the general search — the direct edge needs no explicit
+// exclusion.
 //
 // Determinism: the arg-min scans k in ascending host index with a strict
 // `<`, so among equal-cost relays the smallest host index wins — the same
-// tie-break the reference Bellman-Ford applies — and rows are partitioned
+// tie-break the reference shortest_path applies — and rows are partitioned
 // into fixed-size chunks, so results are bit-identical for every thread
 // count.  The differential suite (tests/core/dense_kernel_diff_test.cc)
 // locks the kernel to the reference search, pair for pair.

@@ -27,7 +27,7 @@ EpisodeAnalysis analyze_episodes(const meas::Dataset& dataset,
 
     AnalyzerOptions analyze;
     analyze.metric = options.metric;
-    analyze.max_intermediate_hosts = options.max_intermediate_hosts;
+    analyze.max_intermediate_hosts = 0;
     analyze.threads = options.threads;
     const ResultColumns results =
         from_pairs(analyze_alternate_paths(table, analyze), options.metric);

@@ -23,7 +23,6 @@ struct EpisodeAnalysis {
 
 struct EpisodeOptions {
   Metric metric = Metric::kRtt;
-  int max_intermediate_hosts = 0;
   /// Executor count for the per-episode build/sweep; <= 0 means the default.
   int threads = 0;
 };

@@ -33,17 +33,17 @@ std::size_t OverlayMesh::index_of(topo::HostId h) const {
   return 0;
 }
 
+std::size_t OverlayMesh::edge_id(std::size_t a, std::size_t b) const {
+  return std::min(a, b) * members_.size() + std::max(a, b);
+}
+
 const OverlayMesh::LinkEstimate& OverlayMesh::link(std::size_t a,
                                                    std::size_t b) const {
-  const auto lo = std::min(a, b);
-  const auto hi = std::max(a, b);
-  return estimates_[lo * members_.size() + hi];
+  return estimates_[edge_id(a, b)];
 }
 
 OverlayMesh::LinkEstimate& OverlayMesh::link(std::size_t a, std::size_t b) {
-  const auto lo = std::min(a, b);
-  const auto hi = std::max(a, b);
-  return estimates_[lo * members_.size() + hi];
+  return estimates_[edge_id(a, b)];
 }
 
 void OverlayMesh::probe(SimTime now) {
@@ -106,60 +106,41 @@ OverlayRoute OverlayMesh::route(topo::HostId src, topo::HostId dst) const {
 
   const LinkEstimate& direct = link(s, d);
   out.predicted_direct = direct.valid ? metric_of(direct) : kInf;
+  out.predicted = out.predicted_direct;
 
-  // Bounded-hop best path over the estimate graph (Bellman-Ford rounds, as
-  // in the offline analyzer; max_relays + 1 edges).
+  // The analyzer's search over the estimate graph (arcs in ascending v, the
+  // analyzer's weights), at most max_relays + 1 legs, direct arc skipped: a
+  // detour must beat the direct estimate strictly, so no decision changes.
   const std::size_t n = members_.size();
-  std::vector<double> dist(n, kInf);
-  std::vector<double> prev_dist(n);
-  std::vector<std::size_t> parent(n, n);
-  dist[s] = config_.metric == Metric::kRtt ? 0.0 : 0.0;
-  for (int round = 0; round <= config_.max_relays; ++round) {
-    prev_dist = dist;
-    for (std::size_t u = 0; u < n; ++u) {
-      if (prev_dist[u] == kInf) continue;
-      for (std::size_t v = 0; v < n; ++v) {
-        if (v == u || v == s) continue;
-        const LinkEstimate& e = link(u, v);
-        if (!e.valid) continue;
-        const double nd = compose(prev_dist[u], metric_of(e));
-        if (nd < dist[v]) {
-          dist[v] = nd;
-          parent[v] = u;
-        }
-      }
+  ArcGraph graph(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t v = 0; v < n; ++v) {
+      if (v == u || !link(u, v).valid) continue;
+      graph[u].push_back({v, edge_id(u, v),
+                          metric_weight(metric_of(link(u, v)), config_.metric)});
     }
   }
+  const std::vector<std::size_t> legs =
+      shortest_path(graph, s, d,
+                    static_cast<std::size_t>(config_.max_relays) + 1,
+                    edge_id(s, d));
+  if (legs.empty()) return out;
 
-  out.predicted = out.predicted_direct;
-  if (dist[d] < kInf && out.predicted_direct < kInf) {
-    // Detour only for a predicted relative gain beyond the hysteresis.
-    const bool worth_it =
-        dist[d] < out.predicted_direct * (1.0 - config_.hysteresis);
-    if (worth_it) {
-      std::vector<topo::HostId> relays;
-      std::size_t cursor = d;
-      while (parent[cursor] != n && parent[cursor] != s) {
-        cursor = parent[cursor];
-        relays.push_back(members_[cursor]);
-      }
-      std::reverse(relays.begin(), relays.end());
-      if (!relays.empty()) {
-        out.relays = std::move(relays);
-        out.predicted = dist[d];
-      }
-    }
-  } else if (dist[d] < kInf && out.predicted_direct == kInf) {
-    // No direct estimate at all: any relayed route beats flying blind.
-    std::vector<topo::HostId> relays;
-    std::size_t cursor = d;
-    while (parent[cursor] != n && parent[cursor] != s) {
-      cursor = parent[cursor];
-      relays.push_back(members_[cursor]);
-    }
-    std::reverse(relays.begin(), relays.end());
+  std::vector<topo::HostId> relays;
+  double predicted = 0.0;
+  std::size_t cursor = s;
+  for (const std::size_t id : legs) {
+    if (cursor != s) relays.push_back(members_[cursor]);
+    const double leg = metric_of(estimates_[id]);
+    predicted = cursor == s ? leg : compose(predicted, leg);
+    cursor = id / n == cursor ? id % n : id / n;
+  }
+  // Detour only for a predicted relative gain beyond the hysteresis; with no
+  // direct estimate at all, any relayed route beats flying blind.
+  if (out.predicted_direct == kInf ||
+      predicted < out.predicted_direct * (1.0 - config_.hysteresis)) {
     out.relays = std::move(relays);
-    out.predicted = dist[d];
+    out.predicted = predicted;
   }
   return out;
 }
@@ -178,7 +159,7 @@ double OverlayMesh::ground_truth_leg(topo::HostId a, topo::HostId b,
 
 double OverlayMesh::ground_truth(const OverlayRoute& r, SimTime t) const {
   topo::HostId cursor = r.src;
-  double total = config_.metric == Metric::kRtt ? 0.0 : 0.0;
+  double total = 0.0;
   bool first = true;
   for (const topo::HostId relay : r.relays) {
     const double leg = ground_truth_leg(cursor, relay, t);

@@ -6,10 +6,11 @@
 // form: a set of member hosts keeps a full-mesh probe table (exponentially
 // weighted moving averages of RTT and loss), and per-flow routing picks the
 // direct path or a relayed path, with hysteresis so marginal predictions do
-// not cause flapping.  evaluate() replays a probe/route loop against the
-// simulator and scores decisions with ground truth, which is how the
-// ablation bench quantifies probe-interval, hysteresis and relay-budget
-// choices.
+// not cause flapping.  Relays come from the analyzer's hop-bounded search
+// (core::shortest_path) over the estimate graph.  evaluate() replays a
+// probe/route loop against the simulator and scores decisions with ground
+// truth, which is how the ablation bench quantifies probe-interval,
+// hysteresis and relay-budget choices.
 #pragma once
 
 #include <optional>
@@ -89,7 +90,9 @@ class OverlayMesh {
                                                topo::HostId b) const;
 
   /// Routes a flow with the current probe table.  Requires both endpoints
-  /// to be members.  Falls back to direct when estimates are missing.
+  /// to be members.  A detour has at most max_relays relays, and
+  /// `predicted` composes its legs' estimates.  Falls back to direct when
+  /// estimates are missing.
   [[nodiscard]] OverlayRoute route(topo::HostId src, topo::HostId dst) const;
 
   /// Ground-truth expected metric of a route at time t (RTT in ms, or
@@ -109,6 +112,8 @@ class OverlayMesh {
   };
 
   [[nodiscard]] std::size_t index_of(topo::HostId h) const;
+  /// Index of the (a, b) estimate; also its edge id in route()'s search.
+  [[nodiscard]] std::size_t edge_id(std::size_t a, std::size_t b) const;
   [[nodiscard]] const LinkEstimate& link(std::size_t a, std::size_t b) const;
   [[nodiscard]] LinkEstimate& link(std::size_t a, std::size_t b);
   [[nodiscard]] double metric_of(const LinkEstimate& e) const;

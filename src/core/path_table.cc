@@ -1,6 +1,7 @@
 #include "core/path_table.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "stats/quantile.h"
 #include "util/expect.h"
@@ -18,6 +19,11 @@ std::uint64_t edge_key(topo::HostId x, topo::HostId y) {
 }
 
 }  // namespace
+
+int scaled_min_samples(int full_scale_threshold, double scale) {
+  return std::max(
+      3, static_cast<int>(std::llround(full_scale_threshold * scale)));
+}
 
 double PathEdge::propagation_ms() const {
   PATHSEL_EXPECT(!rtt_samples.empty(),

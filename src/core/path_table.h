@@ -75,6 +75,10 @@ struct BuildOptions {
   const CancelToken* cancel = nullptr;
 };
 
+/// A min-samples threshold scaled with the trace length so reduced-scale
+/// runs keep a usable edge set: max(3, round(full_scale_threshold * scale)).
+[[nodiscard]] int scaled_min_samples(int full_scale_threshold, double scale);
+
 class PathTable {
  public:
   [[nodiscard]] static PathTable build(const meas::Dataset& dataset,

@@ -32,7 +32,7 @@ std::vector<TimeOfDayBin> analyze_by_time_of_day(
     const PathTable table = PathTable::build(dataset, build);
     AnalyzerOptions analyze;
     analyze.metric = options.metric;
-    analyze.max_intermediate_hosts = options.max_intermediate_hosts;
+    analyze.max_intermediate_hosts = 0;
     analyze.threads = options.threads;
     out.push_back(TimeOfDayBin{
         bin.label,

@@ -26,7 +26,6 @@ struct TimeOfDayOptions {
   Metric metric = Metric::kRtt;
   /// Minimum completed measurements per path within one bin.
   int min_samples = 6;
-  int max_intermediate_hosts = 0;
   /// Executor count for the per-bin build/sweep; <= 0 means the default.
   int threads = 0;
 };

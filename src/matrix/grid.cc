@@ -1,7 +1,6 @@
 #include "matrix/grid.h"
 
-#include <cmath>
-
+#include "core/path_table.h"
 #include "core/result_columns.h"
 #include "meas/catalog.h"
 #include "meas/checkpoint.h"
@@ -389,8 +388,7 @@ std::vector<CellSpec> expand_cells(const GridConfig& grid) {
 
 int effective_min_samples(const GridConfig& grid, const CellSpec& cell) {
   if (cell.min_samples > 0) return cell.min_samples;
-  const int scaled = static_cast<int>(std::llround(30.0 * grid.scale));
-  return scaled < 3 ? 3 : scaled;
+  return core::scaled_min_samples(30, grid.scale);
 }
 
 std::string cell_label(const CellSpec& cell) {

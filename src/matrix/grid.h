@@ -128,7 +128,7 @@ struct CellSpec {
 [[nodiscard]] std::vector<CellSpec> expand_cells(const GridConfig& grid);
 
 /// The cell's effective min_samples floor: its own value, or the
-/// scale-derived default max(3, round(30 * scale)) when it is 0.
+/// scale-derived default core::scaled_min_samples(30, scale) when it is 0.
 [[nodiscard]] int effective_min_samples(const GridConfig& grid,
                                         const CellSpec& cell);
 

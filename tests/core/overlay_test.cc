@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "topo/generator.h"
 
 namespace pathsel::core {
@@ -103,19 +105,55 @@ TEST(Overlay, ZeroHysteresisDetoursWheneverPredictedBetter) {
   EXPECT_GT(detours, 0u);
 }
 
+// The overlay ablation's network, members and day (bench_ablation_overlay):
+// every decision stays within the relay budget, and `predicted` is the
+// composed estimate of exactly the legs it returns.  A search that walks one
+// shared parent array back breaks both, here on 99 decisions at one relay.
 TEST(Overlay, RelayBudgetRespected) {
-  const auto net = make_network(7);
-  OverlayConfig cfg;
-  cfg.max_relays = 2;
-  cfg.hysteresis = 0.0;
-  OverlayMesh mesh{net, first_hosts(10), cfg};
-  for (int k = 0; k < 3; ++k) mesh.probe(noon() + Duration::minutes(k * 10));
-  for (int i = 0; i < 10; ++i) {
-    for (int j = 0; j < 10; ++j) {
-      if (i == j) continue;
-      const auto r = mesh.route(topo::HostId{i}, topo::HostId{j});
-      EXPECT_LE(r.relays.size(), 2u);
+  topo::GeneratorConfig g;
+  g.seed = 4242;
+  g.backbone_count = 5;
+  g.regional_count = 14;
+  g.stub_count = 40;
+  g.rate_limited_host_fraction = 0.0;
+  sim::NetworkConfig net_cfg;
+  net_cfg.seed = 4242;
+  const sim::Network net{topo::generate_topology(g), net_cfg};
+  std::vector<topo::HostId> members;
+  for (int i = 0; i < 12; ++i) members.push_back(topo::HostId{i * 3});
+
+  for (const int max_relays : {1, 2}) {
+    OverlayConfig cfg;
+    cfg.max_relays = max_relays;
+    OverlayMesh mesh{net, members, cfg};
+    const SimTime begin = SimTime::start() + Duration::hours(6);
+    std::size_t over_budget = 0;
+    std::size_t mispredicted = 0;
+    for (SimTime now = begin; now < begin + Duration::hours(24);
+         now = now + cfg.probe_interval) {
+      mesh.probe(now);
+      for (const topo::HostId src : members) {
+        for (const topo::HostId dst : members) {
+          if (src == dst) continue;
+          const OverlayRoute r = mesh.route(src, dst);
+          // compose() over the legs: RTTs add, first leg first.
+          double composed = 0.0;
+          topo::HostId from = src;
+          for (const topo::HostId hop : r.relays) {
+            composed += mesh.estimate(from, hop).value();
+            from = hop;
+          }
+          composed += mesh.estimate(from, dst).value_or(
+              std::numeric_limits<double>::infinity());
+          if (r.relays.size() > static_cast<std::size_t>(max_relays)) {
+            ++over_budget;
+          }
+          if (r.predicted != composed) ++mispredicted;
+        }
+      }
     }
+    EXPECT_EQ(over_budget, 0u) << "max_relays " << max_relays;
+    EXPECT_EQ(mispredicted, 0u) << "max_relays " << max_relays;
   }
 }
 

@@ -92,7 +92,6 @@
 // (deadline, signal, or watchdog — campaigns leave a valid checkpoint).
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -424,8 +423,8 @@ std::size_t test_crash_after() {
 // Writes the campaign-level disjoint report for one finished dataset:
 // deterministic TSV (stable column set, %.6g values, table.edges() order),
 // written atomically next to the dataset output.  The min-samples floor
-// scales with the campaign's --scale (same convention as the bench suite's
-// scaled_min_samples) so a reduced-scale campaign still yields a populated
+// scales with the campaign's --scale (core::scaled_min_samples, as in the
+// bench suite) so a reduced-scale campaign still yields a populated
 // graph instead of filtering every edge.  A TCP dataset has no per-probe
 // samples to weigh the graph with, so it gets a note instead of a report.
 // Nonzero return is the process exit code.
@@ -441,8 +440,7 @@ int write_disjoint_report(const std::string& out_dir, const std::string& name,
     return kExitOk;
   }
   core::BuildOptions build;
-  build.min_samples =
-      std::max(3, static_cast<int>(std::llround(30.0 * scale)));
+  build.min_samples = core::scaled_min_samples(30, scale);
   build.cancel = &g_cancel;
   const auto built = core::PathTable::build_checked(ds, build);
   if (!built.is_ok()) {
