@@ -1,35 +1,47 @@
 // Table 1: characteristics of the datasets.
 //
-// The bench also round-trips every dataset through the .ds text codec
-// (meas/serialize.h) and requires the re-serialized bytes to match, so its
+// The bench also round-trips every dataset through a .ds file (save_dataset,
+// load_dataset) and requires the re-serialized bytes to match, so its
 // JSON metrics carry the codec's meas.dataset.write / meas.dataset.read
 // phases and record/byte counters for the perf gate.  The round trip adds
 // nothing to the printed table or the JSON results.
-#include <sstream>
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
 
 #include "bench_util.h"
 #include "meas/serialize.h"
+#include "util/atomic_io.h"
 
 namespace pathsel {
 namespace {
 
-// Writes the dataset, reads it back and re-serializes it; false (with a
+// Saves the dataset, loads it back and re-serializes it; false (with a
 // message on stderr) unless the bytes match.
 bool round_trips(const meas::Dataset& ds) {
-  std::ostringstream os;
-  meas::write_dataset(os, ds);
-  const std::string bytes = std::move(os).str();
-  std::istringstream is{bytes};
-  std::string error;
-  const std::optional<meas::Dataset> loaded = meas::read_dataset(is, &error);
-  if (!loaded.has_value()) {
-    std::fprintf(stderr, "%s: read back failed: %s\n", ds.name.c_str(),
-                 error.c_str());
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("pathsel_bench_table1_" + std::to_string(::getpid()) + ".ds"))
+          .string();
+  const Status saved = meas::save_dataset(path, ds);
+  const Result<std::string> bytes = read_file(path);
+  const Result<meas::Dataset> loaded = meas::load_dataset(path);
+  std::remove(path.c_str());
+  if (!saved.is_ok() || !bytes.is_ok() || !loaded.is_ok()) {
+    std::fprintf(stderr, "%s: round trip failed: %s\n", ds.name.c_str(),
+                 (!saved.is_ok()   ? saved
+                  : !bytes.is_ok() ? bytes.status()
+                                   : loaded.status())
+                     .message()
+                     .c_str());
     return false;
   }
-  std::ostringstream again;
-  meas::write_dataset(again, *loaded);
-  if (again.str() != bytes) {
+  std::string again;
+  meas::write_dataset_chunks(loaded.value(), [&again](std::string_view text) {
+    again += text;
+  });
+  if (again != bytes.value()) {
     std::fprintf(stderr, "%s: read back re-serializes to different bytes\n",
                  ds.name.c_str());
     return false;

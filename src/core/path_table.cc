@@ -61,8 +61,9 @@ PathEdge accumulate_edge(const meas::Dataset& dataset,
           e.loss.add(s.lost ? 1.0 : 0.0);
         }
       }
-      if (e.as_path.empty() && !m.as_path.empty()) {
-        e.as_path = m.as_path;
+      if (e.as_path.empty()) {
+        const std::span<const topo::AsId> path = dataset.as_path(m);
+        e.as_path.assign(path.begin(), path.end());
       }
     } else {
       e.bandwidth.add(m.bandwidth_kBps);

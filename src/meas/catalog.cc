@@ -1,6 +1,7 @@
 #include "meas/catalog.h"
 
 #include <algorithm>
+#include <iterator>
 #include <unordered_set>
 
 #include "meas/checkpoint.h"
@@ -140,11 +141,16 @@ Dataset Catalog::subset(const Dataset& parent, std::string name,
   out.hosts = keep;
   out.first_sample_loss_only = parent.first_sample_loss_only;
   out.episode_count = parent.episode_count;
-  for (const auto& m : parent.measurements) {
-    if (keep_set.contains(m.src) && keep_set.contains(m.dst)) {
-      out.measurements.push_back(m);
-    }
-  }
+  // The parent's pool is small (thousands of paths), so the subset keeps a
+  // copy and its rows keep their ids.
+  out.paths = parent.paths;
+  auto kept = [&keep_set](const Measurement& m) {
+    return keep_set.contains(m.src) && keep_set.contains(m.dst);
+  };
+  out.measurements.reserve(static_cast<std::size_t>(std::count_if(
+      parent.measurements.begin(), parent.measurements.end(), kept)));
+  std::copy_if(parent.measurements.begin(), parent.measurements.end(),
+               std::back_inserter(out.measurements), kept);
   return out;
 }
 

@@ -149,7 +149,7 @@ std::string serialize_checkpoint(const CampaignCheckpoint& cp,
                                  std::uint64_t fingerprint) {
   std::string out = serialize_head(cp, kind, fingerprint);
   for (const Measurement& m : cp.measurements) {
-    append_measurement(out, m, kind);
+    append_measurement(out, m, kind, cp.paths);
   }
   codec::seal_text(out, codec::CrcRadix::kDecimal);
   return out;
@@ -275,12 +275,11 @@ Result<CampaignCheckpoint> parse_checkpoint(std::string_view text,
   cp.measurements.reserve(u);
   for (std::uint64_t n = 0; n < u; ++n) {
     if (!lines.next(line)) return corrupt("truncated measurement list");
-    Measurement m;
     std::string error;
-    if (!parse_measurement(line, kind, nullptr, m, &error)) {
+    if (!parse_measurement(line, kind, cp.paths,
+                           cp.measurements.emplace_back(), &error)) {
       return corrupt(error);
     }
-    cp.measurements.push_back(std::move(m));
   }
   if (lines.next(line)) return corrupt("trailing data after payload");
   return cp;
@@ -352,7 +351,7 @@ Status CheckpointStore::save(const CampaignCheckpoint& cp,
   std::string& chunk = cache.chunks.back();
   const std::size_t cached_bytes = chunk.size();
   for (std::size_t i = cache.count; i < cp.measurements.size(); ++i) {
-    append_measurement(chunk, cp.measurements[i], kind);
+    append_measurement(chunk, cp.measurements[i], kind, cp.paths);
   }
   cache.crc = crc32(std::string_view{chunk}.substr(cached_bytes), cache.crc);
   cache.bytes += chunk.size() - cached_bytes;

@@ -139,6 +139,8 @@ class Campaign {
   struct PairPaths {
     const route::RouterPath* fwd = nullptr;
     const route::RouterPath* rev = nullptr;
+    AsPathId path = AsPathPool::kEmpty;  // fwd's AS path, once interned
+    bool interned = false;
   };
 
   // --- typed-event heap ------------------------------------------------------
@@ -242,12 +244,14 @@ class Campaign {
     resolve_pending();
     CampaignCheckpoint cp = snapshot();
     cp.measurements = std::move(dataset_.measurements);
+    cp.paths = std::move(dataset_.paths);
     const Status saved = controls.on_checkpoint(cp);
     dataset_.measurements = std::move(cp.measurements);
+    dataset_.paths = std::move(cp.paths);
     return saved;
   }
 
-  // Everything but the measurements (see checkpoint()).
+  // Everything but the measurements and their paths (see checkpoint()).
   [[nodiscard]] CampaignCheckpoint snapshot() const {
     CampaignCheckpoint cp;
     cp.dataset_name = dataset_.name;
@@ -268,7 +272,7 @@ class Campaign {
     return cp;
   }
 
-  // Takes the checkpoint's measurements and pending events over.
+  // Takes the checkpoint's measurements, paths and pending events over.
   [[nodiscard]] Status restore(CampaignCheckpoint&& cp) {
     auto mismatch = [](const std::string& what) {
       return Status::error(ErrorCode::kInvalidArgument,
@@ -290,7 +294,10 @@ class Campaign {
     now_ = cp.now;
     next_seq_ = cp.next_seq;
     dataset_.episode_count = cp.episode_count;
+    // Nothing has been interned before the first event, so the rows keep
+    // the checkpoint's pool and ids.
     dataset_.measurements = std::move(cp.measurements);
+    dataset_.paths = std::move(cp.paths);
     rng_.restore(cp.rng_state);
     server_rngs_.clear();
     for (const auto& state : cp.server_rng_states) {
@@ -333,6 +340,9 @@ class Campaign {
       record_probe_outcome(FailureReason::kEndpointDown);
     } else {
       // The probe itself runs later, in resolve_pending().
+      if (config_.kind == MeasurementKind::kTraceroute) {
+        m.path = pair_path(src, dst);
+      }
       pending_.push_back(dataset_.measurements.size());
     }
     dataset_.measurements.push_back(std::move(m));
@@ -368,11 +378,10 @@ class Campaign {
   void probe(Measurement& m, sim::ProbeScratch& scratch) const {
     const PairPaths& paths = default_paths(m.src, m.dst);
     if (config_.kind == MeasurementKind::kTraceroute) {
-      sim::TracerouteResult r = net_.traceroute_over(
+      const sim::TracerouteResult r = net_.traceroute_over(
           *paths.fwd, *paths.rev, m.src, m.dst, m.when, scratch);
       m.completed = r.completed;
       m.samples = r.samples;
-      m.as_path = std::move(r.as_path);
     } else {
       const sim::TcpTransferResult r = net_.tcp_transfer_over(
           *paths.fwd, *paths.rev, m.src, m.dst, m.when, scratch);
@@ -397,7 +406,8 @@ class Campaign {
         const topo::HostId a = dataset_.hosts[i];
         const topo::HostId b = dataset_.hosts[j];
         if (a == b) continue;
-        paths_[i * n + j] = {&net_.default_path(a, b), &net_.default_path(b, a)};
+        paths_[i * n + j] = {&net_.default_path(a, b),
+                             &net_.default_path(b, a)};
       }
     }
   }
@@ -407,11 +417,25 @@ class Campaign {
                   host_index_[dst.index()]];
   }
 
+  // The pair's forward AS path id.  It is interned on the pair's first
+  // probe, serially in the event loop (the probe workers only read), so the
+  // pool holds exactly the paths the dataset's rows carry.
+  AsPathId pair_path(topo::HostId src, topo::HostId dst) {
+    PairPaths& pair = paths_[host_index_[src.index()] * dataset_.hosts.size() +
+                             host_index_[dst.index()]];
+    if (!pair.interned) {
+      pair.path = dataset_.paths.intern(pair.fwd->as_path);
+      pair.interned = true;
+    }
+    return pair.path;
+  }
+
   // One attempt of a fault-aware measurement; fills m's payload on success
   // (and the partial traceroute payload on a probe failure, as the legacy
-  // path does) and returns the failure reason.
-  FailureReason try_once(Measurement& m, topo::HostId src, topo::HostId dst,
-                         SimTime t) {
+  // path does), with the probed forward AS path in `path`, and returns the
+  // failure reason.
+  FailureReason try_once(Measurement& m, std::span<const topo::AsId>& path,
+                         topo::HostId src, topo::HostId dst, SimTime t) {
     if (!availability_.is_up(src, t) || !availability_.is_up(dst, t)) {
       return FailureReason::kEndpointDown;
     }
@@ -438,10 +462,10 @@ class Campaign {
     }
 
     if (config_.kind == MeasurementKind::kTraceroute) {
-      sim::TracerouteResult r =
+      const sim::TracerouteResult r =
           net_.traceroute_over(*fwd, *rev, src, dst, t, scratch_, storm);
       m.samples = r.samples;
-      m.as_path = std::move(r.as_path);
+      path = r.as_path;
       return r.completed ? FailureReason::kNone : FailureReason::kProbeFailure;
     }
     const sim::TcpTransferResult r =
@@ -461,7 +485,8 @@ class Campaign {
     m.dst = dst;
     m.episode = episode;
     MetricsRegistry::global().count("meas.collector.probes_attempted");
-    const FailureReason reason = try_once(m, src, dst, t);
+    std::span<const topo::AsId> path;
+    const FailureReason reason = try_once(m, path, src, dst, t);
     m.attempts = static_cast<std::uint8_t>(std::min(tried + 1, 255));
 
     if (reason != FailureReason::kNone && tried < config_.retry.max_retries) {
@@ -485,6 +510,7 @@ class Campaign {
     }
     m.completed = reason == FailureReason::kNone;
     m.failure = reason;
+    m.path = dataset_.paths.intern(path);  // only a recorded row's path
     record_probe_outcome(reason);
     dataset_.measurements.push_back(std::move(m));
   }

@@ -129,6 +129,7 @@ struct CampaignCheckpoint {
   std::uint64_t injector_epoch = 0;
   std::vector<CampaignEvent> pending;     // sorted by (t, seq)
   std::vector<Measurement> measurements;  // in push (recording) order
+  AsPathPool paths;  // the AS paths the measurements' ids name
 };
 
 /// Knobs for a resumable, cancellable collection run.
@@ -143,8 +144,8 @@ struct CollectControls {
   Duration checkpoint_interval{};
   /// Called with each snapshot (periodic and the final one on cancellation).
   /// A non-ok return aborts the run with that status.  May be null.  The
-  /// snapshot's measurements are the run's own, lent for the call: a caller
-  /// that keeps the snapshot past the call must copy it.
+  /// snapshot's measurements and paths are the run's own, lent for the
+  /// call: a caller that keeps the snapshot past the call must copy it.
   std::function<Status(const CampaignCheckpoint&)> on_checkpoint;
   /// Executors resolving fault-free probes; 0 means default_thread_count().
   /// The dataset and every checkpoint are byte-identical at any value.

@@ -35,6 +35,20 @@
 // the last included, ends with '\n': a file whose last line lacks it was
 // torn mid-line and is rejected, so a prefix parses only if it ends on a
 // line boundary at or after the hosts line.
+//
+// One parse path.  A single-pass parser reads tokens straight out of text
+// held in memory, checks hosts against a bitmap of the declared ids,
+// interns each row's AS path into the dataset's AsPathPool and fills the
+// row in place.  load_dataset hands it the whole file; the read_dataset
+// stream adapter hands it ~64 KiB blocks of whole lines, carrying the
+// partial last line over to the next block, so both readers accept the same
+// language and reject with the same messages.  One writer formats rows
+// into a reserved buffer, copying each pooled path's text, formatted once
+// per write.
+//
+// The stream overloads (write_dataset / read_dataset) are thin adapters.
+// Outside the tests that check both readers agree, only perfbench/study.cc
+// uses them; they can go with the next change to that benchmark.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +57,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 
 #include "meas/dataset.h"
 #include "util/status.h"
@@ -53,8 +66,9 @@ namespace pathsel::meas {
 /// First line of a dataset file: the format name and version.
 inline constexpr char kDatasetHeader[] = "pathsel-dataset v1";
 
-/// Writes the dataset; the stream's failbit reflects I/O errors.  The text
-/// reaches the stream in bounded chunks, never as one whole-file copy.
+/// Stream adapter over write_dataset_chunks; the stream's failbit reflects
+/// I/O errors.  The text reaches the stream in bounded chunks, never as one
+/// whole-file copy.
 void write_dataset(std::ostream& os, const Dataset& dataset);
 
 /// Formats the dataset as write_dataset does and hands `sink` the text in
@@ -63,8 +77,9 @@ void write_dataset_chunks(
     const Dataset& dataset,
     const std::function<void(std::string_view)>& sink);
 
-/// Parses a dataset.  On failure returns nullopt and, if `error` is
-/// non-null, stores a human-readable reason.
+/// Stream adapter over the dataset parser: reads `is` to its end in ~64 KiB
+/// blocks.  On failure returns nullopt and, if `error` is non-null, stores a
+/// human-readable reason.
 ///
 /// Beyond per-row validation, the reader enforces a whole-file invariant:
 /// fault-aware campaigns record a failure reason on *every* failed row, so a
@@ -86,19 +101,19 @@ void write_dataset_chunks(
                                   const Dataset& dataset);
 
 /// Appends one measurement row (the full "m ..." line, newline included)
-/// exactly as write_dataset writes it.  Checkpoints embed pending
-/// measurements with this writer so a resumed campaign re-serializes
-/// byte-identically.
+/// exactly as write_dataset writes it; `paths` is the pool `m.path` indexes.
+/// Checkpoints embed pending measurements with this writer so a resumed
+/// campaign re-serializes byte-identically.
 void append_measurement(std::string& out, const Measurement& m,
-                        MeasurementKind kind);
+                        MeasurementKind kind, const AsPathPool& paths);
 
 /// Parses one measurement row as written by append_measurement, with the
-/// same strict validation read_dataset applies.  `declared_hosts` (nullable)
-/// restricts src/dst to declared ids.  On failure returns false and, if
+/// same strict validation read_dataset applies (any host id is accepted),
+/// interning its AS path into `paths`.  On failure returns false and, if
 /// `error` is non-null, stores a human-readable reason.
-[[nodiscard]] bool parse_measurement(
-    std::string_view line, MeasurementKind kind,
-    const std::unordered_set<std::int32_t>* declared_hosts, Measurement& out,
-    std::string* error = nullptr);
+[[nodiscard]] bool parse_measurement(std::string_view line,
+                                     MeasurementKind kind, AsPathPool& paths,
+                                     Measurement& out,
+                                     std::string* error = nullptr);
 
 }  // namespace pathsel::meas

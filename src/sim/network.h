@@ -28,6 +28,7 @@
 #include <array>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -50,8 +51,10 @@ struct ProbeSample {
 struct TracerouteResult {
   bool completed = false;  // control host reached the server and got output
   std::array<ProbeSample, 3> samples{};
-  std::vector<topo::AsId> as_path;  // forward direction
-  Duration elapsed;                 // wall time the measurement occupied
+  /// Forward AS path: a view of the probed forward path's own, valid while
+  /// that path is.
+  std::span<const topo::AsId> as_path;
+  Duration elapsed;  // wall time the measurement occupied
 };
 
 struct TcpTransferResult {

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -10,8 +11,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 namespace pathsel {
 
@@ -162,12 +161,33 @@ Status write_file_atomic(const std::string& path,
 }
 
 Result<std::string> read_file(const std::string& path) {
-  std::ifstream is{path, std::ios::binary};
-  if (!is) return io_error("cannot open", path);
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  if (is.bad()) return io_error("cannot read", path);
-  return buffer.str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return io_error("cannot open", path);
+  // Sized once from fstat and filled in place; the size is only a hint, so
+  // a file that grows or shrinks meanwhile still comes back whole: reading
+  // goes on until read() reports the end.
+  struct stat st {};
+  const std::size_t hint =
+      ::fstat(fd, &st) == 0 && st.st_size > 0
+          ? static_cast<std::size_t>(st.st_size)
+          : 0;
+  std::string text(hint + 1, '\0');  // one spare byte sees the end at once
+  std::size_t filled = 0;
+  for (;;) {
+    if (filled == text.size()) text.resize(filled + filled / 2 + 4096);
+    const ssize_t n = ::read(fd, text.data() + filled, text.size() - filled);
+    if (n == 0) break;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const Status s = io_error("cannot read", path);
+      ::close(fd);
+      return s;
+    }
+    filled += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  text.resize(filled);
+  return text;
 }
 
 Status ensure_directory(const std::string& path) {

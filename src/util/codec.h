@@ -316,6 +316,16 @@ struct Hex {
   int digits = 16;
 };
 
+/// Most characters format_real writes ("-2.2250738585072014e-308").
+inline constexpr std::size_t kMaxRealText = 24;
+
+/// Writes `v` as printf("%.17g") does to `first`, which must have room for
+/// kMaxRealText characters, and returns the end of the text.  Values with
+/// 1e-5 <= |v| < 1e17 take an exact integer path (the 17 digits are v
+/// scaled by 10^(16 - floor(log10 |v|)) and rounded half to even in 128-bit
+/// arithmetic); every other value goes through std::to_chars.
+char* format_real(char* first, double v);
+
 /// Appends the text of one value: an integer in base 10, a double as
 /// printf("%.17g"), a Hex value, or a string as it is.
 template <std::integral Int>

@@ -21,11 +21,11 @@ PathTable as_table() {
     const int s = m.src.value();
     const int d = m.dst.value();
     if ((s == 0 && d == 1) || (s == 1 && d == 0)) {
-      m.as_path = {topo::AsId{1}, topo::AsId{10}, topo::AsId{2}};
+      m.path = test::intern_path(ds.paths, {1, 10, 2});
     } else if ((s == 0 && d == 2) || (s == 2 && d == 0)) {
-      m.as_path = {topo::AsId{1}, topo::AsId{20}, topo::AsId{3}};
+      m.path = test::intern_path(ds.paths, {1, 20, 3});
     } else {
-      m.as_path = {topo::AsId{3}, topo::AsId{30}, topo::AsId{2}};
+      m.path = test::intern_path(ds.paths, {3, 30, 2});
     }
   }
   return PathTable::build(ds, test::min_samples(1));

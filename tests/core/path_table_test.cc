@@ -156,7 +156,7 @@ TEST(PathTable, AllSamplesLostPathDropped) {
 TEST(PathTable, AsPathStored) {
   auto ds = make_dataset(2);
   add_invocation(ds, 0, 1, {10.0, 10.0, 10.0});
-  ds.measurements.back().as_path = {topo::AsId{3}, topo::AsId{1}};
+  ds.measurements.back().path = test::intern_path(ds.paths, {3, 1});
   BuildOptions opt;
   opt.min_samples = 1;
   const auto table = PathTable::build(ds, opt);

@@ -1,7 +1,6 @@
 // Fault-injection resilience: the fault-aware collection path must keep
 // legacy outputs byte-identical when disabled, and faulted campaigns must
 // complete, record their failures, and analyze deterministically.
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -33,9 +32,10 @@ std::vector<topo::HostId> first_hosts(int n) {
 }
 
 std::string serialized(const meas::Dataset& ds) {
-  std::stringstream ss;
-  meas::write_dataset(ss, ds);
-  return ss.str();
+  std::string text;
+  meas::write_dataset_chunks(
+      ds, [&text](std::string_view chunk) { text += chunk; });
+  return text;
 }
 
 // A present-but-disabled plan (and a zero-retry policy) must take the legacy

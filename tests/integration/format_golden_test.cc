@@ -13,6 +13,7 @@
 // format's version):  PATHSEL_UPDATE_GOLDEN=1 ctest -R FormatGolden
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
@@ -30,6 +31,7 @@
 #include "meas/checkpoint.h"
 #include "meas/serialize.h"
 #include "serve/journal.h"
+#include "test_util.h"
 
 namespace pathsel {
 namespace {
@@ -246,11 +248,11 @@ meas::Dataset traceroute_fixture() {
               topo::HostId{2147483647}};
   meas::Measurement a = trace_row(0, 0, 3, 0);
   a.episode = 0;
-  a.as_path = {topo::AsId{7}, topo::AsId{0}, topo::AsId{2147483647}};
+  a.path = test::intern_path(ds.paths, {7, 0, 2147483647});
   meas::Measurement b = trace_row(604799999, 5, 2147483647, 3);
   b.episode = 1;
   b.attempts = 2;
-  b.as_path = {topo::AsId{701}};
+  b.path = test::intern_path(ds.paths, {701});
   meas::Measurement c = trace_row(60000, 3, 0, 6);
   c.completed = false;
   c.failure = meas::FailureReason::kStuckProbe;
@@ -310,7 +312,7 @@ void expect_same_measurements(const meas::Dataset& got,
       EXPECT_EQ(g.samples[s].lost, w.samples[s].lost);
       EXPECT_EQ(bits(g.samples[s].rtt_ms), bits(w.samples[s].rtt_ms));
     }
-    EXPECT_EQ(g.as_path, w.as_path);
+    EXPECT_TRUE(std::ranges::equal(got.as_path(g), want.as_path(w)));
     EXPECT_EQ(bits(g.bandwidth_kBps), bits(w.bandwidth_kBps));
     EXPECT_EQ(bits(g.tcp_rtt_ms), bits(w.tcp_rtt_ms));
     EXPECT_EQ(bits(g.tcp_loss_rate), bits(w.tcp_loss_rate));
@@ -363,7 +365,9 @@ meas::CampaignCheckpoint checkpoint_fixture() {
   next.t = SimTime::at(Duration::millis(43260000));
   next.seq = 12;
   cp.pending = {retry, next};
-  cp.measurements = traceroute_fixture().measurements;
+  meas::Dataset rows = traceroute_fixture();
+  cp.measurements = rows.measurements;
+  cp.paths = rows.paths;
   return cp;
 }
 
@@ -388,8 +392,10 @@ TEST(FormatGolden, CheckpointBytes) {
   EXPECT_EQ(got.pending[0].tried, cp.pending[0].tried);
   meas::Dataset got_rows;
   got_rows.measurements = got.measurements;
+  got_rows.paths = got.paths;
   meas::Dataset want_rows;
   want_rows.measurements = cp.measurements;
+  want_rows.paths = cp.paths;
   expect_same_measurements(got_rows, want_rows);
   EXPECT_TRUE(meas::serialize_checkpoint(got, meas::MeasurementKind::kTraceroute,
                                          kFingerprint) == golden);

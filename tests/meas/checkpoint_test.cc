@@ -305,7 +305,7 @@ std::uint64_t counter(std::string_view name) {
 
 // Row i of a synthetic campaign: distinct (when, src, dst), and every fourth
 // row a retried failure.
-Measurement row(std::size_t i) {
+Measurement row(std::size_t i, AsPathPool& paths) {
   const auto n = static_cast<std::int32_t>(i);
   Measurement m;
   m.when = SimTime::at(Duration::millis(1000 * n + 7));
@@ -317,7 +317,7 @@ Measurement row(std::size_t i) {
       m.samples[k].lost = (i + k) % 5 == 0;
       m.samples[k].rtt_ms = 10.0 + 0.25 * static_cast<double>(i + k);
     }
-    m.as_path = {topo::AsId{1}, topo::AsId{n % 7 + 2}};
+    m.path = test::intern_path(paths, {1, n % 7 + 2});
     m.bandwidth_kBps = 100.0 + static_cast<double>(i);
     m.tcp_rtt_ms = 40.5;
     m.tcp_loss_rate = 0.01 * static_cast<double>(i % 3);
@@ -365,7 +365,9 @@ class StoreDifferential {
       ev.tried = 1;
       cp.pending.push_back(ev);
     }
-    for (std::size_t i = 0; i < count; ++i) cp.measurements.push_back(row(i));
+    for (std::size_t i = 0; i < count; ++i) {
+      cp.measurements.push_back(row(i, cp.paths));
+    }
     return cp;
   }
 

@@ -15,7 +15,6 @@
 #include <iterator>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -119,9 +118,9 @@ TEST(ServeFingerprint, IsCrcOfTheWholeDatasetText) {
   for (int i = 0; i < 6000; ++i) {
     test::add_invocation(ds, 0, 1, {10.0 + i * 0.001, 11.0, 12.0});
   }
-  std::ostringstream os;
-  meas::write_dataset(os, ds);
-  const std::string text = os.str();
+  std::string text;
+  meas::write_dataset_chunks(
+      ds, [&text](std::string_view chunk) { text += chunk; });
   ASSERT_GT(text.size(), 3u * 64 * 1024);  // several write chunks
   EXPECT_EQ(ServeEngine::compute_fingerprint(ds, 7),
             (std::uint64_t{crc32(text)} << 32) | 7u);

@@ -42,6 +42,14 @@ inline void add_invocation(meas::Dataset& ds, int src, int dst,
   ds.measurements.push_back(std::move(m));
 }
 
+/// Interns `ases` into `paths`: the AS path id of a hand-built measurement.
+inline meas::AsPathId intern_path(meas::AsPathPool& paths,
+                                  std::initializer_list<std::int32_t> ases) {
+  std::vector<topo::AsId> path;
+  for (const std::int32_t as : ases) path.push_back(topo::AsId{as});
+  return paths.intern(path);
+}
+
 /// Appends `count` identical invocations of (rtt, rtt, rtt).
 inline void add_invocations(meas::Dataset& ds, int src, int dst, double rtt,
                             int count, SimTime when = SimTime::start()) {

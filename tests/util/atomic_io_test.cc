@@ -193,6 +193,43 @@ TEST(AtomicIoRead, MissingFileIsAnIoError) {
   EXPECT_EQ(read.status().code(), ErrorCode::kIoError);
 }
 
+// read_file sizes its string from fstat and reads until read() reports the
+// end, so every size comes back whole.
+void expect_reads_back(const std::string& name, const std::string& contents) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  ASSERT_TRUE(write_file_atomic(path, contents).is_ok());
+  const Result<std::string> read = read_file(path);
+  ASSERT_TRUE(read.is_ok()) << read.status().message();
+  EXPECT_TRUE(read.value() == contents) << name;
+}
+
+TEST(AtomicIoRead, EmptyFile) { expect_reads_back("atomic_io_read_empty", ""); }
+
+TEST(AtomicIoRead, OneByteFile) {
+  expect_reads_back("atomic_io_read_one", "x");
+}
+
+TEST(AtomicIoRead, FileOverOneMiB) {
+  std::string big(std::size_t{1} << 20, '\0');
+  Rng rng{17};
+  for (char& c : big) c = static_cast<char>(rng.uniform_int(0, 255));
+  big += "tail";
+  expect_reads_back("atomic_io_read_big", big);
+}
+
+TEST(AtomicIoRead, FileWithoutTrailingNewline) {
+  expect_reads_back("atomic_io_read_torn", "first line\nlast line, no newline");
+}
+
+// A file larger than its fstat size (procfs reports 0) still reads whole.
+TEST(AtomicIoRead, ReadsPastTheStatSize) {
+  if (!exists("/proc/self/status")) GTEST_SKIP() << "no procfs";
+  const Result<std::string> read = read_file("/proc/self/status");
+  ASSERT_TRUE(read.is_ok()) << read.status().message();
+  EXPECT_NE(read.value().find("Name:"), std::string::npos);
+  EXPECT_EQ(read.value().back(), '\n');
+}
+
 TEST(AtomicIoEnsureDirectory, CreatesNestedAndRejectsFiles) {
   const std::string nested = ::testing::TempDir() + "/atomic_io_a/b/c";
   ASSERT_TRUE(ensure_directory(nested).is_ok());

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <string>
@@ -323,6 +327,142 @@ TEST(Codec, TextTrailerIsCanonicalInEitherRadix) {
     seal_text(empty, radix);
     EXPECT_EQ(unseal_text(empty, radix), std::optional<std::string_view>{""});
   }
+}
+
+// ---- the %.17g fast path ----------------------------------------------------
+
+// format_real against std::to_chars(general, 17), printf("%.17g") by
+// definition; returns the number of values whose text differs and reports
+// the first few.
+int count_format_mismatches(const std::vector<double>& values) {
+  int mismatches = 0;
+  for (const double v : values) {
+    char want[64];
+    const char* want_end =
+        std::to_chars(want, want + sizeof want, v, std::chars_format::general,
+                      17)
+            .ptr;
+    char got[kMaxRealText];
+    const char* got_end = format_real(got, v);
+    const std::string_view w{want, static_cast<std::size_t>(want_end - want)};
+    const std::string_view g{got, static_cast<std::size_t>(got_end - got)};
+    if (w != g) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "bits " << std::hex << std::bit_cast<std::uint64_t>(v)
+                      << ": format_real " << g << ", to_chars " << w;
+      }
+    }
+  }
+  return mismatches;
+}
+
+double from_bits(std::uint64_t bits) { return std::bit_cast<double>(bits); }
+
+// Ten million seeded doubles over every binade of the fast range (|v| in
+// [1e-5, 1e17)) and one binade past each end, both signs.
+TEST(Codec, RealFormatterMatchesToCharsAcrossTheFastRange) {
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  auto next = [&state] {  // splitmix64
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  };
+  constexpr int kLowBinade = -19;  // [2^-19, 2^-18) lies below 1e-5
+  constexpr int kHighBinade = 57;  // [2^57, 2^58) lies above 1e17
+  constexpr int kBinades = kHighBinade - kLowBinade + 1;
+  constexpr std::size_t kValues = 10'000'000;
+  constexpr std::size_t kBatch = 1'000'000;
+  std::vector<double> batch;
+  batch.reserve(kBatch);
+  int mismatches = 0;
+  for (std::size_t i = 0; i < kValues; ++i) {
+    const std::uint64_t r = next();
+    const int binade = kLowBinade + static_cast<int>(i % kBinades);
+    const auto biased = static_cast<std::uint64_t>(binade + 1023);
+    const std::uint64_t sign = (r >> 63) << 63;
+    const std::uint64_t mantissa = r & ((1ULL << 52) - 1);
+    batch.push_back(from_bits(sign | (biased << 52) | mantissa));
+    if (batch.size() == kBatch) {
+      mismatches += count_format_mismatches(batch);
+      batch.clear();
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+// Values whose 18th significant digit is an exact 5 with nothing after it:
+// q / 2^(s+1) for odd q scales by 10^s to q * 5^s / 2, so the 17-digit
+// rounding is a tie, broken to even.  One draw set per decimal exponent of
+// the fast range.
+TEST(Codec, RealFormatterBreaksExactTiesToEven) {
+  std::vector<double> values;
+  std::uint64_t pow5 = 1;
+  std::uint64_t state = 12345;
+  for (int s = 1; s <= 21; ++s) {
+    pow5 *= 5;
+    const std::uint64_t lo = (20'000'000'000'000'000ULL + pow5 - 1) / pow5;
+    const std::uint64_t hi =
+        std::min<std::uint64_t>(200'000'000'000'000'000ULL / pow5, 1ULL << 53);
+    for (int k = 0; k < 2000; ++k) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      const std::uint64_t q = (lo + (state >> 11) % (hi - lo)) | 1;
+      if (q >= hi) continue;
+      const double v = std::ldexp(static_cast<double>(q), -(s + 1));
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  ASSERT_GT(values.size(), 80'000u);
+  EXPECT_EQ(count_format_mismatches(values), 0);
+}
+
+// The range edges, the neighbours of every power of ten (where 9.99...
+// may carry into the next decade), and the values outside the fast range
+// that only to_chars formats.
+TEST(Codec, RealFormatterEdges) {
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      5e-324,
+      -5e-324,
+      2.2250738585072009e-308,
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      1e-5,
+      1e17,
+      0.99999999999999989,
+      9.9999999999999982e-5,
+      99999999999999984.0,
+      9007199254740993.0,
+  };
+  for (int k = -8; k <= 19; ++k) {
+    char text[32];
+    std::snprintf(text, sizeof text, "1e%d", k);
+    const double p = std::strtod(text, nullptr);
+    std::snprintf(text, sizeof text, "9.99999999999999995e%d", k - 1);
+    const double nines = std::strtod(text, nullptr);
+    for (double v : {p, nines}) {
+      for (int step = 0; step < 4; ++step) {
+        values.push_back(v);
+        values.push_back(-v);
+        v = std::nextafter(v, 0.0);
+      }
+      v = p;
+      for (int step = 0; step < 4; ++step) {
+        v = std::nextafter(v, std::numeric_limits<double>::infinity());
+        values.push_back(v);
+      }
+    }
+  }
+  for (std::uint64_t bits = 1; bits < (1ULL << 52); bits = bits * 3 + 1) {
+    values.push_back(from_bits(bits));  // subnormals
+  }
+  EXPECT_EQ(count_format_mismatches(values), 0);
 }
 
 }  // namespace
