@@ -154,8 +154,7 @@ CampaignReport run_campaign(const CampaignOptions& options) {
         return Status::ok();
       };
       if (options.resume) {
-        CheckpointLoad load = load_newest_checkpoint(
-            options.checkpoint_dir, name, mat.config.kind, fingerprint);
+        CheckpointLoad load = store.load(name, mat.config.kind, fingerprint);
         for (std::string& reason : load.discarded) {
           report.notes.push_back("discarded checkpoint: " + reason);
         }

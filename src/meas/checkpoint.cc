@@ -273,13 +273,9 @@ Result<CampaignCheckpoint> parse_checkpoint(std::string_view text,
     return corrupt("invalid measurements count");
   }
   cp.measurements.reserve(u);
-  for (std::uint64_t n = 0; n < u; ++n) {
-    if (!lines.next(line)) return corrupt("truncated measurement list");
-    std::string error;
-    if (!parse_measurement(line, kind, cp.paths,
-                           cp.measurements.emplace_back(), &error)) {
-      return corrupt(error);
-    }
+  std::string error;
+  if (!parse_measurements(lines, u, kind, cp.paths, cp.measurements, &error)) {
+    return corrupt(error);
   }
   if (lines.next(line)) return corrupt("trailing data after payload");
   return cp;
@@ -294,13 +290,12 @@ CheckpointLoad load_newest_checkpoint(const std::string& dir,
     const std::string path = generation_file(dir, dataset, generation);
     std::error_code ec;
     if (!std::filesystem::exists(path, ec)) continue;
-    const Result<std::string> text = read_file(path);
-    if (!text.is_ok()) {
-      out.discarded.push_back(path + ": " + text.status().message());
-      continue;
-    }
-    Result<CampaignCheckpoint> parsed =
-        parse_checkpoint(text.value(), kind, fingerprint);
+    Result<CampaignCheckpoint> parsed = [&]() -> Result<CampaignCheckpoint> {
+      const ScopedTimer timer{"meas.checkpoint.load"};
+      const Result<std::string> text = read_file(path);
+      if (!text.is_ok()) return text.status();
+      return parse_checkpoint(text.value(), kind, fingerprint);
+    }();
     if (!parsed.is_ok()) {
       out.discarded.push_back(path + ": " + parsed.status().message());
       continue;
@@ -317,6 +312,15 @@ CheckpointLoad load_newest_checkpoint(const std::string& dir,
   return out;
 }
 
+CheckpointLoad CheckpointStore::load(const std::string& dataset,
+                                    MeasurementKind kind,
+                                    std::uint64_t fingerprint) {
+  CheckpointLoad out = load_newest_checkpoint(dir_, dataset, kind, fingerprint);
+  next_generation_[dataset] =
+      out.checkpoint.has_value() ? 1 - out.generation : 0;
+  return out;
+}
+
 std::string CheckpointStore::generation_path(const std::string& dataset,
                                              int generation) const {
   return generation_file(dir_, dataset, generation);
@@ -328,8 +332,8 @@ Status CheckpointStore::save(const CampaignCheckpoint& cp,
   const Status made = ensure_directory(dir_);
   if (!made.is_ok()) return made;
 
-  // First save for this dataset: continue alternating away from whichever
-  // generation holds the newest valid checkpoint, by load's own rule.
+  // First save for a dataset not loaded here: continue alternating away
+  // from whichever generation holds the newest valid checkpoint.
   auto [next, first_save] = next_generation_.try_emplace(cp.dataset_name, 0);
   if (first_save) {
     const CheckpointLoad newest =

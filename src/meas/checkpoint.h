@@ -97,9 +97,16 @@ class CheckpointStore {
 
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
 
+  /// load_newest_checkpoint on this store's directory, recording the
+  /// generation found (0 next when none) so save() need not scan again.
+  [[nodiscard]] CheckpointLoad load(const std::string& dataset,
+                                    MeasurementKind kind,
+                                    std::uint64_t fingerprint);
+
   /// Writes `cp` to the dataset's next generation file, never the one holding
-  /// its newest valid checkpoint.  Creates the directory on first use.  The
-  /// bytes always equal serialize_checkpoint(cp, kind, fingerprint).
+  /// its newest valid checkpoint (found by load() or by the first save).
+  /// Creates the directory on first use.  The bytes always equal
+  /// serialize_checkpoint(cp, kind, fingerprint).
   ///
   /// Precondition for the row cache: between two saves of one dataset its
   /// measurements only grow at the end; rows already saved stay as they
@@ -145,8 +152,8 @@ class CheckpointStore {
   };
 
   std::string dir_;
-  // Next generation index per dataset; seeded from disk on first save so a
-  // resumed process keeps alternating instead of clobbering the newest file.
+  // Next generation index per dataset; seeded by load() or on first save so
+  // a resumed process keeps alternating instead of clobbering the newest file.
   std::map<std::string, int> next_generation_;
   std::map<std::string, RowCache> rows_;  // per dataset
 };

@@ -154,8 +154,6 @@ class PathTexts {
 
 // ---- reader ---------------------------------------------------------------
 
-using codec::Tokens;
-
 // The host ids a dataset declares: a bitmap over [0, max id] when that is
 // not much larger than the list, a sorted list otherwise.
 class HostSet {
@@ -190,103 +188,12 @@ class HostSet {
   std::vector<std::int32_t> sorted_;
 };
 
-// Parses the fields after a row's "m" tag into `m`, a default-constructed
-// row.  `line` is the whole row, for error messages; `hosts` (nullable)
-// restricts src/dst to declared ids; `ases` is scratch for the AS path.
-bool parse_row(Tokens& ls, std::string_view line, MeasurementKind kind,
-               const HostSet* hosts, AsPathPool& paths,
-               std::vector<topo::AsId>& ases, Measurement& m,
-               std::string* error) {
-  auto reject = [&](const char* what) {
-    return fail(error, what + std::string{line});
-  };
-  std::int64_t when_ms = 0;
-  std::int32_t src = 0;
-  std::int32_t dst = 0;
-  int completed = 0;
-  if (!ls.next_int(when_ms) || !ls.next_int(src) || !ls.next_int(dst) ||
-      !ls.next_int(m.episode) || !ls.next_int(completed)) {
-    return reject("malformed measurement line: ");
-  }
-  if (when_ms < 0) return reject("negative measurement time: ");
-  if (hosts != nullptr && (!hosts->contains(src) || !hosts->contains(dst))) {
-    return reject("measurement references undeclared host: ");
-  }
-  if (src < 0 || dst < 0) return reject("negative host id: ");
-  if (src == dst) return reject("measurement with src == dst: ");
-  if (m.episode < -1 || completed < 0 || completed > 1) {
-    return reject("malformed measurement line: ");
-  }
-  m.when = SimTime::at(Duration::millis(when_ms));
-  m.src = topo::HostId{src};
-  m.dst = topo::HostId{dst};
-  m.completed = completed != 0;
-  if (kind == MeasurementKind::kTraceroute) {
-    for (auto& s : m.samples) {
-      int lost = 0;
-      if (!ls.next_int(lost) || !ls.next_real(s.rtt_ms)) {
-        return reject("malformed traceroute samples: ");
-      }
-      if (lost < 0 || lost > 1 || !finite_nonneg(s.rtt_ms)) {
-        return reject("sample out of range: ");
-      }
-      s.lost = lost != 0;
-    }
-    std::int64_t as_count = 0;
-    if (!ls.next_int(as_count)) return reject("missing AS path length: ");
-    if (as_count < 0 || as_count > static_cast<std::int64_t>(kMaxAsPath)) {
-      return reject("AS path length out of range: ");
-    }
-    ases.clear();
-    for (std::int64_t i = 0; i < as_count; ++i) {
-      std::int32_t as = 0;
-      if (!ls.next_int(as)) return reject("AS path shorter than its count: ");
-      if (as < 0) return reject("negative AS id: ");
-      ases.push_back(topo::AsId{as});
-    }
-    m.path = paths.intern(ases);
-  } else {
-    if (!ls.next_real(m.bandwidth_kBps) || !ls.next_real(m.tcp_rtt_ms) ||
-        !ls.next_real(m.tcp_loss_rate)) {
-      return reject("malformed transfer fields: ");
-    }
-    if (!finite_nonneg(m.bandwidth_kBps) || !finite_nonneg(m.tcp_rtt_ms) ||
-        !finite_nonneg(m.tcp_loss_rate) || m.tcp_loss_rate > 1.0) {
-      return reject("transfer fields out of range: ");
-    }
-  }
-  // Optional fault-aware tokens, each at most once, in any order.
-  bool saw_failure = false;
-  bool saw_attempts = false;
-  for (std::string_view token = ls.next(); !token.empty(); token = ls.next()) {
-    std::int64_t v = 0;
-    if (!ls.next_int(v)) return reject("malformed trailing token: ");
-    if (token == "f" && !saw_failure) {
-      if (v < 1 || v >= static_cast<std::int64_t>(kFailureReasonCount)) {
-        return reject("failure reason out of range: ");
-      }
-      if (m.completed) {
-        return reject("completed measurement with a failure reason: ");
-      }
-      m.failure = static_cast<FailureReason>(v);
-      saw_failure = true;
-    } else if (token == "a" && !saw_attempts) {
-      if (v < 1 || v > 255) return reject("attempts out of range: ");
-      m.attempts = static_cast<std::uint8_t>(v);
-      saw_attempts = true;
-    } else {
-      return reject("unexpected trailing token: ");
-    }
-  }
-  return true;
-}
-
 constexpr std::uint64_t kPow10[] = {
     1, 10, 100, 1'000, 10'000, 100'000, 1'000'000, 10'000'000, 100'000'000};
 
 // How many decimal digits start the 8 bytes at `p`, with their value in
 // `value`: one little-endian load and no branch per digit.
-int leading_digits8(const char* p, std::uint64_t& value) noexcept {
+inline int leading_digits8(const char* p, std::uint64_t& value) noexcept {
   std::uint64_t w = 0;
   std::memcpy(&w, p, sizeof w);
   // Digit bytes become 0..9.  A byte is not a digit when it is >= 10, which
@@ -313,8 +220,8 @@ int leading_digits8(const char* p, std::uint64_t& value) noexcept {
 // Reads the run of decimal digits at [p, end) into `value` and returns its
 // end.  It stops after 19 digits: a run that long does not fit `value`,
 // which then holds no number.
-const char* scan_digits(const char* p, const char* end,
-                        std::uint64_t& value) noexcept {
+inline const char* scan_digits(const char* p, const char* end,
+                               std::uint64_t& value) noexcept {
   const char* const first = p;
   std::uint64_t v = 0;
   while (std::endian::native == std::endian::little && end - p >= 8) {
@@ -336,94 +243,217 @@ const char* scan_digits(const char* p, const char* end,
   return p;
 }
 
-// Reads a row spelled exactly as format_row writes it: one space before
-// every field, unsigned integers (an episode may be -1), reals that start
-// with a digit, and no fault-aware tokens.  Every step declines anything
-// else, so a row it takes is one parse_row takes with the same fields, and
-// a row it declines goes to parse_row, which decides it.
-class CanonicalRow {
- public:
-  explicit CanonicalRow(std::string_view line)
-      : p_{line.data()}, end_{line.data() + line.size()} {}
-
-  bool tag() { return p_ != end_ && *p_++ == 'm'; }
-
-  // " <digits>": at most 18 of them, fitting Int.
-  template <typename Int>
-  bool integer(Int& out) {
-    if (p_ == end_ || *p_ != ' ') return false;
-    const char* const digits = p_ + 1;
-    std::uint64_t v = 0;
-    const char* const stop = scan_digits(digits, end_, v);
-    if (stop == digits || stop - digits > 18 || !at_break(stop) ||
-        v > static_cast<std::uint64_t>(std::numeric_limits<Int>::max())) {
-      return false;
-    }
-    out = static_cast<Int>(v);
-    p_ = stop;
-    return true;
-  }
-
-  // " -1" or an integer.
-  bool episode(std::int32_t& out) {
-    if (end_ - p_ >= 3 && p_[1] == '-' && p_[2] == '1' && p_[0] == ' ' &&
-        at_break(p_ + 3)) {
-      out = -1;
-      p_ += 3;
-      return true;
-    }
-    return integer(out);
-  }
-
-  // " 0" or " 1".
-  bool flag(bool& out) {
-    if (end_ - p_ < 2 || p_[0] != ' ' || (p_[1] != '0' && p_[1] != '1') ||
-        !at_break(p_ + 2)) {
-      return false;
-    }
-    out = p_[1] == '1';
-    p_ += 2;
-    return true;
-  }
-
-  // " <real>", starting with a digit: finite and non-negative.
-  bool real(double& out) {
-    if (end_ - p_ < 2 || p_[0] != ' ' ||
-        static_cast<unsigned char>(p_[1] - '0') >= 10) {
-      return false;
-    }
-    double v = 0.0;
-    const std::from_chars_result r =
-        std::from_chars(p_ + 1, end_, v, std::chars_format::general);
-    if (r.ec != std::errc{} || !at_break(r.ptr) || !std::isfinite(v)) {
-      return false;
-    }
-    out = v;
-    p_ = r.ptr;
-    return true;
-  }
-
-  [[nodiscard]] bool done() const noexcept { return p_ == end_; }
-  // The text not read yet.
-  [[nodiscard]] std::string_view rest() const noexcept {
-    return {p_, static_cast<std::size_t>(end_ - p_)};
-  }
-
- private:
-  [[nodiscard]] bool at_break(const char* q) const noexcept {
-    return q == end_ || *q == ' ';
-  }
-
-  const char* p_;
-  const char* end_;
-};
-
 // Hashes strings and views alike, for lookups by view.
 struct TextHash {
   using is_transparent = void;
   std::size_t operator()(std::string_view text) const noexcept {
     return std::hash<std::string_view>{}(text);
   }
+};
+
+// A cursor over one line's tokens in the token language of util/codec.h:
+// each read skips a run of whitespace and then takes one token whole.
+class Fields {
+ public:
+  explicit Fields(std::string_view line) noexcept
+      : p_{line.data()}, end_{line.data() + line.size()} {}
+
+  // The next token; empty once the line is used up.
+  std::string_view token() noexcept {
+    skip_space();
+    const char* const begin = p_;
+    while (p_ != end_ && !codec::is_space(*p_)) ++p_;
+    return {begin, static_cast<std::size_t>(p_ - begin)};
+  }
+
+  // The next token as an integer.  A token of at most 18 digits, after a
+  // '-' for a signed field, is read in place, eight digits at a time (one
+  // digit by itself); any other goes whole to codec::parse_int.
+  template <std::integral Int>
+  bool integer(Int& out) noexcept {
+    skip_space();
+    if (end_ - p_ >= 2 && static_cast<unsigned char>(*p_ - '0') < 10 &&
+        codec::is_space(p_[1])) {
+      out = static_cast<Int>(*p_ - '0');
+      ++p_;
+      return true;
+    }
+    const bool minus = std::is_signed_v<Int> && p_ != end_ && *p_ == '-';
+    const char* const digits = p_ + (minus ? 1 : 0);
+    std::uint64_t v = 0;
+    const char* const stop = scan_digits(digits, end_, v);
+    if (stop != digits && stop - digits <= 18 &&
+        (stop == end_ || codec::is_space(*stop)) &&
+        v <= static_cast<std::uint64_t>(std::numeric_limits<Int>::max())) {
+      out = static_cast<Int>(minus ? 0 - v : v);
+      p_ = stop;
+      return true;
+    }
+    return codec::parse_int(token(), out);
+  }
+
+  // The next token as a real.  One that starts with a digit and ends
+  // where from_chars stops is read in place; any other goes whole to
+  // codec::parse_real, which from_chars agrees with on the first kind.
+  bool real(double& out) {
+    skip_space();
+    if (p_ != end_ && static_cast<unsigned char>(*p_ - '0') < 10) {
+      double v = 0.0;
+      const std::from_chars_result r =
+          std::from_chars(p_, end_, v, std::chars_format::general);
+      if (r.ec == std::errc{} && (r.ptr == end_ || codec::is_space(*r.ptr))) {
+        out = v;
+        p_ = r.ptr;
+        return true;
+      }
+    }
+    return codec::parse_real(token(), out);
+  }
+
+  // The text not read yet, and a step over the first `n` bytes of it.
+  [[nodiscard]] std::string_view rest() const noexcept {
+    return {p_, static_cast<std::size_t>(end_ - p_)};
+  }
+  void advance(std::size_t n) noexcept { p_ += n; }
+
+ private:
+  // One space is how the writer separates fields.
+  void skip_space() noexcept {
+    if (p_ != end_ && *p_ == ' ') ++p_;
+    while (p_ != end_ && codec::is_space(*p_)) ++p_;
+  }
+
+  const char* p_;
+  const char* end_;
+};
+
+// The one row reader, for .ds rows and checkpoint rows alike: the token
+// language with the checks below, in this order.
+class RowReader {
+ public:
+  // `hosts` (nullable) restricts src/dst to declared ids; rows intern their
+  // AS paths into `paths`.
+  RowReader(MeasurementKind kind, const HostSet* hosts, AsPathPool& paths)
+      : kind_{kind}, hosts_{hosts}, paths_{paths} {}
+
+  // Reads `line` into `m`, a default-constructed row; a line whose first
+  // token is not "m" is rejected with `bad_tag` before the line.
+  bool read(std::string_view line, const char* bad_tag, Measurement& m,
+            std::string* error) {
+    auto reject = [&](const char* what) {
+      return fail(error, what + std::string{line});
+    };
+    Fields f{line};
+    if (f.token() != "m") return reject(bad_tag);
+    std::int64_t when_ms = 0;
+    std::int32_t src = 0;
+    std::int32_t dst = 0;
+    int completed = 0;
+    if (!f.integer(when_ms) || !f.integer(src) || !f.integer(dst) ||
+        !f.integer(m.episode) || !f.integer(completed)) {
+      return reject("malformed measurement line: ");
+    }
+    if (when_ms < 0) return reject("negative measurement time: ");
+    if (hosts_ != nullptr &&
+        (!hosts_->contains(src) || !hosts_->contains(dst))) {
+      return reject("measurement references undeclared host: ");
+    }
+    if (src < 0 || dst < 0) return reject("negative host id: ");
+    if (src == dst) return reject("measurement with src == dst: ");
+    if (m.episode < -1 || completed < 0 || completed > 1) {
+      return reject("malformed measurement line: ");
+    }
+    m.when = SimTime::at(Duration::millis(when_ms));
+    m.src = topo::HostId{src};
+    m.dst = topo::HostId{dst};
+    m.completed = completed != 0;
+    if (kind_ == MeasurementKind::kTraceroute) {
+      for (auto& s : m.samples) {
+        int lost = 0;
+        if (!f.integer(lost) || !f.real(s.rtt_ms)) {
+          return reject("malformed traceroute samples: ");
+        }
+        if (lost < 0 || lost > 1 || !finite_nonneg(s.rtt_ms)) {
+          return reject("sample out of range: ");
+        }
+        s.lost = lost != 0;
+      }
+      // A row whose text from here on was met before starts with the path
+      // that text started with; only a text not met yet has its path read.
+      const std::string_view rest = f.rest();
+      if (const auto seen = path_ids_.find(rest); seen != path_ids_.end()) {
+        m.path = seen->second.id;
+        f.advance(seen->second.length);
+      } else {
+        std::int64_t as_count = 0;
+        if (!f.integer(as_count)) return reject("missing AS path length: ");
+        if (as_count < 0 ||
+            as_count > static_cast<std::int64_t>(kMaxAsPath)) {
+          return reject("AS path length out of range: ");
+        }
+        ases_.clear();
+        for (std::int64_t i = 0; i < as_count; ++i) {
+          std::int32_t as = 0;
+          if (!f.integer(as)) {
+            return reject("AS path shorter than its count: ");
+          }
+          if (as < 0) return reject("negative AS id: ");
+          ases_.push_back(topo::AsId{as});
+        }
+        m.path = paths_.intern(ases_);
+        path_ids_.emplace(rest,
+                          PathText{m.path, rest.size() - f.rest().size()});
+      }
+    } else {
+      if (!f.real(m.bandwidth_kBps) || !f.real(m.tcp_rtt_ms) ||
+          !f.real(m.tcp_loss_rate)) {
+        return reject("malformed transfer fields: ");
+      }
+      if (!finite_nonneg(m.bandwidth_kBps) || !finite_nonneg(m.tcp_rtt_ms) ||
+          !finite_nonneg(m.tcp_loss_rate) || m.tcp_loss_rate > 1.0) {
+        return reject("transfer fields out of range: ");
+      }
+    }
+    // Optional fault-aware tokens, each at most once, in any order.
+    bool saw_failure = false;
+    bool saw_attempts = false;
+    for (std::string_view token = f.token(); !token.empty();
+         token = f.token()) {
+      std::int64_t v = 0;
+      if (!f.integer(v)) return reject("malformed trailing token: ");
+      if (token == "f" && !saw_failure) {
+        if (v < 1 || v >= static_cast<std::int64_t>(kFailureReasonCount)) {
+          return reject("failure reason out of range: ");
+        }
+        if (m.completed) {
+          return reject("completed measurement with a failure reason: ");
+        }
+        m.failure = static_cast<FailureReason>(v);
+        saw_failure = true;
+      } else if (token == "a" && !saw_attempts) {
+        if (v < 1 || v > 255) return reject("attempts out of range: ");
+        m.attempts = static_cast<std::uint8_t>(v);
+        saw_attempts = true;
+      } else {
+        return reject("unexpected trailing token: ");
+      }
+    }
+    return true;
+  }
+
+ private:
+  MeasurementKind kind_;
+  const HostSet* hosts_;
+  AsPathPool& paths_;
+  std::vector<topo::AsId> ases_;  // scratch for one row's AS path
+  // The path a row's text after its samples starts with, and its length.
+  struct PathText {
+    AsPathId id;
+    std::size_t length;
+  };
+  // A memo of every such text met so far.
+  std::unordered_map<std::string, PathText, TextHash, std::equal_to<>>
+      path_ids_;
 };
 
 // The one dataset parser.  It takes the text as whole lines in one or more
@@ -515,64 +545,9 @@ class DatasetParser {
     return header_line(line);
   }
 
-  // Fills `m`, a default-constructed row, from a canonical row (see
-  // CanonicalRow) that parse_row would accept; false when the row is not
-  // one, and then `m` may be partly filled but the pool is untouched.
-  bool scan(std::string_view line, Measurement& m) {
-    CanonicalRow r{line};
-    std::int64_t when_ms = 0;
-    std::int32_t src = 0;
-    std::int32_t dst = 0;
-    if (!r.tag() || !r.integer(when_ms) || !r.integer(src) ||
-        !r.integer(dst) || !r.episode(m.episode) || !r.flag(m.completed) ||
-        !hosts_->contains(src) || !hosts_->contains(dst) || src == dst) {
-      return false;
-    }
-    if (ds_.kind == MeasurementKind::kTraceroute) {
-      for (auto& s : m.samples) {
-        if (!r.flag(s.lost) || !r.real(s.rtt_ms)) return false;
-      }
-      // A row that ends in the text of a path seen before has that path.
-      const std::string_view path = r.rest();
-      if (const auto seen = path_ids_.find(path); seen != path_ids_.end()) {
-        m.path = seen->second;
-      } else {
-        std::size_t count = 0;
-        if (!r.integer(count) || count > kMaxAsPath) return false;
-        ases_.clear();
-        for (std::size_t i = 0; i < count; ++i) {
-          std::int32_t as = 0;
-          if (!r.integer(as)) return false;
-          ases_.push_back(topo::AsId{as});
-        }
-        if (!r.done()) return false;
-        m.path = ds_.paths.intern(ases_);
-        path_ids_.emplace(path, m.path);
-      }
-    } else if (!r.real(m.bandwidth_kBps) || !r.real(m.tcp_rtt_ms) ||
-               !r.real(m.tcp_loss_rate) || m.tcp_loss_rate > 1.0 ||
-               !r.done()) {
-      return false;
-    }
-    m.when = SimTime::at(Duration::millis(when_ms));
-    m.src = topo::HostId{src};
-    m.dst = topo::HostId{dst};
-    return true;
-  }
-
   bool row(std::string_view line) {
     Measurement& m = ds_.measurements.emplace_back();
-    if (!scan(line, m)) {
-      m = Measurement{};
-      Tokens ls{line};
-      if (ls.next() != "m") {
-        return fail(error_, "unexpected line: " + std::string{line});
-      }
-      if (!parse_row(ls, line, ds_.kind, &*hosts_, ds_.paths, ases_, m,
-                     error_)) {
-        return false;
-      }
-    }
+    if (!rows_->read(line, "unexpected line: ", m, error_)) return false;
     if (m.failure != FailureReason::kNone || m.attempts > 1) {
       any_fault_token_ = true;
     }
@@ -657,6 +632,7 @@ class DatasetParser {
       case Stage::kHosts:
         if (!hosts_line(line)) return false;
         hosts_.emplace(ds_.hosts);
+        rows_.emplace(ds_.kind, &*hosts_, ds_.paths);
         stage_ = Stage::kRows;
         return true;
       case Stage::kRows: break;
@@ -665,7 +641,7 @@ class DatasetParser {
   }
 
   bool hosts_line(std::string_view line) {
-    Tokens ls{line};
+    codec::Tokens ls{line};
     std::int64_t count = 0;
     if (ls.next() != "hosts" || !ls.next_int(count)) {
       return fail(error_, "malformed hosts line");
@@ -693,11 +669,8 @@ class DatasetParser {
   std::uint64_t expected_bytes_;
   Dataset ds_;
   Stage stage_ = Stage::kHeader;
-  std::optional<HostSet> hosts_;  // set with the hosts line
-  std::vector<topo::AsId> ases_;  // scratch for one row's AS path
-  // The ids of the canonical path texts scan() has met.
-  std::unordered_map<std::string, AsPathId, TextHash, std::equal_to<>>
-      path_ids_;
+  std::optional<HostSet> hosts_;   // set with the hosts line
+  std::optional<RowReader> rows_;  // set with the hosts line
   std::uint64_t bytes_ = 0;
   bool any_fault_token_ = false;
   bool any_failed_without_reason_ = false;
@@ -788,16 +761,19 @@ std::optional<Dataset> read_dataset(std::istream& is, std::string* error) {
   return parser.finish({buf.data(), carried});
 }
 
-bool parse_measurement(std::string_view line, MeasurementKind kind,
-                       AsPathPool& paths, Measurement& out,
-                       std::string* error) {
-  Tokens ls{line};
-  if (ls.next() != "m") {
-    return fail(error, "malformed measurement line: " + std::string{line});
+bool parse_measurements(codec::Lines& lines, std::uint64_t count,
+                        MeasurementKind kind, AsPathPool& paths,
+                        std::vector<Measurement>& out, std::string* error) {
+  RowReader rows{kind, nullptr, paths};
+  std::string_view line;
+  for (std::uint64_t n = 0; n < count; ++n) {
+    if (!lines.next(line)) return fail(error, "truncated measurement list");
+    if (!rows.read(line, "malformed measurement line: ", out.emplace_back(),
+                   error)) {
+      return false;
+    }
   }
-  out = Measurement{};
-  std::vector<topo::AsId> ases;
-  return parse_row(ls, line, kind, nullptr, paths, ases, out, error);
+  return true;
 }
 
 Result<Dataset> load_dataset(const std::string& path) {

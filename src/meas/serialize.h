@@ -36,15 +36,17 @@
 // torn mid-line and is rejected, so a prefix parses only if it ends on a
 // line boundary at or after the hosts line.
 //
-// One parse path.  A single-pass parser reads tokens straight out of text
-// held in memory, checks hosts against a bitmap of the declared ids,
-// interns each row's AS path into the dataset's AsPathPool and fills the
-// row in place.  load_dataset hands it the whole file; the read_dataset
-// stream adapter hands it ~64 KiB blocks of whole lines, carrying the
-// partial last line over to the next block, so both readers accept the same
-// language and reject with the same messages.  One writer formats rows
-// into a reserved buffer, copying each pooled path's text, formatted once
-// per write.
+// One row reader.  Every row, .ds or checkpoint (parse_measurements),
+// canonical, faulted or spelled any other way the token language allows,
+// goes through one reader: each field skips a run of whitespace and reads
+// one token, digits eight at a time and any other token whole through the
+// codec's parsers, checked as it is read, so a row gets the message of the
+// first check it fails.  A memo of the row texts after the samples saves
+// reading a repeated path's numbers.  load_dataset hands the parser the
+// whole file; the read_dataset stream adapter hands it ~64 KiB blocks of
+// whole lines, so both accept the same language and reject with the same
+// messages.  One writer formats rows into a reserved buffer, copying each
+// pooled path's text, formatted once per write.
 //
 // The stream overloads (write_dataset / read_dataset) are thin adapters.
 // Outside the tests that check both readers agree, only perfbench/study.cc
@@ -59,6 +61,7 @@
 #include <string_view>
 
 #include "meas/dataset.h"
+#include "util/codec.h"
 #include "util/status.h"
 
 namespace pathsel::meas {
@@ -107,13 +110,14 @@ void write_dataset_chunks(
 void append_measurement(std::string& out, const Measurement& m,
                         MeasurementKind kind, const AsPathPool& paths);
 
-/// Parses one measurement row as written by append_measurement, with the
-/// same strict validation read_dataset applies (any host id is accepted),
-/// interning its AS path into `paths`.  On failure returns false and, if
+/// Reads the next `count` lines of `lines` as rows written by
+/// append_measurement, appending them to `out`, through the row reader
+/// read_dataset uses and with its validation (any host id is accepted),
+/// interning their AS paths into `paths`.  On failure returns false and, if
 /// `error` is non-null, stores a human-readable reason.
-[[nodiscard]] bool parse_measurement(std::string_view line,
-                                     MeasurementKind kind, AsPathPool& paths,
-                                     Measurement& out,
-                                     std::string* error = nullptr);
+[[nodiscard]] bool parse_measurements(codec::Lines& lines, std::uint64_t count,
+                                      MeasurementKind kind, AsPathPool& paths,
+                                      std::vector<Measurement>& out,
+                                      std::string* error = nullptr);
 
 }  // namespace pathsel::meas

@@ -2,6 +2,7 @@
 // the .ds bytes, and that every producer (collector, reader, subset)
 // resolves a row to the same path.
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <set>
 #include <sstream>
@@ -11,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include "meas/catalog.h"
+#include "meas/checkpoint.h"
 #include "meas/serialize.h"
 #include "test_util.h"
 #include "util/atomic_io.h"
+#include "util/codec.h"
 
 namespace pathsel::meas {
 namespace {
@@ -141,6 +144,95 @@ TEST(AsPathPool, WhitespaceSpellingsInternToTheCanonicalId) {
   EXPECT_EQ(ds.paths.size(), 3u);
   EXPECT_EQ(path_of(ds, ds.measurements[1]),
             (Path{topo::AsId{7}, topo::AsId{1239}, topo::AsId{701}}));
+}
+
+// Every field of two rows, the path id included, bit for bit.
+void expect_same_row(const Measurement& got, const Measurement& want) {
+  EXPECT_EQ(got.when, want.when);
+  EXPECT_EQ(got.src, want.src);
+  EXPECT_EQ(got.dst, want.dst);
+  EXPECT_EQ(got.episode, want.episode);
+  EXPECT_EQ(got.completed, want.completed);
+  EXPECT_EQ(got.failure, want.failure);
+  EXPECT_EQ(got.attempts, want.attempts);
+  for (std::size_t i = 0; i < want.samples.size(); ++i) {
+    EXPECT_EQ(got.samples[i].lost, want.samples[i].lost) << "sample " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.samples[i].rtt_ms),
+              std::bit_cast<std::uint64_t>(want.samples[i].rtt_ms))
+        << "sample " << i;
+  }
+  EXPECT_EQ(got.path, want.path);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.bandwidth_kBps),
+            std::bit_cast<std::uint64_t>(want.bandwidth_kBps));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.tcp_rtt_ms),
+            std::bit_cast<std::uint64_t>(want.tcp_rtt_ms));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.tcp_loss_rate),
+            std::bit_cast<std::uint64_t>(want.tcp_loss_rate));
+}
+
+// A checkpoint whose measurement rows are `rows`, lines as given.
+std::string checkpoint_text(const std::vector<std::string>& rows) {
+  CampaignCheckpoint cp;
+  cp.dataset_name = "ws";
+  std::string text = serialize_checkpoint(cp, MeasurementKind::kTraceroute, 1);
+  std::string payload{*codec::unseal_text(text, codec::CrcRadix::kDecimal)};
+  payload.resize(payload.find("measurements 0\n"));
+  payload += "measurements " + std::to_string(rows.size()) + "\n";
+  for (const std::string& row : rows) payload += row + "\n";
+  codec::seal_text(payload, codec::CrcRadix::kDecimal);
+  return payload;
+}
+
+// Faulted rows in every spelling the token language allows read to the
+// canonical spelling's row, path id included, in the dataset readers and
+// the checkpoint reader alike.
+TEST(AsPathPool, FaultedSpellingsReadAlikeInEveryReader) {
+  struct Case {
+    const char* canonical;  // as append_measurement writes it
+    std::vector<const char*> spellings;
+  };
+  const Case cases[] = {
+      {"m 5 0 1 -1 0 0 1.5 0 2.5 1 3.5 3 7 1239 701 f 2 a 3",
+       {"m 5 0 1 -1 0 0 1.5 0 2.5 1 3.5 3 7 1239 701 a 3 f 2",
+        "m\t5\t0\t1\t-1\t0\t0\t1.5\t0\t2.5\t1\t3.5\t3\t7\t1239\t701"
+        "\tf\t2\ta\t3",
+        "  m  5 0   1 -1 0 0 1.5  0 2.5 1 3.5 3  7 1239   701  f  2   a 3  ",
+        "m +5 +0 +1 -1 +0 +0 +1.5 +0 +2.5 +1 +3.5 +3 +7 +1239 +701 f +2 a +3",
+        "m 005 00 01 -01 00 00 1.5 00 2.5 01 3.5 03 007 01239 0701 f 02 a 003",
+        "m 5 0 1 -1 0 0 1.5 0 2.5 1 3.5 3 7 1239 701 f 2 a 3\r",
+        "m 5 0 1 -1 0 0 1.5 0 2.5 1 3.5 3 7 1239 701\ta 3\r\tf 2 \r"}},
+      {"m 9 2 0 -1 1 0 4 0 5.25 0 6 2 7 1239 a 2",
+       {"m 9 2 0 -1 1 0 4 0 5.25 0 6 2 7 1239\ta +2",
+        "m 9 2 0 -1 1 0 4. 0 5.25 0 6e0 2 7 1239 a 02\r",
+        "m 9 2 0 -1 +1 0 +4 0 5.250 0 6 +2 7 1239  a 2"}},
+      {"m 12 1 2 -1 0 0 0 1 0 1 0 0 f 4",
+       {"m 12 1 2 -1 0 0 0 1 0 1 0 0 f +4\r",
+        "m 12 1 2 -1 0 0 0 1 0 1 0 -0 f 4",
+        "m\t12 1 2 -1 0\t0 0 1 0 1 0 0\t\tf\t004"}},
+  };
+  const std::string header =
+      "pathsel-dataset v1\nname ws\nkind traceroute\nduration_ms 1000\n"
+      "first_sample_loss_only 0\nepisodes 0\nhosts 3 0 1 2\n";
+  for (const Case& c : cases) {
+    for (const char* spelling : c.spellings) {
+      SCOPED_TRACE(spelling);
+      const std::vector<std::string> rows{c.canonical, spelling};
+      const Dataset ds = load_text(header + rows[0] + "\n" + rows[1] + "\n");
+      ASSERT_EQ(ds.measurements.size(), 2u);
+      expect_same_row(ds.measurements[1], ds.measurements[0]);
+      std::string canonical;
+      append_measurement(canonical, ds.measurements[1], ds.kind, ds.paths);
+      EXPECT_EQ(canonical, rows[0] + "\n");
+
+      const Result<CampaignCheckpoint> cp = parse_checkpoint(
+          checkpoint_text(rows), MeasurementKind::kTraceroute, 1);
+      ASSERT_TRUE(cp.is_ok()) << cp.status().message();
+      ASSERT_EQ(cp.value().measurements.size(), 2u);
+      for (std::size_t i = 0; i < 2; ++i) {
+        expect_same_row(cp.value().measurements[i], ds.measurements[i]);
+      }
+    }
+  }
 }
 
 TEST(AsPathPool, SubsetRowsResolveToTheirParentsPaths) {

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/metrics.h"
+
 namespace pathsel::meas {
 namespace {
 
@@ -146,6 +148,51 @@ TEST(Campaign, ResumeKeepsFinishedOutputs) {
   ASSERT_TRUE(second.status.is_ok()) << second.status.message();
   EXPECT_TRUE(second.completed.empty());
   EXPECT_EQ(second.loaded, (std::vector<std::string>{"UW3"}));
+}
+
+// A resumed campaign parses each checkpoint generation file once: the
+// store keeps the generation the campaign's load found, so its first save
+// does not read the directory again.
+TEST(Campaign, ResumeParsesEachCheckpointFileOnce) {
+  CancelToken token;
+  CampaignOptions opt;
+  opt.catalog = quick_catalog(0.3);
+  opt.datasets = {"UW3"};
+  opt.output_dir = fresh_dir("load_once_out");
+  opt.checkpoint_dir = fresh_dir("load_once_ck");
+  opt.cancel = &token;
+  opt.after_checkpoint = [&token](std::size_t writes) {
+    if (writes >= 2) token.cancel();
+  };
+  ASSERT_EQ(run_campaign(opt).status.code(), ErrorCode::kCancelled);
+  std::uint64_t generations = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator{opt.checkpoint_dir}) {
+    (void)entry;
+    ++generations;
+  }
+  ASSERT_EQ(generations, 2u);
+
+  MetricsRegistry& metrics = MetricsRegistry::global();
+  const bool was_enabled = metrics.enabled();
+  metrics.reset();
+  metrics.enable();
+  opt.cancel = nullptr;
+  opt.after_checkpoint = nullptr;
+  opt.resume = true;
+  const CampaignReport resumed = run_campaign(opt);
+  const MetricsSnapshot snap = metrics.snapshot();
+  metrics.enable(was_enabled);
+  ASSERT_TRUE(resumed.status.is_ok()) << resumed.status.message();
+  EXPECT_EQ(resumed.resumed, (std::vector<std::string>{"UW3"}));
+  std::uint64_t loads = 0;
+  std::uint64_t saves = 0;
+  for (const auto& [name, phase] : snap.phases) {
+    if (name == "meas.checkpoint.load") loads = phase.calls;
+    if (name == "meas.checkpoint.save") saves = phase.calls;
+  }
+  EXPECT_GT(saves, 0u);
+  EXPECT_EQ(loads, generations);
 }
 
 TEST(Campaign, PreCancelledTokenStopsBeforeAnyWork) {
