@@ -1,6 +1,8 @@
 #include "matrix/cell.h"
 
 #include <filesystem>
+#include <type_traits>
+#include <utility>
 
 #include "core/confidence.h"
 #include "core/coverage.h"
@@ -215,41 +217,106 @@ Status analyze_cell(const CellContext& ctx, const CellSpec& cell,
   return write_artifact(ctx, summary, cell_rel_dir + "/results.psrc", psrc);
 }
 
+// Which summaries carry a field: all, or only degraded (ok=0) or ok ones.
+// The ok flag comes before every field that depends on it.
+enum class Carried { kAlways, kIfDegraded, kIfOk };
+using enum Carried;
+
+// One summary line: its key, how the writer prints the member and the
+// reader parses it back, and the rejection text when the line is missing
+// or malformed ("bad <key>" unless given).  The text follows the member's
+// type: fingerprints in hex, flags as 0/1, min_samples (the one int) in
+// the grid's [0, 1000000].
+struct SummaryField {
+  std::string_view key;
+  Carried carried;
+  void (*write)(std::string& out, std::string_view key, const CellSummary&);
+  bool (*read)(std::string_view value, CellSummary&);
+  const char* rejection;
+
+  [[nodiscard]] bool carried_by(const CellSummary& s) const {
+    return carried == kAlways || (carried == kIfOk) == s.ok;
+  }
+};
+
+template <auto Member, int kBase = 10>
+constexpr SummaryField field(std::string_view key,
+                             Carried carried = kAlways,
+                             const char* rejection = nullptr) {
+  using T =
+      std::remove_cvref_t<decltype(std::declval<CellSummary&>().*Member)>;
+  return {
+      key, carried,
+      [](std::string& out, std::string_view k, const CellSummary& s) {
+        const T& v = s.*Member;
+        if constexpr (kBase == 16) {
+          codec::append_line(out, k, codec::Hex{v});
+        } else if constexpr (std::is_same_v<T, bool>) {
+          codec::append_line(out, k, v ? 1 : 0);
+        } else {
+          codec::append_line(out, k, v);
+        }
+      },
+      [](std::string_view value, CellSummary& s) {
+        T& v = s.*Member;
+        if constexpr (std::is_same_v<T, std::string>) {
+          v = std::string{value};
+          return true;
+        } else if constexpr (std::is_same_v<T, double>) {
+          return codec::parse_double(value, v);
+        } else if constexpr (std::is_same_v<T, bool>) {
+          v = value == "1";
+          return value == "0" || value == "1";
+        } else {
+          std::uint64_t u = 0;
+          if (!codec::parse_u64(value, u, kBase)) return false;
+          if (std::is_same_v<T, int> && u > 1'000'000) return false;
+          v = static_cast<T>(u);
+          return true;
+        }
+      },
+      rejection};
+}
+
+// Every summary field, in file order (the artifact lines follow).
+constexpr SummaryField kSummaryFields[] = {
+    field<&CellSummary::grid_fp, 16>("grid_fp"),
+    field<&CellSummary::cell_fp, 16>("cell_fp"),
+    field<&CellSummary::index>("index"),
+    field<&CellSummary::dataset>("dataset"),
+    field<&CellSummary::fault>("fault"),
+    field<&CellSummary::metric>("metric"),
+    field<&CellSummary::policy>("policy"),
+    field<&CellSummary::min_samples>("min_samples"),
+    field<&CellSummary::seed>("seed"),
+    field<&CellSummary::ok>("ok", kAlways, "bad ok flag"),
+    field<&CellSummary::error>("error", kIfDegraded,
+                               "degraded summary without error"),
+    field<&CellSummary::hosts>("hosts", kIfOk),
+    field<&CellSummary::measurements>("measurements", kIfOk),
+    field<&CellSummary::completed>("completed", kIfOk),
+    field<&CellSummary::usable_edges>("usable_edges", kIfOk),
+    field<&CellSummary::pairs>("pairs", kIfOk),
+    field<&CellSummary::coverage>("coverage", kIfOk),
+    field<&CellSummary::better>("better", kIfOk),
+    field<&CellSummary::has_sig>("has_sig", kIfOk),
+    field<&CellSummary::sig_better>("sig_better", kIfOk),
+    field<&CellSummary::sig_indeterminate>("sig_indeterminate", kIfOk),
+    field<&CellSummary::sig_worse>("sig_worse", kIfOk),
+    field<&CellSummary::found_full>("found_full", kIfOk),
+};
+
 }  // namespace
 
 std::string serialize_cell_summary(const CellSummary& s) {
-  using codec::append_line;
-  using codec::Hex;
   std::string out = "pathsel-matrix-cell v" +
                     std::to_string(kCellSummaryVersion) + "\n";
-  append_line(out, "grid_fp", Hex{s.grid_fp});
-  append_line(out, "cell_fp", Hex{s.cell_fp});
-  append_line(out, "index", s.index);
-  append_line(out, "dataset", s.dataset);
-  append_line(out, "fault", s.fault);
-  append_line(out, "metric", s.metric);
-  append_line(out, "policy", s.policy);
-  append_line(out, "min_samples", s.min_samples);
-  append_line(out, "seed", s.seed);
-  append_line(out, "ok", s.ok ? 1 : 0);
-  if (!s.ok) {
-    append_line(out, "error", s.error);
-  } else {
-    append_line(out, "hosts", s.hosts);
-    append_line(out, "measurements", s.measurements);
-    append_line(out, "completed", s.completed);
-    append_line(out, "usable_edges", s.usable_edges);
-    append_line(out, "pairs", s.pairs);
-    append_line(out, "coverage", s.coverage);
-    append_line(out, "better", s.better);
-    append_line(out, "has_sig", s.has_sig ? 1 : 0);
-    append_line(out, "sig_better", s.sig_better);
-    append_line(out, "sig_indeterminate", s.sig_indeterminate);
-    append_line(out, "sig_worse", s.sig_worse);
-    append_line(out, "found_full", s.found_full);
+  for (const SummaryField& f : kSummaryFields) {
+    if (f.carried_by(s)) f.write(out, f.key, s);
   }
   for (const CellSummary::Artifact& a : s.artifacts) {
-    append_line(out, "artifact", a.rel_path, a.size, Hex{a.crc, 8});
+    codec::append_line(out, "artifact", a.rel_path, a.size,
+                       codec::Hex{a.crc, 8});
   }
   codec::seal_text(out, codec::CrcRadix::kHex);
   return out;
@@ -268,84 +335,20 @@ Result<CellSummary> parse_cell_summary(std::string_view text) {
   codec::Lines lines{*payload};
   std::string_view line;
   std::string_view value;
-  auto need = [&](std::string_view key) -> bool {
-    return lines.next(line) && key_value(line, key, value);
-  };
-
   if (!lines.next(line) ||
       line != "pathsel-matrix-cell v" + std::to_string(kCellSummaryVersion)) {
     return parse_fail("bad or missing header");
   }
   CellSummary s;
-  std::uint64_t u = 0;
-  if (!need("grid_fp") || !codec::parse_u64(value, s.grid_fp, 16)) {
-    return parse_fail("bad grid_fp");
-  }
-  if (!need("cell_fp") || !codec::parse_u64(value, s.cell_fp, 16)) {
-    return parse_fail("bad cell_fp");
-  }
-  if (!need("index") || !codec::parse_u64(value, u)) {
-    return parse_fail("bad index");
-  }
-  s.index = static_cast<std::size_t>(u);
-  if (!need("dataset")) return parse_fail("bad dataset");
-  s.dataset = std::string{value};
-  if (!need("fault") || !codec::parse_double(value, s.fault)) {
-    return parse_fail("bad fault");
-  }
-  if (!need("metric")) return parse_fail("bad metric");
-  s.metric = std::string{value};
-  if (!need("policy")) return parse_fail("bad policy");
-  s.policy = std::string{value};
-  if (!need("min_samples") || !codec::parse_u64(value, u) || u > 1'000'000) {
-    return parse_fail("bad min_samples");
-  }
-  s.min_samples = static_cast<int>(u);
-  if (!need("seed") || !codec::parse_u64(value, s.seed)) {
-    return parse_fail("bad seed");
-  }
-  if (!need("ok") || (value != "0" && value != "1")) {
-    return parse_fail("bad ok flag");
-  }
-  s.ok = value == "1";
-  if (!s.ok) {
-    if (!need("error")) return parse_fail("degraded summary without error");
-    s.error = std::string{value};
-  } else {
-    auto u64_field = [&](std::string_view key, std::size_t& out) -> bool {
-      if (!need(key) || !codec::parse_u64(value, u)) return false;
-      out = static_cast<std::size_t>(u);
-      return true;
-    };
-    auto dbl_field = [&](std::string_view key, double& out) -> bool {
-      return need(key) && codec::parse_double(value, out);
-    };
-    if (!u64_field("hosts", s.hosts)) return parse_fail("bad hosts");
-    if (!u64_field("measurements", s.measurements)) {
-      return parse_fail("bad measurements");
-    }
-    if (!u64_field("completed", s.completed)) return parse_fail("bad completed");
-    if (!u64_field("usable_edges", s.usable_edges)) {
-      return parse_fail("bad usable_edges");
-    }
-    if (!u64_field("pairs", s.pairs)) return parse_fail("bad pairs");
-    if (!dbl_field("coverage", s.coverage)) return parse_fail("bad coverage");
-    if (!dbl_field("better", s.better)) return parse_fail("bad better");
-    if (!need("has_sig") || (value != "0" && value != "1")) {
-      return parse_fail("bad has_sig");
-    }
-    s.has_sig = value == "1";
-    if (!dbl_field("sig_better", s.sig_better)) {
-      return parse_fail("bad sig_better");
-    }
-    if (!dbl_field("sig_indeterminate", s.sig_indeterminate)) {
-      return parse_fail("bad sig_indeterminate");
-    }
-    if (!dbl_field("sig_worse", s.sig_worse)) return parse_fail("bad sig_worse");
-    if (!dbl_field("found_full", s.found_full)) {
-      return parse_fail("bad found_full");
+  for (const SummaryField& f : kSummaryFields) {
+    if (!f.carried_by(s)) continue;
+    if (!lines.next(line) || !key_value(line, f.key, value) ||
+        !f.read(value, s)) {
+      return parse_fail(f.rejection != nullptr ? f.rejection
+                                               : "bad " + std::string{f.key});
     }
   }
+
   // Only artifact lines may follow the fields.
   while (lines.next(line)) {
     if (!key_value(line, "artifact", value)) {

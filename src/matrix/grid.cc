@@ -1,5 +1,9 @@
 #include "matrix/grid.h"
 
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+
 #include "core/path_table.h"
 #include "core/result_columns.h"
 #include "meas/catalog.h"
@@ -45,31 +49,86 @@ bool parse_i32(std::string_view s, std::int64_t lo, std::int64_t hi,
   return true;
 }
 
-Result<PolicySpec> parse_policy(std::string_view s, std::size_t line) {
-  PolicySpec p;
-  if (s == "one-hop") return p;
-  if (s == "one-hop/auto") return p;
-  if (s == "one-hop/dense") {
-    p.kernel = core::Kernel::kDense;
-    return p;
+// The value parsers of the axis table: each fills `out` from one list item
+// and returns the rejection text, or an empty string.
+std::string parse_dataset(const std::string& item, std::string& out) {
+  out = item;
+  return meas::Catalog::is_dataset_name(item) ? ""
+                                              : "unknown dataset: " + item;
+}
+
+std::string parse_fault(const std::string& item, double& out) {
+  const bool ok = codec::parse_double(item, out) && out >= 0.0 && out <= 1.0;
+  return ok ? "" : "fault intensity must be in [0, 1]: " + item;
+}
+
+std::string parse_metric(const std::string& item, core::Metric& out) {
+  for (const core::Metric m : {core::Metric::kRtt, core::Metric::kLoss}) {
+    out = m;
+    if (item == core::metric_name(m)) return {};
   }
-  if (s == "one-hop/search") {
-    p.kernel = core::Kernel::kSearch;
-    return p;
-  }
-  if (s == "multi-hop") {
-    p.kind = PolicyKind::kMultiHop;
-    return p;
-  }
-  if (s.rfind("disjoint:", 0) == 0) {
-    p.kind = PolicyKind::kDisjoint;
-    if (!parse_i32(s.substr(9), 1, 64, p.k)) {
-      return bad(line, "disjoint policy needs k in [1, 64]: " + std::string{s});
+  return "unknown metric: " + item + " (rtt, loss)";
+}
+
+std::string parse_policy(const std::string& item, PolicySpec& out) {
+  if (item == "one-hop/dense") {
+    out.kernel = core::Kernel::kDense;
+  } else if (item == "one-hop/search") {
+    out.kernel = core::Kernel::kSearch;
+  } else if (item == "multi-hop") {
+    out.kind = PolicyKind::kMultiHop;
+  } else if (item.rfind("disjoint:", 0) == 0) {
+    out.kind = PolicyKind::kDisjoint;
+    if (!parse_i32(std::string_view{item}.substr(9), 1, 64, out.k)) {
+      return "disjoint policy needs k in [1, 64]: " + item;
     }
-    return p;
+  } else if (item != "one-hop" && item != "one-hop/auto") {
+    return "unknown policy: " + item +
+           " (one-hop[/dense|/search], multi-hop, disjoint:K)";
   }
-  return bad(line, "unknown policy: " + std::string{s} +
-                       " (one-hop[/dense|/search], multi-hop, disjoint:K)");
+  return {};
+}
+
+std::string parse_samples(const std::string& item, int& out) {
+  return parse_i32(item, 0, 1'000'000, out)
+             ? ""
+             : "min-samples must be in [0, 1000000] (0: scale-derived): " +
+                   item;
+}
+
+std::string parse_seed(const std::string& item, std::uint64_t& out) {
+  return codec::parse_u64(item, out)
+             ? ""
+             : "seed must be an unsigned integer: " + item;
+}
+
+// One kGridAxes row over GridConfig::*Values and CellSpec::*Field.
+template <auto Values, auto Field, auto Parse, auto Label,
+          auto ReportLabel = Label>
+constexpr GridAxis axis(const char* section, const char* heading,
+                        const char* label_key) {
+  return {section,
+          heading,
+          label_key,
+          [](const GridConfig& g) { return (g.*Values).size(); },
+          [](GridConfig& g, const std::vector<std::string>& items) {
+            auto& values = g.*Values;
+            values.clear();
+            for (const std::string& item : items) {
+              std::string error = Parse(item, values.emplace_back());
+              if (!error.empty()) return error;
+            }
+            return std::string{};
+          },
+          [](const GridConfig& g, std::size_t i, CellSpec& cell) {
+            cell.*Field = (g.*Values)[i];
+          },
+          [](const CellSpec& cell) {
+            return std::string{std::invoke(Label, cell.*Field)};
+          },
+          [](const CellSpec& cell) {
+            return std::string{std::invoke(ReportLabel, cell.*Field)};
+          }};
 }
 
 // Splits a `values = a, b, c` list, rejecting empty lists and empty items
@@ -93,10 +152,37 @@ Result<std::vector<std::string>> split_values(std::string_view s,
   return out;
 }
 
-const char* const kAxisNames[] = {"datasets", "faults",  "metrics",
-                                  "policies", "samples", "seeds"};
-
 }  // namespace
+
+constinit const std::array<GridAxis, 6> kGridAxes{
+    axis<&GridConfig::datasets, &CellSpec::dataset, parse_dataset,
+         codec::to_text<std::string>>("datasets", "dataset", ""),
+    axis<&GridConfig::faults, &CellSpec::fault, parse_fault,
+         codec::to_text<double>, shortest_text>("faults", "fault", "fault="),
+    axis<&GridConfig::metrics, &CellSpec::metric, parse_metric,
+         core::metric_name>("metrics", "metric", ""),
+    axis<&GridConfig::policies, &CellSpec::policy, parse_policy,
+         &PolicySpec::label>("policies", "policy", ""),
+    axis<&GridConfig::samples, &CellSpec::min_samples, parse_samples,
+         codec::to_text<int>>("samples", "min_samples", "ms="),
+    axis<&GridConfig::seeds, &CellSpec::seed, parse_seed,
+         codec::to_text<std::uint64_t>>("seeds", "seed", "seed="),
+};
+
+std::size_t GridConfig::cell_count() const noexcept {
+  std::size_t n = 1;
+  for (const GridAxis& axis : kGridAxes) n *= axis.size(*this);
+  return n;
+}
+
+std::string shortest_text(double v) {
+  char buf[64];
+  for (int prec = 1; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) return buf;
+  }
+  return buf;
+}
 
 std::string PolicySpec::label() const {
   switch (kind) {
@@ -114,18 +200,17 @@ std::string PolicySpec::label() const {
 
 Result<GridConfig> parse_grid(std::string_view text) {
   GridConfig grid;
-  // Which axes/keys appeared, for duplicate detection and for telling a
-  // defaulted axis from an explicitly configured one.
+  // Which keys and sections appeared, for duplicate detection.
   bool saw_name = false;
   bool saw_scale = false;
-  std::vector<std::string> seen_sections;
-  std::string section;       // current section, empty at top level
+  std::array<bool, kGridAxes.size()> seen{};
+  const GridAxis* section = nullptr;  // current section, null at top level
   bool section_has_values = false;
   std::size_t section_line = 0;
 
   auto close_section = [&]() -> Status {
-    if (!section.empty() && !section_has_values) {
-      return bad(section_line, "section [" + section +
+    if (section != nullptr && !section_has_values) {
+      return bad(section_line, std::string{"section ["} + section->section +
                                    "] has no `values` line (truncated grid?)");
     }
     return Status::ok();
@@ -147,17 +232,15 @@ Result<GridConfig> parse_grid(std::string_view text) {
         return bad(line_no, "malformed section header: " + std::string{line});
       }
       const std::string name{trim(line.substr(1, line.size() - 2))};
-      bool known = false;
-      for (const char* axis : kAxisNames) known = known || name == axis;
-      if (!known) return bad(line_no, "unknown section: [" + name + "]");
-      if (const Status closed = close_section(); !closed.is_ok()) return closed;
-      for (const std::string& prev : seen_sections) {
-        if (prev == name) {
-          return bad(line_no, "duplicate section: [" + name + "]");
-        }
+      std::size_t a = 0;
+      while (a < kGridAxes.size() && name != kGridAxes[a].section) ++a;
+      if (a == kGridAxes.size()) {
+        return bad(line_no, "unknown section: [" + name + "]");
       }
-      seen_sections.push_back(name);
-      section = name;
+      if (const Status closed = close_section(); !closed.is_ok()) return closed;
+      if (seen[a]) return bad(line_no, "duplicate section: [" + name + "]");
+      seen[a] = true;
+      section = &kGridAxes[a];
       section_has_values = false;
       section_line = line_no;
       continue;
@@ -170,7 +253,7 @@ Result<GridConfig> parse_grid(std::string_view text) {
     const std::string key{trim(line.substr(0, eq))};
     const std::string_view value = trim(line.substr(eq + 1));
 
-    if (section.empty()) {
+    if (section == nullptr) {
       if (key == "name") {
         if (saw_name) return bad(line_no, "duplicate key: name");
         saw_name = true;
@@ -192,116 +275,36 @@ Result<GridConfig> parse_grid(std::string_view text) {
       continue;
     }
 
-    if (key != "values") {
-      return bad(line_no, "unknown key in [" + section + "]: " + key);
-    }
+    const std::string where = std::string{" in ["} + section->section + "]: ";
+    if (key != "values") return bad(line_no, "unknown key" + where + key);
     if (section_has_values) {
-      return bad(line_no, "duplicate key in [" + section + "]: values");
+      return bad(line_no, "duplicate key" + where + "values");
     }
     section_has_values = true;
 
     const Result<std::vector<std::string>> items = split_values(value, line_no);
     if (!items.is_ok()) return items.status();
-
-    if (section == "datasets") {
-      grid.datasets.clear();
-      for (const std::string& item : items.value()) {
-        if (!meas::Catalog::is_dataset_name(item)) {
-          return bad(line_no, "unknown dataset: " + item);
-        }
-        grid.datasets.push_back(item);
-      }
-    } else if (section == "faults") {
-      grid.faults.clear();
-      for (const std::string& item : items.value()) {
-        double f = 0.0;
-        if (!codec::parse_double(item, f) || !(f >= 0.0) || !(f <= 1.0)) {
-          return bad(line_no, "fault intensity must be in [0, 1]: " + item);
-        }
-        grid.faults.push_back(f);
-      }
-    } else if (section == "metrics") {
-      grid.metrics.clear();
-      for (const std::string& item : items.value()) {
-        if (item == "rtt") {
-          grid.metrics.push_back(core::Metric::kRtt);
-        } else if (item == "loss") {
-          grid.metrics.push_back(core::Metric::kLoss);
-        } else {
-          return bad(line_no, "unknown metric: " + item + " (rtt, loss)");
-        }
-      }
-    } else if (section == "policies") {
-      grid.policies.clear();
-      for (const std::string& item : items.value()) {
-        Result<PolicySpec> p = parse_policy(item, line_no);
-        if (!p.is_ok()) return p.status();
-        grid.policies.push_back(p.value());
-      }
-    } else if (section == "samples") {
-      grid.samples.clear();
-      for (const std::string& item : items.value()) {
-        int n = 0;
-        if (!parse_i32(item, 0, 1'000'000, n)) {
-          return bad(line_no,
-                     "min-samples must be in [0, 1000000] (0: scale-derived): " +
-                         item);
-        }
-        grid.samples.push_back(n);
-      }
-    } else {  // seeds
-      grid.seeds.clear();
-      for (const std::string& item : items.value()) {
-        std::uint64_t s = 0;
-        if (!codec::parse_u64(item, s)) {
-          return bad(line_no, "seed must be an unsigned integer: " + item);
-        }
-        grid.seeds.push_back(s);
-      }
+    if (const std::string error = section->parse(grid, items.value());
+        !error.empty()) {
+      return bad(line_no, error);
     }
   }
   if (const Status closed = close_section(); !closed.is_ok()) return closed;
 
   // Duplicate axis values are duplicate cells: the same work run twice and
   // an ambiguous merge, so they are config errors, not a convenience.
-  auto check_dups = [&](const char* axis,
-                        const std::vector<std::string>& labels) -> Status {
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-      for (std::size_t j = i + 1; j < labels.size(); ++j) {
-        if (labels[i] == labels[j]) {
+  for (const GridAxis& axis : kGridAxes) {
+    std::vector<std::string> labels;
+    for (std::size_t i = 0; i < axis.size(grid); ++i) {
+      labels.push_back(axis.label(axis.value(grid, i)));
+      for (std::size_t j = 0; j < i; ++j) {
+        if (labels[j] == labels[i]) {
           return Status::error(ErrorCode::kInvalidArgument,
-                               std::string{"grid: duplicate "} + axis +
+                               std::string{"grid: duplicate "} + axis.section +
                                    " value (duplicate cells): " + labels[i]);
         }
       }
     }
-    return Status::ok();
-  };
-  std::vector<std::string> labels;
-  auto as_labels = [&labels](const auto& values, auto&& render) {
-    labels.clear();
-    for (const auto& v : values) labels.push_back(render(v));
-    return labels;
-  };
-  for (const auto& [axis, axis_labels] :
-       {std::pair{"datasets", as_labels(grid.datasets,
-                                        [](const std::string& s) { return s; })},
-        std::pair{"faults", as_labels(grid.faults, codec::to_text<double>)},
-        std::pair{"metrics",
-                  as_labels(grid.metrics,
-                            [](core::Metric m) {
-                              return std::string{core::metric_name(m)};
-                            })},
-        std::pair{"policies", as_labels(grid.policies,
-                                        [](const PolicySpec& p) {
-                                          return p.label();
-                                        })},
-        std::pair{"samples", as_labels(grid.samples,
-                                       [](int n) { return std::to_string(n); })},
-        std::pair{"seeds", as_labels(grid.seeds, [](std::uint64_t s) {
-                    return std::to_string(s);
-                  })}}) {
-    if (const Status s = check_dups(axis, axis_labels); !s.is_ok()) return s;
   }
 
   if (grid.cell_count() > kMaxGridCells) {
@@ -318,34 +321,14 @@ std::string canonical_grid(const GridConfig& grid) {
                     " (canonical)\n";
   out += "name = " + grid.name + "\n";
   out += "scale = " + codec::to_text(grid.scale) + "\n";
-  auto section = [&out](const char* axis, const std::vector<std::string>& vs) {
-    out += std::string{"["} + axis + "]\nvalues = ";
-    for (std::size_t i = 0; i < vs.size(); ++i) {
+  for (const GridAxis& axis : kGridAxes) {
+    out += std::string{"["} + axis.section + "]\nvalues = ";
+    for (std::size_t i = 0; i < axis.size(grid); ++i) {
       if (i != 0) out += ", ";
-      out += vs[i];
+      out += axis.label(axis.value(grid, i));
     }
     out += "\n";
-  };
-  std::vector<std::string> vs;
-  vs.assign(grid.datasets.begin(), grid.datasets.end());
-  section("datasets", vs);
-  vs.clear();
-  for (const double f : grid.faults) vs.push_back(codec::to_text(f));
-  section("faults", vs);
-  vs.clear();
-  for (const core::Metric m : grid.metrics) {
-    vs.emplace_back(core::metric_name(m));
   }
-  section("metrics", vs);
-  vs.clear();
-  for (const PolicySpec& p : grid.policies) vs.push_back(p.label());
-  section("policies", vs);
-  vs.clear();
-  for (const int n : grid.samples) vs.push_back(std::to_string(n));
-  section("samples", vs);
-  vs.clear();
-  for (const std::uint64_t s : grid.seeds) vs.push_back(std::to_string(s));
-  section("seeds", vs);
   return out;
 }
 
@@ -360,27 +343,16 @@ std::uint64_t cell_fingerprint(std::uint64_t grid_fp, const CellSpec& cell) {
 }
 
 std::vector<CellSpec> expand_cells(const GridConfig& grid) {
-  std::vector<CellSpec> cells;
-  cells.reserve(grid.cell_count());
-  for (const std::string& dataset : grid.datasets) {
-    for (const double fault : grid.faults) {
-      for (const core::Metric metric : grid.metrics) {
-        for (const PolicySpec& policy : grid.policies) {
-          for (const int samples : grid.samples) {
-            for (const std::uint64_t seed : grid.seeds) {
-              CellSpec cell;
-              cell.index = cells.size();
-              cell.dataset = dataset;
-              cell.fault = fault;
-              cell.metric = metric;
-              cell.policy = policy;
-              cell.min_samples = samples;
-              cell.seed = seed;
-              cells.push_back(std::move(cell));
-            }
-          }
-        }
-      }
+  std::vector<CellSpec> cells(grid.cell_count());
+  for (std::size_t index = 0; index < cells.size(); ++index) {
+    CellSpec& cell = cells[index];
+    cell.index = index;
+    // The index in mixed radix, innermost axis (the last row) first.
+    std::size_t rest = index;
+    for (auto axis = kGridAxes.rbegin(); axis != kGridAxes.rend(); ++axis) {
+      const std::size_t n = axis->size(grid);
+      axis->assign(grid, rest % n, cell);
+      rest /= n;
     }
   }
   return cells;
@@ -392,10 +364,13 @@ int effective_min_samples(const GridConfig& grid, const CellSpec& cell) {
 }
 
 std::string cell_label(const CellSpec& cell) {
-  return cell.dataset + " fault=" + codec::to_text(cell.fault) + " " +
-         core::metric_name(cell.metric) + " " + cell.policy.label() +
-         " ms=" + std::to_string(cell.min_samples) +
-         " seed=" + std::to_string(cell.seed);
+  std::string out;
+  for (const GridAxis& axis : kGridAxes) {
+    if (&axis != kGridAxes.data()) out += ' ';
+    out += axis.label_key;
+    out += axis.label(cell);
+  }
+  return out;
 }
 
 }  // namespace pathsel::matrix

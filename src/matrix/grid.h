@@ -29,6 +29,12 @@
 // are all rejected with an explanatory kInvalidArgument before any I/O
 // happens — the CLI maps these to usage errors (exit 2).
 //
+// Each axis is one row of kGridAxes: its section name, report heading,
+// cell-label key, value parser and labels.  parse_grid, canonical_grid,
+// expand_cells, cell_label and the report's marginals all walk that table,
+// so adding an axis means one GridConfig field, one CellSpec field and one
+// row.
+//
 // Cells expand in a fixed nested order (datasets outermost, seeds
 // innermost), and every identity below — the canonical re-rendering, the
 // grid fingerprint over it, and the per-cell fingerprints — is deterministic,
@@ -36,6 +42,7 @@
 // edited grid invalidate stale worker state.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -84,10 +91,8 @@ struct GridConfig {
   std::vector<int> samples{0};
   std::vector<std::uint64_t> seeds{1999};
 
-  [[nodiscard]] std::size_t cell_count() const noexcept {
-    return datasets.size() * faults.size() * metrics.size() *
-           policies.size() * samples.size() * seeds.size();
-  }
+  /// The product of the axis sizes.
+  [[nodiscard]] std::size_t cell_count() const noexcept;
 };
 
 /// One cell of the expanded grid: a concrete (dataset, fault, metric,
@@ -102,6 +107,42 @@ struct CellSpec {
   int min_samples = 0;  // 0: scale-derived
   std::uint64_t seed = 1999;
 };
+
+/// One axis of the grid, in one row: how a grid file names it, how the
+/// report and cell labels spell it, and how its values move from the file
+/// into GridConfig and from there into each CellSpec.
+struct GridAxis {
+  const char* section;    // `[section]` name; also names it in errors
+  const char* heading;    // the report's marginal heading
+  const char* label_key;  // prefix of its value in cell_label ("fault=")
+  std::size_t (*size)(const GridConfig&);
+  /// Replaces the axis's values with `items`; returns the rejection text of
+  /// the first malformed item, or an empty string.
+  std::string (*parse)(GridConfig&, const std::vector<std::string>& items);
+  /// Sets the cell's field for this axis to the axis's value `i`.
+  void (*assign)(const GridConfig&, std::size_t i, CellSpec&);
+  /// The cell's value as canonical_grid, cell_label and the duplicate-value
+  /// check spell it (faults as %.17g).
+  std::string (*label)(const CellSpec&);
+  /// The cell's value as the report spells it (faults in shortest_text).
+  std::string (*report_label)(const CellSpec&);
+
+  /// The axis's value `i` in an otherwise default cell, to spell it with
+  /// label or report_label.
+  [[nodiscard]] CellSpec value(const GridConfig& grid, std::size_t i) const {
+    CellSpec cell;
+    assign(grid, i, cell);
+    return cell;
+  }
+};
+
+/// The axes in expansion order: datasets (outermost), faults, metrics,
+/// policies, samples, seeds (innermost).
+extern const std::array<GridAxis, 6> kGridAxes;
+
+/// The shortest "%.*g" spelling that round-trips to exactly `v`: distinct
+/// values stay distinct, round ones print as written ("0.15").
+[[nodiscard]] std::string shortest_text(double v);
 
 /// Strict parse of a grid file (see the header comment for the grammar and
 /// the rejection catalogue).  Touches no files and performs no I/O.

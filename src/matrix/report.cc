@@ -1,9 +1,6 @@
 #include "matrix/report.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <functional>
 #include <sstream>
 
 #include "core/result_columns.h"
@@ -14,17 +11,6 @@ namespace pathsel::matrix {
 
 namespace {
 
-// Shortest representation that round-trips to exactly `v`: distinct grid
-// values stay distinct in the report, round ones print as written ("0.15").
-std::string shortest(double v) {
-  char buf[64];
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) return buf;
-  }
-  return buf;
-}
-
 struct Marginal {
   std::string value;
   std::size_t cells = 0;     // ok cells carrying this axis value
@@ -33,24 +19,23 @@ struct Marginal {
   std::size_t pairs_sum = 0;
 };
 
-// One marginal table per axis, accumulated over summaries in index order.
-// `axis_of` maps a summary to its rendered axis value; `order` fixes the row
-// order (the grid's declared value order).
-void render_marginal(std::ostringstream& os, const std::string& axis,
-                     const std::vector<std::string>& order,
-                     const std::vector<CellSummary>& summaries,
-                     const std::function<std::string(const CellSummary&)>&
-                         axis_of) {
-  if (order.size() < 2) return;  // a one-value axis has no marginal
-  std::vector<Marginal> marginals;
-  marginals.reserve(order.size());
-  for (const std::string& value : order) {
-    Marginal m;
-    m.value = value;
-    marginals.push_back(std::move(m));
+// One marginal table per axis, accumulated over summaries in index order,
+// with rows in the grid's declared value order.  A summary's axis value is
+// read back through its cell (`specs[s.index]`): summaries carry the
+// effective min_samples floor, the samples axis the declared one (possibly
+// 0 = scale-derived).
+void render_marginal(std::ostringstream& os, const GridAxis& axis,
+                     const GridConfig& grid,
+                     const std::vector<CellSpec>& specs,
+                     const std::vector<CellSummary>& summaries) {
+  const std::size_t n_values = axis.size(grid);
+  if (n_values < 2) return;  // a one-value axis has no marginal
+  std::vector<Marginal> marginals(n_values);
+  for (std::size_t i = 0; i < n_values; ++i) {
+    marginals[i].value = axis.report_label(axis.value(grid, i));
   }
   for (const CellSummary& s : summaries) {
-    const std::string value = axis_of(s);
+    const std::string value = axis.report_label(specs[s.index]);
     for (Marginal& m : marginals) {
       if (m.value != value) continue;
       if (s.ok) {
@@ -63,8 +48,9 @@ void render_marginal(std::ostringstream& os, const std::string& axis,
       break;
     }
   }
-  Table table{"Marginal: " + axis};
-  table.set_header({axis, "cells", "degraded", "mean better", "mean pairs"});
+  Table table{std::string{"Marginal: "} + axis.heading};
+  table.set_header(
+      {axis.heading, "cells", "degraded", "mean better", "mean pairs"});
   for (const Marginal& m : marginals) {
     const double n = m.cells == 0 ? 1.0 : static_cast<double>(m.cells);
     table.add_row({m.value, std::to_string(m.cells),
@@ -78,12 +64,10 @@ void render_marginal(std::ostringstream& os, const std::string& axis,
   os << "\n";
 }
 
-std::string fault_label(double fault) { return shortest(fault); }
-
 std::string summary_label(const CellSummary& s) {
-  return s.dataset + " fault=" + fault_label(s.fault) + " " + s.metric + " " +
-         s.policy + " ms=" + std::to_string(s.min_samples) + " seed=" +
-         std::to_string(s.seed);
+  return s.dataset + " fault=" + shortest_text(s.fault) + " " + s.metric +
+         " " + s.policy + " ms=" + std::to_string(s.min_samples) +
+         " seed=" + std::to_string(s.seed);
 }
 
 }  // namespace
@@ -100,7 +84,7 @@ std::string render_matrix_report(const GridConfig& grid,
   os << "pathsel matrix report v1\n";
   os << "grid: " << grid.name << "\n";
   os << "fingerprint: " << codec::to_text(codec::Hex{grid_fp}) << "\n";
-  os << "scale: " << shortest(grid.scale) << "\n";
+  os << "scale: " << shortest_text(grid.scale) << "\n";
   os << "cells: " << summaries.size() << "\n";
   std::size_t degraded = 0;
   for (const CellSummary& s : summaries) {
@@ -114,7 +98,7 @@ std::string render_matrix_report(const GridConfig& grid,
                     "coverage"});
   for (const CellSummary& s : summaries) {
     std::vector<std::string> row{std::to_string(s.index), s.dataset,
-                                 fault_label(s.fault), s.metric, s.policy,
+                                 shortest_text(s.fault), s.metric, s.policy,
                                  std::to_string(s.min_samples),
                                  std::to_string(s.seed)};
     if (!s.ok) {
@@ -138,45 +122,10 @@ std::string render_matrix_report(const GridConfig& grid,
   }
   if (degraded != 0) os << "\n";
 
-  std::vector<std::string> fault_order;
-  fault_order.reserve(grid.faults.size());
-  for (const double f : grid.faults) fault_order.push_back(fault_label(f));
-  std::vector<std::string> metric_order;
-  metric_order.reserve(grid.metrics.size());
-  for (const core::Metric m : grid.metrics) {
-    metric_order.push_back(core::metric_name(m));
+  const std::vector<CellSpec> specs = expand_cells(grid);
+  for (const GridAxis& axis : kGridAxes) {
+    render_marginal(os, axis, grid, specs, summaries);
   }
-  std::vector<std::string> policy_order;
-  policy_order.reserve(grid.policies.size());
-  for (const PolicySpec& p : grid.policies) policy_order.push_back(p.label());
-  std::vector<std::string> seed_order;
-  seed_order.reserve(grid.seeds.size());
-  for (const std::uint64_t v : grid.seeds) {
-    seed_order.push_back(std::to_string(v));
-  }
-  std::vector<std::string> samples_order;
-  samples_order.reserve(grid.samples.size());
-  for (const int v : grid.samples) samples_order.push_back(std::to_string(v));
-
-  render_marginal(os, "dataset", grid.datasets, summaries,
-                  [](const CellSummary& s) { return s.dataset; });
-  render_marginal(os, "fault", fault_order, summaries,
-                  [](const CellSummary& s) { return fault_label(s.fault); });
-  render_marginal(os, "metric", metric_order, summaries,
-                  [](const CellSummary& s) { return s.metric; });
-  render_marginal(os, "policy", policy_order, summaries,
-                  [](const CellSummary& s) { return s.policy; });
-  // The samples axis is declared (possibly 0 = scale-derived) but summaries
-  // carry the effective floor, so map each summary back through its cell.
-  if (grid.samples.size() > 1) {
-    const std::vector<CellSpec> specs = expand_cells(grid);
-    render_marginal(os, "min_samples", samples_order, summaries,
-                    [&specs](const CellSummary& s) {
-                      return std::to_string(specs[s.index].min_samples);
-                    });
-  }
-  render_marginal(os, "seed", seed_order, summaries,
-                  [](const CellSummary& s) { return std::to_string(s.seed); });
 
   // Extremes over ok cells, by the better fraction.  Ties break toward the
   // lower index (stable order).

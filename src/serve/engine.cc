@@ -507,57 +507,51 @@ DisjointResponse ServeEngine::query_disjoint(core::Metric metric, int k,
   return out;
 }
 
+const ServeEngine::CounterField ServeEngine::kCounterFields[] = {
+    {"core.serve.updates.accepted", &AtomicCounters::updates_accepted,
+     &ServeCounters::updates_accepted},
+    {"core.serve.updates.rejected", &AtomicCounters::updates_rejected,
+     &ServeCounters::updates_rejected},
+    {"core.serve.updates.shed", &AtomicCounters::updates_shed,
+     &ServeCounters::updates_shed},
+    {"core.serve.updates.applied", &AtomicCounters::updates_applied,
+     &ServeCounters::updates_applied},
+    {"core.serve.updates.replayed", &AtomicCounters::updates_replayed,
+     &ServeCounters::updates_replayed},
+    {"core.serve.journal.appends", &AtomicCounters::journal_appends,
+     &ServeCounters::journal_appends},
+    {"core.serve.journal.truncations", &AtomicCounters::journal_truncations,
+     &ServeCounters::journal_truncations},
+    {"core.serve.compactions", &AtomicCounters::compactions,
+     &ServeCounters::compactions},
+    {"core.serve.snapshots.published", &AtomicCounters::snapshots_published,
+     &ServeCounters::snapshots_published},
+    {"core.serve.queries.best", &AtomicCounters::queries_best,
+     &ServeCounters::queries_best},
+    {"core.serve.queries.disjoint", &AtomicCounters::queries_disjoint,
+     &ServeCounters::queries_disjoint},
+    {"core.serve.stale_served", &AtomicCounters::stale_served,
+     &ServeCounters::stale_served},
+    {"core.serve.query_timeouts", &AtomicCounters::query_timeouts,
+     &ServeCounters::query_timeouts},
+};
+
 ServeCounters ServeEngine::counters() const {
   ServeCounters c;
-  c.updates_accepted = counters_.updates_accepted.load(std::memory_order_relaxed);
-  c.updates_rejected = counters_.updates_rejected.load(std::memory_order_relaxed);
-  c.updates_shed = counters_.updates_shed.load(std::memory_order_relaxed);
-  c.updates_applied = counters_.updates_applied.load(std::memory_order_relaxed);
-  c.updates_replayed =
-      counters_.updates_replayed.load(std::memory_order_relaxed);
-  c.journal_appends = counters_.journal_appends.load(std::memory_order_relaxed);
-  c.journal_truncations =
-      counters_.journal_truncations.load(std::memory_order_relaxed);
-  c.compactions = counters_.compactions.load(std::memory_order_relaxed);
-  c.snapshots_published =
-      counters_.snapshots_published.load(std::memory_order_relaxed);
-  c.queries_best = counters_.queries_best.load(std::memory_order_relaxed);
-  c.queries_disjoint =
-      counters_.queries_disjoint.load(std::memory_order_relaxed);
-  c.stale_served = counters_.stale_served.load(std::memory_order_relaxed);
-  c.query_timeouts = counters_.query_timeouts.load(std::memory_order_relaxed);
+  for (const CounterField& f : kCounterFields) {
+    c.*f.snapshot = (counters_.*f.live).load(std::memory_order_relaxed);
+  }
   return c;
 }
 
 void ServeEngine::sync_metrics() {
   MetricsRegistry& registry = MetricsRegistry::global();
   const ServeCounters now = counters();
-  const auto emit = [&](const char* name, std::uint64_t current,
-                        std::uint64_t previous) {
-    if (current > previous) registry.count(name, current - previous);
-  };
-  emit("core.serve.updates.accepted", now.updates_accepted,
-       last_synced_.updates_accepted);
-  emit("core.serve.updates.rejected", now.updates_rejected,
-       last_synced_.updates_rejected);
-  emit("core.serve.updates.shed", now.updates_shed, last_synced_.updates_shed);
-  emit("core.serve.updates.applied", now.updates_applied,
-       last_synced_.updates_applied);
-  emit("core.serve.updates.replayed", now.updates_replayed,
-       last_synced_.updates_replayed);
-  emit("core.serve.journal.appends", now.journal_appends,
-       last_synced_.journal_appends);
-  emit("core.serve.journal.truncations", now.journal_truncations,
-       last_synced_.journal_truncations);
-  emit("core.serve.compactions", now.compactions, last_synced_.compactions);
-  emit("core.serve.snapshots.published", now.snapshots_published,
-       last_synced_.snapshots_published);
-  emit("core.serve.queries.best", now.queries_best, last_synced_.queries_best);
-  emit("core.serve.queries.disjoint", now.queries_disjoint,
-       last_synced_.queries_disjoint);
-  emit("core.serve.stale_served", now.stale_served, last_synced_.stale_served);
-  emit("core.serve.query_timeouts", now.query_timeouts,
-       last_synced_.query_timeouts);
+  for (const CounterField& f : kCounterFields) {
+    const std::uint64_t current = now.*f.snapshot;
+    const std::uint64_t previous = last_synced_.*f.snapshot;
+    if (current > previous) registry.count(f.name, current - previous);
+  }
   last_synced_ = now;
 }
 

@@ -292,6 +292,14 @@ class ServeEngine {
     std::atomic<std::uint64_t> stale_served{0};
     std::atomic<std::uint64_t> query_timeouts{0};
   };
+  /// One counter: its core.serve.* metric name, its live atomic and its
+  /// ServeCounters field.  counters() and sync_metrics() walk this table.
+  struct CounterField {
+    const char* name;
+    std::atomic<std::uint64_t> AtomicCounters::*live;
+    std::uint64_t ServeCounters::*snapshot;
+  };
+  static const CounterField kCounterFields[];
   mutable AtomicCounters counters_;
   ServeCounters last_synced_;  // sync_metrics bookkeeping (single caller)
 };

@@ -22,6 +22,7 @@
 #include <iterator>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/cancel.h"
@@ -100,20 +101,10 @@ class ThreadPool {
   template <typename T, typename MapFn>
   [[nodiscard]] std::vector<T> map_chunks(std::size_t n, std::size_t chunk_size,
                                           MapFn&& map_fn) {
-    std::vector<std::vector<T>> per_chunk(chunk_count(n, chunk_size));
-    parallel_for(n, chunk_size,
-                 [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-                   per_chunk[chunk] = map_fn(begin, end, chunk);
-                 });
-    std::size_t total = 0;
-    for (const auto& v : per_chunk) total += v.size();
-    std::vector<T> out;
-    out.reserve(total);
-    for (auto& v : per_chunk) {
-      out.insert(out.end(), std::make_move_iterator(v.begin()),
-                 std::make_move_iterator(v.end()));
-    }
-    return out;
+    Result<std::vector<T>> out = map_chunks<T>(
+        n, chunk_size, std::forward<MapFn>(map_fn), nullptr);
+    PATHSEL_EXPECT(out.is_ok(), "uncancellable map_chunks cancelled");
+    return std::move(out.value());
   }
 
   /// Cancellable map_chunks: as above, but cancellation surfaces as a Status
