@@ -18,12 +18,14 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
 #include "matrix/grid.h"
 #include "matrix/queue.h"
 #include "meas/campaign.h"
+#include "util/metrics.h"
 
 namespace pathsel::matrix {
 namespace {
@@ -250,6 +252,85 @@ TEST(MatrixDiff, CampaignCheckpointIsBoundToExtraFingerprint) {
                             std::istreambuf_iterator<char>{}};
   ASSERT_FALSE(bytes_a.empty());
   EXPECT_EQ(bytes_a, bytes_b);
+}
+
+// Collection sharing: every cell that uses one collection reads its .ds
+// from disk at most once per run, and a resume whose collections are on
+// disk regenerates none of them.
+class MatrixCollections : public ::testing::Test {
+ protected:
+  MatrixCollections() {
+    MetricsRegistry::global().reset();
+    MetricsRegistry::global().enable();
+  }
+  ~MatrixCollections() override {
+    MetricsRegistry::global().reset();
+    MetricsRegistry::global().enable(was_enabled_);
+  }
+
+  static std::uint64_t counter(const MetricsSnapshot& snap,
+                               std::string_view name) {
+    for (const auto& [key, value] : snap.counters) {
+      if (key == name) return value;
+    }
+    return 0;
+  }
+  static std::uint64_t phase_calls(const MetricsSnapshot& snap,
+                                   std::string_view name) {
+    for (const auto& [key, stat] : snap.phases) {
+      if (key == name) return stat.calls;
+    }
+    return 0;
+  }
+
+ private:
+  bool was_enabled_ = MetricsRegistry::global().enabled();
+};
+
+TEST_F(MatrixCollections, EachCollectionIsReadOnce) {
+  const std::string dir = fresh_dir("read_once");
+  const MatrixReport report = run_matrix(options_for(small_grid(), dir, 0));
+  ASSERT_TRUE(report.status.is_ok()) << report.status.to_string();
+
+  const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
+  EXPECT_EQ(counter(snap, "matrix.datasets.collected"), 2u);
+  EXPECT_EQ(counter(snap, "matrix.cells.run"), 4u);
+  EXPECT_GT(counter(snap, "meas.dataset.records_written"), 0u);
+  EXPECT_EQ(counter(snap, "meas.dataset.records_read"),
+            counter(snap, "meas.dataset.records_written"))
+      << "a collection was parsed from disk more than once";
+  EXPECT_EQ(phase_calls(snap, "meas.dataset.read"),
+            counter(snap, "matrix.datasets.collected"));
+}
+
+TEST_F(MatrixCollections, ResumeWithoutSummariesReusesEveryCollection) {
+  const std::string dir = fresh_dir("resummarize");
+  const MatrixReport first = run_matrix(options_for(small_grid(), dir, 0));
+  ASSERT_TRUE(first.status.is_ok()) << first.status.to_string();
+
+  std::size_t deleted = 0;
+  for (const auto& entry : std::filesystem::directory_iterator{queue_dir(dir)}) {
+    if (entry.path().extension() == ".summary") {
+      std::filesystem::remove(entry.path());
+      ++deleted;
+    }
+  }
+  ASSERT_EQ(deleted, 4u);
+
+  MetricsRegistry::global().reset();
+  MatrixOptions resumed = options_for(small_grid(), dir, 0);
+  resumed.resume = true;
+  const MatrixReport second = run_matrix(resumed);
+  ASSERT_TRUE(second.status.is_ok()) << second.status.to_string();
+  EXPECT_EQ(second.cells_reused, 0u);
+  EXPECT_EQ(second.cells_run, 4u);
+
+  const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
+  EXPECT_EQ(counter(snap, "matrix.cells.run"), 4u);
+  EXPECT_EQ(counter(snap, "matrix.datasets.collected"), 0u);
+  EXPECT_EQ(phase_calls(snap, "meas.collect"), 0u)
+      << "a collection on disk was collected again";
+  EXPECT_EQ(second.report, first.report);
 }
 
 }  // namespace
