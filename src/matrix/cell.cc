@@ -1,6 +1,5 @@
 #include "matrix/cell.h"
 
-#include <filesystem>
 #include <type_traits>
 #include <utility>
 
@@ -36,18 +35,6 @@ bool key_value(std::string_view line, std::string_view key,
   return true;
 }
 
-// Identity of a cell's collection: everything that shapes the dataset bytes
-// (dataset name, seed, scale, fault intensity) folded with the grid
-// fingerprint.  Cells sharing the identity share one collection; an edited
-// grid changes the fold and forces a fresh one (satellite contract: stale
-// state is discarded, never merged).
-std::uint64_t dataset_key(const CellContext& ctx, const CellSpec& cell) {
-  const std::string params = cell.dataset + "|" + std::to_string(cell.seed) +
-                             "|" + codec::to_text(ctx.grid->scale) + "|" +
-                             codec::to_text(cell.fault);
-  return meas::fold_fingerprint(ctx.grid_fp, crc32(params));
-}
-
 // Is infrastructure (abort the worker) as opposed to data-shaped (degrade
 // the cell)?
 bool infrastructure_failure(const Status& status) {
@@ -62,35 +49,22 @@ bool infrastructure_failure(const Status& status) {
   }
 }
 
-// Ensures the cell's dataset exists under datasets/<key>: reuses a finished
-// collection, or claims the per-dataset lock and collects it with
-// checkpoint/resume.  `busy` is set when another live worker holds the
-// collection right now.
-Status ensure_dataset(const CellContext& ctx, const CellSpec& cell,
-                      std::string& ds_path, bool& busy) {
-  busy = false;
-  const std::uint64_t key = dataset_key(ctx, cell);
-  const std::string dir =
-      datasets_dir(ctx.work_dir) + "/" + codec::to_text(codec::Hex{key});
-  const std::string done_path = dir + "/DONE";
-  ds_path = dir + "/" + cell.dataset + ".ds";
-  std::error_code ec;
-  if (std::filesystem::exists(done_path, ec)) return Status::ok();
-
-  Result<FileLock> lock = FileLock::try_acquire(dir + ".lock");
-  if (!lock.is_ok()) return lock.status();
-  if (!lock.value().held()) {
-    busy = true;
-    return Status::ok();
-  }
-  // Re-check under the lock: the previous holder may have just finished.
-  if (std::filesystem::exists(done_path, ec)) return Status::ok();
+// Ensures the collection the cell uses under datasets/<key> and returns its
+// `.ds` path.  run_campaign's resume rule keeps a finished `.ds` and continues
+// an interrupted collection from its checkpoint; the caller's claim keeps
+// every other worker out of the directory meanwhile.
+Result<std::string> ensure_collection(const CellContext& ctx,
+                                      const CellSpec& cell) {
+  const ScopedTimer timer{"matrix.collect"};
+  const std::uint64_t key = dataset_key(*ctx.grid, ctx.grid_fp, cell);
+  const std::string key_text = codec::to_text(codec::Hex{key});
+  const std::string dir = datasets_dir(ctx.work_dir) + "/" + key_text;
 
   meas::CampaignOptions options;
   options.datasets = {cell.dataset};
   options.output_dir = dir;
   options.checkpoint_dir = dir + "/ckpt";
-  options.resume = true;  // a reclaimed cell continues the dead worker's run
+  options.resume = true;  // a reclaimed collection resumes its checkpoint
   options.catalog.seed = cell.seed;
   options.catalog.scale = ctx.grid->scale;
   options.catalog.fault_intensity = cell.fault;
@@ -102,18 +76,17 @@ Status ensure_dataset(const CellContext& ctx, const CellSpec& cell,
 
   const meas::CampaignReport report = meas::run_campaign(options);
   if (ctx.note) {
-    for (const std::string& note : report.notes) {
-      ctx.note("cell " + std::to_string(cell.index) + ": " + note);
-    }
+    const std::string prefix = "collection " + key_text + ": ";
+    for (const std::string& note : report.notes) ctx.note(prefix + note);
     for (const std::string& name : report.resumed) {
-      ctx.note("cell " + std::to_string(cell.index) + ": dataset " + name +
-               " resumed from checkpoint");
+      ctx.note(prefix + "dataset " + name + " resumed from checkpoint");
     }
   }
   if (!report.status.is_ok()) return report.status;
-  MetricsRegistry::global().count("matrix.datasets.collected");
-  return write_file_atomic(done_path,
-                           codec::to_text(codec::Hex{key}) + "\n");
+  if (!report.completed.empty()) {
+    MetricsRegistry::global().count("matrix.datasets.collected");
+  }
+  return dir + "/" + cell.dataset + ".ds";
 }
 
 Status write_artifact(const CellContext& ctx, CellSummary& summary,
@@ -215,6 +188,48 @@ Status analyze_cell(const CellContext& ctx, const CellSpec& cell,
   const std::string psrc = core::serialize_result_columns(
       std::span<const core::ResultColumns>{&analysis.columns, 1});
   return write_artifact(ctx, summary, cell_rel_dir + "/results.psrc", psrc);
+}
+
+// One cell on its loaded collection: analyze, write the artifacts, publish
+// the summary.
+Status run_cell(const CellContext& ctx, const CellSpec& cell,
+                const meas::Dataset& ds) {
+  const ScopedTimer timer{"matrix.cell"};
+  const std::uint64_t cell_fp = cell_fingerprint(ctx.grid_fp, cell);
+
+  CellSummary summary;
+  summary.grid_fp = ctx.grid_fp;
+  summary.cell_fp = cell_fp;
+  summary.index = cell.index;
+  summary.dataset = cell.dataset;
+  summary.fault = cell.fault;
+  summary.metric = core::metric_name(cell.metric);
+  summary.policy = cell.policy.label();
+  summary.min_samples = effective_min_samples(*ctx.grid, cell);
+  summary.seed = cell.seed;
+  summary.measurements = ds.measurements.size();
+  summary.completed = ds.completed_count();
+
+  const std::string cell_dir = cell_work_dir(ctx.work_dir, cell.index, cell_fp);
+  const Status made = ensure_directory(cell_dir);
+  if (!made.is_ok()) return made;
+  // Artifact paths are recorded relative to the work dir so a work dir can
+  // be archived or moved wholesale.
+  const std::string cell_rel_dir = cell_dir.substr(ctx.work_dir.size() + 1);
+
+  {
+    const ScopedTimer analyze_timer{"matrix.analyze"};
+    const Status analyzed = analyze_cell(ctx, cell, ds, cell_rel_dir, summary);
+    if (!analyzed.is_ok()) return analyzed;
+  }
+
+  const Status published = write_file_atomic(
+      cell_summary_path(ctx.work_dir, cell.index),
+      serialize_cell_summary(summary));
+  if (!published.is_ok()) return published;
+  MetricsRegistry::global().count("matrix.cells.run");
+  MetricsRegistry::global().count("matrix.pairs", summary.pairs);
+  return Status::ok();
 }
 
 // Which summaries carry a field: all, or only degraded (ok=0) or ok ones.
@@ -378,57 +393,25 @@ Result<CellSummary> parse_cell_summary(std::string_view text) {
   return s;
 }
 
-Result<CellOutcome> run_cell(const CellContext& ctx, const CellSpec& cell) {
-  const ScopedTimer timer{"matrix.cell"};
-  const std::uint64_t cell_fp = cell_fingerprint(ctx.grid_fp, cell);
+std::uint64_t dataset_key(const GridConfig& grid, std::uint64_t grid_fp,
+                          const CellSpec& cell) {
+  const std::string params = cell.dataset + "|" + std::to_string(cell.seed) +
+                             "|" + codec::to_text(grid.scale) + "|" +
+                             codec::to_text(cell.fault);
+  return meas::fold_fingerprint(grid_fp, crc32(params));
+}
 
-  std::string ds_path;
-  bool busy = false;
-  {
-    const ScopedTimer collect_timer{"matrix.collect"};
-    const Status ensured = ensure_dataset(ctx, cell, ds_path, busy);
-    if (!ensured.is_ok()) return ensured;
-  }
-  if (busy) return CellOutcome::kDatasetBusy;
-
-  Result<meas::Dataset> ds = meas::load_dataset(ds_path);
+Status run_collection(const CellContext& ctx,
+                      std::span<const CellSpec* const> cells) {
+  const Result<std::string> ds_path = ensure_collection(ctx, *cells.front());
+  if (!ds_path.is_ok()) return ds_path.status();
+  const Result<meas::Dataset> ds = meas::load_dataset(ds_path.value());
   if (!ds.is_ok()) return ds.status();
-
-  CellSummary summary;
-  summary.grid_fp = ctx.grid_fp;
-  summary.cell_fp = cell_fp;
-  summary.index = cell.index;
-  summary.dataset = cell.dataset;
-  summary.fault = cell.fault;
-  summary.metric = core::metric_name(cell.metric);
-  summary.policy = cell.policy.label();
-  summary.min_samples = effective_min_samples(*ctx.grid, cell);
-  summary.seed = cell.seed;
-  summary.measurements = ds.value().measurements.size();
-  summary.completed = ds.value().completed_count();
-
-  const std::string cell_dir = cell_work_dir(ctx.work_dir, cell.index, cell_fp);
-  const Status made = ensure_directory(cell_dir);
-  if (!made.is_ok()) return made;
-  // Artifact paths are recorded relative to the work dir so a work dir can
-  // be archived or moved wholesale.
-  const std::string cell_rel_dir =
-      cell_dir.substr(ctx.work_dir.size() + 1);
-
-  {
-    const ScopedTimer analyze_timer{"matrix.analyze"};
-    const Status analyzed =
-        analyze_cell(ctx, cell, ds.value(), cell_rel_dir, summary);
-    if (!analyzed.is_ok()) return analyzed;
+  for (const CellSpec* cell : cells) {
+    const Status ran = run_cell(ctx, *cell, ds.value());
+    if (!ran.is_ok()) return ran;
   }
-
-  const Status published = write_file_atomic(
-      cell_summary_path(ctx.work_dir, cell.index),
-      serialize_cell_summary(summary));
-  if (!published.is_ok()) return published;
-  MetricsRegistry::global().count("matrix.cells.run");
-  MetricsRegistry::global().count("matrix.pairs", summary.pairs);
-  return CellOutcome::kRan;
+  return Status::ok();
 }
 
 }  // namespace pathsel::matrix

@@ -1,15 +1,15 @@
 // Per-cell execution and the on-disk cell summary.
 //
-// One cell = one campaign collection (shared across cells that ask for the
-// same dataset under the same seed/scale/fault, keyed and fingerprint-bound
-// per grid) plus one analysis (one-hop/multi-hop alternate sweep or
-// k-disjoint alternates) at the cell's min_samples floor.  The runner writes
-// two kinds of artifacts into the cell's directory — the columnar PSRC
-// results or the disjoint TSV — and then publishes a `pathsel-matrix-cell v1`
-// summary file into the work queue.  The summary is the queue's done marker:
-// it is written atomically, ends in a CRC of its own payload, and embeds the
-// grid and cell fingerprints, so a torn file, a foreign file, or a summary
-// left by an edited grid is detected and discarded instead of merged.
+// Cells that ask for the same dataset under the same seed/scale/fault share
+// one campaign collection (dataset_key, bound to the grid fingerprint).
+// run_collection ensures it, reads its `.ds` once, and runs each given cell's
+// analysis on it (one-hop/multi-hop alternate sweep or k-disjoint alternates
+// at the cell's min_samples floor): the cell writes its artifacts — the
+// columnar PSRC results or the disjoint TSV — then publishes a
+// `pathsel-matrix-cell v1` summary, the queue's done marker.  It is written
+// atomically, ends in a CRC of its own payload, and embeds the grid and cell
+// fingerprints, so a torn file, a foreign file, or a summary left by an
+// edited grid is detected and discarded instead of merged.
 //
 // Data-shaped analysis failures (insufficient data after heavy faults, a
 // disjoint k over the graph ceiling) degrade gracefully: the cell publishes
@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -76,10 +77,13 @@ struct CellSummary {
 /// kParseError on corruption or truncation.
 [[nodiscard]] Result<CellSummary> parse_cell_summary(std::string_view text);
 
-/// How run_cell left the queue: the cell ran (summary published), or its
-/// shared dataset is being collected by another worker right now and the
-/// caller should move on and retry later.
-enum class CellOutcome { kRan, kDatasetBusy };
+/// Identity of a cell's collection: everything that shapes the dataset
+/// bytes (dataset name, seed, the grid's scale, fault intensity) folded with
+/// the grid fingerprint.  Cells with equal keys share one collection; an
+/// edited grid changes every key and forces fresh collections.
+[[nodiscard]] std::uint64_t dataset_key(const GridConfig& grid,
+                                        std::uint64_t grid_fp,
+                                        const CellSpec& cell);
 
 /// Everything a cell run needs besides the cell itself.  `note` receives
 /// human-readable diagnostics (checkpoint discards, resumes); it must be
@@ -96,10 +100,12 @@ struct CellContext {
   std::function<void(const std::string&)> note;
 };
 
-/// Runs one cell end to end: ensure the shared dataset (collect under a
-/// claim lock with checkpoint/resume, or reuse the finished copy), analyze
-/// under the cell's policy, write the artifacts, publish the summary.
-[[nodiscard]] Result<CellOutcome> run_cell(const CellContext& ctx,
-                                           const CellSpec& cell);
+/// Runs cells that share one collection (equal dataset_key), in the given
+/// order: ensure the collection under datasets/<key> (collect it with
+/// checkpoint/resume, or keep the finished `.ds`), load it once, then for
+/// each cell analyze under its policy, write the artifacts and publish the
+/// summary.  The caller holds the collection's claim (queue.h).
+[[nodiscard]] Status run_collection(const CellContext& ctx,
+                                    std::span<const CellSpec* const> cells);
 
 }  // namespace pathsel::matrix

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <memory>
 #include <thread>
+#include <unordered_map>
 
 #include "matrix/cell.h"
 #include "matrix/queue.h"
@@ -37,10 +38,29 @@ Status validate_options(const MatrixOptions& options) {
   return Status::ok();
 }
 
+// A collection group is the ascending indices of the cells sharing one
+// dataset_key.  Seeds are the innermost axis, so they need not be contiguous.
+using Group = std::vector<std::size_t>;
+
 struct Layout {
   std::vector<CellSpec> cells;
   std::uint64_t grid_fp = 0;
+  std::vector<Group> groups;  // ordered by each group's first cell index
 };
+
+Layout make_layout(const GridConfig& grid) {
+  Layout layout;
+  layout.cells = expand_cells(grid);
+  layout.grid_fp = grid_fingerprint(grid);
+  std::unordered_map<std::uint64_t, std::size_t> group_of;
+  for (const CellSpec& cell : layout.cells) {
+    const std::uint64_t key = dataset_key(grid, layout.grid_fp, cell);
+    const auto [it, added] = group_of.try_emplace(key, layout.groups.size());
+    if (added) layout.groups.emplace_back();
+    layout.groups[it->second].push_back(cell.index);
+  }
+  return layout;
+}
 
 // Clears stale per-run state.  `resume` keeps valid summaries (and all
 // checkpoint/dataset state — fingerprint binding makes stale pieces inert);
@@ -51,26 +71,21 @@ Status prepare_work_dir(const MatrixOptions& options, const Layout& layout,
   reused = 0;
   Status made = ensure_directory(options.work_dir);
   if (!made.is_ok()) return made;
-  if (!options.resume) {
-    std::error_code ec;
-    for (const std::string& dir :
-         {queue_dir(options.work_dir), cells_dir(options.work_dir),
-          datasets_dir(options.work_dir)}) {
-      std::filesystem::remove_all(dir, ec);
-      if (ec) {
-        return Status::error(ErrorCode::kIoError,
-                             "cannot clear " + dir + ": " + ec.message());
-      }
-    }
-    std::filesystem::remove(report_path(options.work_dir), ec);
-  }
+  std::error_code ec;
   for (const std::string& dir :
        {queue_dir(options.work_dir), cells_dir(options.work_dir),
         datasets_dir(options.work_dir)}) {
+    if (!options.resume) std::filesystem::remove_all(dir, ec);
+    if (ec) {
+      return Status::error(ErrorCode::kIoError,
+                           "cannot clear " + dir + ": " + ec.message());
+    }
     made = ensure_directory(dir);
     if (!made.is_ok()) return made;
   }
-  if (options.resume) {
+  if (!options.resume) {
+    std::filesystem::remove(report_path(options.work_dir), ec);
+  } else {
     for (const CellSpec& cell : layout.cells) {
       const std::uint64_t cell_fp = cell_fingerprint(layout.grid_fp, cell);
       const Result<CellSummary> summary = load_valid_summary(
@@ -80,7 +95,6 @@ Status prepare_work_dir(const MatrixOptions& options, const Layout& layout,
         continue;
       }
       if (summary.status().code() == ErrorCode::kIoError) continue;  // missing
-      std::error_code ec;
       std::filesystem::remove(cell_summary_path(options.work_dir, cell.index),
                               ec);
       notes.push_back("cell " + std::to_string(cell.index) +
@@ -92,20 +106,35 @@ Status prepare_work_dir(const MatrixOptions& options, const Layout& layout,
                            canonical_grid(options.grid));
 }
 
-// The claim-run loop.  Workers start their scan at a staggered offset so N
-// workers spread over the queue instead of contending on cell 0; correctness
-// never depends on the offset (flock arbitrates).
+// The group's cells that have no valid summary yet, in index order.
+std::vector<const CellSpec*> missing_cells(const MatrixOptions& options,
+                                           const Layout& layout,
+                                           const Group& group) {
+  std::vector<const CellSpec*> missing;
+  for (const std::size_t index : group) {
+    const CellSpec& cell = layout.cells[index];
+    if (!load_valid_summary(options.work_dir, index, layout.grid_fp,
+                            cell_fingerprint(layout.grid_fp, cell))
+             .is_ok()) {
+      missing.push_back(&cell);
+    }
+  }
+  return missing;
+}
+
+// The claim-run loop over collection groups.  Workers start their scan at a
+// staggered offset so N workers spread over the groups instead of contending
+// on the first one; correctness never depends on the offset (flock
+// arbitrates).
 Status worker_loop(const MatrixOptions& options, int worker_index,
                    const Layout& layout,
                    const std::function<void(const std::string&)>& note) {
-  const std::size_t n = layout.cells.size();
+  const std::size_t n = layout.groups.size();
   const std::size_t workers =
       options.workers > 0 ? static_cast<std::size_t>(options.workers) : 1;
   const std::size_t offset =
       (static_cast<std::size_t>(worker_index) * n) / workers;
 
-  std::shared_ptr<std::size_t> checkpoint_writes =
-      std::make_shared<std::size_t>(0);
   CellContext ctx;
   ctx.grid = &options.grid;
   ctx.grid_fp = layout.grid_fp;
@@ -114,55 +143,42 @@ Status worker_loop(const MatrixOptions& options, int worker_index,
   ctx.cancel = options.cancel;
   ctx.note = note;
   if (options.crash_after > 0 && worker_index == options.crash_worker) {
-    const std::size_t crash_after = options.crash_after;
-    ctx.after_checkpoint = [checkpoint_writes,
-                            crash_after](std::size_t /*campaign_writes*/) {
-      // Count cumulatively across every campaign this worker runs, so the
-      // crash point is stable regardless of how cells map to campaigns.
-      if (++*checkpoint_writes >= crash_after) std::raise(SIGKILL);
+    // Count cumulatively across every campaign this worker runs (each
+    // campaign copies the hook; the count is shared), so the crash point is
+    // stable regardless of how cells map to campaigns.
+    ctx.after_checkpoint = [writes = std::make_shared<std::size_t>(0),
+                            crash_after = options.crash_after](std::size_t) {
+      if (++*writes >= crash_after) std::raise(SIGKILL);
     };
   }
 
   for (;;) {
-    bool progress = false;
-    std::size_t done = 0;
+    bool held_elsewhere = false;
     for (std::size_t step = 0; step < n; ++step) {
       if (options.cancel != nullptr && options.cancel->cancelled()) {
         return options.cancel->status();
       }
-      const CellSpec& cell = layout.cells[(offset + step) % n];
-      const std::uint64_t cell_fp = cell_fingerprint(layout.grid_fp, cell);
-      const Result<CellSummary> existing = load_valid_summary(
-          options.work_dir, cell.index, layout.grid_fp, cell_fp);
-      if (existing.is_ok()) {
-        ++done;
+      const Group& group = layout.groups[(offset + step) % n];
+      if (missing_cells(options, layout, group).empty()) continue;
+      Result<FileLock> claim = try_claim_collection(
+          options.work_dir,
+          dataset_key(options.grid, layout.grid_fp, layout.cells[group[0]]));
+      if (!claim.is_ok()) return claim.status();
+      if (!claim.value().held()) {
+        held_elsewhere = true;  // another live worker owns it
         continue;
       }
-      Result<FileLock> claim = try_claim_cell(options.work_dir, cell.index);
-      if (!claim.is_ok()) return claim.status();
-      if (!claim.value().held()) continue;  // another live worker owns it
       // Re-check under the claim: the previous holder may have finished
       // between our scan and the flock.
-      if (load_valid_summary(options.work_dir, cell.index, layout.grid_fp,
-                             cell_fp)
-              .is_ok()) {
-        ++done;
-        continue;
-      }
-      const Result<CellOutcome> ran = run_cell(ctx, cell);
-      if (!ran.is_ok()) return ran.status();
-      if (ran.value() == CellOutcome::kRan) {
-        ++done;
-        progress = true;
-      }
-      // kDatasetBusy: the cell's collection is owned elsewhere; move on and
-      // come back next pass.
+      const std::vector<const CellSpec*> missing =
+          missing_cells(options, layout, group);
+      if (missing.empty()) continue;
+      const Status ran = run_collection(ctx, missing);
+      if (!ran.is_ok()) return ran;
     }
-    if (done == n) return Status::ok();
-    if (!progress) {
-      // Everything left is claimed or dataset-busy elsewhere; wait briefly.
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
+    // Every group not held elsewhere is done now.
+    if (!held_elsewhere) return Status::ok();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 }
 
@@ -198,10 +214,7 @@ Result<std::string> merge_report(const MatrixOptions& options,
 
 Status run_worker(const MatrixOptions& options, int worker_index,
                   const std::function<void(const std::string&)>& note) {
-  Layout layout;
-  layout.cells = expand_cells(options.grid);
-  layout.grid_fp = grid_fingerprint(options.grid);
-  return worker_loop(options, worker_index, layout, note);
+  return worker_loop(options, worker_index, make_layout(options.grid), note);
 }
 
 MatrixReport run_matrix(const MatrixOptions& options) {
@@ -209,9 +222,7 @@ MatrixReport run_matrix(const MatrixOptions& options) {
   report.status = validate_options(options);
   if (!report.status.is_ok()) return report;
 
-  Layout layout;
-  layout.cells = expand_cells(options.grid);
-  layout.grid_fp = grid_fingerprint(options.grid);
+  const Layout layout = make_layout(options.grid);
   report.cells_total = layout.cells.size();
 
   report.status =

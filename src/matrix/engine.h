@@ -1,11 +1,12 @@
 // The scenario-matrix what-if engine: grid in, merged report out.
 //
-// run_matrix() expands the grid into cells, lays out a persistent work dir,
-// and dispatches the cells to N forked worker processes coordinating through
-// the flock work queue (see queue.h).  Each worker runs the existing
-// campaign machinery per cell with its own fingerprint-bound checkpoint
-// state, so a SIGKILL'd worker's cell is reclaimed by a survivor — or by a
-// later `--resume` run — and resumed mid-collection instead of restarted.
+// run_matrix() expands the grid into cells, groups them by the collection
+// they share, lays out a persistent work dir, and dispatches the groups to N
+// forked worker processes coordinating through the flock work queue (see
+// queue.h).  Each worker runs the existing campaign machinery per collection
+// with its own fingerprint-bound checkpoint state, so a SIGKILL'd worker's
+// collection is reclaimed by a survivor — or by a later `--resume` run — and
+// resumed mid-collection instead of restarted.
 // When every cell has a validated summary, the parent merges them into one
 // deterministic report: the merged bytes are identical for any worker count
 // (including 0 = run inline, no fork) and across crash/resume, the property

@@ -36,10 +36,6 @@ std::string grid_file_path(const std::string& work_dir) {
   return work_dir + "/grid.canonical";
 }
 
-std::string cell_lock_path(const std::string& work_dir, std::size_t index) {
-  return queue_dir(work_dir) + "/" + cell_file_stem(index) + ".lock";
-}
-
 std::string cell_summary_path(const std::string& work_dir, std::size_t index) {
   return queue_dir(work_dir) + "/" + cell_file_stem(index) + ".summary";
 }
@@ -50,9 +46,10 @@ std::string cell_work_dir(const std::string& work_dir, std::size_t index,
          codec::to_text(codec::Hex{cell_fp});
 }
 
-Result<FileLock> try_claim_cell(const std::string& work_dir,
-                                std::size_t index) {
-  return FileLock::try_acquire(cell_lock_path(work_dir, index));
+Result<FileLock> try_claim_collection(const std::string& work_dir,
+                                      std::uint64_t key) {
+  return FileLock::try_acquire(queue_dir(work_dir) + "/collection-" +
+                               codec::to_text(codec::Hex{key}) + ".lock");
 }
 
 Result<CellSummary> load_valid_summary(const std::string& work_dir,

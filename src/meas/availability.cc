@@ -19,7 +19,7 @@ HostAvailability::HostAvailability(const AvailabilityConfig& config,
     Rng host_rng = rng.fork(h);
     if (host_rng.bernoulli(config.dead_fraction)) {
       down_fraction_[h] = 1.0;
-      down_[h].push_back(Interval{SimTime::start(),
+      down_[h].push_back(sim::FaultInterval{SimTime::start(),
                                   SimTime::start() + trace_duration});
       continue;
     }
@@ -41,7 +41,7 @@ HostAvailability::HostAvailability(const AvailabilityConfig& config,
       // unaffected, but published intervals must not reach past the end.
       const SimTime next = std::min(cursor + Duration::seconds(len_s), end);
       if (!up) {
-        down_[h].push_back(Interval{cursor, next});
+        down_[h].push_back(sim::FaultInterval{cursor, next});
       }
       cursor = next;
       up = !up;
@@ -51,11 +51,7 @@ HostAvailability::HostAvailability(const AvailabilityConfig& config,
 
 bool HostAvailability::is_up(topo::HostId host, SimTime t) const {
   PATHSEL_EXPECT(host.index() < down_.size(), "availability: unknown host");
-  const auto& intervals = down_[host.index()];
-  auto it = std::partition_point(
-      intervals.begin(), intervals.end(),
-      [t](const Interval& iv) { return !(t < iv.end); });
-  return it == intervals.end() || t < it->begin;
+  return !sim::intervals_contain(down_[host.index()], t);
 }
 
 double HostAvailability::down_fraction(topo::HostId host) const {
@@ -64,7 +60,7 @@ double HostAvailability::down_fraction(topo::HostId host) const {
   return down_fraction_[host.index()];
 }
 
-const std::vector<HostAvailability::Interval>& HostAvailability::down_intervals(
+const std::vector<sim::FaultInterval>& HostAvailability::down_intervals(
     topo::HostId host) const {
   PATHSEL_EXPECT(host.index() < down_.size(), "availability: unknown host");
   return down_[host.index()];
@@ -78,19 +74,8 @@ void HostAvailability::add_downtime(topo::HostId host, SimTime begin,
   if (!(lo < hi)) return;
 
   auto& intervals = down_[host.index()];
-  intervals.push_back(Interval{lo, hi});
-  std::sort(intervals.begin(), intervals.end(),
-            [](const Interval& a, const Interval& b) { return a.begin < b.begin; });
-  std::vector<Interval> merged;
-  merged.reserve(intervals.size());
-  for (const Interval& iv : intervals) {
-    if (!merged.empty() && !(merged.back().end < iv.begin)) {
-      merged.back().end = std::max(merged.back().end, iv.end);
-    } else {
-      merged.push_back(iv);
-    }
-  }
-  intervals = std::move(merged);
+  intervals.push_back(sim::FaultInterval{lo, hi});
+  sim::normalize_intervals(intervals);
 }
 
 }  // namespace pathsel::meas

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/fault.h"
 #include "topo/ids.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
@@ -36,11 +37,6 @@ struct AvailabilityConfig {
 
 class HostAvailability {
  public:
-  struct Interval {
-    SimTime begin;
-    SimTime end;  // exclusive
-  };
-
   HostAvailability(const AvailabilityConfig& config, std::size_t host_count,
                    Duration trace_duration);
 
@@ -51,7 +47,7 @@ class HostAvailability {
 
   /// The down intervals of one host: sorted by begin, disjoint, and
   /// contained in [trace start, trace start + trace_duration()).
-  [[nodiscard]] const std::vector<Interval>& down_intervals(
+  [[nodiscard]] const std::vector<sim::FaultInterval>& down_intervals(
       topo::HostId host) const;
 
   [[nodiscard]] Duration trace_duration() const noexcept {
@@ -65,7 +61,7 @@ class HostAvailability {
   void add_downtime(topo::HostId host, SimTime begin, SimTime end);
 
  private:
-  std::vector<std::vector<Interval>> down_;  // per host, sorted
+  std::vector<std::vector<sim::FaultInterval>> down_;  // per host, sorted
   std::vector<double> down_fraction_;
   Duration trace_duration_;
 };

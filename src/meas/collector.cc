@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "util/expect.h"
@@ -13,29 +15,23 @@ namespace pathsel::meas {
 
 namespace {
 
-// Metric-name suffix per failure reason (to_string() uses spaces).
-const char* failure_metric_suffix(FailureReason reason) noexcept {
-  switch (reason) {
-    case FailureReason::kNone: return "none";
-    case FailureReason::kEndpointDown: return "endpoint_down";
-    case FailureReason::kProbeFailure: return "probe_failure";
-    case FailureReason::kBlackhole: return "blackhole";
-    case FailureReason::kNoRoute: return "no_route";
-    case FailureReason::kStuckProbe: return "stuck_probe";
-  }
-  return "unknown";
-}
+// The counter a probe outcome adds to, indexed by FailureReason; kNone is a
+// completed probe.
+constexpr std::string_view kOutcomeCounters[] = {
+    "meas.collector.probes_completed",
+    "meas.collector.probes_failed.endpoint_down",
+    "meas.collector.probes_failed.probe_failure",
+    "meas.collector.probes_failed.blackhole",
+    "meas.collector.probes_failed.no_route",
+    "meas.collector.probes_failed.stuck_probe",
+};
+static_assert(std::size(kOutcomeCounters) == kFailureReasonCount);
 
 // Counts `n` probes that ended with `reason`.
 void record_probe_outcome(FailureReason reason, std::uint64_t n = 1) {
   MetricsRegistry& m = MetricsRegistry::global();
-  if (!m.enabled() || n == 0) return;
-  if (reason == FailureReason::kNone) {
-    m.count("meas.collector.probes_completed", n);
-  } else {
-    m.count(std::string{"meas.collector.probes_failed."} +
-                failure_metric_suffix(reason),
-            n);
+  if (m.enabled() && n != 0) {
+    m.count(kOutcomeCounters[static_cast<std::size_t>(reason)], n);
   }
 }
 

@@ -12,33 +12,6 @@ namespace {
 
 const std::vector<FaultInterval> kNoIntervals{};
 
-// Sorts by begin and merges overlapping or touching intervals so every
-// per-entity schedule is sorted and disjoint.
-void normalize(std::vector<FaultInterval>& intervals) {
-  if (intervals.size() < 2) return;
-  std::sort(intervals.begin(), intervals.end(),
-            [](const FaultInterval& a, const FaultInterval& b) {
-              return a.begin < b.begin;
-            });
-  std::vector<FaultInterval> merged;
-  merged.reserve(intervals.size());
-  for (const FaultInterval& iv : intervals) {
-    if (!merged.empty() && !(merged.back().end < iv.begin)) {
-      merged.back().end = std::max(merged.back().end, iv.end);
-    } else {
-      merged.push_back(iv);
-    }
-  }
-  intervals = std::move(merged);
-}
-
-bool contains(const std::vector<FaultInterval>& intervals, SimTime t) {
-  const auto it = std::partition_point(
-      intervals.begin(), intervals.end(),
-      [t](const FaultInterval& iv) { return !(t < iv.end); });
-  return it != intervals.end() && !(t < it->begin);
-}
-
 // Crash/storm style episodes: a few windows placed uniformly in the trace
 // with exponential lengths and a floor.
 std::vector<FaultInterval> draw_episodes(Rng& rng, Duration trace,
@@ -56,11 +29,37 @@ std::vector<FaultInterval> draw_episodes(Rng& rng, Duration trace,
     out.push_back(FaultInterval{begin,
                                 std::min(begin + Duration::seconds(len_s), end)});
   }
-  normalize(out);
+  normalize_intervals(out);
   return out;
 }
 
 }  // namespace
+
+void normalize_intervals(std::vector<FaultInterval>& intervals) {
+  if (intervals.size() < 2) return;
+  std::sort(intervals.begin(), intervals.end(),
+            [](const FaultInterval& a, const FaultInterval& b) {
+              return a.begin < b.begin;
+            });
+  std::vector<FaultInterval> merged;
+  merged.reserve(intervals.size());
+  for (const FaultInterval& iv : intervals) {
+    if (!merged.empty() && !(merged.back().end < iv.begin)) {
+      merged.back().end = std::max(merged.back().end, iv.end);
+    } else {
+      merged.push_back(iv);
+    }
+  }
+  intervals = std::move(merged);
+}
+
+bool intervals_contain(const std::vector<FaultInterval>& intervals,
+                       SimTime t) {
+  const auto it = std::partition_point(
+      intervals.begin(), intervals.end(),
+      [t](const FaultInterval& iv) { return !(t < iv.end); });
+  return it != intervals.end() && !(t < it->begin);
+}
 
 FaultConfig FaultConfig::at_intensity(double intensity, std::uint64_t seed) {
   const double f = std::clamp(intensity, 0.0, 1.0);
@@ -127,7 +126,7 @@ FaultPlan::FaultPlan(const FaultConfig& config, const topo::Topology& topology,
       link_down_[link.index()].push_back(outage);
     }
   }
-  for (auto& intervals : link_down_) normalize(intervals);
+  for (auto& intervals : link_down_) normalize_intervals(intervals);
 
   // Host crash/reboot episodes and ICMP rate-limit storms.
   for (std::size_t h = 0; h < topology.host_count(); ++h) {
@@ -157,7 +156,7 @@ FaultPlan::FaultPlan(const FaultConfig& config, const topo::Topology& topology,
 
 bool FaultPlan::link_physically_down(topo::LinkId link, SimTime t) const {
   if (link.index() >= link_down_.size()) return false;
-  return contains(link_down_[link.index()], t);
+  return intervals_contain(link_down_[link.index()], t);
 }
 
 bool FaultPlan::link_routed_down(topo::LinkId link, SimTime t) const {
@@ -168,12 +167,12 @@ bool FaultPlan::link_routed_down(topo::LinkId link, SimTime t) const {
 
 bool FaultPlan::host_crashed(topo::HostId host, SimTime t) const {
   if (host.index() >= host_down_.size()) return false;
-  return contains(host_down_[host.index()], t);
+  return intervals_contain(host_down_[host.index()], t);
 }
 
 bool FaultPlan::icmp_storm(topo::HostId host, SimTime t) const {
   if (host.index() >= storm_.size()) return false;
-  return contains(storm_[host.index()], t);
+  return intervals_contain(storm_[host.index()], t);
 }
 
 bool FaultPlan::probe_stuck(topo::HostId src, topo::HostId dst,

@@ -89,6 +89,14 @@ struct FaultInterval {
   friend bool operator==(const FaultInterval&, const FaultInterval&) = default;
 };
 
+/// Sorts by begin and merges overlapping or touching intervals, so the list
+/// is sorted and disjoint.
+void normalize_intervals(std::vector<FaultInterval>& intervals);
+
+/// Whether `t` falls in one interval of a sorted, disjoint list.
+[[nodiscard]] bool intervals_contain(const std::vector<FaultInterval>& intervals,
+                                     SimTime t);
+
 /// The full fault schedule for one trace, computed up front from the seed.
 class FaultPlan {
  public:

@@ -309,7 +309,8 @@ TEST_F(MatrixCollections, ResumeWithoutSummariesReusesEveryCollection) {
   ASSERT_TRUE(first.status.is_ok()) << first.status.to_string();
 
   std::size_t deleted = 0;
-  for (const auto& entry : std::filesystem::directory_iterator{queue_dir(dir)}) {
+  for (const auto& entry :
+       std::filesystem::directory_iterator{queue_dir(dir)}) {
     if (entry.path().extension() == ".summary") {
       std::filesystem::remove(entry.path());
       ++deleted;

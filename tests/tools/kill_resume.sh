@@ -214,10 +214,10 @@ if [[ "$MODE" == all || "$MODE" == matrix ]]; then
 
 # --- Matrix cases: the scenario engine's crash contract, end to end. ---
 # A worker SIGKILL'd mid-cell takes the whole run to exit 5 (the merge never
-# happens on a dead worker), but its flock claim and fingerprint-bound
-# checkpoints survive it: a --resume rerun (case M1) or a surviving sibling
-# worker in the SAME run (case M2) reclaims the orphaned cell, resumes its
-# collection from the checkpoint, and the merged report comes out
+# happens on a dead worker); its flock claim dies with it and its
+# fingerprint-bound checkpoints survive it: a --resume rerun (case M1) or a
+# surviving sibling worker in the SAME run (case M2) reclaims the orphaned
+# collection, resumes it from the checkpoint, and the merged report comes out
 # byte-identical to an uninterrupted run's.
 cat > "$TMP/grid.txt" <<'EOF_GRID'
 name = killtest
@@ -257,14 +257,14 @@ if [[ "$rc" != 0 ]]; then
   cat "$TMP/mx1.resume.err" >&2
 else
   grep -q "resumed from checkpoint" "$TMP/mx1.resume.err" \
-    || fail "M1: resume restarted the cell instead of using the checkpoint"
+    || fail "M1: resume restarted the collection instead of using the checkpoint"
   cmp -s "$TMP/mxref.report" "$TMP/mx1.resume.report" \
     || fail "M1: resumed report differs from the uninterrupted run"
   cmp -s "$TMP/mx1.resume.report" "$TMP/mx1/report.txt" \
     || fail "M1: stdout differs from report.txt"
 fi
 
-# --- Case M2: two workers, one killed; the survivor reclaims its cell ---
+# --- Case M2: two workers, one killed; the survivor reclaims its collection ---
 {
   PATHSEL_TEST_CRASH_AFTER=2 PATHSEL_MATRIX_CRASH_WORKER=0 \
     matrix_run "$TMP/mx2" --workers 2 \
