@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <csignal>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -71,21 +72,26 @@ Status prepare_work_dir(const MatrixOptions& options, const Layout& layout,
   reused = 0;
   Status made = ensure_directory(options.work_dir);
   if (!made.is_ok()) return made;
-  std::error_code ec;
+  if (!options.resume) {
+    std::error_code ec;
+    for (const std::string& dir :
+         {queue_dir(options.work_dir), cells_dir(options.work_dir),
+          datasets_dir(options.work_dir)}) {
+      std::filesystem::remove_all(dir, ec);
+      if (ec) {
+        return Status::error(ErrorCode::kIoError,
+                             "cannot clear " + dir + ": " + ec.message());
+      }
+    }
+    std::filesystem::remove(report_path(options.work_dir), ec);
+  }
   for (const std::string& dir :
        {queue_dir(options.work_dir), cells_dir(options.work_dir),
         datasets_dir(options.work_dir)}) {
-    if (!options.resume) std::filesystem::remove_all(dir, ec);
-    if (ec) {
-      return Status::error(ErrorCode::kIoError,
-                           "cannot clear " + dir + ": " + ec.message());
-    }
     made = ensure_directory(dir);
     if (!made.is_ok()) return made;
   }
-  if (!options.resume) {
-    std::filesystem::remove(report_path(options.work_dir), ec);
-  } else {
+  if (options.resume) {
     for (const CellSpec& cell : layout.cells) {
       const std::uint64_t cell_fp = cell_fingerprint(layout.grid_fp, cell);
       const Result<CellSummary> summary = load_valid_summary(
@@ -95,6 +101,7 @@ Status prepare_work_dir(const MatrixOptions& options, const Layout& layout,
         continue;
       }
       if (summary.status().code() == ErrorCode::kIoError) continue;  // missing
+      std::error_code ec;
       std::filesystem::remove(cell_summary_path(options.work_dir, cell.index),
                               ec);
       notes.push_back("cell " + std::to_string(cell.index) +
@@ -122,10 +129,11 @@ std::vector<const CellSpec*> missing_cells(const MatrixOptions& options,
   return missing;
 }
 
-// The claim-run loop over collection groups.  Workers start their scan at a
-// staggered offset so N workers spread over the groups instead of contending
-// on the first one; correctness never depends on the offset (flock
-// arbitrates).
+// One worker's claim-run loop over the collection groups, inline or in a
+// forked child.  Returns when every cell has a summary (ok) or on the first
+// infrastructure failure.  Workers start their scan at a staggered offset so
+// N workers spread over the groups instead of contending on the first one;
+// correctness never depends on the offset (flock arbitrates).
 Status worker_loop(const MatrixOptions& options, int worker_index,
                    const Layout& layout,
                    const std::function<void(const std::string&)>& note) {
@@ -135,6 +143,8 @@ Status worker_loop(const MatrixOptions& options, int worker_index,
   const std::size_t offset =
       (static_cast<std::size_t>(worker_index) * n) / workers;
 
+  std::shared_ptr<std::size_t> checkpoint_writes =
+      std::make_shared<std::size_t>(0);
   CellContext ctx;
   ctx.grid = &options.grid;
   ctx.grid_fp = layout.grid_fp;
@@ -143,12 +153,12 @@ Status worker_loop(const MatrixOptions& options, int worker_index,
   ctx.cancel = options.cancel;
   ctx.note = note;
   if (options.crash_after > 0 && worker_index == options.crash_worker) {
-    // Count cumulatively across every campaign this worker runs (each
-    // campaign copies the hook; the count is shared), so the crash point is
-    // stable regardless of how cells map to campaigns.
-    ctx.after_checkpoint = [writes = std::make_shared<std::size_t>(0),
-                            crash_after = options.crash_after](std::size_t) {
-      if (++*writes >= crash_after) std::raise(SIGKILL);
+    const std::size_t crash_after = options.crash_after;
+    ctx.after_checkpoint = [checkpoint_writes,
+                            crash_after](std::size_t /*campaign_writes*/) {
+      // Count cumulatively across every campaign this worker runs, so the
+      // crash point is stable regardless of how cells map to campaigns.
+      if (++*checkpoint_writes >= crash_after) std::raise(SIGKILL);
     };
   }
 
@@ -212,11 +222,6 @@ Result<std::string> merge_report(const MatrixOptions& options,
 
 }  // namespace
 
-Status run_worker(const MatrixOptions& options, int worker_index,
-                  const std::function<void(const std::string&)>& note) {
-  return worker_loop(options, worker_index, make_layout(options.grid), note);
-}
-
 MatrixReport run_matrix(const MatrixOptions& options) {
   MatrixReport report;
   report.status = validate_options(options);
@@ -231,9 +236,10 @@ MatrixReport run_matrix(const MatrixOptions& options) {
   MetricsRegistry::global().count("matrix.cells.reused", report.cells_reused);
 
   if (options.workers == 0) {
-    report.status = run_worker(options, 0, [&report](const std::string& s) {
-      report.notes.push_back(s);
-    });
+    report.status =
+        worker_loop(options, 0, layout, [&report](const std::string& s) {
+          report.notes.push_back(s);
+        });
     if (!report.status.is_ok()) return report;
   } else {
     // Flush stdio before forking so buffered bytes are not emitted twice.
@@ -252,7 +258,7 @@ MatrixReport run_matrix(const MatrixOptions& options) {
       }
       if (pid == 0) {
         const Status ran =
-            run_worker(options, i, [i](const std::string& s) {
+            worker_loop(options, i, layout, [i](const std::string& s) {
               std::fprintf(stderr, "matrix worker %d: %s\n", i, s.c_str());
             });
         if (!ran.is_ok()) {

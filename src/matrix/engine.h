@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -64,12 +63,5 @@ struct MatrixReport {
 };
 
 [[nodiscard]] MatrixReport run_matrix(const MatrixOptions& options);
-
-/// One worker's claim-run loop over the queue, in-process.  Returns when
-/// every cell has a summary (ok) or on the first infrastructure failure.
-/// Exposed for the engine's forked children and for tests.
-[[nodiscard]] Status run_worker(const MatrixOptions& options, int worker_index,
-                                const std::function<void(const std::string&)>&
-                                    note);
 
 }  // namespace pathsel::matrix
