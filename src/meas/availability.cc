@@ -20,7 +20,7 @@ HostAvailability::HostAvailability(const AvailabilityConfig& config,
     if (host_rng.bernoulli(config.dead_fraction)) {
       down_fraction_[h] = 1.0;
       down_[h].push_back(sim::FaultInterval{SimTime::start(),
-                                  SimTime::start() + trace_duration});
+                                            SimTime::start() + trace_duration});
       continue;
     }
     if (!host_rng.bernoulli(config.flaky_fraction)) continue;

@@ -8,6 +8,32 @@
 
 namespace pathsel::sim {
 
+void normalize_intervals(std::vector<FaultInterval>& intervals) {
+  if (intervals.size() < 2) return;
+  std::sort(intervals.begin(), intervals.end(),
+            [](const FaultInterval& a, const FaultInterval& b) {
+              return a.begin < b.begin;
+            });
+  std::vector<FaultInterval> merged;
+  merged.reserve(intervals.size());
+  for (const FaultInterval& iv : intervals) {
+    if (!merged.empty() && !(merged.back().end < iv.begin)) {
+      merged.back().end = std::max(merged.back().end, iv.end);
+    } else {
+      merged.push_back(iv);
+    }
+  }
+  intervals = std::move(merged);
+}
+
+bool intervals_contain(const std::vector<FaultInterval>& intervals,
+                       SimTime t) {
+  const auto it = std::partition_point(
+      intervals.begin(), intervals.end(),
+      [t](const FaultInterval& iv) { return !(t < iv.end); });
+  return it != intervals.end() && !(t < it->begin);
+}
+
 namespace {
 
 const std::vector<FaultInterval> kNoIntervals{};
@@ -34,32 +60,6 @@ std::vector<FaultInterval> draw_episodes(Rng& rng, Duration trace,
 }
 
 }  // namespace
-
-void normalize_intervals(std::vector<FaultInterval>& intervals) {
-  if (intervals.size() < 2) return;
-  std::sort(intervals.begin(), intervals.end(),
-            [](const FaultInterval& a, const FaultInterval& b) {
-              return a.begin < b.begin;
-            });
-  std::vector<FaultInterval> merged;
-  merged.reserve(intervals.size());
-  for (const FaultInterval& iv : intervals) {
-    if (!merged.empty() && !(merged.back().end < iv.begin)) {
-      merged.back().end = std::max(merged.back().end, iv.end);
-    } else {
-      merged.push_back(iv);
-    }
-  }
-  intervals = std::move(merged);
-}
-
-bool intervals_contain(const std::vector<FaultInterval>& intervals,
-                       SimTime t) {
-  const auto it = std::partition_point(
-      intervals.begin(), intervals.end(),
-      [t](const FaultInterval& iv) { return !(t < iv.end); });
-  return it != intervals.end() && !(t < it->begin);
-}
 
 FaultConfig FaultConfig::at_intensity(double intensity, std::uint64_t seed) {
   const double f = std::clamp(intensity, 0.0, 1.0);

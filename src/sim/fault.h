@@ -94,8 +94,8 @@ struct FaultInterval {
 void normalize_intervals(std::vector<FaultInterval>& intervals);
 
 /// Whether `t` falls in one interval of a sorted, disjoint list.
-[[nodiscard]] bool intervals_contain(const std::vector<FaultInterval>& intervals,
-                                     SimTime t);
+[[nodiscard]] bool intervals_contain(
+    const std::vector<FaultInterval>& intervals, SimTime t);
 
 /// The full fault schedule for one trace, computed up front from the seed.
 class FaultPlan {
